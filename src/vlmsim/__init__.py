@@ -36,7 +36,6 @@ from .comm import (
     GradSyncPolicy,
     collective_time,
     grad_sync_volume,
-    sync_time,
 )
 from .config import (
     ConfigError,
@@ -80,7 +79,6 @@ from .workload import (
     SequenceLengthModel,
     StepWorkload,
     TrainingStage,
-    pack_dynamic_batches,
     plan_step_microbatches,
     sample_lengths,
     stage_by_name,
@@ -136,7 +134,6 @@ __all__ = [
     "mfu",
     "min_microbatches_for_bubble",
     "overlap_efficiency",
-    "pack_dynamic_batches",
     "partition_layers",
     "plan_step_microbatches",
     "resolved_config_dict",
@@ -147,7 +144,6 @@ __all__ = [
     "stage_catalog",
     "step_flops",
     "step_training_flops",
-    "sync_time",
     "tile_grid",
     "total_param_count",
     "trainable_param_count",

@@ -42,14 +42,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
-_ARTIFACTS = (
-    "report.json",
-    "report.csv",
-    "trace.jsonl",
-    "gantt.svg",
-    "resolved_config.json",
-)
-
 
 def _default_out_dir() -> Path:
     return Path(os.environ.get("VLMSIM_OUT", "vlmsim-out"))
@@ -233,18 +225,8 @@ def cmd_sweep(
     for assignment, _ in points:
         point_dir = out_dir / _point_dir_name(assignment)
         with open(point_dir / "report.json") as handle:
-            doc = json.load(handle)
-        memory = doc.pop("memory")
-        for mkey, mvalue in memory.items():
-            doc[f"memory_{mkey}"] = mvalue
-        row = [str(value) for _, value in assignment]
-        for col in CSV_COLUMNS:
-            value = doc[col]
-            row.append(
-                "" if value is None
-                else repr(value) if isinstance(value, float)
-                else str(value)
-            )
+            report = json.load(handle)
+        row = [str(value) for _, value in assignment] + report_csv_row(report)
         lines.append(",".join(row))
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK

@@ -7,7 +7,6 @@ is pinned by tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .arch import ModelSpec
@@ -102,27 +101,3 @@ def split_buckets(volume: float, bucket_bytes: float) -> list[float]:
     if remainder > 0:
         buckets.append(remainder)
     return buckets
-
-
-@dataclass(frozen=True)
-class SyncCost:
-    seconds: float
-    overlappable: bool
-
-
-def sync_time(
-    volume: float,
-    dp: int,
-    policy: GradSyncPolicy,
-    cost: CollectiveCostModel,
-) -> SyncCost:
-    """Total allreduce time over all buckets of one sync round."""
-    if dp < 1:
-        raise ValueError("dp must be >= 1")
-    seconds = math.fsum(
-        collective_time("allreduce", bucket, dp, cost)
-        for bucket in split_buckets(volume, policy.bucket_bytes)
-    )
-    if dp == 1:
-        seconds = 0.0
-    return SyncCost(seconds=seconds, overlappable=policy.overlap)

@@ -1,21 +1,27 @@
-"""Config files: strict parsing, dp resolution, canonical form, digests.
+"""Config files: one declarative schema, strict parsing, canonical form, digests.
 
-A config document is plain JSON. Every key is checked: unknown keys raise
-ConfigError naming the JSON path (so a typo like "modle" fails loudly as
-`unknown key at $.modle` instead of silently using defaults). Loading
-returns a SimConfig of fully built objects; resolved_config_dict renders it
-back to a canonical dict with every default filled in and "auto" values
-replaced, which is what gets digested and written next to run artifacts.
+A config document is plain JSON. Each section of it is described once, by a
+table of keys: the key's JSON type, its default (or that it is required) and
+the dataclass field it fills. One walker uses the tables to reject unknown
+keys with their JSON path (a typo like "modle" fails loudly as `unknown key
+at $.modle` instead of silently using defaults), to check types, to fill
+defaults and to build the objects of a SimConfig; resolved_config_dict
+renders a SimConfig back through the same tables to a canonical dict with
+every default filled in and "auto" values replaced, which is what gets
+digested and written next to run artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .arch import (
+    _VISION,
     AdapterSpec,
     LanguageModelSpec,
     ModelSpec,
@@ -47,323 +53,302 @@ class SimConfig:
     scaling_reference_chips: int | None = None
 
 
-_REQUIRED = object()
+# ---------------------------------------------------------------------------
+# the schema language
+
+_REQUIRED = MISSING
+_FROM_CLASS = object()  # the dataclass field's own default, else required
+
+# JSON types of leaf keys; float accepts any finite JSON number and keeps an
+# int an int, since the digest hashes the JSON rendering of the value
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string"}
 
 
-_ALLOWED_KEYS = {
-    "$": {"schema", "model", "stage", "topology", "plan", "costmodel",
-          "workload", "seed", "scaling"},
-    "model": {"name", "vision", "adapter", "lm", "nominal_params"},
-    "vision": {"hidden_size", "layers", "heads", "intermediate_size",
-               "patch_size", "tile_side", "tokens_per_tile", "max_tiles"},
-    "adapter": {"in_channels", "out_channels"},
-    "lm": {"hidden_size", "layers", "kv_heads", "head_size",
-           "intermediate_size", "vocab_size", "embedding_tying",
-           "context_limit"},
-    "topology": {"nodes", "chips_per_node", "intra_node_bw", "inter_node_bw",
-                 "intra_latency", "inter_latency", "chip"},
-    "chip": {"peak_flops", "memory", "has_independent_comm_unit"},
-    "plan": {"dp", "tp", "pp", "microbatches_per_step", "sequence_parallel",
-             "recompute", "overlap_grad_sync", "fusion_chunks",
-             "distributed_optimizer", "layer_balance"},
-    "costmodel": {"grad_sync", "algorithm"},
-    "grad_sync": {"precision_bytes", "frequency", "bucket_bytes", "overlap"},
-    "workload": {"sequence_length", "microbatch_token_budget",
-                 "visual_tokens_per_sample", "padded"},
-    "sequence_length": {"kind", "value", "mean", "sigma", "cap"},
-    "scaling": {"reference_chips"},
+class _Key(NamedTuple):
+    name: str
+    kind: object  # a _TYPE_NAMES type, object (any value), a _Table or a _Custom
+    default: object = _FROM_CLASS  # a value, {} for an optional section, or
+    # a function (section values so far, enclosing section values) -> value
+    attr: str | None = ""  # field filled: "" means `name`, None means none
+
+
+class _Custom(NamedTuple):
+    parse: Callable  # (raw, path, enclosing section values) -> value
+    render: Callable  # value -> JSON
+
+
+class _Table(NamedTuple):
+    cls: type | None  # None: the walk returns the values dict
+    keys: tuple  # _Key entries and hooks (values, path, enclosing), in parse order
+    allowed: frozenset
+    names: frozenset
+
+
+def _table(cls, *entries, allowed=None) -> _Table:
+    class_defaults = {f.name: f.default for f in fields(cls)} if cls else {}
+    keys = []
+    for entry in entries:
+        if isinstance(entry, _Key):
+            attr = entry.name if entry.attr == "" else entry.attr
+            default = entry.default
+            if default is _FROM_CLASS:
+                default = class_defaults.get(attr, _REQUIRED)
+            entry = entry._replace(attr=attr, default=default)
+        keys.append(entry)
+    names = frozenset(k.name for k in keys if isinstance(k, _Key))
+    return _Table(cls, tuple(keys), frozenset(allowed or names), names)
+
+
+def _parse(kind, raw, path: str, enclosing):
+    if isinstance(kind, _Table):
+        return _walk(kind, raw, path, enclosing)
+    if isinstance(kind, _Custom):
+        return kind.parse(raw, path, enclosing)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(raw, accepted) or (
+        kind in (int, float) and isinstance(raw, bool)
+    ):
+        raise ConfigError(f"expected {_TYPE_NAMES[kind]} at {path}")
+    if kind is float and isinstance(raw, float) and not math.isfinite(raw):
+        raise ConfigError(f"expected a finite number at {path}")
+    return raw
+
+
+def _walk(table: _Table, data, path: str, enclosing=None):
+    """Parse one section: unknown keys, then each key in table order, then
+    the dataclass build. Keys the table allows but does not read (say,
+    "sigma" on a fixed-length model) fail after the build."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected an object at {path}")
+    for key in sorted(set(data) - table.allowed):
+        raise ConfigError(f"unknown key at {path}.{key}")
+    values: dict = {}
+    for key in table.keys:
+        if not isinstance(key, _Key):
+            key(values, path, enclosing)
+            continue
+        at = f"{path}.{key.name}"
+        if key.name in data:
+            value = _parse(key.kind, data[key.name], at, values)
+        elif key.default is _REQUIRED:
+            raise ConfigError(f"missing required key at {at}")
+        elif isinstance(key.default, dict):  # optional section: absent is {}
+            value = _parse(key.kind, {}, at, values)
+        elif callable(key.default):
+            value = key.default(values, enclosing)
+        else:
+            value = key.default
+        if key.attr is not None:
+            values[key.attr] = value
+    if table.cls is None:
+        return values
+    try:
+        built = table.cls(**values)
+    except ValueError as exc:  # a dataclass validator; reattach the JSON path
+        raise ConfigError(f"at {path}: {exc}") from exc
+    for key in sorted(set(data) - table.names):
+        raise ConfigError(f"unknown key at {path}.{key}")
+    return built
+
+
+def _render(table: _Table, obj) -> dict:
+    doc = {}
+    for key in table.keys:
+        if not isinstance(key, _Key):
+            continue
+        value = None if key.attr is None else getattr(obj, key.attr)
+        if isinstance(key.kind, _Table):
+            value = _render(key.kind, value)
+        elif isinstance(key.kind, _Custom):
+            value = key.kind.render(value)
+        doc[key.name] = value
+    return doc
+
+
+def _keys(kind, *names: str) -> tuple[_Key, ...]:
+    return tuple(_Key(name, kind) for name in names)
+
+
+# ---------------------------------------------------------------------------
+# the schema
+
+
+def _schema_version(raw, path, enclosing):
+    schema = _parse(int, raw, path, enclosing)
+    if schema != 1:
+        raise ConfigError(f"unsupported schema {schema} at {path}")
+    return schema
+
+
+def _stage_named(raw, path, enclosing):
+    try:
+        return stage_by_name(_parse(str, raw, path, enclosing))
+    except KeyError as exc:
+        raise ConfigError(f"at {path}: {exc.args[0]}") from exc
+
+
+_VISION_TABLE = _table(
+    VisionEncoderSpec,
+    *(_Key(f.name, int, getattr(_VISION, f.name))
+      for f in fields(VisionEncoderSpec)),
+)
+_LM = _table(
+    LanguageModelSpec,
+    *_keys(int, "hidden_size", "layers", "kv_heads", "head_size",
+           "intermediate_size", "vocab_size"),
+    _Key("embedding_tying", bool),
+    _Key("context_limit", int),
+)
+# pixel-unshuffle merges 2x2 vision tokens into one adapter input
+_ADAPTER = _table(
+    AdapterSpec,
+    _Key("in_channels", int, lambda _, model: 4 * model["vision"].hidden_size),
+    _Key("out_channels", int, lambda _, model: model["lm"].hidden_size),
+)
+_MODEL = _table(
+    ModelSpec,
+    _Key("name", str, "custom"),
+    _Key("vision", _VISION_TABLE, {}),
+    _Key("lm", _LM),
+    _Key("adapter", _ADAPTER, {}),
+    _Key("nominal_params", int,
+         lambda model, _: total_param_count(ModelSpec(**model, nominal_params=1))),
+)
+
+
+def _catalog_or_sheet(raw, path, enclosing):
+    if not isinstance(raw, str):
+        return _walk(_MODEL, raw, path, enclosing)
+    catalog = builtin_model_catalog()
+    if raw not in catalog:
+        raise ConfigError(
+            f"unknown model {raw!r} at {path}; catalog has {sorted(catalog)}"
+        )
+    return catalog[raw]
+
+
+_TOPOLOGY = _table(
+    Topology,
+    _Key("chip", _table(
+        ChipSpec,
+        *_keys(float, "peak_flops", "memory"),
+        _Key("has_independent_comm_unit", bool),
+    )),
+    *_keys(int, "nodes", "chips_per_node"),
+    *_keys(float, "intra_node_bw", "inter_node_bw", "intra_latency",
+           "inter_latency"),
+)
+
+
+def _resolve_dp(plan, path, root):
+    dp = plan["dp"]
+    if dp == "auto":
+        denom = plan["tp"] * plan["pp"]
+        chips = root["topology"].total_chips
+        if chips % denom != 0:
+            raise ConfigError(
+                f'at {path}.dp: cannot resolve "auto", '
+                f"{chips} chips not divisible by tp*pp = {denom}"
+            )
+        plan["dp"] = chips // denom
+    elif isinstance(dp, bool) or not isinstance(dp, int):
+        raise ConfigError(f'expected an integer or "auto" at {path}.dp')
+
+
+_PLAN = _table(
+    ParallelismPlan,
+    _Key("dp", object),
+    *_keys(int, "tp", "pp"),
+    _resolve_dp,
+    _Key("microbatches_per_step", int),
+    _Key("sequence_parallel", bool),
+    _Key("recompute", str),
+    _Key("overlap_grad_sync", bool),
+    _Key("fusion_chunks", int),
+    _Key("distributed_optimizer", bool),
+    _Key("layer_balance", str),
+)
+_COSTMODEL = _table(
+    CostModelConfig,
+    _Key("grad_sync", _table(
+        GradSyncPolicy,
+        _Key("precision_bytes", int),
+        _Key("frequency", str),
+        _Key("bucket_bytes", float),
+        _Key("overlap", bool),
+    ), {}),
+    _Key("algorithm", str),
+)
+
+# both length kinds share one key set; a key of the other kind is unknown
+_LENGTH_KEYS = {"kind", "value", "mean", "sigma", "cap"}
+_LENGTH_KIND = _table(None, _Key("kind", str), allowed=_LENGTH_KEYS)
+_LENGTH_TABLES = {
+    "fixed": _table(
+        SequenceLengthModel,
+        _Key("kind", str),
+        _Key("value", int, _REQUIRED),
+        _Key("cap", int),
+        allowed=_LENGTH_KEYS,
+    ),
+    "lognormal-truncated": _table(
+        SequenceLengthModel,
+        _Key("kind", str),
+        *(_Key(name, float, _REQUIRED) for name in ("mean", "sigma")),
+        _Key("cap", int),
+        allowed=_LENGTH_KEYS,
+    ),
 }
 
 
-class _Section:
-    """One dict in the document; tracks which keys were consumed.
-
-    Keys outside the section's allowed set fail immediately (so a typo is
-    reported as the typo, not as a missing sibling); keys that are allowed
-    somewhere in the section but not consumed on this parse path (say,
-    "sigma" on a fixed-length model) fail at finish().
-    """
-
-    def __init__(self, data: dict, path: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"expected an object at {path}")
-        allowed = _ALLOWED_KEYS.get(path.rpartition(".")[2] or "$")
-        if allowed is not None:
-            for key in sorted(set(data) - allowed):
-                raise ConfigError(f"unknown key at {path}.{key}")
-        self.data = data
-        self.path = path
-        self.seen: set[str] = set()
-
-    def _fetch(self, key, default):
-        self.seen.add(key)
-        if key in self.data:
-            return self.data[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key at {self.path}.{key}")
-        return default
-
-    def take_int(self, key, default=_REQUIRED):
-        value = self._fetch(key, default)
-        if value is default and key not in self.data:
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"expected an integer at {self.path}.{key}")
-        return value
-
-    def take_number(self, key, default=_REQUIRED):
-        value = self._fetch(key, default)
-        if value is default and key not in self.data:
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"expected a number at {self.path}.{key}")
-        return value
-
-    def take_str(self, key, default=_REQUIRED):
-        value = self._fetch(key, default)
-        if value is default and key not in self.data:
-            return value
-        if not isinstance(value, str):
-            raise ConfigError(f"expected a string at {self.path}.{key}")
-        return value
-
-    def take_bool(self, key, default=_REQUIRED):
-        value = self._fetch(key, default)
-        if value is default and key not in self.data:
-            return value
-        if not isinstance(value, bool):
-            raise ConfigError(f"expected a boolean at {self.path}.{key}")
-        return value
-
-    def take_section(self, key, default=_REQUIRED):
-        value = self._fetch(key, default)
-        if value is default and key not in self.data:
-            return None
-        return _Section(value, f"{self.path}.{key}")
-
-    def take_raw(self, key, default=_REQUIRED):
-        return self._fetch(key, default)
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.data) - self.seen)
-        if unknown:
-            raise ConfigError(f"unknown key at {self.path}.{unknown[0]}")
-
-
-def _build(path: str, factory, **kwargs):
-    # dataclass validators speak ValueError; reattach the JSON path
-    try:
-        return factory(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"at {path}: {exc}") from exc
-
-
-def _parse_model(raw, path: str) -> ModelSpec:
-    if isinstance(raw, str):
-        catalog = builtin_model_catalog()
-        if raw not in catalog:
-            raise ConfigError(
-                f"unknown model {raw!r} at {path}; "
-                f"catalog has {sorted(catalog)}"
-            )
-        return catalog[raw]
-    section = _Section(raw, path)
-    name = section.take_str("name", "custom")
-
-    vision_sec = section.take_section("vision", None)
-    if vision_sec is None:
-        vision = _build(f"{path}.vision", VisionEncoderSpec,
-                        hidden_size=1024, layers=24, heads=16,
-                        intermediate_size=4096, patch_size=14)
-    else:
-        vision = _build(
-            vision_sec.path,
-            VisionEncoderSpec,
-            hidden_size=vision_sec.take_int("hidden_size", 1024),
-            layers=vision_sec.take_int("layers", 24),
-            heads=vision_sec.take_int("heads", 16),
-            intermediate_size=vision_sec.take_int("intermediate_size", 4096),
-            patch_size=vision_sec.take_int("patch_size", 14),
-            tile_side=vision_sec.take_int("tile_side", 448),
-            tokens_per_tile=vision_sec.take_int("tokens_per_tile", 256),
-            max_tiles=vision_sec.take_int("max_tiles", 12),
-        )
-        vision_sec.finish()
-
-    lm_sec = section.take_section("lm")
-    lm = _build(
-        lm_sec.path,
-        LanguageModelSpec,
-        hidden_size=lm_sec.take_int("hidden_size"),
-        layers=lm_sec.take_int("layers"),
-        kv_heads=lm_sec.take_int("kv_heads"),
-        head_size=lm_sec.take_int("head_size"),
-        intermediate_size=lm_sec.take_int("intermediate_size"),
-        vocab_size=lm_sec.take_int("vocab_size"),
-        embedding_tying=lm_sec.take_bool("embedding_tying"),
-        context_limit=lm_sec.take_int("context_limit", 32768),
-    )
-    lm_sec.finish()
-
-    adapter_sec = section.take_section("adapter", None)
-    if adapter_sec is None:
-        # pixel-unshuffle merges 2x2 vision tokens into one adapter input
-        adapter = _build(f"{path}.adapter", AdapterSpec,
-                         in_channels=4 * vision.hidden_size,
-                         out_channels=lm.hidden_size)
-    else:
-        adapter = _build(
-            adapter_sec.path,
-            AdapterSpec,
-            in_channels=adapter_sec.take_int(
-                "in_channels", 4 * vision.hidden_size
-            ),
-            out_channels=adapter_sec.take_int("out_channels", lm.hidden_size),
-        )
-        adapter_sec.finish()
-
-    partial = ModelSpec(name=name, vision=vision, adapter=adapter, lm=lm,
-                        nominal_params=1)
-    nominal = section.take_int("nominal_params", total_param_count(partial))
-    section.finish()
-    return _build(path, ModelSpec, name=name, vision=vision, adapter=adapter,
-                  lm=lm, nominal_params=nominal)
-
-
-def _parse_topology(section: _Section) -> Topology:
-    chip_sec = section.take_section("chip")
-    chip = _build(
-        chip_sec.path,
-        ChipSpec,
-        peak_flops=chip_sec.take_number("peak_flops"),
-        memory=chip_sec.take_number("memory"),
-        has_independent_comm_unit=chip_sec.take_bool(
-            "has_independent_comm_unit", True
-        ),
-    )
-    chip_sec.finish()
-    topology = _build(
-        section.path,
-        Topology,
-        nodes=section.take_int("nodes"),
-        chips_per_node=section.take_int("chips_per_node"),
-        intra_node_bw=section.take_number("intra_node_bw"),
-        inter_node_bw=section.take_number("inter_node_bw"),
-        intra_latency=section.take_number("intra_latency"),
-        inter_latency=section.take_number("inter_latency"),
-        chip=chip,
-    )
-    section.finish()
-    return topology
-
-
-def _parse_plan(section: _Section, topology: Topology) -> ParallelismPlan:
-    dp_raw = section.take_raw("dp")
-    tp = section.take_int("tp")
-    pp = section.take_int("pp")
-    if dp_raw == "auto":
-        denom = tp * pp
-        if topology.total_chips % denom != 0:
-            raise ConfigError(
-                f"at {section.path}.dp: cannot resolve \"auto\", "
-                f"{topology.total_chips} chips not divisible by tp*pp = {denom}"
-            )
-        dp = topology.total_chips // denom
-    elif isinstance(dp_raw, int) and not isinstance(dp_raw, bool):
-        dp = dp_raw
-    else:
-        raise ConfigError(
-            f'expected an integer or "auto" at {section.path}.dp'
-        )
-    plan = _build(
-        section.path,
-        ParallelismPlan,
-        dp=dp,
-        tp=tp,
-        pp=pp,
-        microbatches_per_step=section.take_int("microbatches_per_step"),
-        sequence_parallel=section.take_bool("sequence_parallel", False),
-        recompute=section.take_str("recompute", "none"),
-        overlap_grad_sync=section.take_bool("overlap_grad_sync", True),
-        fusion_chunks=section.take_int("fusion_chunks", 1),
-        distributed_optimizer=section.take_bool("distributed_optimizer", False),
-        layer_balance=section.take_str("layer_balance", "uniform"),
-    )
-    section.finish()
-    return plan
-
-
-def _parse_costmodel(section: _Section | None) -> CostModelConfig:
-    if section is None:
-        return CostModelConfig()
-    sync_sec = section.take_section("grad_sync", None)
-    if sync_sec is None:
-        policy = GradSyncPolicy()
-    else:
-        policy = _build(
-            sync_sec.path,
-            GradSyncPolicy,
-            precision_bytes=sync_sec.take_int("precision_bytes", 2),
-            frequency=sync_sec.take_str("frequency", "per_step"),
-            bucket_bytes=sync_sec.take_number("bucket_bytes", 64 * 2**20),
-            overlap=sync_sec.take_bool("overlap", True),
-        )
-        sync_sec.finish()
-    cost = _build(
-        section.path,
-        CostModelConfig,
-        grad_sync=policy,
-        algorithm=section.take_str("algorithm", "ring"),
-    )
-    section.finish()
-    return cost
-
-
-def _parse_seq_model(raw, path: str) -> SequenceLengthModel | None:
-    if raw is None:
+def _length_model(raw, path, enclosing):
+    if raw is None:  # the stage's own length model
         return None
-    section = _Section(raw, path)
-    kind = section.take_str("kind")
-    if kind == "fixed":
-        model = _build(
-            path,
-            SequenceLengthModel,
-            kind="fixed",
-            value=section.take_int("value"),
-            cap=section.take_int("cap", 32768),
-        )
-    elif kind == "lognormal-truncated":
-        model = _build(
-            path,
-            SequenceLengthModel,
-            kind=kind,
-            mean=section.take_number("mean"),
-            sigma=section.take_number("sigma"),
-            cap=section.take_int("cap", 32768),
-        )
-    else:
+    kind = _walk(_LENGTH_KIND, raw, path)["kind"]
+    if kind not in _LENGTH_TABLES:
         raise ConfigError(f"unknown sequence length kind {kind!r} at {path}")
-    section.finish()
-    return model
+    return _walk(_LENGTH_TABLES[kind], raw, path)
 
 
-def _parse_workload(section: _Section) -> StepWorkload:
-    seq_model = _parse_seq_model(
-        section.take_raw("sequence_length", None),
-        f"{section.path}.sequence_length",
-    )
-    workload = _build(
-        section.path,
-        StepWorkload,
-        microbatch_token_budget=section.take_int("microbatch_token_budget"),
-        seq_len_model=seq_model,
-        visual_tokens_per_sample=section.take_int("visual_tokens_per_sample", 0),
-        padded=section.take_bool("padded", True),
-    )
-    section.finish()
-    return workload
+_WORKLOAD = _table(
+    StepWorkload,
+    _Key("sequence_length", _Custom(
+        _length_model,
+        lambda seq: None if seq is None else _render(_LENGTH_TABLES[seq.kind], seq),
+    ), attr="seq_len_model"),
+    _Key("microbatch_token_budget", int),
+    _Key("visual_tokens_per_sample", int),
+    _Key("padded", bool),
+)
+_SCALING = _table(None, _Key("reference_chips", int))
+
+
+def _reference_chips(raw, path, enclosing):
+    reference = _walk(_SCALING, raw, path)["reference_chips"]
+    if reference < 1:
+        raise ConfigError(f"at {path}.reference_chips: must be >= 1")
+    return reference
+
+
+_ROOT = _table(
+    SimConfig,
+    _Key("schema", _Custom(_schema_version, lambda _: 1), default=1, attr=None),
+    _Key("model", _Custom(_catalog_or_sheet, lambda model: _render(_MODEL, model))),
+    _Key("stage", _Custom(_stage_named, lambda stage: stage.name)),
+    _Key("topology", _TOPOLOGY),
+    _Key("plan", _PLAN),
+    _Key("costmodel", _COSTMODEL, {}),
+    _Key("workload", _WORKLOAD),
+    _Key("seed", int, 0),
+    _Key("scaling", _Custom(
+        _reference_chips, lambda reference: {"reference_chips": reference}
+    ), attr="scaling_reference_chips"),
+)
+
+
+# ---------------------------------------------------------------------------
+# public surface
 
 
 def load_config(source) -> SimConfig:
@@ -379,50 +364,12 @@ def load_config(source) -> SimConfig:
     else:
         doc = source
 
-    root = _Section(doc, "$")
-    schema = root.take_int("schema", 1)
-    if schema != 1:
-        raise ConfigError(f"unsupported schema {schema} at $.schema")
-
-    model = _parse_model(root.take_raw("model"), "$.model")
-
-    stage_name = root.take_str("stage")
-    try:
-        stage = stage_by_name(stage_name)
-    except KeyError as exc:
-        raise ConfigError(f"at $.stage: {exc.args[0]}") from exc
-
-    topology = _parse_topology(root.take_section("topology"))
-    plan = _parse_plan(root.take_section("plan"), topology)
-    costmodel = _parse_costmodel(root.take_section("costmodel", None))
-    workload = _parse_workload(root.take_section("workload"))
-    seed = root.take_int("seed", 0)
-
-    scaling_sec = root.take_section("scaling", None)
-    if scaling_sec is None:
-        reference = None
-    else:
-        reference = scaling_sec.take_int("reference_chips")
-        scaling_sec.finish()
-        if reference < 1:
-            raise ConfigError("at $.scaling.reference_chips: must be >= 1")
-    root.finish()
-
-    violations = validate_plan(topology, plan, model)
+    config = _walk(_ROOT, doc, "$")
+    violations = validate_plan(config.topology, config.plan, config.model)
     if violations:
         lines = "; ".join(v.message for v in violations)
         raise ConfigError(f"plan does not fit topology: {lines}", violations)
-
-    return SimConfig(
-        model=model,
-        stage=stage,
-        topology=topology,
-        plan=plan,
-        costmodel=costmodel,
-        workload=workload,
-        seed=seed,
-        scaling_reference_chips=reference,
-    )
+    return config
 
 
 def resolved_config_dict(config: SimConfig) -> dict:
@@ -431,98 +378,9 @@ def resolved_config_dict(config: SimConfig) -> dict:
     load_config(resolved_config_dict(c)) reproduces c, and the digest is
     computed over exactly this rendering.
     """
-    model = config.model
-    seq = config.workload.seq_len_model
-    if seq is None:
-        seq_doc = None
-    elif seq.kind == "fixed":
-        seq_doc = {"kind": "fixed", "value": seq.value, "cap": seq.cap}
-    else:
-        seq_doc = {
-            "kind": seq.kind,
-            "mean": seq.mean,
-            "sigma": seq.sigma,
-            "cap": seq.cap,
-        }
-    doc = {
-        "schema": 1,
-        "model": {
-            "name": model.name,
-            "vision": {
-                "hidden_size": model.vision.hidden_size,
-                "layers": model.vision.layers,
-                "heads": model.vision.heads,
-                "intermediate_size": model.vision.intermediate_size,
-                "patch_size": model.vision.patch_size,
-                "tile_side": model.vision.tile_side,
-                "tokens_per_tile": model.vision.tokens_per_tile,
-                "max_tiles": model.vision.max_tiles,
-            },
-            "adapter": {
-                "in_channels": model.adapter.in_channels,
-                "out_channels": model.adapter.out_channels,
-            },
-            "lm": {
-                "hidden_size": model.lm.hidden_size,
-                "layers": model.lm.layers,
-                "kv_heads": model.lm.kv_heads,
-                "head_size": model.lm.head_size,
-                "intermediate_size": model.lm.intermediate_size,
-                "vocab_size": model.lm.vocab_size,
-                "embedding_tying": model.lm.embedding_tying,
-                "context_limit": model.lm.context_limit,
-            },
-            "nominal_params": model.nominal_params,
-        },
-        "stage": config.stage.name,
-        "topology": {
-            "nodes": config.topology.nodes,
-            "chips_per_node": config.topology.chips_per_node,
-            "intra_node_bw": config.topology.intra_node_bw,
-            "inter_node_bw": config.topology.inter_node_bw,
-            "intra_latency": config.topology.intra_latency,
-            "inter_latency": config.topology.inter_latency,
-            "chip": {
-                "peak_flops": config.topology.chip.peak_flops,
-                "memory": config.topology.chip.memory,
-                "has_independent_comm_unit": (
-                    config.topology.chip.has_independent_comm_unit
-                ),
-            },
-        },
-        "plan": {
-            "dp": config.plan.dp,
-            "tp": config.plan.tp,
-            "pp": config.plan.pp,
-            "microbatches_per_step": config.plan.microbatches_per_step,
-            "sequence_parallel": config.plan.sequence_parallel,
-            "recompute": config.plan.recompute,
-            "overlap_grad_sync": config.plan.overlap_grad_sync,
-            "fusion_chunks": config.plan.fusion_chunks,
-            "distributed_optimizer": config.plan.distributed_optimizer,
-            "layer_balance": config.plan.layer_balance,
-        },
-        "costmodel": {
-            "grad_sync": {
-                "precision_bytes": config.costmodel.grad_sync.precision_bytes,
-                "frequency": config.costmodel.grad_sync.frequency,
-                "bucket_bytes": config.costmodel.grad_sync.bucket_bytes,
-                "overlap": config.costmodel.grad_sync.overlap,
-            },
-            "algorithm": config.costmodel.algorithm,
-        },
-        "workload": {
-            "sequence_length": seq_doc,
-            "microbatch_token_budget": config.workload.microbatch_token_budget,
-            "visual_tokens_per_sample": (
-                config.workload.visual_tokens_per_sample
-            ),
-            "padded": config.workload.padded,
-        },
-        "seed": config.seed,
-    }
-    if config.scaling_reference_chips is not None:
-        doc["scaling"] = {"reference_chips": config.scaling_reference_chips}
+    doc = _render(_ROOT, config)
+    if config.scaling_reference_chips is None:
+        del doc["scaling"]
     return doc
 
 

@@ -59,7 +59,7 @@ from .comm import (
     collective_time,
     split_buckets,
 )
-from .schedule import BACKWARD, FORWARD, build_1f1b
+from .schedule import FORWARD, build_1f1b
 from .workload import (
     MicrobatchPlan,
     StepWorkload,
@@ -156,6 +156,11 @@ class CostBook:
 Row = tuple[str, float, float, str, int | None]  # resource, start, end, label, mb
 
 
+def row_order(row: Row) -> tuple:
+    """Sort key of trace rows: start, compute before comm, end, label."""
+    return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
+
+
 @dataclass
 class Trace:
     """Interval record of one simulated step, stored at stage-group level.
@@ -174,10 +179,6 @@ class Trace:
     microbatch_sizes: list[int]
     microbatch_seq_lens: list[int]
     visual_tokens_per_sample: int
-
-    @property
-    def num_stages(self) -> int:
-        return self.pp
 
     @property
     def total_chips(self) -> int:
@@ -200,19 +201,6 @@ class Trace:
             for rows in self.stage_rows
         ]
 
-    def stage_comm_busy(self) -> list[float]:
-        return [
-            sum(end - start for res, start, end, _, _ in rows if res == COMM)
-            for rows in self.stage_rows
-        ]
-
-    def chips_of_stage(self, stage: int) -> list[int]:
-        return [
-            (d * self.pp + stage) * self.tp + r
-            for d in range(self.dp)
-            for r in range(self.tp)
-        ]
-
     def check_invariants(self) -> None:
         for stage, rows in enumerate(self.stage_rows):
             for resource in (COMPUTE, COMM):
@@ -230,25 +218,13 @@ class Trace:
                         )
                     prev_end = end
 
-    def iter_intervals(self):
-        """Yield (chip, resource, start, end, label, microbatch) per chip."""
-        sorted_rows = [
-            sorted(rows, key=lambda r: (r[1], 0 if r[0] == COMPUTE else 1, r[2], r[3]))
-            for rows in self.stage_rows
-        ]
-        for chip in range(self.total_chips):
-            within = chip % (self.pp * self.tp)
-            stage = within // self.tp
-            for res, start, end, label, mb in sorted_rows[stage]:
-                yield chip, res, start, end, label, mb
-
     def iter_jsonl_lines(self):
         """One meta line, then one line per stage-group interval.
 
         The engine simulates at stage-group granularity (every chip of a
         stage holds an identical timeline; DP replicas are bit-identical),
-        so the trace records each interval once per stage. Chip membership
-        of stage s is chips_of_stage(s); lines are time-sorted per stage.
+        so the trace records each interval once per stage. Chip ids follow
+        (replica * pp + stage) * tp + rank; lines are in row_order per stage.
         """
         yield json.dumps(
             {
@@ -264,11 +240,9 @@ class Trace:
             separators=(",", ":"),
         )
         for stage in range(self.pp):
-            rows = sorted(
-                self.stage_rows[stage],
-                key=lambda r: (r[1], 0 if r[0] == COMPUTE else 1, r[2], r[3]),
-            )
-            for res, start, end, label, mb in rows:
+            for res, start, end, label, mb in sorted(
+                self.stage_rows[stage], key=row_order
+            ):
                 yield json.dumps(
                     {
                         "stage": stage,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .arch import ModelSpec
 from .cluster import MemoryBreakdown, ParallelismPlan, Topology, memory_per_chip
-from .engine import COMM, COMPUTE, Trace, step_training_flops
+from .engine import COMM, COMPUTE, Trace, row_order, step_training_flops
 from .schedule import measured_bubble
 from .workload import TrainingStage
 
@@ -65,8 +65,9 @@ CSV_COLUMNS = [
 ]
 
 
-def report_csv_row(report: RunReport) -> list[str]:
-    doc = report.as_json_dict()
+def report_csv_row(report: RunReport | dict) -> list[str]:
+    """CSV cells of a report, or of its JSON document; floats as repr."""
+    doc = dict(report) if isinstance(report, dict) else report.as_json_dict()
     memory = doc.pop("memory")
     for key, value in memory.items():
         doc[f"memory_{key}"] = value
@@ -290,10 +291,7 @@ def emit_gantt(
     height = chips * 2 * (lane_h + gap) + gap + 20
     scale = (width - left - 10) / trace.makespan
 
-    sorted_rows = [
-        sorted(rows, key=lambda r: (r[1], 0 if r[0] == COMPUTE else 1, r[2], r[3]))
-        for rows in trace.stage_rows
-    ]
+    sorted_rows = [sorted(rows, key=row_order) for rows in trace.stage_rows]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" font-family="monospace" font-size="10">'

@@ -174,13 +174,13 @@ def measured_bubble(trace, p: int) -> BubbleStats:
     per-stage idle list uses one representative chip per stage (all chips
     in a stage group are in lockstep).
     """
-    if trace.makespan <= 0.0 or trace.num_stages == 0:
+    if trace.makespan <= 0.0 or trace.pp == 0:
         raise ValueError("empty trace")
-    if p != trace.num_stages:
-        raise ValueError(f"trace has {trace.num_stages} stages, expected {p}")
+    if p != trace.pp:
+        raise ValueError(f"trace has {trace.pp} stages, expected {p}")
     per_stage_busy = trace.stage_compute_busy()
     busy_chip_seconds = sum(per_stage_busy) * trace.tp * trace.dp
-    chips = trace.num_stages * trace.tp * trace.dp
+    chips = trace.pp * trace.tp * trace.dp
     bubble = 1.0 - busy_chip_seconds / (chips * trace.makespan)
     idle = [trace.makespan - busy for busy in per_stage_busy]
     return BubbleStats(

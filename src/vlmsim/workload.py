@@ -8,8 +8,7 @@ dynamic batching earn its keep.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,47 +158,6 @@ class MicrobatchPlan:
         if self.padded:
             return len(batch) * max(batch)
         return sum(batch)
-
-    @property
-    def total_padded_tokens(self) -> int:
-        return sum(len(b) * max(b) for b in self.batches)
-
-
-def pack_dynamic_batches(
-    lengths: list[int],
-    token_budget: int,
-    padded: bool = True,
-) -> MicrobatchPlan:
-    """First-fit-decreasing packing under a padded-cost budget.
-
-    Batch cost is size * max length (every sample pads to the batch max),
-    or the plain token sum in no-padding mode. Deterministic: ties keep
-    input order through the stable sort.
-    """
-    for idx, length in enumerate(lengths):
-        if length > token_budget:
-            raise ValueError(
-                f"sample {idx} length {length} exceeds token budget {token_budget}"
-            )
-        if length < 1:
-            raise ValueError(f"sample {idx} length {length} is not positive")
-
-    batches: list[list[int]] = []
-    for length in sorted(lengths, reverse=True):
-        for batch in batches:
-            if padded:
-                # sorted descending, so batch[0] is the batch max
-                cost = (len(batch) + 1) * max(batch[0], length)
-            else:
-                cost = sum(batch) + length
-            if cost <= token_budget:
-                batch.append(length)
-                break
-        else:
-            batches.append([length])
-    return MicrobatchPlan(
-        batches=batches, token_budget_per_batch=token_budget, padded=padded
-    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ hand-arithmetic oracle before tripping the bound.
 
 import csv
 import dataclasses
+import hashlib
+import json
 import math
 import time
 from pathlib import Path
@@ -322,6 +324,8 @@ def test_criterion_8_in_flight_bound(p, m):
 
 
 def test_criterion_9_determinism(tmp_path):
+    # golden sha256 of every artifact, so a refactor that moves a byte fails
+    pins = json.loads((Path(__file__).parent / "oracles" / "preset_digests.json").read_text())
     for preset in PRESETS:
         outs = []
         for attempt in ("first", "second"):
@@ -335,9 +339,13 @@ def test_criterion_9_determinism(tmp_path):
             first = (outs[0] / name).read_bytes()
             second = (outs[1] / name).read_bytes()
             assert first == second, f"{preset} {name} differs between reruns"
+        for name, digest in pins[preset].items():
+            got = hashlib.sha256((outs[0] / name).read_bytes()).hexdigest()
+            assert got == digest, f"{preset} {name} differs from its golden pin"
     record_acceptance(
         "9",
         True,
-        f"report.json and trace.jsonl byte-identical across same-seed reruns "
+        f"report.json and trace.jsonl byte-identical across same-seed reruns, "
+        f"and all 5 artifacts equal their golden sha256 pins, "
         f"for all {len(PRESETS)} presets",
     )

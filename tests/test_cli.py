@@ -238,3 +238,19 @@ class TestValidate:
         violations = json.loads(out)
         assert violations[0]["constraint"] == "memory-fit"
         assert "exceeds chip memory" in violations[0]["message"]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_rejected_with_path(self, tmp_path, capsys, command, value):
+        # Python's json module reads these tokens as floats
+        text = (Path(PRESET_DIR) / "gradsync.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"intra_latency": 5e-6', f'"intra_latency": {value}'))
+        out = tmp_path / "out"
+        argv = ["--config", str(bad)] + (["--out", str(out)] if command == "simulate" else [])
+        assert main([command] + argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "expected a finite number at $.topology.intra_latency" in err
+        assert not out.exists()

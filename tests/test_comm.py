@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlmsim.cluster import stage_local_params
 from vlmsim.comm import (
     CollectiveCostModel,
     GradSyncPolicy,
     collective_time,
     grad_sync_volume,
     split_buckets,
-    sync_time,
 )
-from tests.conftest import make_plan
+from vlmsim.engine import COMPUTE, LABEL_SYNC, CostModelConfig, run
+from tests.conftest import fixed_workload, make_plan, make_topology
 
 
 class TestCollectiveTime:
@@ -167,42 +168,76 @@ class TestBuckets:
         assert all(0 < p <= bucket for p in parts)
 
 
+def sync_rows(catalog, full_stage, policy, dp=8, latency=5e-6, bandwidth=3.0e11):
+    """One-stage 3B step on one node; returns (trace, sync_bucket rows)."""
+    trace = run(
+        catalog["3B"], full_stage,
+        make_plan(dp=dp, tp=1, pp=1, m=1),
+        make_topology(chips_per_node=dp, intra_bw=bandwidth, intra_lat=latency,
+                      memory=1e18),
+        CostModelConfig(grad_sync=policy), seed=0,
+        workload=fixed_workload(1024),
+    )
+    rows = [r for rows in trace.stage_rows for r in rows if r[3] == LABEL_SYNC]
+    return trace, rows
+
+
+def sync_seconds(rows) -> float:
+    return math.fsum(end - start for _, start, end, _, _ in rows)
+
+
+def sync_volume(model, policy) -> float:
+    # a single stage owns every param; all are trainable in this stage
+    local = stage_local_params(model, [model.lm.layers], 0)
+    return sum(local.values()) * policy.precision_bytes
+
+
 class TestSyncTime:
-    def test_dp1_is_free(self):
-        cost = CollectiveCostModel(latency_per_hop=5e-6, bandwidth=1e11)
-        assert sync_time(1e9, 1, GradSyncPolicy(), cost).seconds == 0.0
+    """Bucketed allreduce as the engine prices it: sync_bucket row durations."""
 
-    def test_zero_latency_bucketing_is_neutral(self):
+    def test_dp1_is_free(self, catalog, full_stage):
+        policy = GradSyncPolicy(frequency="per_microbatch")
+        _, rows = sync_rows(catalog, full_stage, policy, dp=1)
+        assert rows == []
+
+    def test_zero_latency_bucketing_is_neutral(self, catalog, full_stage):
         # without per-hop latency, splitting into buckets costs nothing extra
-        cost = CollectiveCostModel(latency_per_hop=0.0, bandwidth=1e11)
-        one = sync_time(1e9, 8, GradSyncPolicy(bucket_bytes=1e9), cost).seconds
-        many = sync_time(1e9, 8, GradSyncPolicy(bucket_bytes=2**20), cost).seconds
-        assert many == pytest.approx(one, rel=1e-12)
+        policy = GradSyncPolicy(bucket_bytes=2**40, overlap=False)
+        _, one = sync_rows(catalog, full_stage, policy, latency=0.0)
+        policy = GradSyncPolicy(bucket_bytes=16 * 2**20, overlap=False)
+        _, many = sync_rows(catalog, full_stage, policy, latency=0.0)
+        assert len(one) == 1 and len(many) > 100
+        assert sync_seconds(many) == pytest.approx(sync_seconds(one), rel=1e-9)
 
-    def test_latency_term_grows_with_bucket_count(self):
-        # 1 GiB in sixteen 64 MiB buckets over 8 chips at 5 us hops adds
-        # 16*14*5e-6 = 1.12e-3 s of pure latency; a single bucket pays
-        # 14*5e-6 = 7e-5, so the split costs 1.05e-3 s extra
-        cost = CollectiveCostModel(latency_per_hop=5e-6, bandwidth=3.0e11)
-        single = sync_time(
-            2.0**30, 8, GradSyncPolicy(bucket_bytes=2.0**30), cost
-        ).seconds
-        split = sync_time(
-            2.0**30, 8, GradSyncPolicy(bucket_bytes=64 * 2**20), cost
-        ).seconds
-        assert len(split_buckets(2.0**30, 64 * 2**20)) == 16
-        total_latency = 16 * 14 * 5e-6
-        assert split == pytest.approx(
-            2.0 * (7 / 8) * 2.0**30 / 3.0e11 + total_latency, rel=1e-12
+    def test_latency_term_grows_with_bucket_count(self, catalog, full_stage):
+        # each 64 MiB bucket over 8 chips pays 14 hops of 5 us on top of the
+        # shared bandwidth term; a single bucket pays the 14 hops once
+        single_policy = GradSyncPolicy(bucket_bytes=2**40, overlap=False)
+        split_policy = GradSyncPolicy(bucket_bytes=64 * 2**20, overlap=False)
+        _, single = sync_rows(catalog, full_stage, single_policy)
+        _, split = sync_rows(catalog, full_stage, split_policy)
+        volume = sync_volume(catalog["3B"], split_policy)
+        buckets = len(split_buckets(volume, 64 * 2**20))
+        assert len(single) == 1 and len(split) == buckets > 1
+        assert sync_seconds(split) == pytest.approx(
+            2.0 * (7 / 8) * volume / 3.0e11 + buckets * 14 * 5e-6, rel=1e-9
         )
-        assert split - single == pytest.approx(15 * 14 * 5e-6, rel=1e-12)
+        assert sync_seconds(split) - sync_seconds(single) == pytest.approx(
+            (buckets - 1) * 14 * 5e-6, rel=1e-6
+        )
 
-    def test_overlappable_flag_passthrough(self):
-        cost = CollectiveCostModel(latency_per_hop=0.0, bandwidth=1e11)
-        assert sync_time(1e9, 8, GradSyncPolicy(overlap=True), cost).overlappable
-        assert not sync_time(
-            1e9, 8, GradSyncPolicy(overlap=False), cost
-        ).overlappable
+    def test_overlappable_flag_passthrough(self, catalog, full_stage):
+        # overlapped buckets start while the producing backward still runs;
+        # serialized ones wait for it to finish
+        for overlap in (True, False):
+            trace, rows = sync_rows(
+                catalog, full_stage, GradSyncPolicy(overlap=overlap)
+            )
+            compute_end = max(
+                r[2] for rows in trace.stage_rows for r in rows if r[0] == COMPUTE
+            )
+            first_sync = min(r[1] for r in rows)
+            assert (first_sync < compute_end) == overlap
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -211,6 +246,3 @@ class TestSyncTime:
             GradSyncPolicy(frequency="hourly")
         with pytest.raises(ValueError):
             GradSyncPolicy(bucket_bytes=0)
-        cost = CollectiveCostModel(latency_per_hop=0.0, bandwidth=1e11)
-        with pytest.raises(ValueError):
-            sync_time(1e9, 0, GradSyncPolicy(), cost)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from vlmsim import config as schema
 from vlmsim.config import (
     ConfigError,
     canonical_config_bytes,
@@ -266,3 +267,110 @@ class TestDigest:
         doc["costmodel"] = {"algorithm": "ring"}
         explicit = load_config(doc)
         assert config_digest(implicit) == config_digest(explicit)
+
+
+# ---------------------------------------------------------------------------
+# table-driven checks: every leaf key of the schema tables
+
+# sections whose key is parsed by a custom hook, and the tables behind them
+_HOOK_TABLES = {
+    "$.model": [schema._MODEL],
+    "$.workload.sequence_length": list(schema._LENGTH_TABLES.values()),
+    "$.scaling": [schema._SCALING],
+}
+_HOOK_LEAVES = {"$.schema": int, "$.stage": str}
+
+
+def _leaf_keys(table, path="$"):
+    for key in table.keys:
+        if not isinstance(key, schema._Key):
+            continue  # a hook such as dp resolution
+        at = f"{path}.{key.name}"
+        if isinstance(key.kind, schema._Table):
+            yield from _leaf_keys(key.kind, at)
+        elif at in _HOOK_TABLES:
+            for sub in _HOOK_TABLES[at]:
+                yield from _leaf_keys(sub, at)
+        elif at in _HOOK_LEAVES:
+            yield at, _HOOK_LEAVES[at]
+        else:
+            assert not isinstance(key.kind, schema._Custom), f"unmapped hook {at}"
+            yield at, key.kind
+
+
+LEAF_KEYS = sorted(dict(_leaf_keys(schema._ROOT)).items())
+
+_WRONG = {
+    int: ("1", 1.5, True, None),
+    float: ("1", True, None, [1.0]),
+    bool: (1, "true", None),
+    str: (1, True, None),
+    object: ("2", 1.5, True, None),
+}
+_EXPECTED = {
+    int: "expected an integer",
+    float: "expected a number",
+    bool: "expected a boolean",
+    str: "expected a string",
+    object: 'expected an integer or "auto"',
+}
+
+
+def _fully_explicit_docs():
+    """Resolved docs (every key present) for both sequence length kinds."""
+    fixed = resolved_config_dict(load_config(base_doc(scaling={"reference_chips": 8})))
+    lognormal = copy.deepcopy(fixed)
+    lognormal["workload"]["sequence_length"] = {
+        "kind": "lognormal-truncated", "mean": 7.0, "sigma": 0.5, "cap": 4096,
+    }
+    return fixed, lognormal
+
+
+def _with_value(path, value):
+    for doc in _fully_explicit_docs():
+        node = doc
+        *parents, leaf = path.split(".")[1:]
+        for part in parents:
+            node = node[part]
+        if leaf in node:
+            node[leaf] = value
+            return doc
+    raise AssertionError(f"{path} is in no fully explicit doc")
+
+
+def test_leaf_key_enumeration_is_complete():
+    paths = {path for path, _ in LEAF_KEYS}
+    assert len(paths) == 56
+    assert {"$.plan.dp", "$.model.vision.max_tiles", "$.scaling.reference_chips",
+            "$.workload.sequence_length.sigma",
+            "$.costmodel.grad_sync.bucket_bytes"} <= paths
+
+
+@pytest.mark.parametrize("path,kind", LEAF_KEYS, ids=[p for p, _ in LEAF_KEYS])
+def test_wrong_type_names_type_and_path(path, kind):
+    for value in _WRONG[kind]:
+        with pytest.raises(ConfigError) as err:
+            load_config(_with_value(path, value))
+        assert str(err.value) == f"{_EXPECTED[kind]} at {path}", value
+    if kind is float:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError) as err:
+                load_config(_with_value(path, value))
+            assert str(err.value) == f"expected a finite number at {path}"
+
+
+def test_integer_numbers_keep_their_json_type():
+    doc = base_doc()
+    doc["topology"]["chip"] = {"peak_flops": 256000000000000, "memory": 192000000000}
+    doc["costmodel"] = {"grad_sync": {"bucket_bytes": 67108864}}
+    config = load_config(doc)
+    canonical = canonical_config_bytes(config).decode()
+    for rendered in ('"peak_flops":256000000000000', '"memory":192000000000',
+                     '"bucket_bytes":67108864'):
+        assert rendered in canonical
+    resolved = json.loads(canonical)
+    assert isinstance(resolved["topology"]["chip"]["memory"], int)
+    # the digest this document had before the schema became table driven
+    assert config_digest(config) == (
+        "3dedd785095b1280b10286dd9df41060a22a2160faa380476dc83335ea70fe90"
+    )

@@ -1,15 +1,10 @@
-import itertools
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vlmsim.workload import (
     MicrobatchPlan,
     SequenceLengthModel,
     StepWorkload,
     TrainingStage,
-    pack_dynamic_batches,
     plan_step_microbatches,
     sample_lengths,
     stage_by_name,
@@ -111,83 +106,6 @@ class TestSequenceLengths:
         capped = sample_lengths(tight, seed=7, n=500)
         assert max(raw) > 2048
         assert max(capped) == 2048
-
-
-class TestPacking:
-    def test_uniform_lengths_split_evenly(self):
-        plan = pack_dynamic_batches([100] * 8, token_budget=400)
-        assert sorted(len(b) for b in plan.batches) == [4, 4]
-        assert plan.total_padded_tokens == 800
-
-    def test_mixed_lengths_example(self):
-        plan = pack_dynamic_batches([300, 200, 200, 100], token_budget=600)
-        assert len(plan.batches) == 2
-        assert plan.total_padded_tokens <= 1200
-        for batch in plan.batches:
-            assert len(batch) * max(batch) <= 600
-
-    def test_overlong_sample_rejected(self):
-        with pytest.raises(ValueError):
-            pack_dynamic_batches([700], token_budget=600)
-        with pytest.raises(ValueError):
-            pack_dynamic_batches([0], token_budget=600)
-
-    def test_unpadded_mode_uses_token_sum(self):
-        plan = pack_dynamic_batches([300, 200, 200, 100], token_budget=600, padded=False)
-        for batch in plan.batches:
-            assert sum(batch) <= 600
-        assert len(plan.batches) == 2
-
-    def test_ffd_not_worse_than_brute_force_plus_one(self):
-        # classic bin-packing guarantee: FFD <= (11/9) OPT + 1; for these tiny
-        # instances just check against exhaustive optimum directly
-        cases = [
-            ([50, 50, 30, 30, 20, 20], 100),
-            ([90, 10, 10, 10, 80, 70], 100),
-            ([64, 64, 32, 32, 32, 16], 128),
-        ]
-        for lengths, budget in cases:
-            plan = pack_dynamic_batches(lengths, token_budget=budget)
-            opt = _optimal_batch_count(lengths, budget)
-            assert len(plan.batches) <= opt + 1
-
-    @given(
-        lengths=st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=12),
-        budget=st.integers(min_value=200, max_value=800),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_packing_invariants(self, lengths, budget):
-        plan = pack_dynamic_batches(lengths, token_budget=budget)
-        flat = sorted(itertools.chain.from_iterable(plan.batches))
-        assert flat == sorted(lengths)
-        for batch in plan.batches:
-            assert len(batch) * max(batch) <= budget
-        assert plan.total_padded_tokens >= sum(lengths)
-
-
-def _optimal_batch_count(lengths, budget):
-    n = len(lengths)
-    best = [n]
-
-    def place(i, batches):
-        if len(batches) >= best[0]:
-            return
-        if i == n:
-            best[0] = len(batches)
-            return
-        x = lengths[i]
-        for batch in batches:
-            if (len(batch) + 1) * max(max(batch), x) <= budget:
-                batch.append(x)
-                place(i + 1, batches)
-                batch.pop()
-        batches.append([x])
-        if len(batches[-1]) * x <= budget:
-            place(i + 1, batches)
-        batches.pop()
-
-    place(0, [])
-    return best[0]
 
 
 class TestStepPlanning:
