@@ -29,6 +29,7 @@ from .engine import PlanValidationError
 from .cluster import validate_plan
 from .metrics import (
     CSV_COLUMNS,
+    RunReport,
     build_report,
     emit_gantt,
     emit_report,
@@ -47,7 +48,7 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get("VLMSIM_OUT", "vlmsim-out"))
 
 
-def execute(config: SimConfig) -> tuple[engine.Trace, "object"]:
+def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
     """Run one config; returns (trace, report).
 
     When the config carries a scaling reference, a second run at the
@@ -102,7 +103,8 @@ def execute(config: SimConfig) -> tuple[engine.Trace, "object"]:
     return trace, report
 
 
-def cmd_simulate(config: SimConfig, out_dir: Path) -> int:
+def cmd_simulate(config: SimConfig, out_dir: Path) -> RunReport:
+    """Run one config and write its five artifacts; returns the report."""
     trace, report = execute(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -133,7 +135,7 @@ def cmd_simulate(config: SimConfig, out_dir: Path) -> int:
             except OSError:
                 pass
         raise
-    return EXIT_OK
+    return report
 
 
 def _axis_value(text: str):
@@ -177,10 +179,10 @@ def _point_dir_name(assignment: tuple[tuple[str, object], ...]) -> str:
     return "__".join(f"{key}={value}" for key, value in assignment)
 
 
-def _run_sweep_point(doc_json: str, out_dir: str) -> None:
+def _run_sweep_point(doc_json: str, out_dir: str) -> list[str]:
     # module-level so process pools can pickle the call
     config = load_config(json.loads(doc_json))
-    cmd_simulate(config, Path(out_dir))
+    return report_csv_row(cmd_simulate(config, Path(out_dir)))
 
 
 def cmd_sweep(
@@ -193,7 +195,8 @@ def cmd_sweep(
     base config left symbolic (dp: "auto") re-resolve per point."""
     base_config = load_config(copy.deepcopy(doc))
     if not axes:
-        return cmd_simulate(base_config, out_dir)
+        cmd_simulate(base_config, out_dir)
+        return EXIT_OK
 
     schema_doc = resolved_config_dict(base_config)
     for key, values in axes:
@@ -215,18 +218,14 @@ def cmd_sweep(
     ]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(_run_sweep_point, *zip(*jobs)))
+            report_rows = list(pool.map(_run_sweep_point, *zip(*jobs)))
     else:
-        for doc_json, point_dir in jobs:
-            _run_sweep_point(doc_json, point_dir)
+        report_rows = [_run_sweep_point(*job) for job in jobs]
 
     axis_keys = [key for key, _ in axes]
     lines = [",".join(axis_keys + CSV_COLUMNS)]
-    for assignment, _ in points:
-        point_dir = out_dir / _point_dir_name(assignment)
-        with open(point_dir / "report.json") as handle:
-            report = json.load(handle)
-        row = [str(value) for _, value in assignment] + report_csv_row(report)
+    for (assignment, _), report_row in zip(points, report_rows):
+        row = [str(value) for _, value in assignment] + report_row
         lines.append(",".join(row))
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -305,7 +304,8 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(config)
         out_dir = Path(args.out) if args.out else _default_out_dir()
-        return cmd_simulate(config, out_dir)
+        cmd_simulate(config, out_dir)
+        return EXIT_OK
     except ConfigError as exc:
         if exc.violations:
             print(

@@ -244,6 +244,9 @@ _TOPOLOGY = _table(
 def _resolve_dp(plan, path, root):
     dp = plan["dp"]
     if dp == "auto":
+        # checked before dividing by tp*pp; ParallelismPlan's own message
+        if min(plan["tp"], plan["pp"]) < 1:
+            raise ConfigError(f"at {path}: dp, tp, pp must all be >= 1")
         denom = plan["tp"] * plan["pp"]
         chips = root["topology"].total_chips
         if chips % denom != 0:

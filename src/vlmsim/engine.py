@@ -35,7 +35,9 @@ whole construction is an arithmetic fold over the schedule, so a given
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arch import (
     ModelSpec,
@@ -201,14 +203,26 @@ class Trace:
             for rows in self.stage_rows
         ]
 
+    @cached_property
+    def sorted_stage_rows(self) -> list[list[Row]]:
+        """Each stage's rows in row_order, sorted on first use.
+
+        The engine appends rows in event order, not row_order, and leaves
+        sorting to the writers that need it, so a run whose trace is never
+        written pays nothing; the trace is not modified after it is built.
+        """
+        return [sorted(rows, key=row_order) for rows in self.stage_rows]
+
     def check_invariants(self) -> None:
+        if not math.isfinite(self.makespan):
+            raise AssertionError(f"makespan {self.makespan} is not finite")
         for stage, rows in enumerate(self.stage_rows):
             for resource in (COMPUTE, COMM):
                 prev_end = -1.0
                 for res, start, end, label, _ in rows:
                     if res != resource:
                         continue
-                    if end <= start:
+                    if not start < end:  # also false when either is NaN
                         raise AssertionError(
                             f"stage {stage} {label} interval not positive"
                         )
@@ -225,6 +239,12 @@ class Trace:
         stage holds an identical timeline; DP replicas are bit-identical),
         so the trace records each interval once per stage. Chip ids follow
         (replica * pp + stage) * tp + rank; lines are in row_order per stage.
+
+        Interval lines are the bytes json.dumps(row dict, separators=(",",
+        ":")) gives, filled into one template per (stage, resource, label).
+        Times are written with float.__repr__, the formatter json uses, so
+        float subclasses such as numpy.float64 from an injected CostBook
+        print as plain floats; times are finite (check_invariants).
         """
         yield json.dumps(
             {
@@ -239,27 +259,24 @@ class Trace:
             },
             separators=(",", ":"),
         )
-        for stage in range(self.pp):
-            for res, start, end, label, mb in sorted(
-                self.stage_rows[stage], key=row_order
-            ):
-                yield json.dumps(
-                    {
-                        "stage": stage,
-                        "resource": res,
-                        "start": start,
-                        "end": end,
-                        "label": label,
-                        "microbatch": mb,
-                    },
-                    separators=(",", ":"),
+        fmt = float.__repr__
+        for stage, rows in enumerate(self.sorted_stage_rows):
+            templates: dict[tuple[str, str], tuple[str, str]] = {}
+            for res, start, end, label, mb in rows:
+                parts = templates.get((res, label))
+                if parts is None:
+                    parts = templates[res, label] = (
+                        f'{{"stage":{stage},"resource":{json.dumps(res)},"start":',
+                        f',"label":{json.dumps(label)},"microbatch":',
+                    )
+                yield (
+                    f'{parts[0]}{fmt(start)},"end":{fmt(end)}{parts[1]}'
+                    f'{"null" if mb is None else mb}}}'
                 )
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as handle:
-            for line in self.iter_jsonl_lines():
-                handle.write(line)
-                handle.write("\n")
+            handle.writelines(f"{line}\n" for line in self.iter_jsonl_lines())
 
 
 def _link_model(

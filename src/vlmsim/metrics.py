@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .arch import ModelSpec
 from .cluster import MemoryBreakdown, ParallelismPlan, Topology, memory_per_chip
-from .engine import COMM, COMPUTE, Trace, row_order, step_training_flops
+from .engine import COMM, COMPUTE, Trace, step_training_flops
 from .schedule import measured_bubble
 from .workload import TrainingStage
 
@@ -27,6 +28,10 @@ class RunReport:
     schema: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("step_time", "tokens_per_second"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
         for name in ("mfu", "bubble", "overlap_efficiency"):
             value = getattr(self, name)
             if not -1e-9 <= value <= 1.0 + 1e-9:
@@ -65,9 +70,9 @@ CSV_COLUMNS = [
 ]
 
 
-def report_csv_row(report: RunReport | dict) -> list[str]:
-    """CSV cells of a report, or of its JSON document; floats as repr."""
-    doc = dict(report) if isinstance(report, dict) else report.as_json_dict()
+def report_csv_row(report: RunReport) -> list[str]:
+    """CSV cells of a report; floats as repr."""
+    doc = report.as_json_dict()
     memory = doc.pop("memory")
     for key, value in memory.items():
         doc[f"memory_{key}"] = value
@@ -267,6 +272,31 @@ _GANTT_COLORS = {
 }
 
 
+def _lane_pieces(
+    rows, res: str, left: float, scale: float, lane_h: int, max_intervals: int
+) -> tuple[list[str], bool]:
+    """The rects of one (stage, resource) lane, split where the lane's y goes.
+
+    Every chip of a stage draws the same rects and only y differs between
+    its lanes, so a lane is y.join(pieces). Also says whether the lane has
+    more than max_intervals intervals, i.e. is clipped.
+    """
+    lane_rows = [row for row in rows if row[0] == res]
+    pieces = []
+    tail = ""
+    for _, start, end, label, _ in lane_rows[:max_intervals]:
+        x = left + start * scale
+        w = max((end - start) * scale, 0.05)
+        color = _GANTT_COLORS.get(label, "#999999")
+        pieces.append(f'{tail}<rect x="{x:.3f}" y="')
+        tail = (
+            f'" width="{w:.3f}" height="{lane_h}" fill="{color}">'
+            f"<title>{label}</title></rect>\n"
+        )
+    pieces.append(tail)
+    return pieces, len(lane_rows) > max_intervals
+
+
 def emit_gantt(
     trace: Trace,
     path=None,
@@ -279,7 +309,8 @@ def emit_gantt(
     max_chips chips are drawn (chip ids run tp-fastest, so 64 chips cover
     all stages of one replica for the shipped presets) and each lane draws
     at most max_intervals intervals with a "clipped" marker after the cut.
-    The trace file is the complete record.
+    The trace file is the complete record. All lanes of one stage and
+    resource show the same intervals, so each is rendered once per stage.
     """
     if trace.makespan <= 0.0 or not any(trace.stage_rows):
         raise ValueError("empty trace")
@@ -291,42 +322,37 @@ def emit_gantt(
     height = chips * 2 * (lane_h + gap) + gap + 20
     scale = (width - left - 10) / trace.makespan
 
-    sorted_rows = [sorted(rows, key=row_order) for rows in trace.stage_rows]
+    rendered: dict[tuple[int, str], tuple[list[str], bool]] = {}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" font-family="monospace" font-size="10">'
+        f'height="{height:.0f}" font-family="monospace" font-size="10">\n'
     ]
     lane = 0
     for chip in range(chips):
         stage = (chip % (trace.pp * trace.tp)) // trace.tp
         for res in (COMPUTE, COMM):
             y = gap + lane * (lane_h + gap)
-            parts.append(f'<g class="lane" data-lane="chip{chip}-{res}">')
-            parts.append(
-                f'<text x="4" y="{y + lane_h - 3}">chip {chip} {res}</text>'
-            )
-            drawn = 0
-            for row_res, start, end, label, _ in sorted_rows[stage]:
-                if row_res != res:
-                    continue
-                if drawn == max_intervals:
-                    parts.append(
-                        f'<text x="{width - 10:.0f}" y="{y + lane_h - 3}" '
-                        f'text-anchor="end">clipped</text>'
-                    )
-                    break
-                x = left + start * scale
-                w = max((end - start) * scale, 0.05)
-                color = _GANTT_COLORS.get(label, "#999999")
-                parts.append(
-                    f'<rect x="{x:.3f}" y="{y}" width="{w:.3f}" '
-                    f'height="{lane_h}" fill="{color}"><title>{label}</title></rect>'
+            text_y = y + lane_h - 3
+            if (stage, res) not in rendered:
+                rendered[stage, res] = _lane_pieces(
+                    trace.sorted_stage_rows[stage], res, left, scale, lane_h,
+                    max_intervals,
                 )
-                drawn += 1
-            parts.append("</g>")
+            pieces, clipped = rendered[stage, res]
+            parts.append(
+                f'<g class="lane" data-lane="chip{chip}-{res}">\n'
+                f'<text x="4" y="{text_y}">chip {chip} {res}</text>\n'
+            )
+            parts.append(str(y).join(pieces))
+            if clipped:
+                parts.append(
+                    f'<text x="{width - 10:.0f}" y="{text_y}" '
+                    f'text-anchor="end">clipped</text>\n'
+                )
+            parts.append("</g>\n")
             lane += 1
-    parts.append("</svg>")
-    document = "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    document = "".join(parts)
     if path is not None:
         with open(path, "w") as handle:
             handle.write(document)

@@ -11,7 +11,9 @@ from vlmsim.cli import (
     main,
     parse_axis,
 )
+from vlmsim.cluster import MemoryBreakdown
 from vlmsim.config import ConfigError
+from vlmsim.metrics import RunReport, report_csv_row
 from tests.conftest import PRESET_DIR
 
 ARTIFACTS = [
@@ -23,6 +25,7 @@ ARTIFACTS = [
 ]
 
 BUBBLE_PRESET = str(Path(PRESET_DIR) / "bubble-claim.json")
+FLAGSHIP_PRESET = str(Path(PRESET_DIR) / "paper-70b-5120.json")
 FUSION_PRESET = str(Path(PRESET_DIR) / "fusion-claim.json")
 
 
@@ -186,6 +189,30 @@ class TestSweep:
             assert b <= a
         assert times[3] < times[0]
 
+    def test_sweep_csv_independent_of_parallel(self, tmp_path):
+        config = sweepable_config(tmp_path)
+        axes = ["--axis", "plan.pp=2,4", "--axis", "plan.recompute=none,full"]
+        csv_bytes = []
+        for parallel in ("1", "2"):
+            out = tmp_path / f"p{parallel}"
+            code = main(["sweep", "--config", str(config), *axes,
+                         "--out", str(out), "--parallel", parallel])
+            assert code == EXIT_OK
+            csv_bytes.append((out / "sweep.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]
+
+        # each row is what the point's report.json holds
+        lines = csv_bytes[0].decode().splitlines()
+        assert len(lines) == 5
+        for line in lines[1:]:
+            pp, recompute, *cells = line.split(",")
+            point = tmp_path / "p1" / f"plan.pp={pp}__plan.recompute={recompute}"
+            doc = json.loads((point / "report.json").read_text())
+            memory = doc.pop("memory")
+            del memory["total"]
+            report = RunReport(**doc, memory=MemoryBreakdown(**memory))
+            assert cells == report_csv_row(report)
+
     def test_empty_axes_degenerates_to_simulate(self, tmp_path):
         out = tmp_path / "plain"
         code = main(["sweep", "--config", BUBBLE_PRESET, "--out", str(out)])
@@ -253,4 +280,26 @@ class TestNonFiniteNumbers:
         assert main([command] + argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "expected a finite number at $.topology.intra_latency" in err
+        assert not out.exists()
+
+
+class TestAutoDpWithZeroFactor:
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("key", ["tp", "pp"])
+    def test_rejected_like_an_explicit_dp(self, tmp_path, capsys, command,
+                                          key):
+        # "auto" divides the chip count by tp * pp, which used to raise
+        # ZeroDivisionError and exit 3
+        with open(FLAGSHIP_PRESET) as f:
+            doc = json.load(f)
+        assert doc["plan"]["dp"] == "auto"
+        doc["plan"][key] = 0
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--config", str(bad)] + (["--out", str(out)] if command == "simulate" else [])
+        assert main([command] + argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: at $.plan: dp, tp, pp must all be >= 1" in err
+        assert "Traceback" not in err
         assert not out.exists()

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +13,17 @@ from vlmsim.engine import (
     CostBook,
     CostModelConfig,
     PlanValidationError,
+    Trace,
     fused_allgather_gemm_time,
+    row_order,
     run,
     step_training_flops,
 )
+from vlmsim.config import load_config
 from vlmsim.comm import GradSyncPolicy
 from vlmsim.schedule import analytic_bubble, measured_bubble
-from vlmsim.workload import SequenceLengthModel
-from tests.conftest import fixed_workload, make_plan, make_topology
+from vlmsim.workload import SequenceLengthModel, stage_by_name
+from tests.conftest import PRESET_DIR, fixed_workload, make_plan, make_topology
 
 
 class TestFusedTime:
@@ -414,3 +419,115 @@ class TestStepFlops:
         assert trace.tokens_per_step == 2 * 4 * 2048
         single = 4 * step_flops(catalog["3B"], 1, 2048)
         assert step_training_flops(trace, catalog["3B"], plan) == 2 * single
+
+
+def reference_row_lines(trace):
+    """Interval lines as json.dumps writes each row's dict."""
+    return [
+        json.dumps(
+            {"stage": stage, "resource": res, "start": start, "end": end,
+             "label": label, "microbatch": mb},
+            separators=(",", ":"),
+        )
+        for stage in range(trace.pp)
+        for res, start, end, label, mb in sorted(
+            trace.stage_rows[stage], key=row_order
+        )
+    ]
+
+
+def bare_trace(stage_rows, makespan=1.0):
+    return Trace(
+        dp=1, tp=1, pp=len(stage_rows), makespan=makespan, seed=0,
+        stage_rows=stage_rows, microbatch_sizes=[1], microbatch_seq_lens=[1],
+        visual_tokens_per_sample=0,
+    )
+
+
+# finite floats of every magnitude, plus ones whose repr is a known edge:
+# the smallest subnormal, the largest double, a rounding residue, the
+# exponent switch points of repr and negative zero
+times = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     0.1 + 0.2, 1e16, 1e-5, 1e-4, -0.0, 0.0]),
+)
+rows = st.tuples(
+    st.sampled_from([COMPUTE, COMM]),
+    times,
+    times,
+    st.one_of(st.sampled_from(["fwd", "bwd", "collective", "p2p",
+                               "sync_bucket"]), st.text()),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+)
+
+
+class TestJsonlWriter:
+    @given(stage_rows=st.lists(st.lists(rows, max_size=8), min_size=1,
+                               max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_row_lines_equal_json_dumps(self, stage_rows):
+        trace = bare_trace(stage_rows)
+        lines = list(trace.iter_jsonl_lines())
+        assert lines[1:] == reference_row_lines(trace)
+
+    def test_numpy_cost_book_writes_plain_floats(self, catalog):
+        p, m = 3, 4
+        book = CostBook(
+            fwd=[[np.float64(0.1) * (i + 1)] * m for i in range(p)],
+            bwd=[[np.float64(0.2) + 1e-17] * m for _ in range(p)],
+            tp_fwd=[[np.float64(0.03)] * m for _ in range(p)],
+            tp_bwd=[[np.float64(0.07)] * m for _ in range(p)],
+            p2p_fwd=[[np.float64(1e-300)] * m for _ in range(p)],
+            p2p_bwd=[[np.float64(5e-324)] * m for _ in range(p)],
+            sync_buckets=[[] for _ in range(p)],
+        )
+        model = catalog["3B"]
+        topo = make_topology(nodes=1, chips_per_node=p, memory=1e18)
+        trace = run(
+            model, stage_by_name("general-knowledge-injection"),
+            make_plan(pp=p, m=m, fusion_chunks=2), topo, CostModelConfig(),
+            seed=0, workload=fixed_workload(64, budget=64), cost_book=book,
+        )
+        assert any(
+            type(r[2]) is np.float64 for rows in trace.stage_rows for r in rows
+        )
+        lines = list(trace.iter_jsonl_lines())
+        assert lines[1:] == reference_row_lines(trace)
+        assert "np.float64" not in "".join(lines)
+
+    def test_write_jsonl_streams_the_same_lines(self, tmp_path):
+        trace = bare_trace([[(COMPUTE, 0.0, 0.1 + 0.2, "fwd", None),
+                             (COMM, 0.0, 1e-300, "p2p", 3)]])
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(path)
+        assert path.read_text() == "".join(
+            line + "\n" for line in trace.iter_jsonl_lines()
+        )
+
+
+class TestFiniteness:
+    def fusion_run(self, **costs):
+        config = load_config(f"{PRESET_DIR}/fusion-claim.json")
+        plan = config.plan
+        return run(
+            config.model, config.stage, plan, config.topology,
+            config.costmodel, config.seed, workload=config.workload,
+            cost_book=CostBook.uniform(plan.pp, plan.microbatches_per_step,
+                                       **costs),
+        )
+
+    def test_nan_cost_is_rejected(self):
+        # NaN durations used to leave a 0-row trace with makespan nan
+        with pytest.raises(AssertionError, match="not finite"):
+            self.fusion_run(fwd=float("nan"), bwd=1.0)
+
+    def test_infinite_cost_is_rejected(self):
+        with pytest.raises(AssertionError, match="makespan inf is not finite"):
+            self.fusion_run(fwd=float("inf"), bwd=1.0)
+
+    def test_nan_interval_is_not_positive(self):
+        for start, end in ((float("nan"), 1.0), (0.0, float("nan"))):
+            trace = bare_trace([[(COMPUTE, start, end, "fwd", 0)]])
+            with pytest.raises(AssertionError, match="not positive"):
+                trace.check_invariants()

@@ -1,6 +1,9 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlmsim.cluster import MemoryBreakdown
 from vlmsim.engine import (
@@ -10,6 +13,7 @@ from vlmsim.engine import (
     CostModelConfig,
     Trace,
     build_cost_book,
+    row_order,
     run,
 )
 from vlmsim.cluster import partition_layers
@@ -222,6 +226,12 @@ class TestReports:
         with pytest.raises(ValueError):
             dataclasses.replace(self._report(), bubble=-0.5)
 
+    @pytest.mark.parametrize("name", ["step_time", "tokens_per_second"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_headline_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} = .* is not finite"):
+            dataclasses.replace(self._report(), **{name: value})
+
     def test_build_report_from_run(
         self, catalog, full_stage, costmodel, small_topology
     ):
@@ -318,6 +328,107 @@ class TestGantt:
         out = tmp_path / "chart.svg"
         text = emit_gantt(trace, path=out)
         assert out.read_text() == text
+
+
+def reference_gantt(trace, max_chips=64, max_intervals=300):
+    """emit_gantt as it was before lanes were rendered once per stage:
+    every (chip, resource) lane rescans its stage's sorted rows."""
+    colors = {"fwd": "#4c78a8", "bwd": "#f58518", "collective": "#54a24b",
+              "p2p": "#b279a2", "sync_bucket": "#e45756"}
+    chips = min(trace.total_chips, max_chips)
+    lane_h = 14
+    gap = 2
+    left = 150
+    width = 1200.0
+    height = chips * 2 * (lane_h + gap) + gap + 20
+    scale = (width - left - 10) / trace.makespan
+
+    sorted_rows = [sorted(rows, key=row_order) for rows in trace.stage_rows]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" font-family="monospace" font-size="10">'
+    ]
+    lane = 0
+    for chip in range(chips):
+        stage = (chip % (trace.pp * trace.tp)) // trace.tp
+        for res in (COMPUTE, COMM):
+            y = gap + lane * (lane_h + gap)
+            parts.append(f'<g class="lane" data-lane="chip{chip}-{res}">')
+            parts.append(
+                f'<text x="4" y="{y + lane_h - 3}">chip {chip} {res}</text>'
+            )
+            drawn = 0
+            for row_res, start, end, label, _ in sorted_rows[stage]:
+                if row_res != res:
+                    continue
+                if drawn == max_intervals:
+                    parts.append(
+                        f'<text x="{width - 10:.0f}" y="{y + lane_h - 3}" '
+                        f'text-anchor="end">clipped</text>'
+                    )
+                    break
+                x = left + start * scale
+                w = max((end - start) * scale, 0.05)
+                color = colors.get(label, "#999999")
+                parts.append(
+                    f'<rect x="{x:.3f}" y="{y}" width="{w:.3f}" '
+                    f'height="{lane_h}" fill="{color}"><title>{label}</title></rect>'
+                )
+                drawn += 1
+            parts.append("</g>")
+            lane += 1
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+gantt_rows = st.tuples(
+    st.sampled_from([COMPUTE, COMM]),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=1e-9, max_value=50.0),
+    st.sampled_from(["fwd", "bwd", "collective", "p2p", "sync_bucket", "x"]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+)
+
+
+class TestGanttMatchesReference:
+    @given(
+        pp=st.integers(min_value=1, max_value=4),
+        tp=st.integers(min_value=1, max_value=3),
+        dp=st.integers(min_value=1, max_value=4),
+        lanes=st.data(),
+        max_chips=st.integers(min_value=0, max_value=40),
+        max_intervals=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_small_traces(self, pp, tp, dp, lanes, max_chips,
+                                 max_intervals):
+        # caps far below the row counts clip lanes; max_chips between one
+        # replica (tp * pp chips) and dp replicas cuts a wrapped replica
+        stage_rows = [
+            [(res, start, start + dur, label, mb)
+             for res, start, dur, label, mb in lanes.draw(
+                 st.lists(gantt_rows, min_size=1, max_size=10))]
+            for _ in range(pp)
+        ]
+        trace = synthetic_trace(stage_rows, dp=dp, tp=tp)
+        assert emit_gantt(trace, max_chips=max_chips,
+                          max_intervals=max_intervals) == reference_gantt(
+            trace, max_chips, max_intervals
+        )
+
+    def test_replicas_wrap_into_default_window(self, catalog, full_stage,
+                                               costmodel):
+        # 5 replicas of 4 x 4 chips: chips 16..63 are replicas 1..3
+        topo = make_topology(nodes=10, chips_per_node=8, memory=1e18)
+        plan = make_plan(dp=5, tp=4, pp=4, m=128)
+        trace = run(
+            catalog["3B"], full_stage, plan, topo, costmodel, seed=0,
+            workload=fixed_workload(2048, budget=2048),
+        )
+        svg = emit_gantt(trace)
+        assert svg == reference_gantt(trace)
+        assert svg.count('class="lane"') == 128
+        assert "clipped" in svg
 
 
 class TestScaling:
