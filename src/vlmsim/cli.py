@@ -232,6 +232,9 @@ def cmd_sweep(
 
 
 def cmd_validate(config: SimConfig) -> int:
+    engine.check_work_bound(
+        config.model, config.stage, config.plan, config.costmodel
+    )
     seq_model = config.workload.seq_len_model or config.stage.seq_len_model
     budget = config.workload.microbatch_token_budget
     if seq_model.kind == "fixed":

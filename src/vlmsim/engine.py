@@ -24,6 +24,12 @@ Cost construction and timing rules, in one place:
     the producing backward;
   * the optimizer update itself is charged zero time.
 
+Durations depend on a microbatch only through its shape, so the cost book
+prices them once per (stage, microbatch size, padded length) and once per
+sync bucket size, and the event loop computes each fused allgather+GEMM
+span once per distinct (lump, compute) pair of the run. These memos live
+in the locals of one call; nothing is cached across runs.
+
 All DP replicas execute identical work on an identical sampled length
 schedule (a documented symmetry), so one replica is simulated at
 stage-group granularity and the trace expands lazily to every
@@ -67,6 +73,7 @@ from .workload import (
     StepWorkload,
     TrainingStage,
     plan_step_microbatches,
+    trainable_param_count,
 )
 
 COMPUTE = "compute"
@@ -77,6 +84,11 @@ LABEL_BWD = "bwd"
 LABEL_COLLECTIVE = "collective"
 LABEL_P2P = "p2p"
 LABEL_SYNC = "sync_bucket"
+
+# Largest run accepted, in estimated trace rows of one replica (see
+# check_work_bound). The deepest planning point in use, pp=80 with 4096
+# microbatches, estimates 6.6M rows (it records 2.0M).
+MAX_TRACE_ROWS = 20_000_000
 
 
 class PlanValidationError(ValueError):
@@ -325,100 +337,100 @@ def build_cost_book(
     microbatches: MicrobatchPlan,
     workload: StepWorkload,
 ) -> CostBook:
-    """Translate model arithmetic and link algebra into slot durations."""
+    """Translate model arithmetic and link algebra into slot durations.
+
+    A microbatch's durations depend only on its shape (sample count, padded
+    length), so each stage prices each distinct shape once and repeats the
+    values across its microbatches; likewise each distinct sync bucket size
+    is priced once per stage.
+    """
     lm = model.lm
     p = plan.pp
     tp = plan.tp
     chip_rate = plan.tp * topology.chip.peak_flops
-    intra = _link_model(topology, inter_node=False, algorithm=costmodel.algorithm)
+    algorithm = costmodel.algorithm
+    intra = _link_model(topology, inter_node=False, algorithm=algorithm)
 
     vision_tile_flops = vision_fwd_flops_per_tile(model.vision) + (
         adapter_fwd_flops_per_tile(model.vision, model.adapter)
     )
     tiles_per_sample = workload.visual_tokens_per_sample / model.vision.tokens_per_tile
+    head_flops = lm_head_fwd_flops_per_token(lm)
 
-    fwd: list[list[float]] = []
-    bwd: list[list[float]] = []
-    tp_fwd: list[list[float]] = []
-    tp_bwd: list[list[float]] = []
-    p2p_fwd: list[list[float]] = []
-    p2p_bwd: list[list[float]] = []
+    shapes = [(len(batch), max(batch)) for batch in microbatches.batches]
+    # stage-independent terms of each distinct shape: tokens, LM layer
+    # forward FLOPs per token, TP collective time per layer, boundary bytes
+    shape_terms = {}
+    for size, seq in dict.fromkeys(shapes):
+        tokens = float(size * seq)
+        activation_bytes = tokens * lm.hidden_size * 2.0
+        if tp == 1:
+            per_layer = 0.0
+        elif plan.sequence_parallel:
+            per_layer = 2.0 * collective_time(
+                "allgather", activation_bytes, tp, intra
+            ) + 2.0 * collective_time(
+                "reducescatter", activation_bytes, tp, intra
+            )
+        else:
+            per_layer = 2.0 * collective_time("allreduce", activation_bytes, tp, intra)
+        boundary_bytes = activation_bytes
+        if plan.sequence_parallel:
+            boundary_bytes /= tp
+        shape_terms[size, seq] = (
+            tokens, lm_layer_fwd_flops_per_token(lm, seq), per_layer, boundary_bytes
+        )
 
+    columns: list[list[list[float]]] = [[] for _ in range(6)]
     for i in range(p):
         layers = partition[i]
-        f_row, b_row, tf_row, tb_row, pf_row, pb_row = [], [], [], [], [], []
-        for batch in microbatches.batches:
-            size = len(batch)
-            seq = max(batch)
-            tokens = float(size * seq)
-
-            f_flops = tokens * layers * lm_layer_fwd_flops_per_token(lm, seq)
+        send = recv = None
+        if i < p - 1:
+            send = _link_model(
+                topology, _boundary_crosses_nodes(i, topology, plan), algorithm
+            )
+        if i > 0:
+            recv = _link_model(
+                topology, _boundary_crosses_nodes(i - 1, topology, plan), algorithm
+            )
+        priced = {}
+        for (size, seq), (tokens, layer_flops, per_layer, boundary_bytes) in (
+            shape_terms.items()
+        ):
+            f_flops = tokens * layers * layer_flops
             if i == p - 1:
-                f_flops += tokens * lm_head_fwd_flops_per_token(lm)
+                f_flops += tokens * head_flops
             if i == 0 and tiles_per_sample > 0:
                 f_flops += size * tiles_per_sample * vision_tile_flops
 
             if plan.recompute == "selective":
                 extra = tokens * layers * 4.0 * seq * lm.hidden_size
             elif plan.recompute == "full":
-                extra = tokens * layers * lm_layer_fwd_flops_per_token(lm, seq)
+                extra = tokens * layers * layer_flops
             else:
                 extra = 0.0
             b_flops = 2.0 * f_flops + extra
 
-            f_row.append(f_flops / chip_rate)
-            b_row.append(b_flops / chip_rate)
-
-            if tp > 1:
-                activation_bytes = tokens * lm.hidden_size * 2.0
-                if plan.sequence_parallel:
-                    per_layer = 2.0 * collective_time(
-                        "allgather", activation_bytes, tp, intra
-                    ) + 2.0 * collective_time(
-                        "reducescatter", activation_bytes, tp, intra
-                    )
-                else:
-                    per_layer = 2.0 * collective_time(
-                        "allreduce", activation_bytes, tp, intra
-                    )
-                tf_row.append(layers * per_layer)
-                tb_row.append(layers * per_layer)
-            else:
-                tf_row.append(0.0)
-                tb_row.append(0.0)
-
-            boundary_bytes = tokens * lm.hidden_size * 2.0
-            if plan.sequence_parallel:
-                boundary_bytes /= tp
-            if i < p - 1:
-                link = _link_model(
-                    topology,
-                    _boundary_crosses_nodes(i, topology, plan),
-                    costmodel.algorithm,
-                )
-                pf_row.append(collective_time("p2p", boundary_bytes, 2, link))
-            else:
-                pf_row.append(0.0)
-            if i > 0:
-                link = _link_model(
-                    topology,
-                    _boundary_crosses_nodes(i - 1, topology, plan),
-                    costmodel.algorithm,
-                )
-                pb_row.append(collective_time("p2p", boundary_bytes, 2, link))
-            else:
-                pb_row.append(0.0)
-        fwd.append(f_row)
-        bwd.append(b_row)
-        tp_fwd.append(tf_row)
-        tp_bwd.append(tb_row)
-        p2p_fwd.append(pf_row)
-        p2p_bwd.append(pb_row)
+            tp_comm = layers * per_layer
+            priced[size, seq] = (
+                f_flops / chip_rate,
+                b_flops / chip_rate,
+                tp_comm,
+                tp_comm,
+                0.0 if send is None
+                else collective_time("p2p", boundary_bytes, 2, send),
+                0.0 if recv is None
+                else collective_time("p2p", boundary_bytes, 2, recv),
+            )
+        # one row per CostBook list, in the field order of `priced` values
+        for column, row in zip(columns, zip(*(priced[s] for s in shapes))):
+            column.append(list(row))
+    fwd, bwd, tp_fwd, tp_bwd, p2p_fwd, p2p_bwd = columns
 
     sync_buckets: list[list[float]] = []
     policy = costmodel.grad_sync
     dp_link = _link_model(
-        topology, _dp_group_spans_nodes(topology, plan), costmodel.algorithm
+        topology, _dp_group_spans_nodes(topology, plan), algorithm
     )
     for i in range(p):
         if plan.dp == 1:
@@ -427,12 +439,12 @@ def build_cost_book(
         local = stage_local_params(model, partition, i)
         trainable = sum(local[c] for c in local if c in stage.trainable)
         volume = trainable / tp * policy.precision_bytes
-        sync_buckets.append(
-            [
-                collective_time("allreduce", b, plan.dp, dp_link)
-                for b in split_buckets(volume, policy.bucket_bytes)
-            ]
-        )
+        buckets = split_buckets(volume, policy.bucket_bytes)
+        priced_buckets = {
+            b: collective_time("allreduce", b, plan.dp, dp_link)
+            for b in dict.fromkeys(buckets)
+        }
+        sync_buckets.append([priced_buckets[b] for b in buckets])
     return CostBook(
         fwd=fwd,
         bwd=bwd,
@@ -442,6 +454,44 @@ def build_cost_book(
         p2p_bwd=p2p_bwd,
         sync_buckets=sync_buckets,
     )
+
+
+def check_work_bound(
+    model: ModelSpec,
+    stage: TrainingStage,
+    plan: ParallelismPlan,
+    costmodel: CostModelConfig,
+) -> None:
+    """Refuse, from the config alone, a run above MAX_TRACE_ROWS.
+
+    The estimate bounds one replica's trace from above: each of a stage's
+    2m slots records its compute (up to fusion_chunks gated pieces when
+    tp > 1), a TP collective and a p2p send; with dp > 1 each sync records
+    the stage's buckets, at most volume / bucket_bytes + 1 of them. It
+    runs before any microbatch is sampled or bucket list built. The key
+    named is the one behind the larger of the slot and sync terms.
+    """
+    p = plan.pp
+    m = plan.microbatches_per_step
+    slot_rows = 2 * m * p * (plan.fusion_chunks + 2 if plan.tp > 1 else 2)
+    sync_rows = 0.0
+    if plan.dp > 1:
+        policy = costmodel.grad_sync
+        volume = (
+            trainable_param_count(model, stage) / plan.tp * policy.precision_bytes
+        )
+        syncs = m if policy.frequency == "per_microbatch" else 1
+        sync_rows = (volume / policy.bucket_bytes + p) * syncs
+    rows = slot_rows + sync_rows
+    if rows > MAX_TRACE_ROWS:
+        key = (
+            "costmodel.grad_sync.bucket_bytes" if sync_rows > slot_rows
+            else "plan.microbatches_per_step"
+        )
+        raise ValueError(
+            f"at $.{key}: the run would record about {rows:.3g} trace rows, "
+            f"more than the limit of {MAX_TRACE_ROWS:,}"
+        )
 
 
 def run(
@@ -470,6 +520,7 @@ def run(
         )
         workload = StepWorkload(microbatch_token_budget=default_budget)
 
+    check_work_bound(model, stage, plan, costmodel)
     p = plan.pp
     m = plan.microbatches_per_step
     microbatches = plan_step_microbatches(stage.seq_len_model, workload, m, seed)
@@ -517,46 +568,66 @@ def run(
     fwd_end: list[dict[int, float]] = [{} for _ in range(p)]
     position = [0] * p
 
-    def record(i: int, resource: str, start: float, end: float,
-               label: str, mb: int | None) -> None:
-        if end > start:
-            stage_rows[i].append((resource, start, end, label, mb))
+    # rows are appended through bound methods behind the same end > start
+    # test everywhere, so a zero-length or NaN interval is never recorded
+    appends = [rows.append for rows in stage_rows]
+    # (lump, comp) -> fused span and per-chunk transfer/GEMM times; a slot
+    # shape repeats across microbatches, so each pair is priced once per run
+    fused: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def execute_slot(i: int, kind: str, k: int, dep: float) -> None:
         mb = k - 1
-        comp = cost_book.fwd[i][mb] if kind == FORWARD else cost_book.bwd[i][mb]
-        lump = cost_book.tp_fwd[i][mb] if kind == FORWARD else cost_book.tp_bwd[i][mb]
-        label = LABEL_FWD if kind == FORWARD else LABEL_BWD
+        append = appends[i]
+        if kind == FORWARD:
+            comp = cost_book.fwd[i][mb]
+            lump = cost_book.tp_fwd[i][mb]
+            label = LABEL_FWD
+        else:
+            comp = cost_book.bwd[i][mb]
+            lump = cost_book.tp_bwd[i][mb]
+            label = LABEL_BWD
 
         if dual_stream:
             if lump > 0.0:
                 start = max(comp_free[i], comm_free[i], dep)
-                span = fused_allgather_gemm_time(lump, comp, chunks)
-                record(i, COMM, start, start + lump, LABEL_COLLECTIVE, mb)
-                comm_free[i] = start + lump
-                tc = lump / chunks
-                tg = comp / chunks
+                timing = fused.get((lump, comp))
+                if timing is None:
+                    timing = fused[lump, comp] = (
+                        fused_allgather_gemm_time(lump, comp, chunks),
+                        lump / chunks,
+                        comp / chunks,
+                    )
+                span, tc, tg = timing
+                comm_end = start + lump
+                if comm_end > start:
+                    append((COMM, start, comm_end, LABEL_COLLECTIVE, mb))
+                comm_free[i] = comm_end
+                end = start + span
                 if tc <= tg or comp == 0.0:
-                    record(i, COMPUTE, start + tc, start + span, label, mb)
+                    gemm_start = start + tc
+                    if end > gemm_start:
+                        append((COMPUTE, gemm_start, end, label, mb))
                 else:
                     # GEMM chunks gated by transfer chunks, with gaps
-                    for j in range(chunks):
-                        cs = start + (j + 1) * tc
-                        record(i, COMPUTE, cs, cs + tg, label, mb)
-                end = start + span
+                    for j in range(1, chunks + 1):
+                        cs = start + j * tc
+                        if cs + tg > cs:
+                            append((COMPUTE, cs, cs + tg, label, mb))
             else:
                 start = max(comp_free[i], dep)
-                record(i, COMPUTE, start, start + comp, label, mb)
                 end = start + comp
+                if end > start:
+                    append((COMPUTE, start, end, label, mb))
             comp_free[i] = end
         else:
-            start = max(comp_free[i], dep)
-            t = start
+            t = max(comp_free[i], dep)
             if lump > 0.0:
-                record(i, COMM, t, t + lump, LABEL_COLLECTIVE, mb)
+                if t + lump > t:
+                    append((COMM, t, t + lump, LABEL_COLLECTIVE, mb))
                 t += lump
-            record(i, COMPUTE, t, t + comp, label, mb)
             end = t + comp
+            if end > t:
+                append((COMPUTE, t, end, label, mb))
             comp_free[i] = end
             comm_free[i] = end
 
@@ -577,35 +648,38 @@ def run(
         if duration <= 0.0:
             arrival[k] = comp_free[i]
             return
-        if dual_stream:
-            t0 = max(comp_free[i], comm_free[i])
-            record(i, COMM, t0, t0 + duration, LABEL_P2P, mb)
-            comm_free[i] = t0 + duration
-        else:
-            t0 = comp_free[i]
-            record(i, COMM, t0, t0 + duration, LABEL_P2P, mb)
-            comp_free[i] = t0 + duration
-            comm_free[i] = t0 + duration
-        arrival[k] = t0 + duration
+        t0 = max(comp_free[i], comm_free[i]) if dual_stream else comp_free[i]
+        t1 = t0 + duration
+        if t1 > t0:
+            appends[i]((COMM, t0, t1, LABEL_P2P, mb))
+        if not dual_stream:
+            comp_free[i] = t1
+        comm_free[i] = t1
+        arrival[k] = t1
 
     def _sync(i: int, producing_compute: float) -> None:
         buckets = cost_book.sync_buckets[i]
-        n = len(buckets)
+        append = appends[i]
         if overlap_sync:
             # buckets become ready progressively across the producing backward
-            produce_end = comp_free[i]
-            produce_start = produce_end - producing_compute
-            for j, dur in enumerate(buckets):
-                ready = produce_start + producing_compute * (j + 1) / n
-                t = max(ready, comm_free[i])
-                record(i, COMM, t, t + dur, LABEL_SYNC, None)
-                comm_free[i] = t + dur
+            n = len(buckets)
+            produce_start = comp_free[i] - producing_compute
+            free = comm_free[i]
+            for j, dur in enumerate(buckets, 1):
+                ready = produce_start + producing_compute * j / n
+                t = free if free > ready else ready  # max(ready, free)
+                free = t + dur
+                if free > t:
+                    append((COMM, t, free, LABEL_SYNC, None))
+            comm_free[i] = free
         else:
             # comm unit may still be draining the stage's own p2p send
             t = max(comp_free[i], comm_free[i])
             for dur in buckets:
-                record(i, COMM, t, t + dur, LABEL_SYNC, None)
-                t += dur
+                end = t + dur
+                if end > t:
+                    append((COMM, t, end, LABEL_SYNC, None))
+                t = end
             comp_free[i] = t
             comm_free[i] = t
 
@@ -649,14 +723,21 @@ def run(
 
 
 def step_training_flops(trace: Trace, model: ModelSpec, plan: ParallelismPlan) -> float:
-    """Whole-cluster training FLOPs for the traced step."""
+    """Whole-cluster training FLOPs for the traced step.
+
+    Each distinct (size, seq) shape is priced once; the sum still runs in
+    microbatch order, so the result is bit-identical to summing per batch.
+    """
+    priced: dict[tuple[int, int], float] = {}
     total = 0.0
-    for size, seq in zip(trace.microbatch_sizes, trace.microbatch_seq_lens):
-        total += step_flops(
-            model,
-            size,
-            seq,
-            visual_tokens=trace.visual_tokens_per_sample,
-            recompute=plan.recompute,
-        )
+    for shape in zip(trace.microbatch_sizes, trace.microbatch_seq_lens):
+        flops = priced.get(shape)
+        if flops is None:
+            flops = priced[shape] = step_flops(
+                model,
+                *shape,
+                visual_tokens=trace.visual_tokens_per_sample,
+                recompute=plan.recompute,
+            )
+        total += flops
     return total * trace.dp

@@ -1,0 +1,599 @@
+"""The engine against the per-microbatch pricing and per-row loop it replaced.
+
+`reference_cost_book` prices every (stage, microbatch) pair and every sync
+bucket separately, and `reference_run` records each row through a `record`
+call with builtin `max`. The engine prices each distinct microbatch shape,
+bucket size and fused (lump, comp) pair once per run and appends rows
+directly; both must give the same floats, bit for bit, on every path.
+"""
+
+import dataclasses
+import json
+import re
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vlmsim import cli, engine
+from vlmsim.arch import (
+    LanguageModelSpec,
+    adapter_fwd_flops_per_tile,
+    lm_head_fwd_flops_per_token,
+    lm_layer_fwd_flops_per_token,
+    step_flops,
+    vision_fwd_flops_per_tile,
+)
+from vlmsim.cluster import partition_layers, stage_local_params, validate_plan
+from vlmsim.comm import GradSyncPolicy, collective_time, split_buckets
+from vlmsim.config import load_config
+from vlmsim.engine import (
+    COMM,
+    COMPUTE,
+    LABEL_BWD,
+    LABEL_COLLECTIVE,
+    LABEL_FWD,
+    LABEL_P2P,
+    LABEL_SYNC,
+    MAX_TRACE_ROWS,
+    CostBook,
+    CostModelConfig,
+    PlanValidationError,
+    Trace,
+    _boundary_crosses_nodes,
+    _dp_group_spans_nodes,
+    _link_model,
+    build_cost_book,
+    check_work_bound,
+    fused_allgather_gemm_time,
+    run,
+    step_training_flops,
+)
+from vlmsim.schedule import FORWARD, build_1f1b
+from vlmsim.workload import (
+    SequenceLengthModel,
+    StepWorkload,
+    plan_step_microbatches,
+    stage_by_name,
+)
+from tests.conftest import PRESET_DIR, PRESETS, make_plan, make_topology
+
+BOOK_FIELDS = ("fwd", "bwd", "tp_fwd", "tp_bwd", "p2p_fwd", "p2p_bwd",
+               "sync_buckets")
+
+
+def reference_cost_book(model, stage, plan, topology, costmodel, partition,
+                        microbatches, workload):
+    """build_cost_book as it was before shapes were priced once: every
+    (stage, microbatch) pair and every bucket is priced on its own."""
+    lm = model.lm
+    p = plan.pp
+    tp = plan.tp
+    chip_rate = plan.tp * topology.chip.peak_flops
+    intra = _link_model(topology, inter_node=False, algorithm=costmodel.algorithm)
+
+    vision_tile_flops = vision_fwd_flops_per_tile(model.vision) + (
+        adapter_fwd_flops_per_tile(model.vision, model.adapter)
+    )
+    tiles_per_sample = workload.visual_tokens_per_sample / model.vision.tokens_per_tile
+
+    fwd, bwd, tp_fwd, tp_bwd, p2p_fwd, p2p_bwd = [], [], [], [], [], []
+    for i in range(p):
+        layers = partition[i]
+        f_row, b_row, tf_row, tb_row, pf_row, pb_row = [], [], [], [], [], []
+        for batch in microbatches.batches:
+            size = len(batch)
+            seq = max(batch)
+            tokens = float(size * seq)
+
+            f_flops = tokens * layers * lm_layer_fwd_flops_per_token(lm, seq)
+            if i == p - 1:
+                f_flops += tokens * lm_head_fwd_flops_per_token(lm)
+            if i == 0 and tiles_per_sample > 0:
+                f_flops += size * tiles_per_sample * vision_tile_flops
+
+            if plan.recompute == "selective":
+                extra = tokens * layers * 4.0 * seq * lm.hidden_size
+            elif plan.recompute == "full":
+                extra = tokens * layers * lm_layer_fwd_flops_per_token(lm, seq)
+            else:
+                extra = 0.0
+            b_flops = 2.0 * f_flops + extra
+
+            f_row.append(f_flops / chip_rate)
+            b_row.append(b_flops / chip_rate)
+
+            if tp > 1:
+                activation_bytes = tokens * lm.hidden_size * 2.0
+                if plan.sequence_parallel:
+                    per_layer = 2.0 * collective_time(
+                        "allgather", activation_bytes, tp, intra
+                    ) + 2.0 * collective_time(
+                        "reducescatter", activation_bytes, tp, intra
+                    )
+                else:
+                    per_layer = 2.0 * collective_time(
+                        "allreduce", activation_bytes, tp, intra
+                    )
+                tf_row.append(layers * per_layer)
+                tb_row.append(layers * per_layer)
+            else:
+                tf_row.append(0.0)
+                tb_row.append(0.0)
+
+            boundary_bytes = tokens * lm.hidden_size * 2.0
+            if plan.sequence_parallel:
+                boundary_bytes /= tp
+            if i < p - 1:
+                link = _link_model(
+                    topology,
+                    _boundary_crosses_nodes(i, topology, plan),
+                    costmodel.algorithm,
+                )
+                pf_row.append(collective_time("p2p", boundary_bytes, 2, link))
+            else:
+                pf_row.append(0.0)
+            if i > 0:
+                link = _link_model(
+                    topology,
+                    _boundary_crosses_nodes(i - 1, topology, plan),
+                    costmodel.algorithm,
+                )
+                pb_row.append(collective_time("p2p", boundary_bytes, 2, link))
+            else:
+                pb_row.append(0.0)
+        fwd.append(f_row)
+        bwd.append(b_row)
+        tp_fwd.append(tf_row)
+        tp_bwd.append(tb_row)
+        p2p_fwd.append(pf_row)
+        p2p_bwd.append(pb_row)
+
+    sync_buckets = []
+    policy = costmodel.grad_sync
+    dp_link = _link_model(
+        topology, _dp_group_spans_nodes(topology, plan), costmodel.algorithm
+    )
+    for i in range(p):
+        if plan.dp == 1:
+            sync_buckets.append([])
+            continue
+        local = stage_local_params(model, partition, i)
+        trainable = sum(local[c] for c in local if c in stage.trainable)
+        volume = trainable / tp * policy.precision_bytes
+        sync_buckets.append(
+            [
+                collective_time("allreduce", b, plan.dp, dp_link)
+                for b in split_buckets(volume, policy.bucket_bytes)
+            ]
+        )
+    return CostBook(
+        fwd=fwd, bwd=bwd, tp_fwd=tp_fwd, tp_bwd=tp_bwd, p2p_fwd=p2p_fwd,
+        p2p_bwd=p2p_bwd, sync_buckets=sync_buckets,
+    )
+
+
+def reference_run(model, stage, plan, topology, costmodel, seed, workload,
+                  cost_book=None):
+    """engine.run as it was before per-run memos and direct appends: one
+    record() call per row, fused time per slot, builtin max throughout."""
+    p = plan.pp
+    m = plan.microbatches_per_step
+    microbatches = plan_step_microbatches(stage.seq_len_model, workload, m, seed)
+    peak_size = max(len(b) for b in microbatches.batches)
+    peak_seq = max(max(b) for b in microbatches.batches)
+    violations = validate_plan(topology, plan, model, stage=stage,
+                               seq_len=peak_seq, microbatch=peak_size)
+    if violations:
+        raise PlanValidationError(violations)
+    partition = partition_layers(model, p, plan.layer_balance)
+    if cost_book is None:
+        cost_book = reference_cost_book(model, stage, plan, topology, costmodel,
+                                        partition, microbatches, workload)
+
+    sched = build_1f1b(p, m)
+    dual_stream = topology.chip.has_independent_comm_unit
+    overlap_sync = (
+        dual_stream and plan.overlap_grad_sync and costmodel.grad_sync.overlap
+    )
+    per_microbatch_sync = costmodel.grad_sync.frequency == "per_microbatch"
+    chunks = plan.fusion_chunks
+
+    stage_rows = [[] for _ in range(p)]
+    comp_free = [0.0] * p
+    comm_free = [0.0] * p
+    fwd_arrival = [{} for _ in range(p)]
+    bwd_arrival = [{} for _ in range(p)]
+    fwd_end = [{} for _ in range(p)]
+    position = [0] * p
+
+    def record(i, resource, start, end, label, mb):
+        if end > start:
+            stage_rows[i].append((resource, start, end, label, mb))
+
+    def execute_slot(i, kind, k, dep):
+        mb = k - 1
+        comp = cost_book.fwd[i][mb] if kind == FORWARD else cost_book.bwd[i][mb]
+        lump = cost_book.tp_fwd[i][mb] if kind == FORWARD else cost_book.tp_bwd[i][mb]
+        label = LABEL_FWD if kind == FORWARD else LABEL_BWD
+
+        if dual_stream:
+            if lump > 0.0:
+                start = max(comp_free[i], comm_free[i], dep)
+                span = fused_allgather_gemm_time(lump, comp, chunks)
+                record(i, COMM, start, start + lump, LABEL_COLLECTIVE, mb)
+                comm_free[i] = start + lump
+                tc = lump / chunks
+                tg = comp / chunks
+                if tc <= tg or comp == 0.0:
+                    record(i, COMPUTE, start + tc, start + span, label, mb)
+                else:
+                    for j in range(chunks):
+                        cs = start + (j + 1) * tc
+                        record(i, COMPUTE, cs, cs + tg, label, mb)
+                end = start + span
+            else:
+                start = max(comp_free[i], dep)
+                record(i, COMPUTE, start, start + comp, label, mb)
+                end = start + comp
+            comp_free[i] = end
+        else:
+            start = max(comp_free[i], dep)
+            t = start
+            if lump > 0.0:
+                record(i, COMM, t, t + lump, LABEL_COLLECTIVE, mb)
+                t += lump
+            record(i, COMPUTE, t, t + comp, label, mb)
+            end = t + comp
+            comp_free[i] = end
+            comm_free[i] = end
+
+        if kind == FORWARD:
+            fwd_end[i][k] = end
+            if i < p - 1:
+                send(i, cost_book.p2p_fwd[i][mb], mb, fwd_arrival[i + 1], k)
+        else:
+            if i > 0:
+                send(i, cost_book.p2p_bwd[i][mb], mb, bwd_arrival[i - 1], k)
+            if cost_book.sync_buckets[i] and (per_microbatch_sync or k == m):
+                sync(i, comp)
+
+    def send(i, duration, mb, arrival, k):
+        if duration <= 0.0:
+            arrival[k] = comp_free[i]
+            return
+        if dual_stream:
+            t0 = max(comp_free[i], comm_free[i])
+            record(i, COMM, t0, t0 + duration, LABEL_P2P, mb)
+            comm_free[i] = t0 + duration
+        else:
+            t0 = comp_free[i]
+            record(i, COMM, t0, t0 + duration, LABEL_P2P, mb)
+            comp_free[i] = t0 + duration
+            comm_free[i] = t0 + duration
+        arrival[k] = t0 + duration
+
+    def sync(i, producing_compute):
+        buckets = cost_book.sync_buckets[i]
+        n = len(buckets)
+        if overlap_sync:
+            produce_end = comp_free[i]
+            produce_start = produce_end - producing_compute
+            for j, dur in enumerate(buckets):
+                ready = produce_start + producing_compute * (j + 1) / n
+                t = max(ready, comm_free[i])
+                record(i, COMM, t, t + dur, LABEL_SYNC, None)
+                comm_free[i] = t + dur
+        else:
+            t = max(comp_free[i], comm_free[i])
+            for dur in buckets:
+                record(i, COMM, t, t + dur, LABEL_SYNC, None)
+                t += dur
+            comp_free[i] = t
+            comm_free[i] = t
+
+    remaining = sum(len(s) for s in sched.slots)
+    while remaining:
+        for i in range(p):
+            slots = sched.slots[i]
+            while position[i] < len(slots):
+                kind, k = slots[position[i]]
+                if kind == FORWARD:
+                    dep = 0.0 if i == 0 else fwd_arrival[i].get(k)
+                elif i == p - 1:
+                    dep = fwd_end[i].get(k)
+                else:
+                    dep = bwd_arrival[i].get(k)
+                if dep is None:
+                    break
+                execute_slot(i, kind, k, dep)
+                position[i] += 1
+                remaining -= 1
+
+    return Trace(
+        dp=plan.dp, tp=plan.tp, pp=p,
+        makespan=max(max(comp_free), max(comm_free)), seed=seed,
+        stage_rows=stage_rows,
+        microbatch_sizes=[len(b) for b in microbatches.batches],
+        microbatch_seq_lens=[max(b) for b in microbatches.batches],
+        visual_tokens_per_sample=workload.visual_tokens_per_sample,
+    )
+
+
+def assert_identical(a, b):
+    # repr tells -0.0 from 0.0 and numpy.float64 from float, which == hides
+    assert repr(a) == repr(b)
+
+
+@st.composite
+def small_configs(draw):
+    """A random valid small run: model, stage, plan, topology, cost model,
+    seed and workload, spanning every branch of the cost book and loop."""
+    model = draw(st.sampled_from(["3B", "8B"]))
+    tp = draw(st.sampled_from([1, 2, 4]))
+    pp = draw(st.integers(1, 4))
+    dp = draw(st.integers(1, 3))
+    # chips per node as a multiple of tp: 1 puts every stage boundary across
+    # nodes, 2 every other one, 4 none within a replica
+    per_node = draw(st.sampled_from([1, 2, 4]))
+    if (dp * pp) % per_node:
+        per_node = 1
+    cpn = tp * per_node
+    topology = make_topology(
+        nodes=dp * tp * pp // cpn,
+        chips_per_node=cpn,
+        # a slow intra-node link makes the TP lump outlast the GEMM, which
+        # takes the gated-chunk path
+        intra_bw=draw(st.sampled_from([2e8, 3e9, 3e11])),
+        inter_bw=draw(st.sampled_from([2.5e8, 2.5e10])),
+        memory=1e18,
+        dual=draw(st.booleans()),
+    )
+    plan = make_plan(
+        dp=dp, tp=tp, pp=pp, m=draw(st.integers(1, 9)),
+        sequence_parallel=draw(st.booleans()),
+        recompute=draw(st.sampled_from(["none", "selective", "full"])),
+        overlap_grad_sync=draw(st.booleans()),
+        fusion_chunks=draw(st.integers(1, 8)),
+        layer_balance=draw(st.sampled_from(["uniform", "cost-balanced"])),
+    )
+    costmodel = CostModelConfig(grad_sync=GradSyncPolicy(
+        precision_bytes=draw(st.sampled_from([2, 4])),
+        frequency=draw(st.sampled_from(["per_step", "per_microbatch"])),
+        bucket_bytes=draw(st.sampled_from([64 * 2**20, 1e8 + 1, 7e8])),
+        overlap=draw(st.booleans()),
+    ))
+    if draw(st.booleans()):
+        seq = draw(st.sampled_from([64, 300, 1024]))
+        lengths = SequenceLengthModel.fixed(seq)
+        budget = seq * draw(st.integers(1, 3))
+    else:
+        lengths = SequenceLengthModel.lognormal(
+            mean=draw(st.floats(3.0, 7.0)),
+            sigma=draw(st.floats(0.0, 1.2)),
+            cap=draw(st.sampled_from([512, 2048])),
+        )
+        budget = draw(st.sampled_from([256, 1000, 4096]))
+    workload = StepWorkload(
+        microbatch_token_budget=budget,
+        seq_len_model=lengths,
+        visual_tokens_per_sample=draw(st.sampled_from([0, 256, 1792])),
+    )
+    stage = stage_by_name(draw(st.sampled_from(
+        ["general-knowledge-injection", "cross-modal-alignment"]
+    )))
+    return model, stage, plan, topology, costmodel, draw(st.integers(0, 99)), workload
+
+
+class TestCostBookMatchesReference:
+    @given(config=small_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_all_seven_lists_identical(self, catalog, config):
+        model, stage, plan, topology, costmodel, seed, workload = config
+        model = catalog[model]
+        microbatches = plan_step_microbatches(
+            stage.seq_len_model, workload, plan.microbatches_per_step, seed
+        )
+        partition = partition_layers(model, plan.pp, plan.layer_balance)
+        args = (model, stage, plan, topology, costmodel, partition,
+                microbatches, workload)
+        book = build_cost_book(*args)
+        expect = reference_cost_book(*args)
+        for name in BOOK_FIELDS:
+            assert_identical(getattr(book, name), getattr(expect, name))
+
+
+class TestRunMatchesReference:
+    @given(config=small_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_identical(self, catalog, config):
+        model, stage, plan, topology, costmodel, seed, workload = config
+        args = (catalog[model], stage, plan, topology, costmodel, seed, workload)
+        trace = run(*args)
+        expect = reference_run(*args)
+        assert_identical(trace.stage_rows, expect.stage_rows)
+        assert_identical(trace.makespan, expect.makespan)
+
+    @pytest.mark.parametrize("chunks", range(1, 9))
+    def test_gated_chunks(self, catalog, full_stage, chunks):
+        # 200 MB/s TP links: every slot's lump outlasts its GEMM (tc > tg)
+        topology = make_topology(nodes=1, chips_per_node=8, intra_bw=2e8,
+                                 memory=1e18)
+        plan = make_plan(dp=1, tp=4, pp=2, m=6, sequence_parallel=True,
+                         fusion_chunks=chunks)
+        workload = StepWorkload(
+            microbatch_token_budget=2048,
+            seq_len_model=SequenceLengthModel.lognormal(6.5, 0.8, cap=2048),
+        )
+        args = (catalog["3B"], full_stage, plan, topology, CostModelConfig(),
+                5, workload)
+        trace = run(*args)
+        assert_identical(trace.stage_rows, reference_run(*args).stage_rows)
+        pieces = sum(1 for rows in trace.stage_rows for r in rows
+                     if r[0] == COMPUTE)
+        assert pieces == 2 * 2 * 6 * chunks
+
+    @given(
+        p=st.integers(1, 4), m=st.integers(1, 6), chunks=st.integers(1, 8),
+        dual=st.booleans(), overlap=st.booleans(),
+        per_microbatch=st.booleans(), scale=st.sampled_from([1e-3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_injected_numpy_book(self, catalog, full_stage, p, m, chunks, dual,
+                                 overlap, per_microbatch, scale, seed):
+        rng = np.random.default_rng(seed)
+
+        def grid(high, zeros=0.0):
+            values = rng.uniform(0.0, high * scale, size=(p, m))
+            values[rng.uniform(size=(p, m)) < zeros] = 0.0
+            return [list(row) for row in values]
+
+        book = CostBook(
+            fwd=grid(1.0), bwd=grid(2.0), tp_fwd=grid(1.5, zeros=0.3),
+            tp_bwd=grid(1.5, zeros=0.3), p2p_fwd=grid(0.2, zeros=0.3),
+            p2p_bwd=grid(0.2, zeros=0.3),
+            sync_buckets=[
+                list(rng.uniform(0.0, 0.3 * scale, size=rng.integers(0, 5)))
+                for _ in range(p)
+            ],
+        )
+        assert type(book.fwd[0][0]) is np.float64
+        topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
+                                 dual=dual)
+        plan = make_plan(pp=p, m=m, fusion_chunks=chunks,
+                         overlap_grad_sync=overlap)
+        costmodel = CostModelConfig(grad_sync=GradSyncPolicy(
+            frequency="per_microbatch" if per_microbatch else "per_step"
+        ))
+        workload = StepWorkload(microbatch_token_budget=64,
+                                seq_len_model=SequenceLengthModel.fixed(64))
+        args = (catalog["3B"], full_stage, plan, topology, costmodel, 0,
+                workload)
+        expect = reference_run(*args, cost_book=book)
+        try:
+            expect.check_invariants()
+        except AssertionError as exc:
+            # a gated slot's last GEMM piece ends at (start + tc) + tg but
+            # frees compute at start + (tc + tg); once times reach a few
+            # seconds the rounding gap exceeds the 1e-15 overlap tolerance.
+            # The engine must fail the same way.
+            with pytest.raises(AssertionError, match=re.escape(str(exc))):
+                run(*args, cost_book=book)
+            return
+        trace = run(*args, cost_book=book)
+        assert_identical(trace.stage_rows, expect.stage_rows)
+        assert_identical(trace.makespan, expect.makespan)
+
+
+class TestPricingWork:
+    def test_collective_calls_scale_with_shapes_not_microbatches(
+        self, monkeypatch
+    ):
+        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return collective_time(*args)
+
+        monkeypatch.setattr(engine, "collective_time", counted)
+        trace = run(config.model, config.stage, config.plan, config.topology,
+                    config.costmodel, config.seed, workload=config.workload)
+        pp = config.plan.pp
+        shapes = set(zip(trace.microbatch_sizes, trace.microbatch_seq_lens))
+        assert len(shapes) == 1 and config.plan.microbatches_per_step == 768
+        # a stage has at most two bucket sizes: full ones and the remainder
+        assert any(args[0] == "allreduce" for args in calls)
+        assert len(calls) <= 4 * pp * len(shapes) + pp * 2
+
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 64), st.sampled_from([1, 77, 4096, 30000])),
+            min_size=1, max_size=60,
+        ),
+        visual=st.sampled_from([0, 77, 1792]),
+        recompute=st.sampled_from(["none", "selective", "full"]),
+        dp=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mfu_numerator_sums_in_batch_order(self, catalog, shapes, visual,
+                                               recompute, dp):
+        # odd LM dimensions give per-batch FLOPs with full mantissas, so a
+        # sum taken in any other order (or as count * flops) differs; the
+        # catalog models' FLOPs are multiples of large powers of two
+        model = dataclasses.replace(catalog["70B"], lm=LanguageModelSpec(
+            hidden_size=4095, layers=81, kv_heads=5, head_size=63,
+            intermediate_size=11007, vocab_size=150001, embedding_tying=False,
+        ))
+        sizes, seqs = (list(column) for column in zip(*shapes))
+        trace = Trace(dp=dp, tp=1, pp=1, makespan=1.0, seed=0, stage_rows=[[]],
+                      microbatch_sizes=sizes, microbatch_seq_lens=seqs,
+                      visual_tokens_per_sample=visual)
+        total = 0.0
+        for size, seq in shapes:
+            total += step_flops(model, size, seq, visual_tokens=visual,
+                                recompute=recompute)
+        assert_identical(
+            step_training_flops(trace, model, make_plan(recompute=recompute)),
+            total * dp,
+        )
+
+
+def flagship_with(tmp_path, section, key, value):
+    with open(f"{PRESET_DIR}/paper-70b-5120.json") as handle:
+        doc = json.load(handle)
+    node = doc
+    for part in section:
+        node = node[part]
+    node[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("section, key, value", [
+        (("costmodel", "grad_sync"), "bucket_bytes", 1),
+        (("plan",), "microbatches_per_step", 10**9),
+    ])
+    def test_refused_from_the_estimate(self, tmp_path, monkeypatch, capsys,
+                                       command, section, key, value):
+        def never(*args, **kwargs):
+            raise AssertionError("work built before the bound was checked")
+
+        monkeypatch.setattr(engine, "split_buckets", never)
+        monkeypatch.setattr(engine, "plan_step_microbatches", never)
+        path = flagship_with(tmp_path, section, key, value)
+        start = time.perf_counter()
+        code = cli.main([command, "--config", str(path),
+                         *(["--out", str(tmp_path / "out")]
+                           if command == "simulate" else [])])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"at $.{'.'.join(section)}.{key}:" in err
+        assert f"{MAX_TRACE_ROWS:,}" in err
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_presets_accepted(self, preset):
+        config = load_config(f"{PRESET_DIR}/{preset}")
+        check_work_bound(config.model, config.stage, config.plan,
+                         config.costmodel)
+
+    @pytest.mark.parametrize("workload", ["flagship", "sweep-grid",
+                                          "multimodal-api"])
+    def test_benchmark_workloads_accepted(self, workload):
+        config = load_config(f"bench/workloads/{workload}.json")
+        check_work_bound(config.model, config.stage, config.plan,
+                         config.costmodel)
+
+    def test_ladder_point_accepted(self):
+        # the deepest point of the scaling ladder: pp=80, m=4096, 2.0M rows
+        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        plan = dataclasses.replace(config.plan, pp=80, dp=8,
+                                   microbatches_per_step=4096)
+        check_work_bound(config.model, config.stage, plan, config.costmodel)
