@@ -36,6 +36,12 @@ stage-group granularity and the trace expands lazily to every
 (replica, tp-rank) chip. Event times are double-precision seconds and the
 whole construction is an arithmetic fold over the schedule, so a given
 (inputs, seed) pair is bit-reproducible.
+
+The trace's row lists are its one record. Scans over every row (the
+invariant check, compute busy time, comm overlap) read numpy columns of
+each stage instead: start, end and a compute and a comm mask, built from
+the rows once per trace. Their sums add left to right, in row order, so
+they give the floats the row-by-row loops give.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .arch import (
     ModelSpec,
@@ -175,6 +185,40 @@ def row_order(row: Row) -> tuple:
     return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
 
 
+class StageColumns(NamedTuple):
+    """One stage's rows as columns, in stored row order."""
+
+    start: np.ndarray  # float64
+    end: np.ndarray  # float64
+    compute: np.ndarray  # bool, resource == COMPUTE
+    comm: np.ndarray  # bool, resource == COMM
+
+
+def build_stage_columns(stage_rows: list[list[Row]]) -> list[StageColumns]:
+    """The columns of every stage; rows of other resources are in neither mask."""
+    start_of, end_of, resource_of = itemgetter(1), itemgetter(2), itemgetter(0)
+    columns = []
+    for rows in stage_rows:
+        n = len(rows)
+        resources = np.fromiter(map(resource_of, rows), object, n)
+        columns.append(StageColumns(
+            start=np.fromiter(map(start_of, rows), np.float64, n),
+            end=np.fromiter(map(end_of, rows), np.float64, n),
+            compute=resources == COMPUTE,
+            comm=resources == COMM,
+        ))
+    return columns
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right.
+
+    Bit for bit the float a `total += value` loop from 0.0 gives, which
+    np.sum does not promise: it adds in pairwise blocks.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
 @dataclass
 class Trace:
     """Interval record of one simulated step, stored at stage-group level.
@@ -182,6 +226,10 @@ class Trace:
     A stage group is the set of dp * tp chips executing identical work in
     lockstep; rows expand to per-chip intervals on demand. Chip ids follow
     (replica * pp + stage) * tp + rank.
+
+    A Trace is read-only once `run` returns: the sorted rows and the
+    per-stage columns are derived from stage_rows on first use and cached,
+    so a later edit of stage_rows would leave every metric stale.
     """
 
     dp: int
@@ -209,12 +257,6 @@ class Trace:
     def tokens_per_step(self) -> int:
         return self.dp * sum(self.microbatch_tokens)
 
-    def stage_compute_busy(self) -> list[float]:
-        return [
-            sum(end - start for res, start, end, _, _ in rows if res == COMPUTE)
-            for rows in self.stage_rows
-        ]
-
     @cached_property
     def sorted_stage_rows(self) -> list[list[Row]]:
         """Each stage's rows in row_order, sorted on first use.
@@ -225,24 +267,45 @@ class Trace:
         """
         return [sorted(rows, key=row_order) for rows in self.stage_rows]
 
+    @cached_property
+    def stage_columns(self) -> list[StageColumns]:
+        """Each stage's rows as numpy columns, built on first use."""
+        return build_stage_columns(self.stage_rows)
+
+    def stage_compute_busy(self) -> list[float]:
+        """Each stage's compute seconds, summed in row order."""
+        return [
+            sequential_sum(cols.end[cols.compute] - cols.start[cols.compute])
+            for cols in self.stage_columns
+        ]
+
     def check_invariants(self) -> None:
+        """Raise AssertionError at the first bad row of the first bad pass.
+
+        The passes run stage by stage, compute before comm; within a pass,
+        in row order, every interval must be positive and start no earlier
+        than 1e-15 before the previous interval's end.
+        """
         if not math.isfinite(self.makespan):
             raise AssertionError(f"makespan {self.makespan} is not finite")
-        for stage, rows in enumerate(self.stage_rows):
-            for resource in (COMPUTE, COMM):
-                prev_end = -1.0
-                for res, start, end, label, _ in rows:
-                    if res != resource:
-                        continue
-                    if not start < end:  # also false when either is NaN
-                        raise AssertionError(
-                            f"stage {stage} {label} interval not positive"
-                        )
-                    if start < prev_end - 1e-15:
-                        raise AssertionError(
-                            f"stage {stage} overlapping {resource} intervals"
-                        )
-                    prev_end = end
+        for stage, cols in enumerate(self.stage_columns):
+            for resource, mask in ((COMPUTE, cols.compute), (COMM, cols.comm)):
+                start = cols.start[mask]
+                end = cols.end[mask]
+                prev_end = np.concatenate(([-1.0], end[:-1]))
+                not_positive = ~(start < end)  # also true when either is NaN
+                bad = np.flatnonzero(not_positive | (start < prev_end - 1e-15))
+                if not bad.size:
+                    continue
+                first = bad[0]
+                if not_positive[first]:
+                    label = self.stage_rows[stage][np.flatnonzero(mask)[first]][3]
+                    raise AssertionError(
+                        f"stage {stage} {label} interval not positive"
+                    )
+                raise AssertionError(
+                    f"stage {stage} overlapping {resource} intervals"
+                )
 
     def iter_jsonl_lines(self):
         """One meta line, then one line per stage-group interval.

@@ -7,9 +7,11 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arch import ModelSpec
 from .cluster import MemoryBreakdown, ParallelismPlan, Topology, memory_per_chip
-from .engine import COMM, COMPUTE, Trace, step_training_flops
+from .engine import COMM, COMPUTE, Trace, sequential_sum, step_training_flops
 from .schedule import measured_bubble
 from .workload import TrainingStage
 
@@ -93,50 +95,58 @@ def emit_report(report: RunReport, format: str = "json") -> str:
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def overlap_efficiency(trace: Trace) -> float:
-    """Fraction of comm seconds that run under the same chip's compute.
+    """Comm seconds under the same stage's compute, over all comm seconds.
 
-    A fully serialized run scores 0 (its comm only ever touches compute at
-    interval endpoints); comm entirely hidden under compute scores 1. Runs
-    with no communication at all score 1 by definition.
+    Per stage, the compute intervals are merged into the pieces of their
+    union: in start order, an interval joins the current piece when it
+    starts at or before the piece's end, so touching intervals join.
+    covered sums, for each comm row in stored order and each piece in
+    start order, the row's positive overlap with the piece; total sums
+    the comm rows' durations; both run over the stages in order and add
+    left to right. The result is covered / total, and 1.0 when total is
+    0. A fully serialized run scores 0 (its comm only touches compute at
+    interval endpoints) and comm entirely hidden under compute scores 1.
+    Rows of other resources are ignored. Compute intervals are taken to
+    have start <= end, as check_invariants ensures.
     """
-    total = 0.0
-    covered = 0.0
-    for rows in trace.stage_rows:
-        compute = _merge_intervals(
-            [(s, e) for res, s, e, _, _ in rows if res == COMPUTE]
+    durations = [np.empty(0)]
+    overlaps = [np.empty(0)]
+    for cols in trace.stage_columns:
+        comm_start = cols.start[cols.comm]
+        comm_end = cols.end[cols.comm]
+        durations.append(comm_end - comm_start)
+        start = cols.start[cols.compute]
+        end = cols.end[cols.compute]
+        if not (start.size and comm_start.size):
+            continue
+        # equal starts join one piece in any order
+        order = np.argsort(start)
+        start = start[order]
+        end = end[order]
+        # an interval opens a new union piece unless it starts by the
+        # furthest end so far
+        opens = np.flatnonzero(np.concatenate(
+            ([True], start[1:] > np.maximum.accumulate(end)[:-1])
+        ))
+        piece_start = start[opens]
+        piece_end = np.maximum.reduceat(end, opens)
+        # pieces [first, stop) of each comm row are those that can overlap it
+        first = np.searchsorted(piece_end, comm_start, side="right")
+        stop = np.searchsorted(piece_start, comm_end, side="left")
+        counts = np.maximum(stop - first, 0)
+        # one (comm row, piece) pair per candidate: rows in stored order,
+        # each row's pieces from first upward
+        piece = np.arange(counts.sum()) - np.repeat(
+            np.cumsum(counts) - counts - first, counts
         )
-        idx = 0
-        for res, start, end, _, _ in rows:
-            if res != COMM:
-                continue
-            total += end - start
-            while idx > 0 and compute[idx - 1][1] > start:
-                idx -= 1  # comm rows are start-sorted; small safety rewind
-            j = idx
-            while j < len(compute) and compute[j][0] < end:
-                lo = max(start, compute[j][0])
-                hi = min(end, compute[j][1])
-                if hi > lo:
-                    covered += hi - lo
-                if compute[j][1] <= end:
-                    j += 1
-                else:
-                    break
-            idx = j
+        hi = np.minimum(np.repeat(comm_end, counts), piece_end[piece])
+        lo = np.maximum(np.repeat(comm_start, counts), piece_start[piece])
+        overlaps.append((hi - lo)[hi > lo])
+    total = sequential_sum(np.concatenate(durations))
     if total == 0.0:
         return 1.0
-    return covered / total
+    return sequential_sum(np.concatenate(overlaps)) / total
 
 
 def mfu(
@@ -312,6 +322,10 @@ def emit_gantt(
     The trace file is the complete record. All lanes of one stage and
     resource show the same intervals, so each is rendered once per stage.
     """
+    if max_chips < 1:
+        raise ValueError(f"max_chips must be >= 1, got {max_chips}")
+    if max_intervals < 0:
+        raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
     if trace.makespan <= 0.0 or not any(trace.stage_rows):
         raise ValueError("empty trace")
     chips = min(trace.total_chips, max_chips)

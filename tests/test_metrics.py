@@ -323,6 +323,29 @@ class TestGantt:
         with pytest.raises(ValueError):
             emit_gantt(trace)
 
+    @pytest.mark.parametrize("max_chips", [0, -1, -64])
+    def test_chip_cap_below_one_rejected(self, max_chips):
+        # -1 used to write an SVG with a negative height
+        trace = synthetic_trace([[(COMPUTE, 0.0, 1.0, "fwd", 0)]])
+        with pytest.raises(ValueError, match="max_chips must be >= 1"):
+            emit_gantt(trace, max_chips=max_chips)
+
+    @pytest.mark.parametrize("max_intervals", [-1, -300])
+    def test_negative_interval_cap_rejected(self, max_intervals):
+        # -1 used to drop each lane's last rect and mark the lane clipped
+        trace = synthetic_trace([[(COMPUTE, 0.0, 1.0, "fwd", 0)]])
+        with pytest.raises(ValueError, match="max_intervals must be >= 0"):
+            emit_gantt(trace, max_intervals=max_intervals)
+
+    def test_smallest_caps_accepted(self):
+        trace = synthetic_trace(
+            [[(COMPUTE, 0.0, 1.0, "fwd", 0), (COMM, 0.2, 0.6, "p2p", 0)]]
+        )
+        svg = emit_gantt(trace, max_chips=1, max_intervals=0)
+        assert svg.count('class="lane"') == 2
+        assert svg.count("<rect") == 0
+        assert svg.count("clipped") == 2
+
     def test_writes_file(self, tmp_path):
         trace = synthetic_trace([[(COMPUTE, 0.0, 1.0, "fwd", 0)]])
         out = tmp_path / "chart.svg"
@@ -396,7 +419,7 @@ class TestGanttMatchesReference:
         tp=st.integers(min_value=1, max_value=3),
         dp=st.integers(min_value=1, max_value=4),
         lanes=st.data(),
-        max_chips=st.integers(min_value=0, max_value=40),
+        max_chips=st.integers(min_value=1, max_value=40),
         max_intervals=st.integers(min_value=0, max_value=6),
     )
     @settings(max_examples=300, deadline=None)
