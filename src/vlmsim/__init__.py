@@ -16,6 +16,7 @@ from .arch import (
     VisionEncoderSpec,
     builtin_model_catalog,
     component_param_counts,
+    stage_flops,
     step_flops,
     tile_grid,
     total_param_count,
@@ -35,7 +36,7 @@ from .comm import (
     CollectiveCostModel,
     GradSyncPolicy,
     collective_time,
-    grad_sync_volume,
+    stage_grad_bytes,
 )
 from .config import (
     ConfigError,
@@ -126,7 +127,6 @@ __all__ = [
     "emit_gantt",
     "emit_report",
     "fused_allgather_gemm_time",
-    "grad_sync_volume",
     "load_config",
     "max_in_flight",
     "measured_bubble",
@@ -142,6 +142,8 @@ __all__ = [
     "scaling_efficiency",
     "stage_by_name",
     "stage_catalog",
+    "stage_flops",
+    "stage_grad_bytes",
     "step_flops",
     "step_training_flops",
     "tile_grid",

@@ -292,6 +292,46 @@ def adapter_fwd_flops_per_tile(vision: VisionEncoderSpec, adapter: AdapterSpec) 
     return vision.tokens_per_tile * per_token
 
 
+def stage_flops(
+    model: ModelSpec,
+    layers: int,
+    first: bool,
+    last: bool,
+    microbatch: int,
+    seq_len: int,
+    visual_tokens: int = 0,
+    recompute: str = "none",
+) -> tuple[float, float]:
+    """(forward, backward) FLOPs of one pipeline stage for one microbatch.
+
+    `layers` decoder layers over `microbatch` samples padded to `seq_len`;
+    the first stage adds the vision encoder and adapter for `visual_tokens`
+    per sample (which already occupy part of `seq_len`), the last the LM
+    head. Backward is 2x forward plus the recompute extra: selective
+    re-runs the attention score matmuls, full the decoder layers. Frozen
+    components are charged a full backward too.
+    """
+    lm = model.lm
+    tokens = float(microbatch * seq_len)
+    layer_flops = lm_layer_fwd_flops_per_token(lm, seq_len)
+    fwd = tokens * layers * layer_flops
+    if last:
+        fwd += tokens * lm_head_fwd_flops_per_token(lm)
+    if first and visual_tokens > 0:
+        tiles = microbatch * (visual_tokens / model.vision.tokens_per_tile)
+        fwd += tiles * (
+            vision_fwd_flops_per_tile(model.vision)
+            + adapter_fwd_flops_per_tile(model.vision, model.adapter)
+        )
+    if recompute == "selective":
+        extra = tokens * layers * 4.0 * seq_len * lm.hidden_size
+    elif recompute == "full":
+        extra = tokens * layers * layer_flops
+    else:
+        extra = 0.0
+    return fwd, 2.0 * fwd + extra
+
+
 def step_flops(
     model: ModelSpec,
     microbatch: int,
@@ -301,13 +341,8 @@ def step_flops(
 ) -> float:
     """Training FLOPs for one microbatch: forward + backward + recompute.
 
-    `microbatch` counts samples, each padded to `seq_len` tokens;
-    `visual_tokens` is the per-sample count of vision-derived tokens, which
-    adds encoder+adapter work without changing the LM sequence cost (the
-    visual tokens already occupy part of `seq_len`). Backward is 2x forward;
-    selective recompute re-runs the attention score matmuls, full recompute
-    re-runs entire decoder layers. All components are treated as trainable;
-    frozen-component backward savings are not modeled.
+    The whole model taken as one pipeline stage (see stage_flops), so the
+    per-stage FLOPs of any layer partition add up to this.
     """
     if recompute not in RECOMPUTE_POLICIES:
         raise ValueError(f"unknown recompute policy {recompute!r}")
@@ -319,24 +354,8 @@ def step_flops(
         raise ValueError(
             f"seq_len {seq_len} exceeds context limit {model.lm.context_limit}"
         )
-    if microbatch == 0:
-        return 0.0
-
-    tokens = float(microbatch * seq_len)
-    lm = model.lm
-    fwd_layers = tokens * lm.layers * lm_layer_fwd_flops_per_token(lm, seq_len)
-    fwd_head = tokens * lm_head_fwd_flops_per_token(lm)
-    tiles = microbatch * (visual_tokens / model.vision.tokens_per_tile)
-    fwd_vision = tiles * (
-        vision_fwd_flops_per_tile(model.vision)
-        + adapter_fwd_flops_per_tile(model.vision, model.adapter)
+    fwd, bwd = stage_flops(
+        model, model.lm.layers, True, True, microbatch, seq_len,
+        visual_tokens, recompute,
     )
-    fwd = fwd_layers + fwd_head + fwd_vision
-
-    if recompute == "selective":
-        extra = tokens * lm.layers * 4.0 * seq_len * lm.hidden_size
-    elif recompute == "full":
-        extra = fwd_layers
-    else:
-        extra = 0.0
-    return fwd + 2.0 * fwd + extra
+    return fwd + bwd

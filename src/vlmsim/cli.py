@@ -26,7 +26,6 @@ from .config import (
     resolved_config_dict,
 )
 from .engine import PlanValidationError
-from .cluster import validate_plan
 from .metrics import (
     CSV_COLUMNS,
     RunReport,
@@ -232,26 +231,14 @@ def cmd_sweep(
 
 
 def cmd_validate(config: SimConfig) -> int:
-    engine.check_work_bound(
-        config.model, config.stage, config.plan, config.costmodel
-    )
-    seq_model = config.workload.seq_len_model or config.stage.seq_len_model
-    budget = config.workload.microbatch_token_budget
-    if seq_model.kind == "fixed":
-        seq_len = min(seq_model.value, budget)
-    else:
-        seq_len = min(seq_model.cap, budget)
-    microbatch = max(budget // seq_len, 1)
-    violations = validate_plan(
-        config.topology,
-        config.plan,
-        config.model,
-        stage=config.stage,
-        seq_len=seq_len,
-        microbatch=microbatch,
-    )
-    if violations:
-        print(json.dumps([v.as_dict() for v in violations], indent=2))
+    """Check a config as `simulate` would, without the event loop."""
+    try:
+        engine.step_shape(
+            config.model, config.stage, config.plan, config.topology,
+            config.costmodel, config.seed, config.workload,
+        )
+    except PlanValidationError as exc:
+        print(json.dumps([v.as_dict() for v in exc.violations], indent=2))
         return EXIT_VALIDATION
     print("ok")
     return EXIT_OK

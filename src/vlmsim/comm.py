@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arch import ModelSpec
-from .cluster import ParallelismPlan
-from .workload import TrainingStage, trainable_param_count
+from .cluster import stage_local_params
+from .workload import TrainingStage
 
 COLLECTIVE_KINDS = ("allreduce", "allgather", "reducescatter", "p2p")
 
@@ -20,15 +20,12 @@ COLLECTIVE_KINDS = ("allreduce", "allgather", "reducescatter", "p2p")
 class CollectiveCostModel:
     latency_per_hop: float
     bandwidth: float
-    algorithm: str = "ring"
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if self.latency_per_hop < 0:
             raise ValueError("latency must be >= 0")
-        if self.algorithm != "ring":
-            raise ValueError(f"unsupported algorithm {self.algorithm!r}")
 
 
 def collective_time(
@@ -72,23 +69,23 @@ class GradSyncPolicy:
             raise ValueError("bucket_bytes must be positive")
 
 
-def grad_sync_volume(
+def stage_grad_bytes(
     model: ModelSpec,
     stage: TrainingStage,
-    plan: ParallelismPlan,
-    policy: GradSyncPolicy,
+    partition: list[int],
+    i: int,
+    tp: int,
+    precision_bytes: int,
 ) -> float:
-    """Bytes each chip pushes through gradient sync per optimizer step.
+    """Gradient bytes one chip of pipeline stage i syncs each time it syncs.
 
-    Local gradient bytes are trainable params averaged over the tp*pp grid
-    (pipeline stages own different slices; this op reports the per-chip
-    mean). Per-microbatch sync moves the full set once per microbatch.
+    The stage's trainable params (frozen components sync nothing), sharded
+    1/tp, at the sync precision. A step syncs once, or once per microbatch
+    under per-microbatch sync.
     """
-    local_params = trainable_param_count(model, stage) / (plan.tp * plan.pp)
-    volume = policy.precision_bytes * local_params
-    if policy.frequency == "per_microbatch":
-        volume *= plan.microbatches_per_step
-    return volume
+    local = stage_local_params(model, partition, i)
+    trainable = sum(local[c] for c in local if c in stage.trainable)
+    return trainable / tp * precision_bytes
 
 
 def split_buckets(volume: float, bucket_bytes: float) -> list[float]:

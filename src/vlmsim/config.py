@@ -181,6 +181,15 @@ def _schema_version(raw, path, enclosing):
     return schema
 
 
+def _ring_only(raw, path, enclosing):
+    # ring is the only collective algorithm; the key stays in the canonical
+    # form so that resolved configs and their digests do not move
+    algorithm = _parse(str, raw, path, enclosing)
+    if algorithm != "ring":
+        raise ConfigError(f"unsupported algorithm {algorithm!r} at {path}")
+    return algorithm
+
+
 def _stage_named(raw, path, enclosing):
     try:
         return stage_by_name(_parse(str, raw, path, enclosing))
@@ -281,7 +290,8 @@ _COSTMODEL = _table(
         _Key("bucket_bytes", float),
         _Key("overlap", bool),
     ), {}),
-    _Key("algorithm", str),
+    _Key("algorithm", _Custom(_ring_only, lambda _: "ring"), default="ring",
+         attr=None),
 )
 
 # both length kinds share one key set; a key of the other kind is unknown

@@ -9,8 +9,10 @@ and is the baseline for the overlap comparisons.
 
 Cost construction and timing rules, in one place:
 
-  * compute durations are exact FLOP counts (shared with the arch module)
-    divided by tp * peak_flops;
+  * step_shape samples the microbatches and validates the plan at the
+    largest shape before any timing; the CLI's `validate` runs it too;
+  * compute durations are arch.stage_flops of the stage (forward, and
+    backward with its recompute extra) divided by tp * peak_flops;
   * TP collectives inside a stage are aggregated into one per-slot comm
     lump (2 allgather + 2 reducescatter per layer and direction under
     sequence parallelism, 2 allreduce otherwise), and the lump overlaps
@@ -18,10 +20,10 @@ Cost construction and timing rules, in one place:
   * stage boundary activations travel as p2p events that occupy the
     sender's comm unit only (DMA-style; the receiver just observes the
     arrival time);
-  * gradient buckets become ready progressively across the stage's last
-    backward (per-step sync) or every backward (per-microbatch sync) and
-    queue FIFO on the comm unit when overlapped, else run serially after
-    the producing backward;
+  * each stage syncs comm.stage_grad_bytes in buckets, which become ready
+    progressively across its last backward (per-step sync) or every
+    backward (per-microbatch sync) and queue FIFO on the comm unit when
+    overlapped, else run serially after the producing backward;
   * the optimizer update itself is charged zero time.
 
 Durations depend on a microbatch only through its shape, so the cost book
@@ -55,20 +57,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arch import (
-    ModelSpec,
-    adapter_fwd_flops_per_tile,
-    lm_head_fwd_flops_per_token,
-    lm_layer_fwd_flops_per_token,
-    step_flops,
-    vision_fwd_flops_per_tile,
-)
+from .arch import ModelSpec, stage_flops, step_flops
 from .cluster import (
     ParallelismPlan,
     Topology,
     PlanViolation,
     partition_layers,
-    stage_local_params,
     validate_plan,
 )
 from .comm import (
@@ -76,6 +70,7 @@ from .comm import (
     GradSyncPolicy,
     collective_time,
     split_buckets,
+    stage_grad_bytes,
 )
 from .schedule import FORWARD, build_1f1b
 from .workload import (
@@ -83,7 +78,6 @@ from .workload import (
     StepWorkload,
     TrainingStage,
     plan_step_microbatches,
-    trainable_param_count,
 )
 
 COMPUTE = "compute"
@@ -109,14 +103,9 @@ class PlanValidationError(ValueError):
 
 @dataclass(frozen=True)
 class CostModelConfig:
-    """The comm side of a run: collective algorithm plus sync policy."""
+    """The comm side of a run: the gradient sync policy."""
 
     grad_sync: GradSyncPolicy = field(default_factory=GradSyncPolicy)
-    algorithm: str = "ring"
-
-    def __post_init__(self) -> None:
-        if self.algorithm != "ring":
-            raise ValueError(f"unsupported algorithm {self.algorithm!r}")
 
 
 def fused_allgather_gemm_time(t_comm: float, t_gemm: float, chunks: int) -> float:
@@ -354,20 +343,10 @@ class Trace:
             handle.writelines(f"{line}\n" for line in self.iter_jsonl_lines())
 
 
-def _link_model(
-    topology: Topology, inter_node: bool, algorithm: str
-) -> CollectiveCostModel:
+def _link_model(topology: Topology, inter_node: bool) -> CollectiveCostModel:
     if inter_node:
-        return CollectiveCostModel(
-            latency_per_hop=topology.inter_latency,
-            bandwidth=topology.inter_node_bw,
-            algorithm=algorithm,
-        )
-    return CollectiveCostModel(
-        latency_per_hop=topology.intra_latency,
-        bandwidth=topology.intra_node_bw,
-        algorithm=algorithm,
-    )
+        return CollectiveCostModel(topology.inter_latency, topology.inter_node_bw)
+    return CollectiveCostModel(topology.intra_latency, topology.intra_node_bw)
 
 
 def _node_of(chip: int, topology: Topology) -> int:
@@ -407,26 +386,17 @@ def build_cost_book(
     values across its microbatches; likewise each distinct sync bucket size
     is priced once per stage.
     """
-    lm = model.lm
     p = plan.pp
     tp = plan.tp
     chip_rate = plan.tp * topology.chip.peak_flops
-    algorithm = costmodel.algorithm
-    intra = _link_model(topology, inter_node=False, algorithm=algorithm)
-
-    vision_tile_flops = vision_fwd_flops_per_tile(model.vision) + (
-        adapter_fwd_flops_per_tile(model.vision, model.adapter)
-    )
-    tiles_per_sample = workload.visual_tokens_per_sample / model.vision.tokens_per_tile
-    head_flops = lm_head_fwd_flops_per_token(lm)
+    intra = _link_model(topology, inter_node=False)
 
     shapes = [(len(batch), max(batch)) for batch in microbatches.batches]
-    # stage-independent terms of each distinct shape: tokens, LM layer
-    # forward FLOPs per token, TP collective time per layer, boundary bytes
+    # stage-independent terms of each distinct shape: TP collective time
+    # per layer and boundary bytes
     shape_terms = {}
     for size, seq in dict.fromkeys(shapes):
-        tokens = float(size * seq)
-        activation_bytes = tokens * lm.hidden_size * 2.0
+        activation_bytes = float(size * seq) * model.lm.hidden_size * 2.0
         if tp == 1:
             per_layer = 0.0
         elif plan.sequence_parallel:
@@ -440,40 +410,22 @@ def build_cost_book(
         boundary_bytes = activation_bytes
         if plan.sequence_parallel:
             boundary_bytes /= tp
-        shape_terms[size, seq] = (
-            tokens, lm_layer_fwd_flops_per_token(lm, seq), per_layer, boundary_bytes
-        )
+        shape_terms[size, seq] = (per_layer, boundary_bytes)
 
     columns: list[list[list[float]]] = [[] for _ in range(6)]
     for i in range(p):
         layers = partition[i]
         send = recv = None
         if i < p - 1:
-            send = _link_model(
-                topology, _boundary_crosses_nodes(i, topology, plan), algorithm
-            )
+            send = _link_model(topology, _boundary_crosses_nodes(i, topology, plan))
         if i > 0:
-            recv = _link_model(
-                topology, _boundary_crosses_nodes(i - 1, topology, plan), algorithm
-            )
+            recv = _link_model(topology, _boundary_crosses_nodes(i - 1, topology, plan))
         priced = {}
-        for (size, seq), (tokens, layer_flops, per_layer, boundary_bytes) in (
-            shape_terms.items()
-        ):
-            f_flops = tokens * layers * layer_flops
-            if i == p - 1:
-                f_flops += tokens * head_flops
-            if i == 0 and tiles_per_sample > 0:
-                f_flops += size * tiles_per_sample * vision_tile_flops
-
-            if plan.recompute == "selective":
-                extra = tokens * layers * 4.0 * seq * lm.hidden_size
-            elif plan.recompute == "full":
-                extra = tokens * layers * layer_flops
-            else:
-                extra = 0.0
-            b_flops = 2.0 * f_flops + extra
-
+        for (size, seq), (per_layer, boundary_bytes) in shape_terms.items():
+            f_flops, b_flops = stage_flops(
+                model, layers, i == 0, i == p - 1, size, seq,
+                workload.visual_tokens_per_sample, plan.recompute,
+            )
             tp_comm = layers * per_layer
             priced[size, seq] = (
                 f_flops / chip_rate,
@@ -492,16 +444,14 @@ def build_cost_book(
 
     sync_buckets: list[list[float]] = []
     policy = costmodel.grad_sync
-    dp_link = _link_model(
-        topology, _dp_group_spans_nodes(topology, plan), algorithm
-    )
+    dp_link = _link_model(topology, _dp_group_spans_nodes(topology, plan))
     for i in range(p):
         if plan.dp == 1:
             sync_buckets.append([])
             continue
-        local = stage_local_params(model, partition, i)
-        trainable = sum(local[c] for c in local if c in stage.trainable)
-        volume = trainable / tp * policy.precision_bytes
+        volume = stage_grad_bytes(
+            model, stage, partition, i, tp, policy.precision_bytes
+        )
         buckets = split_buckets(volume, policy.bucket_bytes)
         priced_buckets = {
             b: collective_time("allreduce", b, plan.dp, dp_link)
@@ -530,7 +480,7 @@ def check_work_bound(
     The estimate bounds one replica's trace from above: each of a stage's
     2m slots records its compute (up to fusion_chunks gated pieces when
     tp > 1), a TP collective and a p2p send; with dp > 1 each sync records
-    the stage's buckets, at most volume / bucket_bytes + 1 of them. It
+    each stage's buckets, at most stage bytes / bucket_bytes + 1. It
     runs before any microbatch is sampled or bucket list built. The key
     named is the one behind the larger of the slot and sync terms.
     """
@@ -538,10 +488,15 @@ def check_work_bound(
     m = plan.microbatches_per_step
     slot_rows = 2 * m * p * (plan.fusion_chunks + 2 if plan.tp > 1 else 2)
     sync_rows = 0.0
-    if plan.dp > 1:
+    # a pipeline deeper than the model is left to validate_plan to refuse
+    if plan.dp > 1 and p <= model.lm.layers:
         policy = costmodel.grad_sync
-        volume = (
-            trainable_param_count(model, stage) / plan.tp * policy.precision_bytes
+        partition = partition_layers(model, p, plan.layer_balance)
+        volume = sum(
+            stage_grad_bytes(
+                model, stage, partition, i, plan.tp, policy.precision_bytes
+            )
+            for i in range(p)
         )
         syncs = m if policy.frequency == "per_microbatch" else 1
         sync_rows = (volume / policy.bucket_bytes + p) * syncs
@@ -557,6 +512,49 @@ def check_work_bound(
         )
 
 
+def step_shape(
+    model: ModelSpec,
+    stage: TrainingStage,
+    plan: ParallelismPlan,
+    topology: Topology,
+    costmodel: CostModelConfig,
+    seed: int,
+    workload: StepWorkload | None = None,
+) -> tuple[StepWorkload, MicrobatchPlan]:
+    """The step's workload and sampled microbatches, checked before timing.
+
+    The one step-shape rule of `run` and of the CLI's `validate`: fill in
+    the default workload, refuse unbounded work (check_work_bound), sample
+    the microbatches, check the longest packed sequence against the
+    context limit, and validate the plan, memory fit included, at the
+    largest microbatch size and the longest sequence of the step. Raises
+    ValueError, or PlanValidationError carrying the violations.
+    """
+    if workload is None:
+        lengths = stage.seq_len_model
+        budget = lengths.value if lengths.kind == "fixed" else lengths.cap
+        workload = StepWorkload(microbatch_token_budget=budget)
+
+    check_work_bound(model, stage, plan, costmodel)
+    microbatches = plan_step_microbatches(
+        stage.seq_len_model, workload, plan.microbatches_per_step, seed
+    )
+    peak_size = max(len(b) for b in microbatches.batches)
+    peak_seq = max(max(b) for b in microbatches.batches)
+    if peak_seq > model.lm.context_limit:
+        raise ValueError(
+            f"packed sequence length {peak_seq} exceeds context limit "
+            f"{model.lm.context_limit}"
+        )
+
+    violations = validate_plan(
+        topology, plan, model, stage=stage, seq_len=peak_seq, microbatch=peak_size
+    )
+    if violations:
+        raise PlanValidationError(violations)
+    return workload, microbatches
+
+
 def run(
     model: ModelSpec,
     stage: TrainingStage,
@@ -569,43 +567,17 @@ def run(
 ) -> Trace:
     """Simulate one optimizer step; returns the interval trace.
 
-    The plan is validated (including memory fit at the packed microbatch
-    shape) before any timing work happens. `cost_book` overrides the
-    computed work durations, which is how calibrated or synthetic costs
-    are injected; everything else (schedule shape, overlap policy, sync
-    placement) is unaffected by the override.
+    The step shape is sampled and the plan validated (step_shape) before
+    any timing work happens. `cost_book` overrides the computed work
+    durations, which is how calibrated or synthetic costs are injected;
+    everything else (schedule shape, overlap policy, sync placement) is
+    unaffected by the override.
     """
-    if workload is None:
-        default_budget = (
-            stage.seq_len_model.value
-            if stage.seq_len_model.kind == "fixed"
-            else stage.seq_len_model.cap
-        )
-        workload = StepWorkload(microbatch_token_budget=default_budget)
-
-    check_work_bound(model, stage, plan, costmodel)
+    workload, microbatches = step_shape(
+        model, stage, plan, topology, costmodel, seed, workload
+    )
     p = plan.pp
     m = plan.microbatches_per_step
-    microbatches = plan_step_microbatches(stage.seq_len_model, workload, m, seed)
-    peak_size = max(len(b) for b in microbatches.batches)
-    peak_seq = max(max(b) for b in microbatches.batches)
-    if peak_seq > model.lm.context_limit:
-        raise ValueError(
-            f"packed sequence length {peak_seq} exceeds context limit "
-            f"{model.lm.context_limit}"
-        )
-
-    violations = validate_plan(
-        topology,
-        plan,
-        model,
-        stage=stage,
-        seq_len=peak_seq,
-        microbatch=peak_size,
-    )
-    if violations:
-        raise PlanValidationError(violations)
-
     partition = partition_layers(model, p, plan.layer_balance)
     if cost_book is None:
         cost_book = build_cost_book(

@@ -73,13 +73,15 @@ CSV_COLUMNS = [
 
 
 def report_csv_row(report: RunReport) -> list[str]:
-    """CSV cells of a report; floats as repr."""
+    """CSV cells of a report; floats as float.__repr__, so numpy floats
+    from an injected CostBook print as plain numbers."""
     doc = report.as_json_dict()
     memory = doc.pop("memory")
     for key, value in memory.items():
         doc[f"memory_{key}"] = value
     return [
-        "" if doc[col] is None else repr(doc[col]) if isinstance(doc[col], float)
+        "" if doc[col] is None
+        else float.__repr__(doc[col]) if isinstance(doc[col], float)
         else str(doc[col])
         for col in CSV_COLUMNS
     ]

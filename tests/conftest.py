@@ -10,7 +10,9 @@ from vlmsim import (
     StepWorkload,
     Topology,
     builtin_model_catalog,
+    partition_layers,
     stage_by_name,
+    stage_grad_bytes,
 )
 
 PRESET_DIR = "presets"
@@ -80,6 +82,21 @@ def fixed_workload(seq=4096, budget=None, visual=0):
 @pytest.fixture
 def costmodel():
     return CostModelConfig()
+
+
+def stage_sync_bytes(model, stage, plan, precision_bytes) -> list[float]:
+    """Bytes one chip of each pipeline stage syncs per sync."""
+    partition = partition_layers(model, plan.pp, plan.layer_balance)
+    return [
+        stage_grad_bytes(model, stage, partition, i, plan.tp, precision_bytes)
+        for i in range(plan.pp)
+    ]
+
+
+def syncs_per_step(policy, plan) -> int:
+    if policy.frequency == "per_microbatch":
+        return plan.microbatches_per_step
+    return 1
 
 
 # Release-gate bookkeeping: test_acceptance registers one verdict line per

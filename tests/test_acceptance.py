@@ -30,7 +30,6 @@ from vlmsim import (
     build_gpipe,
     component_param_counts,
     fused_allgather_gemm_time,
-    grad_sync_volume,
     load_config,
     max_in_flight,
     measured_bubble,
@@ -44,6 +43,8 @@ from vlmsim import (
     weak_scaling_point,
 )
 from vlmsim.cli import EXIT_OK, main
+from vlmsim.comm import split_buckets
+from vlmsim.engine import LABEL_SYNC
 from tests.conftest import (
     PRESET_DIR,
     PRESETS,
@@ -51,6 +52,8 @@ from tests.conftest import (
     make_plan,
     make_topology,
     record_acceptance,
+    stage_sync_bytes,
+    syncs_per_step,
 )
 
 ORACLE = Path(__file__).parent / "oracles" / "param_counts.csv"
@@ -100,7 +103,23 @@ def test_criterion_1_bubble_rate(catalog, full_stage):
     )
 
 
-def test_criterion_2_fusion_reduction():
+def fused_makespan(catalog, stage, chunks: int) -> float:
+    """Makespan of one microbatch on one dual-stream stage whose fwd and
+    bwd slots each carry 1 s of GEMM and 1 s of TP allgather."""
+    trace = run(
+        model=catalog["3B"],
+        stage=stage,
+        plan=make_plan(dp=1, tp=2, pp=1, m=1, fusion_chunks=chunks),
+        topology=make_topology(nodes=1, chips_per_node=2, dual=True),
+        costmodel=CostModelConfig(),
+        seed=0,
+        workload=fixed_workload(64),
+        cost_book=CostBook.uniform(1, 1, fwd=1.0, bwd=1.0, tp_comm=1.0),
+    )
+    return trace.makespan
+
+
+def test_criterion_2_fusion_reduction(catalog, full_stage):
     start = time.monotonic()
     sequential = fused_allgather_gemm_time(1.0, 1.0, 1)
     assert sequential == 2.0
@@ -109,14 +128,21 @@ def test_criterion_2_fusion_reduction():
     reduction = 1.0 - fused_allgather_gemm_time(1.0, 1.0, 8) / sequential
     assert reduction == 0.4375  # exact: 1 - (1 + 1/8)/2
 
+    # the same reduction, measured as the makespan of engine runs
+    measured = 1.0 - (
+        fused_makespan(catalog, full_stage, 8) / fused_makespan(catalog, full_stage, 1)
+    )
+    assert measured == 0.4375
+
     times = [fused_allgather_gemm_time(1.0, 1.0, k) for k in range(1, 65)]
     strictly_decreasing = all(b < a for a, b in zip(times, times[1:]))
     elapsed = time.monotonic() - start
     record_acceptance(
         "2",
-        reduction == 0.4375 and strictly_decreasing and elapsed < 1.0,
+        reduction == measured == 0.4375 and strictly_decreasing and elapsed < 1.0,
         "chunked allgather+gemm at k=8, equal times: exactly 43.75% latency "
-        f"reduction vs sequential; strictly decreasing over k=1..64; {elapsed:.3f}s",
+        "reduction vs sequential, in the formula and in the makespan of a "
+        f"p=1, m=1 run; strictly decreasing over k=1..64; {elapsed:.3f}s",
     )
 
 
@@ -125,20 +151,46 @@ def test_criterion_3_grad_traffic_reduction(catalog, full_stage):
     baseline = GradSyncPolicy(precision_bytes=4, frequency="per_microbatch")
     model = catalog["70B"]
 
+    def step_bytes(policy: GradSyncPolicy, plan) -> float:
+        per_sync = sum(stage_sync_bytes(model, full_stage, plan, policy.precision_bytes))
+        return per_sync * syncs_per_step(policy, plan)
+
     def reduction(m: int) -> float:
         plan = make_plan(dp=1, tp=8, pp=8, m=m)
-        opt = grad_sync_volume(model, full_stage, plan, optimized)
-        base = grad_sync_volume(model, full_stage, plan, baseline)
-        return 1.0 - opt / base
+        return 1.0 - step_bytes(optimized, plan) / step_bytes(baseline, plan)
 
     at_two = reduction(2)
     assert at_two == 0.75  # exact ratio arithmetic, tolerance 0
     floor_holds = all(reduction(m) >= 0.75 for m in (2, 3, 4, 8, 96, 768))
+
+    # the engine syncs those bytes: a run records one sync_bucket row per
+    # bucket of each stage's bytes, per sync
+    cfg = load_config(str(Path(PRESET_DIR) / "gradsync.json"))
+    runs = [(cfg.plan, optimized), (cfg.plan, baseline),
+            (dataclasses.replace(cfg.plan, dp=cfg.plan.dp // 2, pp=2), baseline)]
+    for plan, policy in runs:
+        grad_sync = dataclasses.replace(
+            cfg.costmodel.grad_sync,
+            precision_bytes=policy.precision_bytes,
+            frequency=policy.frequency,
+        )
+        trace = run(cfg.model, cfg.stage, plan, cfg.topology,
+                    CostModelConfig(grad_sync=grad_sync), cfg.seed,
+                    workload=cfg.workload)
+        recorded = sum(r[3] == LABEL_SYNC for rows in trace.stage_rows for r in rows)
+        buckets = sum(
+            len(split_buckets(volume, grad_sync.bucket_bytes))
+            for volume in stage_sync_bytes(
+                cfg.model, cfg.stage, plan, policy.precision_bytes
+            )
+        )
+        assert recorded == buckets * syncs_per_step(policy, plan) > 0
     record_acceptance(
         "3",
         at_two == 0.75 and floor_holds,
         "half-precision per-step sync vs fp32 per-microbatch: exactly 75% "
-        "volume reduction at m=2, >= 75% for all m >= 2 (claim floor 60%)",
+        "volume reduction at m=2, >= 75% for all m >= 2 (claim floor 60%); "
+        "gradsync runs record one sync_bucket row per bucket per sync",
     )
 
 

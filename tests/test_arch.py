@@ -17,6 +17,7 @@ from vlmsim.arch import (
     lm_layer_fwd_flops_per_token,
     lm_layer_param_count,
     lm_param_count,
+    stage_flops,
     step_flops,
     tile_grid,
     total_param_count,
@@ -161,6 +162,70 @@ class TestFlops:
         assert adapter_fwd_flops_per_tile(v, a) == adapter_tile
         # 512 visual tokens = 2 tiles, forward + 2x backward on both encoders
         assert with_vis - base == 3 * 2 * (tile + adapter_tile)
+
+
+# (microbatch, seq_len, visual tokens, recompute) shapes for the stage sums
+STAGE_SHAPES = [
+    (1, 4096, 0, "none"),
+    (3, 2048, 1792, "selective"),
+    (2, 8192, 256, "full"),
+    (5, 777, 3328, "selective"),
+]
+
+
+class TestStageFlops:
+    @pytest.mark.parametrize("balance", ["uniform", "cost-balanced"])
+    @pytest.mark.parametrize("name", ["3B", "8B", "70B"])
+    def test_stages_sum_to_step_flops(self, catalog, name, balance):
+        from vlmsim.cluster import partition_layers
+
+        model = catalog[name]
+        for pp in range(1, 9):
+            partition = partition_layers(model, pp, balance)
+            for microbatch, seq, visual, recompute in STAGE_SHAPES:
+                total = 0.0
+                for i, layers in enumerate(partition):
+                    fwd, bwd = stage_flops(
+                        model, layers, i == 0, i == pp - 1, microbatch, seq,
+                        visual, recompute,
+                    )
+                    total += fwd + bwd
+                assert total == step_flops(
+                    model, microbatch, seq, visual_tokens=visual,
+                    recompute=recompute,
+                ), (pp, microbatch, seq, visual, recompute)
+
+    def test_ends_add_vision_and_head(self, catalog):
+        model = catalog["8B"]
+        lm = model.lm
+        tokens = 2.0 * 4096
+        layers_only = tokens * 10 * lm_layer_fwd_flops_per_token(lm, 4096)
+        head = tokens * lm_head_fwd_flops_per_token(lm)
+        vision = 2 * 3 * (
+            vision_fwd_flops_per_tile(model.vision)
+            + adapter_fwd_flops_per_tile(model.vision, model.adapter)
+        )
+
+        def fwd(first, last):
+            return stage_flops(model, 10, first, last, 2, 4096, 768)[0]
+
+        assert fwd(False, False) == layers_only
+        assert fwd(False, True) == layers_only + head
+        assert fwd(True, False) == layers_only + vision
+        assert fwd(True, True) == layers_only + head + vision
+
+    def test_backward_is_twice_forward_plus_recompute(self, catalog):
+        model = catalog["3B"]
+        lm = model.lm
+        tokens = 3.0 * 2048
+        none = stage_flops(model, 7, False, False, 3, 2048)
+        selective = stage_flops(model, 7, False, False, 3, 2048,
+                                recompute="selective")
+        full = stage_flops(model, 7, False, False, 3, 2048, recompute="full")
+        assert none[0] == selective[0] == full[0]
+        assert none[1] == 2.0 * none[0]
+        assert selective[1] - none[1] == tokens * 7 * 4.0 * 2048 * lm.hidden_size
+        assert full[1] - none[1] == none[0]
 
 
 class TestTiling:

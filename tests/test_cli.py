@@ -267,6 +267,51 @@ class TestValidate:
         assert "exceeds chip memory" in violations[0]["message"]
 
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_packed_batches_checked_at_the_sampled_shape(
+        self, tmp_path, capsys, command
+    ):
+        # unpadded lognormal packing: validate used to guess the step shape
+        # from the budget and print "ok" while simulate ran out of memory
+        with open(Path(PRESET_DIR) / "seqpar-32k.json") as f:
+            doc = json.load(f)
+        doc["workload"]["padded"] = False
+        doc["workload"]["sequence_length"] = {
+            "kind": "lognormal-truncated", "mean": 7.5, "sigma": 1.2,
+            "cap": 32768,
+        }
+        packed = tmp_path / "packed.json"
+        packed.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--config", str(packed)] + (
+            ["--out", str(out)] if command == "simulate" else []
+        )
+        assert main([command] + argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        # validate prints the violations to stdout, simulate to stderr
+        printed = captured.out if command == "validate" else captured.err
+        assert '"constraint": "memory-fit"' in printed
+        assert "estimated 1.119e+12 B exceeds chip memory" in printed
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_only_ring_algorithm_accepted(self, tmp_path, capsys, command):
+        with open(Path(PRESET_DIR) / "gradsync.json") as f:
+            doc = json.load(f)
+        assert doc["costmodel"]["algorithm"] == "ring"
+        doc["costmodel"]["algorithm"] = "tree"
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--config", str(bad)] + (
+            ["--out", str(out)] if command == "simulate" else []
+        )
+        assert main([command] + argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: unsupported algorithm 'tree' at $.costmodel.algorithm" in err
+        assert not out.exists()
+
+
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

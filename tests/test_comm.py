@@ -4,16 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlmsim.cluster import stage_local_params
+from vlmsim.cluster import partition_layers, stage_local_params
 from vlmsim.comm import (
     CollectiveCostModel,
     GradSyncPolicy,
     collective_time,
-    grad_sync_volume,
     split_buckets,
+    stage_grad_bytes,
 )
 from vlmsim.engine import COMPUTE, LABEL_SYNC, CostModelConfig, run
-from tests.conftest import fixed_workload, make_plan, make_topology
+from tests.conftest import (
+    fixed_workload,
+    make_plan,
+    make_topology,
+    stage_sync_bytes,
+    syncs_per_step,
+)
 
 
 class TestCollectiveTime:
@@ -60,8 +66,6 @@ class TestCollectiveTime:
             collective_time("allreduce", -1.0, 2, cost)
         with pytest.raises(ValueError):
             CollectiveCostModel(latency_per_hop=0.0, bandwidth=0.0)
-        with pytest.raises(ValueError):
-            CollectiveCostModel(latency_per_hop=0.0, bandwidth=1.0, algorithm="tree")
 
     # payload >= 1 byte keeps every intermediate in the normal float range,
     # where doubling commutes with rounding and the identity is bit-exact
@@ -96,16 +100,24 @@ class TestCollectiveTime:
         assert collective_time("allreduce", payload, n + 1, cost) > t
 
 
+def step_sync_bytes(model, stage, plan, policy) -> float:
+    """Bytes one chip of each stage syncs per step, summed over stages."""
+    per_sync = sum(stage_sync_bytes(model, stage, plan, policy.precision_bytes))
+    return per_sync * syncs_per_step(policy, plan)
+
+
 class TestGradSyncVolume:
+    """comm.stage_grad_bytes, the one definition of sync bytes."""
+
     def test_half_precision_per_step_vs_fp32_per_microbatch(
         self, catalog, full_stage
     ):
         model = catalog["8B"]
         plan = make_plan(dp=8, tp=8, pp=1, m=8)
-        opt = grad_sync_volume(
+        opt = step_sync_bytes(
             model, full_stage, plan, GradSyncPolicy(precision_bytes=2)
         )
-        base = grad_sync_volume(
+        base = step_sync_bytes(
             model,
             full_stage,
             plan,
@@ -114,14 +126,18 @@ class TestGradSyncVolume:
         # baseline moves 2x the bytes, m times per step
         assert base == opt * 2 * 8
         assert 1.0 - opt / base == pytest.approx(1.0 - 1.0 / (2 * 8), abs=1e-15)
+        partition = [model.lm.layers]
+        assert stage_grad_bytes(model, full_stage, partition, 0, 8, 4) == (
+            2 * stage_grad_bytes(model, full_stage, partition, 0, 8, 2)
+        )
 
     def test_two_microbatch_reduction_is_exactly_75pct(self, catalog, full_stage):
         model = catalog["8B"]
         plan = make_plan(dp=2, tp=1, pp=1, m=2)
-        opt = grad_sync_volume(
+        opt = step_sync_bytes(
             model, full_stage, plan, GradSyncPolicy(precision_bytes=2)
         )
-        base = grad_sync_volume(
+        base = step_sync_bytes(
             model,
             full_stage,
             plan,
@@ -133,21 +149,49 @@ class TestGradSyncVolume:
         from vlmsim.workload import stage_by_name
 
         model = catalog["8B"]
-        plan = make_plan(dp=2, tp=1, pp=1, m=2)
         align = stage_by_name("cross-modal-alignment")
-        vol = grad_sync_volume(model, align, plan, GradSyncPolicy())
-        assert vol == 2.0 * 33_562_624
+        # only the adapter trains, and only the first stage holds it
+        assert stage_grad_bytes(model, align, [32], 0, 1, 2) == 2.0 * 33_562_624
+        assert stage_grad_bytes(model, align, [16, 16], 0, 1, 2) == 2.0 * 33_562_624
+        assert stage_grad_bytes(model, align, [16, 16], 1, 1, 2) == 0.0
 
     def test_sharding_over_tp_and_pp(self, catalog, full_stage):
         model = catalog["70B"]
-        policy = GradSyncPolicy()
-        whole = grad_sync_volume(
-            model, full_stage, make_plan(dp=1, tp=1, pp=1, m=4), policy
-        )
-        sliced = grad_sync_volume(
-            model, full_stage, make_plan(dp=1, tp=8, pp=8, m=4), policy
-        )
-        assert sliced == whole / 64
+        whole = stage_grad_bytes(model, full_stage, [80], 0, 1, 2)
+        partition = partition_layers(model, 8)
+        sliced = [
+            stage_grad_bytes(model, full_stage, partition, i, 8, 2)
+            for i in range(8)
+        ]
+        # tp shards each stage's bytes; pp splits them, stage-local, over
+        # stages that hold different amounts (embeddings at the ends)
+        for i, stage_bytes in enumerate(sliced):
+            assert stage_bytes * 8 == stage_grad_bytes(
+                model, full_stage, partition, i, 1, 2
+            )
+        assert sliced[0] > sliced[1] == sliced[6] < sliced[7]
+        assert sum(sliced) == whole / 8
+        assert sum(sliced) / 8 == whole / 64
+
+    @pytest.mark.parametrize("balance", ["uniform", "cost-balanced"])
+    @pytest.mark.parametrize("name", ["3B", "8B", "70B"])
+    def test_stages_sum_to_trainable_params(self, catalog, name, balance):
+        from vlmsim.workload import stage_catalog, trainable_param_count
+
+        model = catalog[name]
+        for stage in stage_catalog():
+            for pp in range(1, 9):
+                partition = partition_layers(model, pp, balance)
+                for tp in (1, 2, 4, 8):
+                    for precision in (2, 4):
+                        total = sum(
+                            stage_grad_bytes(model, stage, partition, i, tp,
+                                             precision)
+                            for i in range(pp)
+                        )
+                        assert total == (
+                            trainable_param_count(model, stage) * precision / tp
+                        )
 
 
 class TestBuckets:

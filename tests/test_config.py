@@ -53,7 +53,7 @@ class TestLoading:
         config = load_config(base_doc())
         assert config.costmodel.grad_sync.precision_bytes == 2
         assert config.costmodel.grad_sync.frequency == "per_step"
-        assert config.costmodel.algorithm == "ring"
+        assert resolved_config_dict(config)["costmodel"]["algorithm"] == "ring"
         assert config.plan.recompute == "none"
         assert config.plan.fusion_chunks == 1
         assert not config.plan.sequence_parallel
@@ -278,7 +278,7 @@ _HOOK_TABLES = {
     "$.workload.sequence_length": list(schema._LENGTH_TABLES.values()),
     "$.scaling": [schema._SCALING],
 }
-_HOOK_LEAVES = {"$.schema": int, "$.stage": str}
+_HOOK_LEAVES = {"$.schema": int, "$.stage": str, "$.costmodel.algorithm": str}
 
 
 def _leaf_keys(table, path="$"):

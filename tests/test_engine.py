@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlmsim.arch import step_flops
+from vlmsim.arch import stage_flops, step_flops
 from vlmsim.engine import (
     COMM,
     COMPUTE,
@@ -14,11 +14,14 @@ from vlmsim.engine import (
     CostModelConfig,
     PlanValidationError,
     Trace,
+    build_cost_book,
     fused_allgather_gemm_time,
     row_order,
     run,
+    step_shape,
     step_training_flops,
 )
+from vlmsim.cluster import partition_layers
 from vlmsim.config import load_config
 from vlmsim.comm import GradSyncPolicy
 from vlmsim.schedule import analytic_bubble, measured_bubble
@@ -419,6 +422,32 @@ class TestStepFlops:
         assert trace.tokens_per_step == 2 * 4 * 2048
         single = 4 * step_flops(catalog["3B"], 1, 2048)
         assert step_training_flops(trace, catalog["3B"], plan) == 2 * single
+
+    @pytest.mark.parametrize("path", [
+        f"{PRESET_DIR}/paper-70b-5120.json",
+        f"{PRESET_DIR}/seqpar-32k.json",
+        "bench/workloads/multimodal-api.json",
+    ])
+    def test_cost_book_is_stage_flops_over_chip_rate(self, path):
+        cfg = load_config(path)
+        plan = cfg.plan
+        workload, microbatches = step_shape(
+            cfg.model, cfg.stage, plan, cfg.topology, cfg.costmodel,
+            cfg.seed, cfg.workload,
+        )
+        partition = partition_layers(cfg.model, plan.pp, plan.layer_balance)
+        book = build_cost_book(cfg.model, cfg.stage, plan, cfg.topology,
+                               cfg.costmodel, partition, microbatches, workload)
+        chip_rate = plan.tp * cfg.topology.chip.peak_flops
+        for i, layers in enumerate(partition):
+            for k, batch in enumerate(microbatches.batches):
+                fwd, bwd = stage_flops(
+                    cfg.model, layers, i == 0, i == plan.pp - 1, len(batch),
+                    max(batch), workload.visual_tokens_per_sample,
+                    plan.recompute,
+                )
+                assert book.fwd[i][k] == fwd / chip_rate
+                assert book.bwd[i][k] == bwd / chip_rate
 
 
 def reference_row_lines(trace):

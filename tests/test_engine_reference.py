@@ -72,7 +72,7 @@ def reference_cost_book(model, stage, plan, topology, costmodel, partition,
     p = plan.pp
     tp = plan.tp
     chip_rate = plan.tp * topology.chip.peak_flops
-    intra = _link_model(topology, inter_node=False, algorithm=costmodel.algorithm)
+    intra = _link_model(topology, inter_node=False)
 
     vision_tile_flops = vision_fwd_flops_per_tile(model.vision) + (
         adapter_fwd_flops_per_tile(model.vision, model.adapter)
@@ -130,7 +130,6 @@ def reference_cost_book(model, stage, plan, topology, costmodel, partition,
                 link = _link_model(
                     topology,
                     _boundary_crosses_nodes(i, topology, plan),
-                    costmodel.algorithm,
                 )
                 pf_row.append(collective_time("p2p", boundary_bytes, 2, link))
             else:
@@ -139,7 +138,6 @@ def reference_cost_book(model, stage, plan, topology, costmodel, partition,
                 link = _link_model(
                     topology,
                     _boundary_crosses_nodes(i - 1, topology, plan),
-                    costmodel.algorithm,
                 )
                 pb_row.append(collective_time("p2p", boundary_bytes, 2, link))
             else:
@@ -153,9 +151,7 @@ def reference_cost_book(model, stage, plan, topology, costmodel, partition,
 
     sync_buckets = []
     policy = costmodel.grad_sync
-    dp_link = _link_model(
-        topology, _dp_group_spans_nodes(topology, plan), costmodel.algorithm
-    )
+    dp_link = _link_model(topology, _dp_group_spans_nodes(topology, plan))
     for i in range(p):
         if plan.dp == 1:
             sync_buckets.append([])
@@ -590,6 +586,16 @@ class TestWorkBound:
         config = load_config(f"bench/workloads/{workload}.json")
         check_work_bound(config.model, config.stage, config.plan,
                          config.costmodel)
+
+    def test_pipeline_deeper_than_model_refused_as_a_violation(self, catalog,
+                                                                full_stage):
+        # the sync term partitions the layers, which a pipeline deeper than
+        # the model cannot do; validate_plan names it instead
+        with pytest.raises(PlanValidationError) as err:
+            run(catalog["3B"], full_stage, make_plan(dp=2, tp=1, pp=40, m=40),
+                make_topology(nodes=10, chips_per_node=8), CostModelConfig(),
+                seed=0)
+        assert [v.constraint for v in err.value.violations] == ["pipeline-depth"]
 
     def test_ladder_point_accepted(self):
         # the deepest point of the scaling ladder: pp=80, m=4096, 2.0M rows

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,6 +251,39 @@ class TestReports:
         )
         assert report.memory.total > 0
         assert report.efficiency is None
+
+    def test_csv_cells_of_numpy_costs_are_plain_numbers(
+        self, catalog, full_stage, costmodel
+    ):
+        # a CostBook of numpy.float64 makes the headline values numpy
+        # floats, whose repr under numpy 2 is "np.float64(...)"
+        p, m = 2, 4
+        rng = np.random.default_rng(0)
+
+        def draw():
+            return [list(rng.uniform(0.1, 2.0, m)) for _ in range(p)]
+
+        book = CostBook(
+            fwd=draw(), bwd=draw(),
+            tp_fwd=[[0.0] * m for _ in range(p)],
+            tp_bwd=[[0.0] * m for _ in range(p)],
+            p2p_fwd=draw(), p2p_bwd=draw(),
+            sync_buckets=[[] for _ in range(p)],
+        )
+        plan = make_plan(dp=1, tp=1, pp=p, m=m)
+        topology = make_topology(chips_per_node=p)
+        trace = run(catalog["3B"], full_stage, plan, topology, costmodel,
+                    seed=0, workload=fixed_workload(2048), cost_book=book)
+        report = build_report(
+            trace, catalog["3B"], full_stage, plan, topology, "a" * 64
+        )
+        assert isinstance(report.step_time, np.float64)
+        row = report_csv_row(report)
+        for name in ("step_time", "tokens_per_second", "mfu", "bubble"):
+            assert row[CSV_COLUMNS.index(name)] == repr(
+                float(getattr(report, name))
+            )
+        assert "np." not in emit_report(report, "csv")
 
 
 class TestGantt:
