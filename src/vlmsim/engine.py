@@ -17,6 +17,10 @@ Cost construction and timing rules, in one place:
     lump (2 allgather + 2 reducescatter per layer and direction under
     sequence parallelism, 2 allreduce otherwise), and the lump overlaps
     its slot's compute through the chunked allgather+GEMM fusion pipeline;
+  * slots run in 1F1B order through schedule.execute, which holds the
+    pipeline dependency rule: each slot starts no earlier than the hand-off
+    it waits for, a p2p arrival or, for a backward on the last stage, the
+    end of its own forward;
   * stage boundary activations travel as p2p events that occupy the
     sender's comm unit only (DMA-style; the receiver just observes the
     arrival time);
@@ -72,7 +76,7 @@ from .comm import (
     split_buckets,
     stage_grad_bytes,
 )
-from .schedule import FORWARD, build_1f1b
+from .schedule import FORWARD, build_1f1b, execute
 from .workload import (
     MicrobatchPlan,
     StepWorkload,
@@ -587,7 +591,6 @@ def run(
     elif len(cost_book.fwd) != p or any(len(row) != m for row in cost_book.fwd):
         raise ValueError("injected cost_book shape does not match (pp, microbatches)")
 
-    sched = build_1f1b(p, m)
     dual_stream = topology.chip.has_independent_comm_unit
     overlap_sync = (
         dual_stream and plan.overlap_grad_sync and costmodel.grad_sync.overlap
@@ -598,10 +601,6 @@ def run(
     stage_rows: list[list[Row]] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     comm_free = [0.0] * p
-    fwd_arrival: list[dict[int, float]] = [{} for _ in range(p)]
-    bwd_arrival: list[dict[int, float]] = [{} for _ in range(p)]
-    fwd_end: list[dict[int, float]] = [{} for _ in range(p)]
-    position = [0] * p
 
     # rows are appended through bound methods behind the same end > start
     # test everywhere, so a zero-length or NaN interval is never recorded
@@ -610,7 +609,8 @@ def run(
     # shape repeats across microbatches, so each pair is priced once per run
     fused: dict[tuple[float, float], tuple[float, float, float]] = {}
 
-    def execute_slot(i: int, kind: str, k: int, dep: float) -> None:
+    def execute_slot(i: int, kind: str, k: int, dep: float) -> float:
+        """Run one slot from `dep` on; return its output's hand-off time."""
         mb = k - 1
         append = appends[i]
         if kind == FORWARD:
@@ -667,22 +667,16 @@ def run(
             comm_free[i] = end
 
         if kind == FORWARD:
-            fwd_end[i][k] = end
-            if i < p - 1:
-                _send(i, cost_book.p2p_fwd[i][mb], mb, fwd_arrival[i + 1], k)
-        else:
-            if i > 0:
-                _send(i, cost_book.p2p_bwd[i][mb], mb, bwd_arrival[i - 1], k)
-            if cost_book.sync_buckets[i] and (
-                per_microbatch_sync or k == m
-            ):
-                _sync(i, comp)
+            return _send(i, cost_book.p2p_fwd[i][mb], mb) if i < p - 1 else end
+        handoff = _send(i, cost_book.p2p_bwd[i][mb], mb) if i > 0 else end
+        if cost_book.sync_buckets[i] and (per_microbatch_sync or k == m):
+            _sync(i, comp)
+        return handoff
 
-    def _send(i: int, duration: float, mb: int,
-              arrival: dict[int, float], k: int) -> None:
+    def _send(i: int, duration: float, mb: int) -> float:
+        """Send stage i's slot output; return its arrival time."""
         if duration <= 0.0:
-            arrival[k] = comp_free[i]
-            return
+            return comp_free[i]
         t0 = max(comp_free[i], comm_free[i]) if dual_stream else comp_free[i]
         t1 = t0 + duration
         if t1 > t0:
@@ -690,7 +684,7 @@ def run(
         if not dual_stream:
             comp_free[i] = t1
         comm_free[i] = t1
-        arrival[k] = t1
+        return t1
 
     def _sync(i: int, producing_compute: float) -> None:
         buckets = cost_book.sync_buckets[i]
@@ -718,28 +712,7 @@ def run(
             comp_free[i] = t
             comm_free[i] = t
 
-    remaining = sum(len(s) for s in sched.slots)
-    while remaining:
-        progressed = False
-        for i in range(p):
-            slots = sched.slots[i]
-            while position[i] < len(slots):
-                kind, k = slots[position[i]]
-                if kind == FORWARD:
-                    dep = 0.0 if i == 0 else fwd_arrival[i].get(k)
-                else:
-                    if i == p - 1:
-                        dep = fwd_end[i].get(k)
-                    else:
-                        dep = bwd_arrival[i].get(k)
-                if dep is None:
-                    break
-                execute_slot(i, kind, k, dep)
-                position[i] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # unreachable for 1F1B; guards future schedules
-            raise RuntimeError("simulation deadlocked")
+    execute(build_1f1b(p, m), execute_slot)
 
     makespan = max(max(comp_free), max(comm_free))
     trace = Trace(

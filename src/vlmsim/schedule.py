@@ -1,14 +1,17 @@
-"""1F1B pipeline schedule construction and bubble statistics.
+"""Pipeline schedules, the one schedule executor, and bubble statistics.
 
 A schedule is a per-stage ordered list of (kind, microbatch) slots. The
 builder guarantees the 1F1B shape: stage i warms up with min(p-i, m)
 forwards, alternates one-forward-one-backward, then drains. A GPipe-style
-reference builder exists purely as a memory-property contrast.
+reference builder exists as a memory-property contrast. `execute` holds the
+dependency rule: the engine prices a run through it, and `check_schedule`
+runs any schedule, GPipe included, through it at unit cost.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 FORWARD = "forward"
@@ -73,10 +76,11 @@ def build_gpipe(p: int, m: int) -> PipelineSchedule:
 
 
 def check_schedule(schedule: PipelineSchedule) -> None:
-    """Independent legality validator; raises ValueError on any violation.
+    """Legality validator; raises ValueError on any violation.
 
     Checks exactly-once coverage, forward-before-backward per stage, and
-    cross-stage executability (unit-time simulation must not deadlock).
+    cross-stage executability: the schedule must run to completion through
+    `execute`, the executor that prices a run, at unit cost.
     """
     p, m = schedule.stages, schedule.microbatches
     if len(schedule.slots) != p:
@@ -95,45 +99,64 @@ def check_schedule(schedule: PipelineSchedule) -> None:
     simulate_slot_completion(schedule)  # raises on deadlock
 
 
+def execute(
+    schedule: PipelineSchedule,
+    run_slot: Callable[[int, str, int, float], float],
+) -> None:
+    """Run each stage's slots in order, each once its dependency is met.
+
+    run_slot(i, kind, k, dep) runs slot (kind, k) of stage i no earlier
+    than `dep` and returns the time its output is handed off. Forward k on
+    stage i waits for forward k's hand-off on stage i-1. Backward k waits
+    for backward k's on stage i+1, or on the last stage for its own forward
+    k's, and is never ready before its stage has run forward k (a gate
+    only; `dep` stays the hand-off). Raises ValueError on deadlock.
+    """
+    p = schedule.stages
+    fwd_handoff: list[dict[int, float]] = [{} for _ in range(p)]
+    bwd_handoff: list[dict[int, float]] = [{} for _ in range(p)]
+    position = [0] * p
+    remaining = sum(len(s) for s in schedule.slots)
+    while remaining:
+        before = remaining
+        for i in range(p):
+            slots, pos = schedule.slots[i], position[i]
+            fwd_done, bwd_done = fwd_handoff[i], bwd_handoff[i]
+            fwd_above = fwd_handoff[i - 1]  # unread on stage 0
+            bwd_below = fwd_done if i == p - 1 else bwd_handoff[i + 1]
+            while pos < len(slots):
+                kind, k = slots[pos]
+                if kind == FORWARD:
+                    dep = 0.0 if i == 0 else fwd_above.get(k)
+                    done = fwd_done
+                else:
+                    dep = bwd_below.get(k) if k in fwd_done else None
+                    done = bwd_done
+                if dep is None:
+                    break
+                done[k] = run_slot(i, kind, k, dep)
+                pos += 1
+            remaining -= pos - position[i]
+            position[i] = pos
+        if remaining == before:
+            raise ValueError("schedule deadlocks: circular or missing dependency")
+
+
 def simulate_slot_completion(schedule: PipelineSchedule) -> list[list[float]]:
     """Unit-cost completion times per stage slot; raises if not executable.
 
-    Forward k on stage i needs forward k on stage i-1; backward k on stage
-    i needs backward k on stage i+1 (and its own forward, implied by slot
-    order). Returns per-stage completion times aligned with the slots.
+    Runs `execute` with every slot taking 1.0 and handing off at its end.
+    Returns per-stage completion times aligned with the slots.
     """
-    p = schedule.stages
-    fwd_done: list[dict[int, float]] = [{} for _ in range(p)]
-    bwd_done: list[dict[int, float]] = [{} for _ in range(p)]
-    position = [0] * p
-    clock = [0.0] * p
-    times: list[list[float]] = [[] for _ in range(p)]
-    remaining = sum(len(s) for s in schedule.slots)
-    while remaining:
-        progressed = False
-        for i in range(p):
-            slots = schedule.slots[i]
-            while position[i] < len(slots):
-                kind, k = slots[position[i]]
-                if kind == FORWARD:
-                    dep = 0.0 if i == 0 else fwd_done[i - 1].get(k)
-                else:
-                    dep = 0.0 if i == p - 1 else bwd_done[i + 1].get(k)
-                    if dep is not None and k in fwd_done[i]:
-                        dep = max(dep, fwd_done[i][k])
-                    elif k not in fwd_done[i]:
-                        dep = None
-                if dep is None:
-                    break
-                end = max(clock[i], dep) + 1.0
-                clock[i] = end
-                (fwd_done if kind == FORWARD else bwd_done)[i][k] = end
-                times[i].append(end)
-                position[i] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise ValueError("schedule deadlocks: circular or missing dependency")
+    clock = [0.0] * schedule.stages
+    times: list[list[float]] = [[] for _ in range(schedule.stages)]
+
+    def run_slot(i: int, kind: str, k: int, dep: float) -> float:
+        clock[i] = max(clock[i], dep) + 1.0
+        times[i].append(clock[i])
+        return clock[i]
+
+    execute(schedule, run_slot)
     return times
 
 
