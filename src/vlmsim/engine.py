@@ -643,11 +643,13 @@ def run(
                     if end > gemm_start:
                         append((COMPUTE, gemm_start, end, label, mb))
                 else:
-                    # GEMM chunks gated by transfer chunks, with gaps
+                    # GEMM chunks gated by transfer chunks, with gaps; the
+                    # last ends where compute is freed, not an ulp past it
                     for j in range(1, chunks + 1):
                         cs = start + j * tc
-                        if cs + tg > cs:
-                            append((COMPUTE, cs, cs + tg, label, mb))
+                        ce = cs + tg if j < chunks else end
+                        if ce > cs:
+                            append((COMPUTE, cs, ce, label, mb))
             else:
                 start = max(comp_free[i], dep)
                 end = start + comp

@@ -9,7 +9,6 @@ directly; both must give the same floats, bit for bit, on every path.
 
 import dataclasses
 import json
-import re
 import time
 
 import numpy as np
@@ -228,7 +227,8 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
                 else:
                     for j in range(chunks):
                         cs = start + (j + 1) * tc
-                        record(i, COMPUTE, cs, cs + tg, label, mb)
+                        ce = cs + tg if j < chunks - 1 else start + span
+                        record(i, COMPUTE, cs, ce, label, mb)
                 end = start + span
             else:
                 start = max(comp_free[i], dep)
@@ -440,48 +440,67 @@ class TestRunMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_injected_numpy_book(self, catalog, full_stage, p, m, chunks, dual,
                                  overlap, per_microbatch, scale, seed):
-        rng = np.random.default_rng(seed)
-
-        def grid(high, zeros=0.0):
-            values = rng.uniform(0.0, high * scale, size=(p, m))
-            values[rng.uniform(size=(p, m)) < zeros] = 0.0
-            return [list(row) for row in values]
-
-        book = CostBook(
-            fwd=grid(1.0), bwd=grid(2.0), tp_fwd=grid(1.5, zeros=0.3),
-            tp_bwd=grid(1.5, zeros=0.3), p2p_fwd=grid(0.2, zeros=0.3),
-            p2p_bwd=grid(0.2, zeros=0.3),
-            sync_buckets=[
-                list(rng.uniform(0.0, 0.3 * scale, size=rng.integers(0, 5)))
-                for _ in range(p)
-            ],
-        )
-        assert type(book.fwd[0][0]) is np.float64
-        topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
-                                 dual=dual)
-        plan = make_plan(pp=p, m=m, fusion_chunks=chunks,
-                         overlap_grad_sync=overlap)
-        costmodel = CostModelConfig(grad_sync=GradSyncPolicy(
-            frequency="per_microbatch" if per_microbatch else "per_step"
-        ))
-        workload = StepWorkload(microbatch_token_budget=64,
-                                seq_len_model=SequenceLengthModel.fixed(64))
-        args = (catalog["3B"], full_stage, plan, topology, costmodel, 0,
-                workload)
+        args, book = numpy_book_run(catalog, full_stage, p, m, chunks, dual,
+                                    overlap, per_microbatch, scale, seed)
         expect = reference_run(*args, cost_book=book)
-        try:
-            expect.check_invariants()
-        except AssertionError as exc:
-            # a gated slot's last GEMM piece ends at (start + tc) + tg but
-            # frees compute at start + (tc + tg); once times reach a few
-            # seconds the rounding gap exceeds the 1e-15 overlap tolerance.
-            # The engine must fail the same way.
-            with pytest.raises(AssertionError, match=re.escape(str(exc))):
-                run(*args, cost_book=book)
-            return
+        expect.check_invariants()
         trace = run(*args, cost_book=book)
         assert_identical(trace.stage_rows, expect.stage_rows)
         assert_identical(trace.makespan, expect.makespan)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("per_microbatch", [False, True])
+    def test_gated_last_piece_ends_where_compute_is_freed(
+        self, catalog, full_stage, overlap, per_microbatch
+    ):
+        # one chunk, lump > GEMM: the piece once ended at (start + tc) + tg,
+        # an ulp past start + (tc + tg) where the next slot's compute starts,
+        # and check_invariants raised "stage 0 overlapping compute intervals"
+        args, book = numpy_book_run(catalog, full_stage, p=1, m=6, chunks=1,
+                                    dual=True, overlap=overlap,
+                                    per_microbatch=per_microbatch, scale=1.0,
+                                    seed=3_000_000_000)
+        trace = run(*args, cost_book=book)
+        compute = [(start, end) for resource, start, end, _, _
+                   in trace.stage_rows[0] if resource == COMPUTE]
+        assert all(end <= start for (_, end), (start, _)
+                   in zip(compute, compute[1:]))
+        assert_identical(trace.stage_rows,
+                         reference_run(*args, cost_book=book).stage_rows)
+
+
+def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
+                   per_microbatch, scale, seed):
+    """run() arguments and a CostBook of numpy.float64 uniform draws from
+    default_rng(seed), costs up to 2 s times `scale`, some of them zero."""
+    rng = np.random.default_rng(seed)
+
+    def grid(high, zeros=0.0):
+        values = rng.uniform(0.0, high * scale, size=(p, m))
+        values[rng.uniform(size=(p, m)) < zeros] = 0.0
+        return [list(row) for row in values]
+
+    book = CostBook(
+        fwd=grid(1.0), bwd=grid(2.0), tp_fwd=grid(1.5, zeros=0.3),
+        tp_bwd=grid(1.5, zeros=0.3), p2p_fwd=grid(0.2, zeros=0.3),
+        p2p_bwd=grid(0.2, zeros=0.3),
+        sync_buckets=[
+            list(rng.uniform(0.0, 0.3 * scale, size=rng.integers(0, 5)))
+            for _ in range(p)
+        ],
+    )
+    assert type(book.fwd[0][0]) is np.float64
+    topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
+                             dual=dual)
+    plan = make_plan(pp=p, m=m, fusion_chunks=chunks,
+                     overlap_grad_sync=overlap)
+    costmodel = CostModelConfig(grad_sync=GradSyncPolicy(
+        frequency="per_microbatch" if per_microbatch else "per_step"
+    ))
+    workload = StepWorkload(microbatch_token_budget=64,
+                            seq_len_model=SequenceLengthModel.fixed(64))
+    args = (catalog["3B"], full_stage, plan, topology, costmodel, 0, workload)
+    return args, book
 
 
 class TestPricingWork:
