@@ -18,9 +18,8 @@ Cost construction and timing rules, in one place:
     sequence parallelism, 2 allreduce otherwise), and the lump overlaps
     its slot's compute through the chunked allgather+GEMM fusion pipeline;
   * slots run in 1F1B order through schedule.execute, which holds the
-    pipeline dependency rule: each slot starts no earlier than the hand-off
-    it waits for, a p2p arrival or, for a backward on the last stage, the
-    end of its own forward;
+    dependency rule: a slot starts no earlier than the hand-off it waits
+    for, a p2p arrival or (last stage's backward) its own forward's end;
   * stage boundary activations travel as p2p events that occupy the
     sender's comm unit only (DMA-style; the receiver just observes the
     arrival time);
@@ -478,6 +477,7 @@ def check_work_bound(
     stage: TrainingStage,
     plan: ParallelismPlan,
     costmodel: CostModelConfig,
+    partition: list[int] | None,
 ) -> None:
     """Refuse, from the config alone, a run above MAX_TRACE_ROWS.
 
@@ -487,15 +487,14 @@ def check_work_bound(
     each stage's buckets, at most stage bytes / bucket_bytes + 1. It
     runs before any microbatch is sampled or bucket list built. The key
     named is the one behind the larger of the slot and sync terms.
+    `partition` is None when the pipeline is deeper than the model.
     """
     p = plan.pp
     m = plan.microbatches_per_step
     slot_rows = 2 * m * p * (plan.fusion_chunks + 2 if plan.tp > 1 else 2)
     sync_rows = 0.0
-    # a pipeline deeper than the model is left to validate_plan to refuse
-    if plan.dp > 1 and p <= model.lm.layers:
+    if plan.dp > 1 and partition is not None:
         policy = costmodel.grad_sync
-        partition = partition_layers(model, p, plan.layer_balance)
         volume = sum(
             stage_grad_bytes(
                 model, stage, partition, i, plan.tp, policy.precision_bytes
@@ -524,11 +523,12 @@ def step_shape(
     costmodel: CostModelConfig,
     seed: int,
     workload: StepWorkload | None = None,
-) -> tuple[StepWorkload, MicrobatchPlan]:
-    """The step's workload and sampled microbatches, checked before timing.
+) -> tuple[StepWorkload, MicrobatchPlan, list[int]]:
+    """The step's workload, microbatches and layer partition, checked.
 
     The one step-shape rule of `run` and of the CLI's `validate`: fill in
-    the default workload, refuse unbounded work (check_work_bound), sample
+    the default workload, split the layers over the stages once, refuse
+    unbounded work (check_work_bound), sample
     the microbatches, check the longest packed sequence against the
     context limit, and validate the plan, memory fit included, at the
     largest microbatch size and the longest sequence of the step. Raises
@@ -539,7 +539,10 @@ def step_shape(
         budget = lengths.value if lengths.kind == "fixed" else lengths.cap
         workload = StepWorkload(microbatch_token_budget=budget)
 
-    check_work_bound(model, stage, plan, costmodel)
+    partition = None  # a pipeline deeper than the model: validate_plan refuses
+    if plan.pp <= model.lm.layers:
+        partition = partition_layers(model, plan.pp, plan.layer_balance)
+    check_work_bound(model, stage, plan, costmodel, partition)
     microbatches = plan_step_microbatches(
         stage.seq_len_model, workload, plan.microbatches_per_step, seed
     )
@@ -556,7 +559,7 @@ def step_shape(
     )
     if violations:
         raise PlanValidationError(violations)
-    return workload, microbatches
+    return workload, microbatches, partition
 
 
 def run(
@@ -577,12 +580,11 @@ def run(
     everything else (schedule shape, overlap policy, sync placement) is
     unaffected by the override.
     """
-    workload, microbatches = step_shape(
+    workload, microbatches, partition = step_shape(
         model, stage, plan, topology, costmodel, seed, workload
     )
     p = plan.pp
     m = plan.microbatches_per_step
-    partition = partition_layers(model, p, plan.layer_balance)
     if cost_book is None:
         cost_book = build_cost_book(
             model, stage, plan, topology, costmodel,
@@ -716,12 +718,11 @@ def run(
 
     execute(build_1f1b(p, m), execute_slot)
 
-    makespan = max(max(comp_free), max(comm_free))
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
         pp=p,
-        makespan=makespan,
+        makespan=max(max(comp_free), max(comm_free)),
         seed=seed,
         stage_rows=stage_rows,
         microbatch_sizes=[len(b) for b in microbatches.batches],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlmsim import cluster, engine, schedule
 from vlmsim.arch import stage_flops, step_flops
 from vlmsim.engine import (
     COMM,
@@ -24,7 +25,13 @@ from vlmsim.engine import (
 from vlmsim.cluster import partition_layers
 from vlmsim.config import load_config
 from vlmsim.comm import GradSyncPolicy
-from vlmsim.schedule import analytic_bubble, measured_bubble
+from vlmsim.schedule import (
+    analytic_bubble,
+    build_1f1b,
+    check_schedule,
+    measured_bubble,
+    simulate_slot_completion,
+)
 from vlmsim.workload import SequenceLengthModel, stage_by_name
 from tests.conftest import PRESET_DIR, fixed_workload, make_plan, make_topology
 
@@ -431,7 +438,7 @@ class TestStepFlops:
     def test_cost_book_is_stage_flops_over_chip_rate(self, path):
         cfg = load_config(path)
         plan = cfg.plan
-        workload, microbatches = step_shape(
+        workload, microbatches, _ = step_shape(
             cfg.model, cfg.stage, plan, cfg.topology, cfg.costmodel,
             cfg.seed, cfg.workload,
         )
@@ -560,3 +567,50 @@ class TestFiniteness:
             trace = bare_trace([[(COMPUTE, start, end, "fwd", 0)]])
             with pytest.raises(AssertionError, match="not positive"):
                 trace.check_invariants()
+
+
+def flagship_run():
+    config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+    return run(config.model, config.stage, config.plan, config.topology,
+               config.costmodel, config.seed, workload=config.workload)
+
+
+def count_calls(monkeypatch, fn, *modules):
+    """Wrap `fn` at its lookup name in each module; return the call list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestOneExecutor:
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 24])
+    def test_pricing_agrees_with_legality_executor(self, catalog, p, m):
+        # unit costs, no TP, no p2p, dp=1: the engine's compute ends, in
+        # slot order, are the unit-cost completion times check_schedule uses
+        trace = run_uniform(catalog, p=p, m=m, fwd=1.0, bwd=1.0)
+        ends = [[row[2] for row in rows if row[0] == COMPUTE]
+                for rows in trace.stage_rows]
+        assert ends == simulate_slot_completion(build_1f1b(p, m))
+
+    def test_run_and_check_schedule_each_execute_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, schedule.execute, schedule, engine)
+        flagship_run()
+        assert len(calls) == 1
+        check_schedule(build_1f1b(4, 8))
+        assert len(calls) == 2
+
+    def test_partition_computed_at_most_twice_per_run(self, monkeypatch):
+        # step_shape's partition serves check_work_bound and run;
+        # memory_per_chip still splits the layers on its own
+        calls = count_calls(monkeypatch, cluster.partition_layers, cluster,
+                            engine)
+        flagship_run()
+        assert 1 <= len(calls) <= 2
+

@@ -557,6 +557,11 @@ class TestPricingWork:
         )
 
 
+def config_partition(config):
+    plan = config.plan
+    return partition_layers(config.model, plan.pp, plan.layer_balance)
+
+
 def flagship_with(tmp_path, section, key, value):
     with open(f"{PRESET_DIR}/paper-70b-5120.json") as handle:
         doc = json.load(handle)
@@ -597,14 +602,14 @@ class TestWorkBound:
     def test_presets_accepted(self, preset):
         config = load_config(f"{PRESET_DIR}/{preset}")
         check_work_bound(config.model, config.stage, config.plan,
-                         config.costmodel)
+                         config.costmodel, config_partition(config))
 
     @pytest.mark.parametrize("workload", ["flagship", "sweep-grid",
                                           "multimodal-api"])
     def test_benchmark_workloads_accepted(self, workload):
         config = load_config(f"bench/workloads/{workload}.json")
         check_work_bound(config.model, config.stage, config.plan,
-                         config.costmodel)
+                         config.costmodel, config_partition(config))
 
     def test_pipeline_deeper_than_model_refused_as_a_violation(self, catalog,
                                                                 full_stage):
@@ -621,4 +626,5 @@ class TestWorkBound:
         config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
         plan = dataclasses.replace(config.plan, pp=80, dp=8,
                                    microbatches_per_step=4096)
-        check_work_bound(config.model, config.stage, plan, config.costmodel)
+        check_work_bound(config.model, config.stage, plan, config.costmodel,
+                         partition_layers(config.model, 80, plan.layer_balance))
