@@ -528,11 +528,11 @@ def step_shape(
 
     The one step-shape rule of `run` and of the CLI's `validate`: fill in
     the default workload, split the layers over the stages once, refuse
-    unbounded work (check_work_bound), sample
-    the microbatches, check the longest packed sequence against the
-    context limit, and validate the plan, memory fit included, at the
-    largest microbatch size and the longest sequence of the step. Raises
-    ValueError, or PlanValidationError carrying the violations.
+    unbounded work (check_work_bound), sample the microbatches, check the
+    longest packed sequence against the context limit, and validate the
+    plan, memory fit included, at the largest microbatch size and the
+    longest sequence of the step. Raises ValueError, or
+    PlanValidationError carrying the violations.
     """
     if workload is None:
         lengths = stage.seq_len_model

@@ -589,15 +589,15 @@ def count_calls(monkeypatch, fn, *modules):
 
 
 class TestOneExecutor:
-    @pytest.mark.parametrize("p", range(1, 9))
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 24])
-    def test_pricing_agrees_with_legality_executor(self, catalog, p, m):
+    def test_pricing_agrees_with_legality_executor(self, catalog):
         # unit costs, no TP, no p2p, dp=1: the engine's compute ends, in
         # slot order, are the unit-cost completion times check_schedule uses
-        trace = run_uniform(catalog, p=p, m=m, fwd=1.0, bwd=1.0)
-        ends = [[row[2] for row in rows if row[0] == COMPUTE]
-                for rows in trace.stage_rows]
-        assert ends == simulate_slot_completion(build_1f1b(p, m))
+        for p in range(1, 9):
+            for m in (1, 2, 3, 7, 24):
+                trace = run_uniform(catalog, p=p, m=m, fwd=1.0, bwd=1.0)
+                ends = [[row[2] for row in rows if row[0] == COMPUTE]
+                        for rows in trace.stage_rows]
+                assert ends == simulate_slot_completion(build_1f1b(p, m))
 
     def test_run_and_check_schedule_each_execute_once(self, monkeypatch):
         calls = count_calls(monkeypatch, schedule.execute, schedule, engine)
