@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import engine
@@ -216,6 +215,10 @@ def cmd_sweep(
         for assignment, doc in points
     ]
     if parallel > 1:
+        # imported here: simulate, validate and serial sweeps never start
+        # a pool, so they skip the multiprocessing import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             report_rows = list(pool.map(_run_sweep_point, *zip(*jobs)))
     else:

@@ -47,14 +47,22 @@ invariant check, compute busy time, comm overlap) read numpy columns of
 each stage instead: start, end and a compute and a comm mask, built from
 the rows once per trace. Their sums add left to right, in row order, so
 they give the floats the row-by-row loops give.
+
+The writers read one more view, built on a writer's first use only: each
+stage's rows coded by resource, label and microbatch and put in row_order
+by one np.lexsort. trace.jsonl is assembled from it by gathers, a block of
+rows at a time, formatting each distinct time of a block once, and
+gantt.svg draws each lane's first rows from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count, pairwise
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -91,6 +99,11 @@ LABEL_BWD = "bwd"
 LABEL_COLLECTIVE = "collective"
 LABEL_P2P = "p2p"
 LABEL_SYNC = "sync_bucket"
+
+# Rows trace.jsonl formats and joins at a time, in row_order: it bounds the
+# writer's memory, and a time recurs within a few rows of that order, so a
+# block dedupes its times about as well as its whole stage does.
+JSONL_BLOCK_ROWS = 2048
 
 # Largest run accepted, in estimated trace rows of one replica (see
 # check_work_bound). The deepest planning point in use, pp=80 with 4096
@@ -173,7 +186,11 @@ Row = tuple[str, float, float, str, int | None]  # resource, start, end, label, 
 
 
 def row_order(row: Row) -> tuple:
-    """Sort key of trace rows: start, compute before comm, end, label."""
+    """Sort key of trace rows: start, compute before comm, end, label.
+
+    The order the writers emit each stage's rows in. They reproduce it
+    with numpy (build_writer_order); tests sort by this key as reference.
+    """
     return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
 
 
@@ -202,6 +219,72 @@ def build_stage_columns(stage_rows: list[list[Row]]) -> list[StageColumns]:
     return columns
 
 
+class StageOrder(NamedTuple):
+    """One stage's rows in row_order: their stored indices and codes."""
+
+    order: np.ndarray  # stored row indices
+    resource: np.ndarray  # index into WriterOrder.resources
+    label: np.ndarray  # index into WriterOrder.labels
+    microbatch: np.ndarray  # index into WriterOrder.microbatches
+
+
+class WriterOrder(NamedTuple):
+    """Every stage's rows in row_order, for the trace and gantt writers.
+
+    Resources, labels and microbatches are coded over the whole trace, in
+    order of first appearance.
+    """
+
+    resources: list[str]
+    labels: list[str]
+    microbatches: list[int | None]
+    stages: list[StageOrder]
+
+
+def build_writer_order(
+    stage_rows: list[list[Row]], columns: list[StageColumns]
+) -> WriterOrder:
+    """Code each row's resource, label and microbatch, then sort each stage
+    with np.lexsort.
+
+    lexsort is stable, so rows that tie on every key keep stored order, as
+    in sorted(rows, key=row_order). Labels rank in Python string order and
+    every resource other than COMPUTE ranks as comm, as in row_order.
+    """
+    # a value's code is its rank in first appearance: a missing key takes
+    # the counter's next value
+    coders = [defaultdict(count().__next__) for _ in range(3)]
+    stages = []
+    for rows, cols in zip(stage_rows, columns):
+        codes = [
+            np.fromiter(
+                map(coder.__getitem__, map(itemgetter(column), rows)),
+                np.int32, len(rows),
+            )
+            for column, coder in zip((0, 3, 4), coders)
+        ]
+        resource_rank = np.array(
+            [res != COMPUTE for res in coders[0]], np.intp
+        )
+        rank_of = {
+            label: rank for rank, label in enumerate(sorted(coders[1]))
+        }
+        label_rank = np.array([rank_of[label] for label in coders[1]], np.intp)
+        order = np.lexsort((
+            label_rank[codes[1]], cols.end, resource_rank[codes[0]],
+            cols.start,
+        ))
+        # the order outlives the writers with its trace, so each array is
+        # kept in the narrowest unsigned type that holds its values
+        stages.append(StageOrder(
+            order.astype(np.min_scalar_type(len(order))),
+            *(column[order].astype(np.min_scalar_type(len(values)))
+              for column, values in zip(codes, coders)),
+        ))
+    resources, labels, microbatches = map(list, coders)
+    return WriterOrder(resources, labels, microbatches, stages)
+
+
 def sequential_sum(values: np.ndarray) -> float:
     """0.0 + values[0] + values[1] + ..., added left to right.
 
@@ -219,8 +302,8 @@ class Trace:
     lockstep; rows expand to per-chip intervals on demand. Chip ids follow
     (replica * pp + stage) * tp + rank.
 
-    A Trace is read-only once `run` returns: the sorted rows and the
-    per-stage columns are derived from stage_rows on first use and cached,
+    A Trace is read-only once `run` returns: the per-stage columns and the
+    writers' row order are derived from stage_rows on first use and cached,
     so a later edit of stage_rows would leave every metric stale.
     """
 
@@ -250,19 +333,18 @@ class Trace:
         return self.dp * sum(self.microbatch_tokens)
 
     @cached_property
-    def sorted_stage_rows(self) -> list[list[Row]]:
-        """Each stage's rows in row_order, sorted on first use.
-
-        The engine appends rows in event order, not row_order, and leaves
-        sorting to the writers that need it, so a run whose trace is never
-        written pays nothing; the trace is not modified after it is built.
-        """
-        return [sorted(rows, key=row_order) for rows in self.stage_rows]
-
-    @cached_property
     def stage_columns(self) -> list[StageColumns]:
         """Each stage's rows as numpy columns, built on first use."""
         return build_stage_columns(self.stage_rows)
+
+    @cached_property
+    def writer_order(self) -> WriterOrder:
+        """Each stage's row_order, built on a writer's first use.
+
+        The engine appends rows in event order; only the writers need
+        row_order, so a run whose trace is never written never sorts.
+        """
+        return build_writer_order(self.stage_rows, self.stage_columns)
 
     def stage_compute_busy(self) -> list[float]:
         """Each stage's compute seconds, summed in row order."""
@@ -307,11 +389,26 @@ class Trace:
         so the trace records each interval once per stage. Chip ids follow
         (replica * pp + stage) * tp + rank; lines are in row_order per stage.
 
-        Interval lines are the bytes json.dumps(row dict, separators=(",",
-        ":")) gives, filled into one template per (stage, resource, label).
-        Times are written with float.__repr__, the formatter json uses, so
-        float subclasses such as numpy.float64 from an injected CostBook
-        print as plain floats; times are finite (check_invariants).
+        Lines are the bytes json.dumps(row dict, separators=(",", ":"))
+        gives. json.dumps escapes every line break a label or resource may
+        hold, so splitting at newline characters alone finds the lines.
+        """
+        for text in self._jsonl_texts():
+            yield from text.split("\n")[:-1]
+
+    def write_jsonl(self, path) -> None:
+        with open(path, "w") as handle:
+            handle.writelines(self._jsonl_texts())
+
+    def _jsonl_texts(self):
+        """The meta line, then blocks of interval lines, each line ending in
+        a newline.
+
+        A line is six fragments: the (stage, resource) head, start,
+        ',"end":', end, the label and the microbatch. Times are told apart
+        by bit pattern, so -0.0 and 0.0 stay apart. Each distinct time of a
+        block is formatted once, and a time two adjacent stages share once
+        for both (_time_texts). Times are finite (check_invariants).
         """
         yield json.dumps(
             {
@@ -325,25 +422,81 @@ class Trace:
                 "visual_tokens_per_sample": self.visual_tokens_per_sample,
             },
             separators=(",", ":"),
-        )
-        fmt = float.__repr__
-        for stage, rows in enumerate(self.sorted_stage_rows):
-            templates: dict[tuple[str, str], tuple[str, str]] = {}
-            for res, start, end, label, mb in rows:
-                parts = templates.get((res, label))
-                if parts is None:
-                    parts = templates[res, label] = (
-                        f'{{"stage":{stage},"resource":{json.dumps(res)},"start":',
-                        f',"label":{json.dumps(label)},"microbatch":',
-                    )
-                yield (
-                    f'{parts[0]}{fmt(start)},"end":{fmt(end)}{parts[1]}'
-                    f'{"null" if mb is None else mb}}}'
+        ) + "\n"
+        writer = self.writer_order
+        label_texts = np.array([
+            f',"label":{json.dumps(label)},"microbatch":'
+            for label in writer.labels
+        ], object)
+        microbatch_texts = np.array([
+            f'{"null" if mb is None else mb}}}\n' for mb in writer.microbatches
+        ], object)
+        # the times a stage shares with the stage before or after it (the
+        # hand-offs) are formatted once for both, and kept for its blocks
+        handed_in = (np.empty(0, np.int64), np.empty(0, object))
+        neighbours = pairwise(chain(
+            map(_time_bits, self.stage_columns), [np.empty(0, np.int64)]
+        ))
+        for stage, (cols, rows, (bits, next_bits)) in enumerate(
+            zip(self.stage_columns, writer.stages, neighbours)
+        ):
+            shared = np.zeros(len(bits), bool)
+            for other in (handed_in[0], next_bits):
+                _, at, _ = np.intersect1d(
+                    bits, other, assume_unique=True, return_indices=True
                 )
+                shared[at] = True
+            known = (bits[shared], _time_texts(bits[shared], *handed_in))
+            heads = np.array([
+                f'{{"stage":{stage},"resource":{json.dumps(res)},"start":'
+                for res in writer.resources
+            ], object)
+            for first in range(0, len(rows.order), JSONL_BLOCK_ROWS):
+                block = slice(first, first + JSONL_BLOCK_ROWS)
+                order = rows.order[block]
+                n = len(order)
+                block_bits, inverse = np.unique(
+                    np.concatenate((cols.start[order], cols.end[order]))
+                    .view(np.int64),
+                    return_inverse=True,
+                )
+                times = _time_texts(block_bits, *known)[inverse]
+                fragments = [',"end":'] * (6 * n)
+                fragments[0::6] = heads[rows.resource[block]].tolist()
+                fragments[1::6] = times[:n].tolist()
+                fragments[3::6] = times[n:].tolist()
+                fragments[4::6] = label_texts[rows.label[block]].tolist()
+                fragments[5::6] = microbatch_texts[rows.microbatch[block]].tolist()
+                yield "".join(fragments)
+            handed_in = known
 
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.writelines(f"{line}\n" for line in self.iter_jsonl_lines())
+
+def _time_bits(cols: StageColumns) -> np.ndarray:
+    """A stage's distinct times as int64 bit patterns, ascending; -0.0 and
+    0.0 differ. (np.unique without an inverse would import numpy.ma.)"""
+    bits = np.sort(np.concatenate((cols.start, cols.end)).view(np.int64))
+    first = np.ones(len(bits), bool)
+    first[1:] = bits[1:] != bits[:-1]
+    return bits[first]
+
+
+def _time_texts(
+    bits: np.ndarray, known_bits: np.ndarray, known_texts: np.ndarray
+) -> np.ndarray:
+    """float.__repr__ of each time in `bits` (int64 bit patterns), as an
+    object array. A time in known_bits (ascending) takes its text from
+    known_texts; only the others are formatted. float.__repr__ is json's
+    formatter, so float subclasses such as numpy.float64 print as plain
+    floats."""
+    at = np.searchsorted(known_bits, bits)
+    hit = at < len(known_bits)
+    hit[hit] = known_bits[at[hit]] == bits[hit]
+    texts = np.empty(len(bits), object)
+    texts[hit] = known_texts[at[hit]]
+    texts[~hit] = list(
+        map(float.__repr__, bits[~hit].view(np.float64).tolist())
+    )
+    return texts
 
 
 def _link_model(topology: Topology, inter_node: bool) -> CollectiveCostModel:
@@ -645,11 +798,13 @@ def run(
                     if end > gemm_start:
                         append((COMPUTE, gemm_start, end, label, mb))
                 else:
-                    # GEMM chunks gated by transfer chunks, with gaps; the
-                    # last ends where compute is freed, not an ulp past it
+                    # GEMM chunks gated by transfer chunks, with gaps; a
+                    # piece ends no later than the next one starts, and the
+                    # last where compute is freed, not an ulp past either
                     for j in range(1, chunks + 1):
                         cs = start + j * tc
-                        ce = cs + tg if j < chunks else end
+                        ce = (min(cs + tg, start + (j + 1) * tc)
+                              if j < chunks else end)
                         if ce > cs:
                             append((COMPUTE, cs, ce, label, mb))
             else:

@@ -285,28 +285,40 @@ _GANTT_COLORS = {
 
 
 def _lane_pieces(
-    rows, res: str, left: float, scale: float, lane_h: int, max_intervals: int
+    trace: Trace, stage: int, res: str, left: float, scale: float,
+    lane_h: int, max_intervals: int, tails: dict[tuple[float, int], str],
 ) -> tuple[list[str], bool]:
     """The rects of one (stage, resource) lane, split where the lane's y goes.
 
     Every chip of a stage draws the same rects and only y differs between
     its lanes, so a lane is y.join(pieces). Also says whether the lane has
-    more than max_intervals intervals, i.e. is clipped.
+    more than max_intervals intervals, i.e. is clipped. x and w take the
+    IEEE operations of left + start * scale and max((end - start) * scale,
+    0.05), elementwise; `tails` holds each rect's text after y by (w,
+    label code), which repeats across microbatches of one shape.
     """
-    lane_rows = [row for row in rows if row[0] == res]
-    pieces = []
-    tail = ""
-    for _, start, end, label, _ in lane_rows[:max_intervals]:
-        x = left + start * scale
-        w = max((end - start) * scale, 0.05)
-        color = _GANTT_COLORS.get(label, "#999999")
-        pieces.append(f'{tail}<rect x="{x:.3f}" y="')
-        tail = (
-            f'" width="{w:.3f}" height="{lane_h}" fill="{color}">'
-            f"<title>{label}</title></rect>\n"
-        )
-    pieces.append(tail)
-    return pieces, len(lane_rows) > max_intervals
+    cols = trace.stage_columns[stage]
+    writer = trace.writer_order
+    rows = writer.stages[stage]
+    in_lane = (cols.compute if res == COMPUTE else cols.comm)[rows.order]
+    drawn = rows.order[in_lane][:max_intervals]
+    start = cols.start[drawn]
+    xs = (left + start * scale).tolist()
+    ws = np.maximum((cols.end[drawn] - start) * scale, 0.05).tolist()
+    labels = rows.label[in_lane][:max_intervals].tolist()
+    pieces = [""]
+    for x, w, code in zip(xs, ws, labels):
+        tail = tails.get((w, code))
+        if tail is None:
+            label = writer.labels[code]
+            color = _GANTT_COLORS.get(label, "#999999")
+            tail = tails[w, code] = (
+                f'" width="{w:.3f}" height="{lane_h}" fill="{color}">'
+                f"<title>{label}</title></rect>\n"
+            )
+        pieces[-1] += f'<rect x="{x:.3f}" y="'
+        pieces.append(tail)
+    return pieces, np.count_nonzero(in_lane) > max_intervals
 
 
 def emit_gantt(
@@ -339,6 +351,7 @@ def emit_gantt(
     scale = (width - left - 10) / trace.makespan
 
     rendered: dict[tuple[int, str], tuple[list[str], bool]] = {}
+    tails: dict[tuple[float, int], str] = {}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" font-family="monospace" font-size="10">\n'
@@ -351,8 +364,8 @@ def emit_gantt(
             text_y = y + lane_h - 3
             if (stage, res) not in rendered:
                 rendered[stage, res] = _lane_pieces(
-                    trace.sorted_stage_rows[stage], res, left, scale, lane_h,
-                    max_intervals,
+                    trace, stage, res, left, scale, lane_h, max_intervals,
+                    tails,
                 )
             pieces, clipped = rendered[stage, res]
             parts.append(

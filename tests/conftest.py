@@ -14,6 +14,7 @@ from vlmsim import (
     stage_by_name,
     stage_grad_bytes,
 )
+from vlmsim.engine import COMM, COMPUTE
 
 PRESET_DIR = "presets"
 PRESETS = [
@@ -22,6 +23,20 @@ PRESETS = [
     "fusion-claim.json",
     "seqpar-32k.json",
     "gradsync.json",
+]
+
+
+# every tie and odd row the writers must order and print as the reference
+# does: equal starts across compute and comm, equal (start, end) under
+# different labels, -0.0 beside 0.0, a third resource, line breaks in
+# labels, a time in adjacent and in distant stages, and an empty stage
+EDGE_ROWS = [
+    [(COMM, 0.0, 2.0, "p2p", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
+     (COMPUTE, 1.0, 2.0, "fwd", 1), (COMPUTE, 1.0, 2.0, "bwd", 1),
+     (COMM, -0.0, 0.5, "\u2028", None), ("host", 0.1 + 0.2, 3.0, "a\nb", 2)],
+    [(COMPUTE, 2.0, 3.0, "fwd", 0), (COMM, 2.0, 0.1 + 0.2, "p2p", None)],
+    [],
+    [("host", -0.0, 2.0, "copy", 7), (COMPUTE, 0.0, 2.0, "fwd", 7)],
 ]
 
 

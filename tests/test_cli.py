@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vlmsim
+from vlmsim import engine
 from vlmsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -93,6 +98,27 @@ class TestSimulate:
         }
         stages = {json.loads(line)["stage"] for line in lines[1:]}
         assert stages == set(range(8))
+
+    def test_flagship_never_sorts_rows_by_the_python_key(self, tmp_path,
+                                                         monkeypatch):
+        # the writers order rows with numpy; row_order is the tests' key
+        def never(row):
+            raise AssertionError("row_order called")
+
+        monkeypatch.setattr(engine, "row_order", never)
+        assert main(["simulate", "--config", FLAGSHIP_PRESET,
+                     "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_import_starts_no_process_machinery(self):
+        # only a parallel sweep imports the process pool
+        code = ("import sys, vlmsim.cli; print(sorted(m for m in sys.modules"
+                " if m in ('concurrent.futures.process', 'multiprocessing')))")
+        src = str(Path(vlmsim.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "ghost.json"),

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlmsim import cluster, engine, schedule
@@ -33,7 +33,13 @@ from vlmsim.schedule import (
     simulate_slot_completion,
 )
 from vlmsim.workload import SequenceLengthModel, stage_by_name
-from tests.conftest import PRESET_DIR, fixed_workload, make_plan, make_topology
+from tests.conftest import (
+    EDGE_ROWS,
+    PRESET_DIR,
+    fixed_workload,
+    make_plan,
+    make_topology,
+)
 
 
 class TestFusedTime:
@@ -482,18 +488,20 @@ def bare_trace(stage_rows, makespan=1.0):
 
 # finite floats of every magnitude, plus ones whose repr is a known edge:
 # the smallest subnormal, the largest double, a rounding residue, the
-# exponent switch points of repr and negative zero
+# exponent switch points of repr and negative zero. Many draws come from
+# the short list, so rows tie on start and on (start, end), and stages
+# share times.
 times = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                      0.1 + 0.2, 1e16, 1e-5, 1e-4, -0.0, 0.0]),
 )
 rows = st.tuples(
-    st.sampled_from([COMPUTE, COMM]),
+    st.sampled_from([COMPUTE, COMM, "host"]),
     times,
     times,
     st.one_of(st.sampled_from(["fwd", "bwd", "collective", "p2p",
-                               "sync_bucket"]), st.text()),
+                               "sync_bucket", "a\nb", "\u2028"]), st.text()),
     st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
 )
 
@@ -501,6 +509,7 @@ rows = st.tuples(
 class TestJsonlWriter:
     @given(stage_rows=st.lists(st.lists(rows, max_size=8), min_size=1,
                                max_size=3))
+    @example(stage_rows=EDGE_ROWS)
     @settings(max_examples=300, deadline=None)
     def test_row_lines_equal_json_dumps(self, stage_rows):
         trace = bare_trace(stage_rows)
@@ -534,7 +543,7 @@ class TestJsonlWriter:
 
     def test_write_jsonl_streams_the_same_lines(self, tmp_path):
         trace = bare_trace([[(COMPUTE, 0.0, 0.1 + 0.2, "fwd", None),
-                             (COMM, 0.0, 1e-300, "p2p", 3)]])
+                             (COMM, 0.0, 1e-300, "p2p", 3)]] + EDGE_ROWS)
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(path)
         assert path.read_text() == "".join(

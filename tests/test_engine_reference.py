@@ -227,7 +227,8 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
                 else:
                     for j in range(chunks):
                         cs = start + (j + 1) * tc
-                        ce = cs + tg if j < chunks - 1 else start + span
+                        ce = (min(cs + tg, start + (j + 2) * tc)
+                              if j < chunks - 1 else start + span)
                         record(i, COMPUTE, cs, ce, label, mb)
                 end = start + span
             else:
@@ -464,6 +465,33 @@ class TestRunMatchesReference:
                    in zip(compute, compute[1:]))
         assert_identical(trace.stage_rows,
                          reference_run(*args, cost_book=book).stage_rows)
+
+    def test_gated_middle_pieces_end_by_the_next_start(self, catalog,
+                                                       full_stage):
+        # GEMMs of 50-200 s under TP lumps 1-3 ulps longer: tc exceeds tg by
+        # less than an ulp of the slot start, so a middle piece ending at
+        # cs + tg passed the next piece's start, and check_invariants raised
+        # "stage 0 overlapping compute intervals" on most draws
+        rng = np.random.default_rng(0)
+        m = 6
+        topology = make_topology(nodes=1, chips_per_node=2, memory=1e18)
+        workload = StepWorkload(microbatch_token_budget=64,
+                                seq_len_model=SequenceLengthModel.fixed(64))
+        for _ in range(200):
+            plan = make_plan(tp=2, m=m,
+                             fusion_chunks=int(rng.integers(2, 9)))
+            gemm = rng.uniform(50.0, 200.0, size=(2, m))
+            lump = gemm + rng.integers(1, 4, size=gemm.shape) * np.spacing(gemm)
+            book = CostBook(
+                fwd=[list(gemm[0])], bwd=[list(gemm[1])],
+                tp_fwd=[list(lump[0])], tp_bwd=[list(lump[1])],
+                p2p_fwd=[[0.0] * m], p2p_bwd=[[0.0] * m], sync_buckets=[[]],
+            )
+            args = (catalog["3B"], full_stage, plan, topology,
+                    CostModelConfig(), 0, workload)
+            trace = run(*args, cost_book=book)
+            assert_identical(trace.stage_rows,
+                             reference_run(*args, cost_book=book).stage_rows)
 
 
 def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vlmsim.cluster import MemoryBreakdown
@@ -18,6 +18,7 @@ from vlmsim.engine import (
     run,
 )
 from vlmsim.cluster import partition_layers
+from vlmsim.config import config_digest, load_config
 from vlmsim.metrics import (
     CSV_COLUMNS,
     RunReport,
@@ -34,7 +35,7 @@ from vlmsim.metrics import (
 )
 from vlmsim.schedule import measured_bubble
 from vlmsim.workload import plan_step_microbatches
-from tests.conftest import fixed_workload, make_plan, make_topology
+from tests.conftest import EDGE_ROWS, fixed_workload, make_plan, make_topology
 
 
 def synthetic_trace(rows_by_stage, dp=1, tp=1, makespan=None):
@@ -172,6 +173,20 @@ class TestMfu:
 
 
 class TestReports:
+    def test_api_run_never_builds_the_writer_order(self, monkeypatch):
+        # only the trace and gantt writers need row_order
+        def never(trace):
+            raise AssertionError("writer order built")
+
+        monkeypatch.setattr(Trace, "writer_order", property(never))
+        cfg = load_config("bench/workloads/multimodal-api.json")
+        trace = run(cfg.model, cfg.stage, cfg.plan, cfg.topology,
+                    cfg.costmodel, cfg.seed, cfg.workload)
+        report = build_report(trace, cfg.model, cfg.stage, cfg.plan,
+                              cfg.topology, config_digest(cfg))
+        for format in ("json", "csv"):
+            emit_report(report, format)
+
     def _report(self, efficiency=None):
         return RunReport(
             config_digest="d" * 64,
@@ -438,11 +453,17 @@ def reference_gantt(trace, max_chips=64, max_intervals=300):
     return "\n".join(parts) + "\n"
 
 
+# starts and durations often come from short lists, so rows tie on start
+# across compute and comm and on (start, end) under different labels, and
+# stages share times; "host" rows are in no lane
 gantt_rows = st.tuples(
-    st.sampled_from([COMPUTE, COMM]),
-    st.floats(min_value=0.0, max_value=100.0),
-    st.floats(min_value=1e-9, max_value=50.0),
-    st.sampled_from(["fwd", "bwd", "collective", "p2p", "sync_bucket", "x"]),
+    st.sampled_from([COMPUTE, COMM, "host"]),
+    st.one_of(st.floats(min_value=0.0, max_value=100.0),
+              st.sampled_from([-0.0, 0.0, 1.0])),
+    st.one_of(st.floats(min_value=1e-9, max_value=50.0),
+              st.sampled_from([0.5, 1.0])),
+    st.sampled_from(["fwd", "bwd", "collective", "p2p", "sync_bucket", "x",
+                     "a\nb", "\u2028"]),
     st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
 )
 
@@ -464,14 +485,22 @@ class TestGanttMatchesReference:
         stage_rows = [
             [(res, start, start + dur, label, mb)
              for res, start, dur, label, mb in lanes.draw(
-                 st.lists(gantt_rows, min_size=1, max_size=10))]
+                 st.lists(gantt_rows, max_size=10))]
             for _ in range(pp)
         ]
+        assume(any(stage_rows))  # emit_gantt refuses an empty trace
         trace = synthetic_trace(stage_rows, dp=dp, tp=tp)
         assert emit_gantt(trace, max_chips=max_chips,
                           max_intervals=max_intervals) == reference_gantt(
             trace, max_chips, max_intervals
         )
+
+    def test_edge_rows(self):
+        trace = synthetic_trace(EDGE_ROWS, dp=2, tp=2)
+        for max_intervals in (0, 2, 300):
+            assert emit_gantt(trace, max_intervals=max_intervals) == (
+                reference_gantt(trace, max_intervals=max_intervals)
+            )
 
     def test_replicas_wrap_into_default_window(self, catalog, full_stage,
                                                costmodel):
