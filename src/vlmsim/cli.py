@@ -190,7 +190,10 @@ def cmd_sweep(
     parallel: int = 1,
 ) -> int:
     """Cartesian sweep. Overrides land on the raw document, so values the
-    base config left symbolic (dp: "auto") re-resolve per point."""
+    base config left symbolic (dp: "auto") re-resolve per point. At most
+    `parallel` points, and never more than there are, run at once."""
+    if parallel < 1:
+        raise ValueError(f"--parallel must be at least 1, got {parallel}")
     base_config = load_config(copy.deepcopy(doc))
     if not axes:
         cmd_simulate(base_config, out_dir)
@@ -214,12 +217,14 @@ def cmd_sweep(
         (json.dumps(doc), str(out_dir / _point_dir_name(assignment)))
         for assignment, doc in points
     ]
-    if parallel > 1:
+    # a fork pool starts all of its workers at the first call, used or not
+    workers = min(parallel, len(jobs))
+    if workers > 1:
         # imported here: simulate, validate and serial sweeps never start
         # a pool, so they skip the multiprocessing import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             report_rows = list(pool.map(_run_sweep_point, *zip(*jobs)))
     else:
         report_rows = [_run_sweep_point(*job) for job in jobs]

@@ -42,28 +42,28 @@ stage-group granularity and the trace expands lazily to every
 whole construction is an arithmetic fold over the schedule, so a given
 (inputs, seed) pair is bit-reproducible.
 
-The trace's row lists are its one record. Scans over every row (the
-invariant check, compute busy time, comm overlap) read numpy columns of
-each stage instead: start, end and a compute and a comm mask, built from
-the rows once per trace. Their sums add left to right, in row order, so
-they give the floats the row-by-row loops give.
+The trace's record is per-stage numpy columns: each row's start, end,
+kind (an index into Trace.kinds, its resource and label) and microbatch.
+The event loop records a stage's rows into one flat list and turns it
+into columns once, after the step. Scans over every row (the invariant
+check, compute busy time, comm overlap) read the columns. Their sums add
+left to right, in row order, so they give the floats that row-by-row
+loops give.
 
 The writers read one more view, built on a writer's first use only: each
-stage's rows coded by resource, label and microbatch and put in row_order
-by one np.lexsort. trace.jsonl is assembled from it by gathers, a block of
-rows at a time, formatting each distinct time of a block once, and
-gantt.svg draws each lane's first rows from it.
+stage's rows in writing order (start, compute first, end, label), one
+np.lexsort permutation. trace.jsonl is assembled from it by gathers, a
+block of rows at a time, formatting each distinct time of a block once,
+and gantt.svg draws each lane's first rows from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, pairwise
-from operator import itemgetter
+from itertools import chain, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -100,9 +100,20 @@ LABEL_COLLECTIVE = "collective"
 LABEL_P2P = "p2p"
 LABEL_SYNC = "sync_bucket"
 
-# Rows trace.jsonl formats and joins at a time, in row_order: it bounds the
-# writer's memory, and a time recurs within a few rows of that order, so a
-# block dedupes its times about as well as its whole stage does.
+# (resource, label) of each kind of row the engine records; a row's kind
+# column holds its index here
+KINDS = (
+    (COMPUTE, LABEL_FWD),
+    (COMPUTE, LABEL_BWD),
+    (COMM, LABEL_COLLECTIVE),
+    (COMM, LABEL_P2P),
+    (COMM, LABEL_SYNC),
+)
+KIND_FWD, KIND_BWD, KIND_COLLECTIVE, KIND_P2P, KIND_SYNC = range(len(KINDS))
+
+# Rows trace.jsonl formats and joins at a time, in writing order: it bounds
+# the writer's memory, and a time recurs within a few rows of that order,
+# so a block dedupes its times about as well as its whole stage does.
 JSONL_BLOCK_ROWS = 2048
 
 # Largest run accepted, in estimated trace rows of one replica (see
@@ -182,107 +193,13 @@ class CostBook:
         )
 
 
-Row = tuple[str, float, float, str, int | None]  # resource, start, end, label, mb
-
-
-def row_order(row: Row) -> tuple:
-    """Sort key of trace rows: start, compute before comm, end, label.
-
-    The order the writers emit each stage's rows in. They reproduce it
-    with numpy (build_writer_order); tests sort by this key as reference.
-    """
-    return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
-
-
 class StageColumns(NamedTuple):
-    """One stage's rows as columns, in stored row order."""
+    """One stage's rows as columns, in recorded order."""
 
     start: np.ndarray  # float64
     end: np.ndarray  # float64
-    compute: np.ndarray  # bool, resource == COMPUTE
-    comm: np.ndarray  # bool, resource == COMM
-
-
-def build_stage_columns(stage_rows: list[list[Row]]) -> list[StageColumns]:
-    """The columns of every stage; rows of other resources are in neither mask."""
-    start_of, end_of, resource_of = itemgetter(1), itemgetter(2), itemgetter(0)
-    columns = []
-    for rows in stage_rows:
-        n = len(rows)
-        resources = np.fromiter(map(resource_of, rows), object, n)
-        columns.append(StageColumns(
-            start=np.fromiter(map(start_of, rows), np.float64, n),
-            end=np.fromiter(map(end_of, rows), np.float64, n),
-            compute=resources == COMPUTE,
-            comm=resources == COMM,
-        ))
-    return columns
-
-
-class StageOrder(NamedTuple):
-    """One stage's rows in row_order: their stored indices and codes."""
-
-    order: np.ndarray  # stored row indices
-    resource: np.ndarray  # index into WriterOrder.resources
-    label: np.ndarray  # index into WriterOrder.labels
-    microbatch: np.ndarray  # index into WriterOrder.microbatches
-
-
-class WriterOrder(NamedTuple):
-    """Every stage's rows in row_order, for the trace and gantt writers.
-
-    Resources, labels and microbatches are coded over the whole trace, in
-    order of first appearance.
-    """
-
-    resources: list[str]
-    labels: list[str]
-    microbatches: list[int | None]
-    stages: list[StageOrder]
-
-
-def build_writer_order(
-    stage_rows: list[list[Row]], columns: list[StageColumns]
-) -> WriterOrder:
-    """Code each row's resource, label and microbatch, then sort each stage
-    with np.lexsort.
-
-    lexsort is stable, so rows that tie on every key keep stored order, as
-    in sorted(rows, key=row_order). Labels rank in Python string order and
-    every resource other than COMPUTE ranks as comm, as in row_order.
-    """
-    # a value's code is its rank in first appearance: a missing key takes
-    # the counter's next value
-    coders = [defaultdict(count().__next__) for _ in range(3)]
-    stages = []
-    for rows, cols in zip(stage_rows, columns):
-        codes = [
-            np.fromiter(
-                map(coder.__getitem__, map(itemgetter(column), rows)),
-                np.int32, len(rows),
-            )
-            for column, coder in zip((0, 3, 4), coders)
-        ]
-        resource_rank = np.array(
-            [res != COMPUTE for res in coders[0]], np.intp
-        )
-        rank_of = {
-            label: rank for rank, label in enumerate(sorted(coders[1]))
-        }
-        label_rank = np.array([rank_of[label] for label in coders[1]], np.intp)
-        order = np.lexsort((
-            label_rank[codes[1]], cols.end, resource_rank[codes[0]],
-            cols.start,
-        ))
-        # the order outlives the writers with its trace, so each array is
-        # kept in the narrowest unsigned type that holds its values
-        stages.append(StageOrder(
-            order.astype(np.min_scalar_type(len(order))),
-            *(column[order].astype(np.min_scalar_type(len(values)))
-              for column, values in zip(codes, coders)),
-        ))
-    resources, labels, microbatches = map(list, coders)
-    return WriterOrder(resources, labels, microbatches, stages)
+    kind: np.ndarray  # small unsigned int, an index into Trace.kinds
+    microbatch: np.ndarray  # int64, -1 for a row of no microbatch
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -302,9 +219,11 @@ class Trace:
     lockstep; rows expand to per-chip intervals on demand. Chip ids follow
     (replica * pp + stage) * tp + rank.
 
-    A Trace is read-only once `run` returns: the per-stage columns and the
-    writers' row order are derived from stage_rows on first use and cached,
-    so a later edit of stage_rows would leave every metric stale.
+    The record is stage_columns, one StageColumns per stage; a row's kind
+    indexes `kinds`, its (resource, label) pair. A Trace is read-only once
+    `run` returns: the kind masks and the writers' row order are derived
+    from the columns on first use and cached, so a later edit of the
+    columns would leave them stale.
     """
 
     dp: int
@@ -312,10 +231,11 @@ class Trace:
     pp: int
     makespan: float
     seed: int
-    stage_rows: list[list[Row]]
+    stage_columns: list[StageColumns]
     microbatch_sizes: list[int]
     microbatch_seq_lens: list[int]
     visual_tokens_per_sample: int
+    kinds: tuple[tuple[str, str], ...] = KINDS
 
     @property
     def total_chips(self) -> int:
@@ -332,26 +252,66 @@ class Trace:
     def tokens_per_step(self) -> int:
         return self.dp * sum(self.microbatch_tokens)
 
-    @cached_property
-    def stage_columns(self) -> list[StageColumns]:
-        """Each stage's rows as numpy columns, built on first use."""
-        return build_stage_columns(self.stage_rows)
+    @property
+    def stage_rows(self) -> list[list[tuple]]:
+        """Each stage's rows as (resource, start, end, label, microbatch)
+        tuples, microbatch None for -1, built from the columns on every
+        read: a view for readers outside vlmsim, which never reads it."""
+        stages = []
+        for cols in self.stage_columns:
+            kinds = map(self.kinds.__getitem__, cols.kind.tolist())
+            stages.append([
+                (resource, start, end, label, None if mb < 0 else mb)
+                for (resource, label), start, end, mb in zip(
+                    kinds, cols.start.tolist(), cols.end.tolist(),
+                    cols.microbatch.tolist(),
+                )
+            ])
+        return stages
 
     @cached_property
-    def writer_order(self) -> WriterOrder:
-        """Each stage's row_order, built on a writer's first use.
+    def compute(self) -> np.ndarray:
+        """Whether each kind is a compute row, indexed by kind."""
+        return np.array([res == COMPUTE for res, _ in self.kinds], bool)
 
-        The engine appends rows in event order; only the writers need
-        row_order, so a run whose trace is never written never sorts.
+    @cached_property
+    def comm(self) -> np.ndarray:
+        """Whether each kind is a comm row, indexed by kind. A kind of
+        another resource is in neither mask."""
+        return np.array([res == COMM for res, _ in self.kinds], bool)
+
+    @cached_property
+    def writer_order(self) -> list[np.ndarray]:
+        """Each stage's rows in writing order, as a permutation of its
+        recorded rows; built on a writer's first use.
+
+        Writing order is start, compute before every other resource, end,
+        then label in Python string order. np.lexsort is stable, so rows
+        that tie on all four keep recorded order. The engine records rows
+        in event order; only the writers need this one, so a run whose
+        trace is never written never sorts.
         """
-        return build_writer_order(self.stage_rows, self.stage_columns)
+        resource_rank = ~self.compute
+        labels = sorted({label for _, label in self.kinds})
+        label_rank = np.array([labels.index(label) for _, label in self.kinds])
+        orders = []
+        for cols in self.stage_columns:
+            order = np.lexsort((
+                label_rank[cols.kind], cols.end, resource_rank[cols.kind],
+                cols.start,
+            ))
+            # the order outlives the writers with its trace, so it is kept
+            # in the narrowest unsigned type that holds its values
+            orders.append(order.astype(np.min_scalar_type(len(order))))
+        return orders
 
     def stage_compute_busy(self) -> list[float]:
         """Each stage's compute seconds, summed in row order."""
-        return [
-            sequential_sum(cols.end[cols.compute] - cols.start[cols.compute])
-            for cols in self.stage_columns
-        ]
+        busy = []
+        for cols in self.stage_columns:
+            compute = self.compute[cols.kind]
+            busy.append(sequential_sum(cols.end[compute] - cols.start[compute]))
+        return busy
 
     def check_invariants(self) -> None:
         """Raise AssertionError at the first bad row of the first bad pass.
@@ -363,7 +323,8 @@ class Trace:
         if not math.isfinite(self.makespan):
             raise AssertionError(f"makespan {self.makespan} is not finite")
         for stage, cols in enumerate(self.stage_columns):
-            for resource, mask in ((COMPUTE, cols.compute), (COMM, cols.comm)):
+            for resource, in_kind in ((COMPUTE, self.compute), (COMM, self.comm)):
+                mask = in_kind[cols.kind]
                 start = cols.start[mask]
                 end = cols.end[mask]
                 prev_end = np.concatenate(([-1.0], end[:-1]))
@@ -373,7 +334,8 @@ class Trace:
                     continue
                 first = bad[0]
                 if not_positive[first]:
-                    label = self.stage_rows[stage][np.flatnonzero(mask)[first]][3]
+                    kind = cols.kind[np.flatnonzero(mask)[first]]
+                    _, label = self.kinds[kind]
                     raise AssertionError(
                         f"stage {stage} {label} interval not positive"
                     )
@@ -387,7 +349,8 @@ class Trace:
         The engine simulates at stage-group granularity (every chip of a
         stage holds an identical timeline; DP replicas are bit-identical),
         so the trace records each interval once per stage. Chip ids follow
-        (replica * pp + stage) * tp + rank; lines are in row_order per stage.
+        (replica * pp + stage) * tp + rank; lines are in writing order per
+        stage (writer_order).
 
         Lines are the bytes json.dumps(row dict, separators=(",", ":"))
         gives. json.dumps escapes every line break a label or resource may
@@ -404,11 +367,13 @@ class Trace:
         """The meta line, then blocks of interval lines, each line ending in
         a newline.
 
-        A line is six fragments: the (stage, resource) head, start,
-        ',"end":', end, the label and the microbatch. Times are told apart
-        by bit pattern, so -0.0 and 0.0 stay apart. Each distinct time of a
-        block is formatted once, and a time two adjacent stages share once
-        for both (_time_texts). Times are finite (check_invariants).
+        A line is six fragments: the head (stage and resource), start,
+        ',"end":', end, the label and the microbatch. Heads and labels are
+        formatted once per kind, and each distinct microbatch once per
+        stage. Times are told apart by bit pattern, so -0.0 and 0.0 stay
+        apart. Each distinct time of a block is formatted once, and a time
+        two adjacent stages share once for both (_time_texts). Times are
+        finite (check_invariants).
         """
         yield json.dumps(
             {
@@ -423,13 +388,9 @@ class Trace:
             },
             separators=(",", ":"),
         ) + "\n"
-        writer = self.writer_order
         label_texts = np.array([
             f',"label":{json.dumps(label)},"microbatch":'
-            for label in writer.labels
-        ], object)
-        microbatch_texts = np.array([
-            f'{"null" if mb is None else mb}}}\n' for mb in writer.microbatches
+            for _, label in self.kinds
         ], object)
         # the times a stage shares with the stage before or after it (the
         # hand-offs) are formatted once for both, and kept for its blocks
@@ -437,8 +398,8 @@ class Trace:
         neighbours = pairwise(chain(
             map(_time_bits, self.stage_columns), [np.empty(0, np.int64)]
         ))
-        for stage, (cols, rows, (bits, next_bits)) in enumerate(
-            zip(self.stage_columns, writer.stages, neighbours)
+        for stage, (cols, order, (bits, next_bits)) in enumerate(
+            zip(self.stage_columns, self.writer_order, neighbours)
         ):
             shared = np.zeros(len(bits), bool)
             for other in (handed_in[0], next_bits):
@@ -449,24 +410,34 @@ class Trace:
             known = (bits[shared], _time_texts(bits[shared], *handed_in))
             heads = np.array([
                 f'{{"stage":{stage},"resource":{json.dumps(res)},"start":'
-                for res in writer.resources
+                for res, _ in self.kinds
             ], object)
-            for first in range(0, len(rows.order), JSONL_BLOCK_ROWS):
-                block = slice(first, first + JSONL_BLOCK_ROWS)
-                order = rows.order[block]
-                n = len(order)
+            # each distinct microbatch of the stage is formatted once
+            microbatches, microbatch_code = np.unique(
+                cols.microbatch, return_inverse=True
+            )
+            microbatch_texts = np.array([
+                f'{"null" if mb < 0 else mb}}}\n'
+                for mb in microbatches.tolist()
+            ], object)
+            for first in range(0, len(order), JSONL_BLOCK_ROWS):
+                rows = order[first:first + JSONL_BLOCK_ROWS]
+                n = len(rows)
+                kind = cols.kind[rows]
                 block_bits, inverse = np.unique(
-                    np.concatenate((cols.start[order], cols.end[order]))
+                    np.concatenate((cols.start[rows], cols.end[rows]))
                     .view(np.int64),
                     return_inverse=True,
                 )
                 times = _time_texts(block_bits, *known)[inverse]
                 fragments = [',"end":'] * (6 * n)
-                fragments[0::6] = heads[rows.resource[block]].tolist()
+                fragments[0::6] = heads[kind].tolist()
                 fragments[1::6] = times[:n].tolist()
                 fragments[3::6] = times[n:].tolist()
-                fragments[4::6] = label_texts[rows.label[block]].tolist()
-                fragments[5::6] = microbatch_texts[rows.microbatch[block]].tolist()
+                fragments[4::6] = label_texts[kind].tolist()
+                fragments[5::6] = (
+                    microbatch_texts[microbatch_code[rows]].tolist()
+                )
                 yield "".join(fragments)
             handed_in = known
 
@@ -753,13 +724,15 @@ def run(
     per_microbatch_sync = costmodel.grad_sync.frequency == "per_microbatch"
     chunks = plan.fusion_chunks
 
-    stage_rows: list[list[Row]] = [[] for _ in range(p)]
+    # each stage's rows in one flat list, four values a row: start, end,
+    # kind, microbatch (-1 for none)
+    records: list[list] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     comm_free = [0.0] * p
 
-    # rows are appended through bound methods behind the same end > start
+    # rows are recorded through bound methods behind the same end > start
     # test everywhere, so a zero-length or NaN interval is never recorded
-    appends = [rows.append for rows in stage_rows]
+    extends = [record.extend for record in records]
     # (lump, comp) -> fused span and per-chunk transfer/GEMM times; a slot
     # shape repeats across microbatches, so each pair is priced once per run
     fused: dict[tuple[float, float], tuple[float, float, float]] = {}
@@ -767,15 +740,15 @@ def run(
     def execute_slot(i: int, kind: str, k: int, dep: float) -> float:
         """Run one slot from `dep` on; return its output's hand-off time."""
         mb = k - 1
-        append = appends[i]
+        extend = extends[i]
         if kind == FORWARD:
             comp = cost_book.fwd[i][mb]
             lump = cost_book.tp_fwd[i][mb]
-            label = LABEL_FWD
+            compute_kind = KIND_FWD
         else:
             comp = cost_book.bwd[i][mb]
             lump = cost_book.tp_bwd[i][mb]
-            label = LABEL_BWD
+            compute_kind = KIND_BWD
 
         if dual_stream:
             if lump > 0.0:
@@ -790,13 +763,13 @@ def run(
                 span, tc, tg = timing
                 comm_end = start + lump
                 if comm_end > start:
-                    append((COMM, start, comm_end, LABEL_COLLECTIVE, mb))
+                    extend((start, comm_end, KIND_COLLECTIVE, mb))
                 comm_free[i] = comm_end
                 end = start + span
                 if tc <= tg or comp == 0.0:
                     gemm_start = start + tc
                     if end > gemm_start:
-                        append((COMPUTE, gemm_start, end, label, mb))
+                        extend((gemm_start, end, compute_kind, mb))
                 else:
                     # GEMM chunks gated by transfer chunks, with gaps; a
                     # piece ends no later than the next one starts, and the
@@ -806,22 +779,22 @@ def run(
                         ce = (min(cs + tg, start + (j + 1) * tc)
                               if j < chunks else end)
                         if ce > cs:
-                            append((COMPUTE, cs, ce, label, mb))
+                            extend((cs, ce, compute_kind, mb))
             else:
                 start = max(comp_free[i], dep)
                 end = start + comp
                 if end > start:
-                    append((COMPUTE, start, end, label, mb))
+                    extend((start, end, compute_kind, mb))
             comp_free[i] = end
         else:
             t = max(comp_free[i], dep)
             if lump > 0.0:
                 if t + lump > t:
-                    append((COMM, t, t + lump, LABEL_COLLECTIVE, mb))
+                    extend((t, t + lump, KIND_COLLECTIVE, mb))
                 t += lump
             end = t + comp
             if end > t:
-                append((COMPUTE, t, end, label, mb))
+                extend((t, end, compute_kind, mb))
             comp_free[i] = end
             comm_free[i] = end
 
@@ -839,7 +812,7 @@ def run(
         t0 = max(comp_free[i], comm_free[i]) if dual_stream else comp_free[i]
         t1 = t0 + duration
         if t1 > t0:
-            appends[i]((COMM, t0, t1, LABEL_P2P, mb))
+            extends[i]((t0, t1, KIND_P2P, mb))
         if not dual_stream:
             comp_free[i] = t1
         comm_free[i] = t1
@@ -847,7 +820,7 @@ def run(
 
     def _sync(i: int, producing_compute: float) -> None:
         buckets = cost_book.sync_buckets[i]
-        append = appends[i]
+        extend = extends[i]
         if overlap_sync:
             # buckets become ready progressively across the producing backward
             n = len(buckets)
@@ -858,7 +831,7 @@ def run(
                 t = free if free > ready else ready  # max(ready, free)
                 free = t + dur
                 if free > t:
-                    append((COMM, t, free, LABEL_SYNC, None))
+                    extend((t, free, KIND_SYNC, -1))
             comm_free[i] = free
         else:
             # comm unit may still be draining the stage's own p2p send
@@ -866,20 +839,29 @@ def run(
             for dur in buckets:
                 end = t + dur
                 if end > t:
-                    append((COMM, t, end, LABEL_SYNC, None))
+                    extend((t, end, KIND_SYNC, -1))
                 t = end
             comp_free[i] = t
             comm_free[i] = t
 
     execute(build_1f1b(p, m), execute_slot)
 
+    stage_columns = []
+    for record in records:
+        start, end, kind, mb = (
+            np.fromiter(record, np.float64, len(record)).reshape(-1, 4).T
+        )
+        stage_columns.append(StageColumns(
+            start.copy(), end.copy(), kind.astype(np.uint8),
+            mb.astype(np.int64),
+        ))
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
         pp=p,
         makespan=max(max(comp_free), max(comm_free)),
         seed=seed,
-        stage_rows=stage_rows,
+        stage_columns=stage_columns,
         microbatch_sizes=[len(b) for b in microbatches.batches],
         microbatch_seq_lens=[max(b) for b in microbatches.batches],
         visual_tokens_per_sample=workload.visual_tokens_per_sample,

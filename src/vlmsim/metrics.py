@@ -115,11 +115,13 @@ def overlap_efficiency(trace: Trace) -> float:
     durations = [np.empty(0)]
     overlaps = [np.empty(0)]
     for cols in trace.stage_columns:
-        comm_start = cols.start[cols.comm]
-        comm_end = cols.end[cols.comm]
+        comm = trace.comm[cols.kind]
+        compute = trace.compute[cols.kind]
+        comm_start = cols.start[comm]
+        comm_end = cols.end[comm]
         durations.append(comm_end - comm_start)
-        start = cols.start[cols.compute]
-        end = cols.end[cols.compute]
+        start = cols.start[compute]
+        end = cols.end[compute]
         if not (start.size and comm_start.size):
             continue
         # equal starts join one piece in any order
@@ -295,24 +297,23 @@ def _lane_pieces(
     more than max_intervals intervals, i.e. is clipped. x and w take the
     IEEE operations of left + start * scale and max((end - start) * scale,
     0.05), elementwise; `tails` holds each rect's text after y by (w,
-    label code), which repeats across microbatches of one shape.
+    kind), which repeats across microbatches of one shape.
     """
     cols = trace.stage_columns[stage]
-    writer = trace.writer_order
-    rows = writer.stages[stage]
-    in_lane = (cols.compute if res == COMPUTE else cols.comm)[rows.order]
-    drawn = rows.order[in_lane][:max_intervals]
+    order = trace.writer_order[stage]
+    kinds = cols.kind[order]
+    in_lane = (trace.compute if res == COMPUTE else trace.comm)[kinds]
+    drawn = order[in_lane][:max_intervals]
     start = cols.start[drawn]
     xs = (left + start * scale).tolist()
     ws = np.maximum((cols.end[drawn] - start) * scale, 0.05).tolist()
-    labels = rows.label[in_lane][:max_intervals].tolist()
     pieces = [""]
-    for x, w, code in zip(xs, ws, labels):
-        tail = tails.get((w, code))
+    for x, w, kind in zip(xs, ws, kinds[in_lane][:max_intervals].tolist()):
+        tail = tails.get((w, kind))
         if tail is None:
-            label = writer.labels[code]
+            _, label = trace.kinds[kind]
             color = _GANTT_COLORS.get(label, "#999999")
-            tail = tails[w, code] = (
+            tail = tails[w, kind] = (
                 f'" width="{w:.3f}" height="{lane_h}" fill="{color}">'
                 f"<title>{label}</title></rect>\n"
             )
@@ -340,7 +341,8 @@ def emit_gantt(
         raise ValueError(f"max_chips must be >= 1, got {max_chips}")
     if max_intervals < 0:
         raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
-    if trace.makespan <= 0.0 or not any(trace.stage_rows):
+    rows = sum(len(cols.start) for cols in trace.stage_columns)
+    if trace.makespan <= 0.0 or not rows:
         raise ValueError("empty trace")
     chips = min(trace.total_chips, max_chips)
     lane_h = 14

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from vlmsim import (
@@ -14,7 +15,7 @@ from vlmsim import (
     stage_by_name,
     stage_grad_bytes,
 )
-from vlmsim.engine import COMM, COMPUTE
+from vlmsim.engine import COMM, COMPUTE, StageColumns, Trace
 
 PRESET_DIR = "presets"
 PRESETS = [
@@ -24,6 +25,47 @@ PRESETS = [
     "seqpar-32k.json",
     "gradsync.json",
 ]
+
+
+Row = tuple[str, float, float, str, int | None]  # resource, start, end, label, mb
+
+
+def row_order(row: Row) -> tuple:
+    """Sort key of trace rows: start, compute before comm, end, label.
+
+    The order the writers emit each stage's rows in; Trace.writer_order
+    reproduces it with numpy, and tests sort by this key as reference.
+    """
+    return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
+
+
+def trace_from_rows(stage_rows, **meta) -> Trace:
+    """A Trace recording `stage_rows`, lists of Row tuples per stage.
+
+    Kinds are coded in order of first appearance, a None microbatch as -1.
+    `meta` overrides the Trace fields other than the record; by default
+    dp = tp = 1, one stage per list, makespan 1.0 and one 1-token batch.
+    """
+    kinds: dict[tuple[str, str], int] = {}
+    columns = [
+        StageColumns(
+            start=np.array([row[1] for row in rows], np.float64),
+            end=np.array([row[2] for row in rows], np.float64),
+            kind=np.array([
+                kinds.setdefault((row[0], row[3]), len(kinds)) for row in rows
+            ], np.intp),
+            microbatch=np.array(
+                [-1 if row[4] is None else row[4] for row in rows], np.int64
+            ),
+        )
+        for rows in stage_rows
+    ]
+    fields = dict(
+        dp=1, tp=1, pp=len(stage_rows), makespan=1.0, seed=0,
+        microbatch_sizes=[1], microbatch_seq_lens=[1],
+        visual_tokens_per_sample=0,
+    )
+    return Trace(stage_columns=columns, kinds=tuple(kinds), **fields | meta)
 
 
 # every tie and odd row the writers must order and print as the reference

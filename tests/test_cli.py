@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -43,6 +44,30 @@ def sweepable_config(tmp_path):
     path = tmp_path / "bubble-auto.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool a sweep opens. The pool is a
+    stand-in that runs its calls in this process and starts no worker."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return sizes
 
 
 class TestSimulate:
@@ -99,15 +124,18 @@ class TestSimulate:
         stages = {json.loads(line)["stage"] for line in lines[1:]}
         assert stages == set(range(8))
 
-    def test_flagship_never_sorts_rows_by_the_python_key(self, tmp_path,
-                                                         monkeypatch):
-        # the writers order rows with numpy; row_order is the tests' key
-        def never(row):
-            raise AssertionError("row_order called")
+    def test_flagship_artifacts_never_read_stage_rows(self, tmp_path,
+                                                      monkeypatch):
+        # the run, report and writers read the columns; stage_rows is a
+        # view for tests and the benchmark
+        def never(trace):
+            raise AssertionError("stage_rows read")
 
-        monkeypatch.setattr(engine, "row_order", never)
+        monkeypatch.setattr(engine.Trace, "stage_rows", property(never))
         assert main(["simulate", "--config", FLAGSHIP_PRESET,
                      "--out", str(tmp_path)]) == EXIT_OK
+        for name in ARTIFACTS:
+            assert (tmp_path / name).is_file(), name
 
     def test_import_starts_no_process_machinery(self):
         # only a parallel sweep imports the process pool
@@ -238,6 +266,31 @@ class TestSweep:
             del memory["total"]
             report = RunReport(**doc, memory=MemoryBreakdown(**memory))
             assert cells == report_csv_row(report)
+
+    def test_parallel_pool_never_outnumbers_points(self, tmp_path,
+                                                   pool_sizes):
+        config = sweepable_config(tmp_path)
+        for points, parallel in (("2,4", "5000"), ("2", "3")):
+            code = main(["sweep", "--config", str(config),
+                         "--axis", f"plan.pp={points}",
+                         "--out", str(tmp_path / points),
+                         "--parallel", parallel])
+            assert code == EXIT_OK
+        # one point runs in this process, without a pool
+        assert pool_sizes == [2]
+        assert (tmp_path / "2,4" / "plan.pp=4" / "report.json").is_file()
+
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_is_refused(self, tmp_path, capsys, pool_sizes,
+                                           parallel):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(sweepable_config(tmp_path)),
+                     "--axis", "plan.pp=2,4", "--out", str(out),
+                     f"--parallel={parallel}"])
+        assert code == EXIT_VALIDATION
+        assert "--parallel" in capsys.readouterr().err
+        assert pool_sizes == []
+        assert not out.exists()
 
     def test_empty_axes_degenerates_to_simulate(self, tmp_path):
         out = tmp_path / "plain"

@@ -14,10 +14,8 @@ from vlmsim.engine import (
     CostBook,
     CostModelConfig,
     PlanValidationError,
-    Trace,
     build_cost_book,
     fused_allgather_gemm_time,
-    row_order,
     run,
     step_shape,
     step_training_flops,
@@ -39,6 +37,8 @@ from tests.conftest import (
     fixed_workload,
     make_plan,
     make_topology,
+    row_order,
+    trace_from_rows,
 )
 
 
@@ -479,11 +479,7 @@ def reference_row_lines(trace):
 
 
 def bare_trace(stage_rows, makespan=1.0):
-    return Trace(
-        dp=1, tp=1, pp=len(stage_rows), makespan=makespan, seed=0,
-        stage_rows=stage_rows, microbatch_sizes=[1], microbatch_seq_lens=[1],
-        visual_tokens_per_sample=0,
-    )
+    return trace_from_rows(stage_rows, makespan=makespan)
 
 
 # finite floats of every magnitude, plus ones whose repr is a known edge:
@@ -534,9 +530,7 @@ class TestJsonlWriter:
             make_plan(pp=p, m=m, fusion_chunks=2), topo, CostModelConfig(),
             seed=0, workload=fixed_workload(64, budget=64), cost_book=book,
         )
-        assert any(
-            type(r[2]) is np.float64 for rows in trace.stage_rows for r in rows
-        )
+        assert type(book.bwd[0][0]) is np.float64
         lines = list(trace.iter_jsonl_lines())
         assert lines[1:] == reference_row_lines(trace)
         assert "np.float64" not in "".join(lines)
@@ -549,6 +543,23 @@ class TestJsonlWriter:
         assert path.read_text() == "".join(
             line + "\n" for line in trace.iter_jsonl_lines()
         )
+
+
+class TestStageRowsView:
+    def test_edge_rows_round_trip(self):
+        # -0.0, None microbatches, a third resource and line-break labels
+        # come back from the columns as they went in
+        assert repr(trace_from_rows(EDGE_ROWS).stage_rows) == repr(EDGE_ROWS)
+
+    def test_flagship_rows_are_the_columns(self):
+        # bench/tracer.py counts engine.rows from this view
+        trace = flagship_run()
+        rows = trace.stage_rows
+        for stage, cols in zip(rows, trace.stage_columns, strict=True):
+            assert {len(column) for column in cols} == {len(stage)}
+        assert sum(len(stage) for stage in rows) == sum(
+            len(cols.start) for cols in trace.stage_columns
+        ) == 35_599
 
 
 class TestFiniteness:

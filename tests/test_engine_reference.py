@@ -3,8 +3,9 @@
 `reference_cost_book` prices every (stage, microbatch) pair and every sync
 bucket separately, and `reference_run` records each row through a `record`
 call with builtin `max`. The engine prices each distinct microbatch shape,
-bucket size and fused (lump, comp) pair once per run and appends rows
-directly; both must give the same floats, bit for bit, on every path.
+bucket size and fused (lump, comp) pair once per run and records rows
+into one flat list per stage; both must give the same floats, bit for bit,
+on every path. Traces are compared through their `stage_rows` view.
 """
 
 import dataclasses
@@ -40,7 +41,6 @@ from vlmsim.engine import (
     CostBook,
     CostModelConfig,
     PlanValidationError,
-    Trace,
     _boundary_crosses_nodes,
     _dp_group_spans_nodes,
     _link_model,
@@ -57,7 +57,13 @@ from vlmsim.workload import (
     plan_step_microbatches,
     stage_by_name,
 )
-from tests.conftest import PRESET_DIR, PRESETS, make_plan, make_topology
+from tests.conftest import (
+    PRESET_DIR,
+    PRESETS,
+    make_plan,
+    make_topology,
+    trace_from_rows,
+)
 
 BOOK_FIELDS = ("fwd", "bwd", "tp_fwd", "tp_bwd", "p2p_fwd", "p2p_bwd",
                "sync_buckets")
@@ -309,10 +315,9 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
                 position[i] += 1
                 remaining -= 1
 
-    return Trace(
-        dp=plan.dp, tp=plan.tp, pp=p,
+    return trace_from_rows(
+        stage_rows, dp=plan.dp, tp=plan.tp,
         makespan=max(max(comp_free), max(comm_free)), seed=seed,
-        stage_rows=stage_rows,
         microbatch_sizes=[len(b) for b in microbatches.batches],
         microbatch_seq_lens=[max(b) for b in microbatches.batches],
         visual_tokens_per_sample=workload.visual_tokens_per_sample,
@@ -569,9 +574,9 @@ class TestPricingWork:
             intermediate_size=11007, vocab_size=150001, embedding_tying=False,
         ))
         sizes, seqs = (list(column) for column in zip(*shapes))
-        trace = Trace(dp=dp, tp=1, pp=1, makespan=1.0, seed=0, stage_rows=[[]],
-                      microbatch_sizes=sizes, microbatch_seq_lens=seqs,
-                      visual_tokens_per_sample=visual)
+        trace = trace_from_rows([[]], dp=dp, microbatch_sizes=sizes,
+                                microbatch_seq_lens=seqs,
+                                visual_tokens_per_sample=visual)
         total = 0.0
         for size, seq in shapes:
             total += step_flops(model, size, seq, visual_tokens=visual,

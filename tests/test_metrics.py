@@ -14,7 +14,6 @@ from vlmsim.engine import (
     CostModelConfig,
     Trace,
     build_cost_book,
-    row_order,
     run,
 )
 from vlmsim.cluster import partition_layers
@@ -35,23 +34,22 @@ from vlmsim.metrics import (
 )
 from vlmsim.schedule import measured_bubble
 from vlmsim.workload import plan_step_microbatches
-from tests.conftest import EDGE_ROWS, fixed_workload, make_plan, make_topology
+from tests.conftest import (
+    EDGE_ROWS,
+    fixed_workload,
+    make_plan,
+    make_topology,
+    row_order,
+    trace_from_rows,
+)
 
 
 def synthetic_trace(rows_by_stage, dp=1, tp=1, makespan=None):
-    pp = len(rows_by_stage)
     if makespan is None:
         makespan = max(r[2] for rows in rows_by_stage for r in rows)
-    return Trace(
-        dp=dp,
-        tp=tp,
-        pp=pp,
-        makespan=makespan,
-        seed=0,
-        stage_rows=[list(rows) for rows in rows_by_stage],
-        microbatch_sizes=[1],
+    return trace_from_rows(
+        rows_by_stage, dp=dp, tp=tp, makespan=makespan,
         microbatch_seq_lens=[64],
-        visual_tokens_per_sample=0,
     )
 
 

@@ -1,15 +1,15 @@
 """Trace scans over numpy columns against the row-by-row loops they replaced.
 
 `reference_check_invariants`, `reference_stage_compute_busy` and
-`reference_overlap_efficiency` walk `stage_rows` in Python, as the engine
-and metrics did before the per-stage columns. The column versions must
+`reference_overlap_efficiency` walk the `stage_rows` view in Python, as the
+engine and metrics did before the per-stage columns. The column versions must
 raise the same first message and give the same floats, bit for bit, on
 synthetic traces (including broken ones) and on small engine runs.
 
 The column versions always return built-in floats; the loops returned the
-type they summed (int 0 for a stage without compute, numpy.float64 for
-numpy times). Results are compared as `repr(float(x))`, which still tells
--0.0 from 0.0 and 1.4699999999999998 from 1.47.
+type they summed (int 0 for a stage without compute). Results are compared
+as `repr(float(x))`, which still tells -0.0 from 0.0 and 1.4699999999999998
+from 1.47.
 """
 
 import math
@@ -19,12 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlmsim import engine
-from vlmsim.config import load_config
-from vlmsim.engine import COMM, COMPUTE, Trace, run
-from vlmsim.metrics import build_report, overlap_efficiency
-from vlmsim.schedule import measured_bubble
-from tests.conftest import PRESET_DIR
+from vlmsim.engine import COMM, COMPUTE, run
+from vlmsim.metrics import overlap_efficiency
+from tests.conftest import trace_from_rows
 from tests.test_engine_reference import small_configs
 
 
@@ -114,11 +111,8 @@ def assert_same_floats(got, expect):
 
 
 def make_trace(stage_rows, makespan=4.0):
-    return Trace(
-        dp=1, tp=1, pp=len(stage_rows), makespan=makespan, seed=0,
-        stage_rows=stage_rows, microbatch_sizes=[1], microbatch_seq_lens=[64],
-        visual_tokens_per_sample=0,
-    )
+    return trace_from_rows(stage_rows, makespan=makespan,
+                           microbatch_seq_lens=[64])
 
 
 RESOURCES = st.sampled_from([COMPUTE, COMPUTE, COMM, COMM, "host", "memcpy"])
@@ -336,28 +330,12 @@ class TestEngineRuns:
 
 
 class TestScanWork:
-    def test_columns_built_once_per_trace(self, monkeypatch):
-        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
-        calls = []
-
-        def counted(stage_rows):
-            calls.append(len(stage_rows))
-            return build(stage_rows)
-
-        build = engine.build_stage_columns
-        monkeypatch.setattr(engine, "build_stage_columns", counted)
-        trace = run(config.model, config.stage, config.plan, config.topology,
-                    config.costmodel, config.seed, workload=config.workload)
-        report = build_report(trace, config.model, config.stage, config.plan,
-                              config.topology, config_digest="x")
-        measured_bubble(trace, config.plan.pp)
-        assert calls == [config.plan.pp]
-        assert report.overlap_efficiency == reference_overlap_efficiency(trace)
-
     def test_masks_follow_resource_names(self):
         rows = [(COMPUTE, 0.0, 1.0, "fwd", 0), ("host", 0.0, 1.0, "fwd", 0),
                 (COMM, 0.5, 1.5, "p2p", 0)]
-        (cols,) = make_trace([rows]).stage_columns
-        assert cols.compute.tolist() == [True, False, False]
-        assert cols.comm.tolist() == [False, False, True]
+        trace = make_trace([rows])
+        assert trace.kinds == ((COMPUTE, "fwd"), ("host", "fwd"), (COMM, "p2p"))
+        assert trace.compute.tolist() == [True, False, False]
+        assert trace.comm.tolist() == [False, False, True]
+        (cols,) = trace.stage_columns
         assert cols.start.dtype == cols.end.dtype == np.float64
