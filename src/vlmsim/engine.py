@@ -54,7 +54,8 @@ The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
 np.lexsort permutation. trace.jsonl is assembled from it by gathers, a
 block of rows at a time, formatting each distinct time of a block once,
-and gantt.svg draws each lane's first rows from it.
+and gantt.svg draws each (stage, resource) lane's first rows from it
+once, as a def that every chip's lane of that stage places with <use>.
 """
 
 from __future__ import annotations

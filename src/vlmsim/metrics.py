@@ -286,18 +286,20 @@ _GANTT_COLORS = {
 }
 
 
-def _lane_pieces(
+def _lane_def(
     trace: Trace, stage: int, res: str, left: float, scale: float,
-    lane_h: int, max_intervals: int, tails: dict[tuple[float, int], str],
-) -> tuple[list[str], bool]:
-    """The rects of one (stage, resource) lane, split where the lane's y goes.
+    lane_h: int, max_intervals: int, marker_x: str, titles: list[str],
+    tails: dict[tuple[float, int], str],
+) -> str:
+    """The <defs> group of one (stage, resource) lane, drawn at y = 0.
 
-    Every chip of a stage draws the same rects and only y differs between
-    its lanes, so a lane is y.join(pieces). Also says whether the lane has
-    more than max_intervals intervals, i.e. is clipped. x and w take the
-    IEEE operations of left + start * scale and max((end - start) * scale,
-    0.05), elementwise; `tails` holds each rect's text after y by (w,
-    kind), which repeats across microbatches of one shape.
+    Every chip of a stage draws the same rects, so each chip's lane places
+    this group with <use> at its own y. The lane's first max_intervals
+    intervals are drawn, and a "clipped" marker follows when it has more.
+    x and w take the IEEE operations of left + start * scale and
+    max((end - start) * scale, 0.05), elementwise; `tails` holds each
+    rect's text after x by (w, kind), which repeats across microbatches of
+    one shape.
     """
     cols = trace.stage_columns[stage]
     order = trace.writer_order[stage]
@@ -307,19 +309,24 @@ def _lane_pieces(
     start = cols.start[drawn]
     xs = (left + start * scale).tolist()
     ws = np.maximum((cols.end[drawn] - start) * scale, 0.05).tolist()
-    pieces = [""]
+    parts = [f'<g id="s{stage}-{res}">\n']
     for x, w, kind in zip(xs, ws, kinds[in_lane][:max_intervals].tolist()):
         tail = tails.get((w, kind))
         if tail is None:
             _, label = trace.kinds[kind]
             color = _GANTT_COLORS.get(label, "#999999")
             tail = tails[w, kind] = (
-                f'" width="{w:.3f}" height="{lane_h}" fill="{color}">'
-                f"<title>{label}</title></rect>\n"
+                f'" y="0" width="{w:.3f}" height="{lane_h}" fill="{color}">'
+                f"<title>{titles[kind]}</title></rect>\n"
             )
-        pieces[-1] += f'<rect x="{x:.3f}" y="'
-        pieces.append(tail)
-    return pieces, np.count_nonzero(in_lane) > max_intervals
+        parts.append(f'<rect x="{x:.3f}{tail}')
+    if np.count_nonzero(in_lane) > max_intervals:
+        parts.append(
+            f'<text x="{marker_x}" y="{lane_h - 3}" '
+            f'text-anchor="end">clipped</text>\n'
+        )
+    parts.append("</g>\n")
+    return "".join(parts)
 
 
 def emit_gantt(
@@ -332,10 +339,14 @@ def emit_gantt(
 
     Charts bigger than the caps are clipped, not sampled: the first
     max_chips chips are drawn (chip ids run tp-fastest, so 64 chips cover
-    all stages of one replica for the shipped presets) and each lane draws
-    at most max_intervals intervals with a "clipped" marker after the cut.
-    The trace file is the complete record. All lanes of one stage and
-    resource show the same intervals, so each is rendered once per stage.
+    all stages of one replica for the shipped presets), a line in the
+    bottom margin says so when the trace has more chips, and each lane
+    draws at most max_intervals intervals with a "clipped" marker after
+    the cut. The trace file is the complete record. All lanes of one stage
+    and resource show the same intervals, so each (stage, resource) lane
+    is drawn once, at y = 0 inside <defs>, and every chip's lane places it
+    at its own height with <use>. Labels are escaped for XML and the file
+    is written as UTF-8.
     """
     if max_chips < 1:
         raise ValueError(f"max_chips must be >= 1, got {max_chips}")
@@ -351,40 +362,48 @@ def emit_gantt(
     width = 1200.0
     height = chips * 2 * (lane_h + gap) + gap + 20
     scale = (width - left - 10) / trace.makespan
-
-    rendered: dict[tuple[int, str], tuple[list[str], bool]] = {}
-    tails: dict[tuple[float, int], str] = {}
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" font-family="monospace" font-size="10">\n'
+    marker_x = f"{width - 10:.0f}"
+    titles = [
+        label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        for _, label in trace.kinds
     ]
+
+    defs: dict[tuple[int, str], str] = {}
+    tails: dict[tuple[float, int], str] = {}
+    body = []
     lane = 0
     for chip in range(chips):
         stage = (chip % (trace.pp * trace.tp)) // trace.tp
         for res in (COMPUTE, COMM):
             y = gap + lane * (lane_h + gap)
-            text_y = y + lane_h - 3
-            if (stage, res) not in rendered:
-                rendered[stage, res] = _lane_pieces(
+            if (stage, res) not in defs:
+                defs[stage, res] = _lane_def(
                     trace, stage, res, left, scale, lane_h, max_intervals,
-                    tails,
+                    marker_x, titles, tails,
                 )
-            pieces, clipped = rendered[stage, res]
-            parts.append(
+            body.append(
                 f'<g class="lane" data-lane="chip{chip}-{res}">\n'
-                f'<text x="4" y="{text_y}">chip {chip} {res}</text>\n'
+                f'<text x="4" y="{y + lane_h - 3}">chip {chip} {res}</text>\n'
+                f'<use xlink:href="#s{stage}-{res}" y="{y}"/>\n'
+                "</g>\n"
             )
-            parts.append(str(y).join(pieces))
-            if clipped:
-                parts.append(
-                    f'<text x="{width - 10:.0f}" y="{text_y}" '
-                    f'text-anchor="end">clipped</text>\n'
-                )
-            parts.append("</g>\n")
             lane += 1
-    parts.append("</svg>\n")
-    document = "".join(parts)
+    if trace.total_chips > max_chips:
+        body.append(
+            f'<text x="4" y="{height - 6}">chips 0-{chips - 1} of '
+            f"{trace.total_chips} drawn</text>\n"
+        )
+    document = "".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'xmlns:xlink="http://www.w3.org/1999/xlink" width="{width:.0f}" '
+        f'height="{height:.0f}" font-family="monospace" font-size="10">\n'
+        "<defs>\n",
+        *defs.values(),
+        "</defs>\n",
+        *body,
+        "</svg>\n",
+    ])
     if path is not None:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
     return document

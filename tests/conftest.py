@@ -1,4 +1,5 @@
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -80,6 +81,42 @@ EDGE_ROWS = [
     [],
     [("host", -0.0, 2.0, "copy", 7), (COMPUTE, 0.0, 2.0, "fwd", 7)],
 ]
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+
+
+def gantt_lanes(svg: str) -> tuple[dict, dict[str, list]]:
+    """What a gantt.svg draws, lane by lane, whatever the file's layout.
+
+    Parses the chart, replaces each <use> with its def's children, each
+    child's y moved by the use's y, and returns the root's attributes and,
+    per data-lane, the (tag, attributes, text) of every element drawn in
+    the lane, in document order. Text counts for elements without children
+    only, so the whitespace between tags does not.
+    """
+    root = ET.fromstring(svg)
+    by_id = {el.get("id"): el for el in root.iter() if el.get("id")}
+
+    def drawn(parent, dy, out):
+        for child in parent:
+            if child.tag == SVG + "use":
+                target = by_id[child.get(XLINK_HREF).removeprefix("#")]
+                drawn(target, (dy or 0) + int(child.get("y")), out)
+                continue
+            attrib = dict(child.attrib)
+            if dy is not None and "y" in attrib:
+                attrib["y"] = str(int(attrib["y"]) + dy)
+            out.append((child.tag, attrib, None if len(child) else child.text))
+            drawn(child, dy, out)
+        return out
+
+    lanes = {
+        lane.get("data-lane"): drawn(lane, None, [])
+        for lane in root.iter(SVG + "g") if lane.get("data-lane")
+    }
+    return dict(root.attrib), lanes
 
 
 @pytest.fixture(scope="session")

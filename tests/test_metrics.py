@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +41,11 @@ from vlmsim.schedule import measured_bubble
 from vlmsim.workload import plan_step_microbatches
 from tests.conftest import (
     EDGE_ROWS,
+    PRESET_DIR,
+    SVG,
+    XLINK_HREF,
     fixed_workload,
+    gantt_lanes,
     make_plan,
     make_topology,
     row_order,
@@ -348,12 +357,13 @@ class TestGantt:
             catalog["3B"], full_stage, plan, topo, costmodel, seed=0,
             workload=fixed_workload(64, budget=64), cost_book=book,
         )
-        svg = emit_gantt(trace)
-        first_x = []
-        for chip in range(4):
-            lane = svg.split(f'data-lane="chip{chip}-compute"')[1]
-            x = float(lane.split('<rect x="')[1].split('"')[0])
-            first_x.append(x)
+        _, lanes = gantt_lanes(emit_gantt(trace))
+        first_x = [
+            next(float(attrib["x"])
+                 for tag, attrib, _ in lanes[f"chip{chip}-compute"]
+                 if tag == SVG + "rect")
+            for chip in range(4)
+        ]
         steps = [b - a for a, b in zip(first_x, first_x[1:])]
         assert all(s > 0 for s in steps)
         # x coords are written at 3 decimals, so equality is quantized
@@ -398,6 +408,72 @@ class TestGantt:
         out = tmp_path / "chart.svg"
         text = emit_gantt(trace, path=out)
         assert out.read_text() == text
+
+    def test_chip_cap_is_marked_below_the_lanes(self):
+        rows = [[(COMPUTE, 0.0, 1.0, "fwd", 0)] for _ in range(2)]
+        trace = synthetic_trace(rows, dp=2, tp=2)  # 8 chips
+        root = ET.fromstring(emit_gantt(trace, max_chips=3))
+        marks = [el for el in root if el.tag == SVG + "text"]
+        assert [el.text for el in marks] == ["chips 0-2 of 8 drawn"]
+        last_lane_bottom = 2 + 6 * 16 - 2
+        assert last_lane_bottom < int(marks[0].get("y")) < int(root.get("height"))
+        for max_chips in (8, 64):
+            svg = emit_gantt(trace, max_chips=max_chips)
+            assert " drawn" not in svg
+            assert not [el for el in ET.fromstring(svg) if el.tag == SVG + "text"]
+
+    def test_labels_are_escaped(self):
+        trace = synthetic_trace(
+            [[(COMPUTE, 0.0, 1.0, "a<b&c", 0), (COMM, 0.0, 1.0, "x>y", 0)]]
+        )
+        root = ET.fromstring(emit_gantt(trace))
+        titles = [el.text for el in root.iter(SVG + "title")]
+        assert titles == ["a<b&c", "x>y"]
+
+    def test_file_is_utf8_in_an_ascii_locale(self, tmp_path):
+        out = tmp_path / "chart.svg"
+        code = (
+            "import sys\n"
+            "from tests.conftest import trace_from_rows\n"
+            "from vlmsim.metrics import emit_gantt\n"
+            "trace = trace_from_rows([[('compute', 0.0, 1.0, '\\u2028', 0)]])\n"
+            "text = emit_gantt(trace, path=sys.argv[1])\n"
+            "sys.stdout.buffer.write(text.encode('utf-8'))\n"
+        )
+        root = Path(__file__).parents[1]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join([str(root), str(root / "src")])}
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", code, str(out)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert "\u2028" in done.stdout.decode("utf-8")
+        assert out.read_bytes() == done.stdout
+
+    def test_flagship_draws_each_lane_once(self):
+        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        trace = run(config.model, config.stage, config.plan, config.topology,
+                    config.costmodel, config.seed, workload=config.workload)
+        svg = emit_gantt(trace)
+        # a copy of every lane per chip makes this chart 3,679,742 bytes
+        assert len(svg.encode()) < 600_000
+        assert_defs_resolve(svg)
+        _, lanes = gantt_lanes(svg)
+        assert len(lanes) == 128
+        assert "chips 0-63 of 5120 drawn" in svg
+
+
+def assert_defs_resolve(svg):
+    """Every <use> names a def, every def is used, and ids are unique."""
+    root = ET.fromstring(svg)
+    ids = [el.get("id") for el in root.iter() if el.get("id") is not None]
+    assert len(ids) == len(set(ids))
+    (defs,) = root.iter(SVG + "defs")
+    names = {child.get("id") for child in defs}
+    used = {use.get(XLINK_HREF) for use in root.iter(SVG + "use")}
+    assert used == {f"#{name}" for name in names}
 
 
 def reference_gantt(trace, max_chips=64, max_intervals=300):
@@ -488,15 +564,19 @@ class TestGanttMatchesReference:
         ]
         assume(any(stage_rows))  # emit_gantt refuses an empty trace
         trace = synthetic_trace(stage_rows, dp=dp, tp=tp)
-        assert emit_gantt(trace, max_chips=max_chips,
-                          max_intervals=max_intervals) == reference_gantt(
-            trace, max_chips, max_intervals
+        svg = emit_gantt(trace, max_chips=max_chips,
+                         max_intervals=max_intervals)
+        assert_defs_resolve(svg)
+        assert gantt_lanes(svg) == gantt_lanes(
+            reference_gantt(trace, max_chips, max_intervals)
         )
 
     def test_edge_rows(self):
         trace = synthetic_trace(EDGE_ROWS, dp=2, tp=2)
         for max_intervals in (0, 2, 300):
-            assert emit_gantt(trace, max_intervals=max_intervals) == (
+            svg = emit_gantt(trace, max_intervals=max_intervals)
+            assert_defs_resolve(svg)
+            assert gantt_lanes(svg) == gantt_lanes(
                 reference_gantt(trace, max_intervals=max_intervals)
             )
 
@@ -510,7 +590,8 @@ class TestGanttMatchesReference:
             workload=fixed_workload(2048, budget=2048),
         )
         svg = emit_gantt(trace)
-        assert svg == reference_gantt(trace)
+        assert_defs_resolve(svg)
+        assert gantt_lanes(svg) == gantt_lanes(reference_gantt(trace))
         assert svg.count('class="lane"') == 128
         assert "clipped" in svg
 
