@@ -12,7 +12,6 @@ from .arch import (
     AdapterSpec,
     LanguageModelSpec,
     ModelSpec,
-    TilingPolicy,
     VisionEncoderSpec,
     builtin_model_catalog,
     component_param_counts,
@@ -56,7 +55,6 @@ from .engine import (
 )
 from .metrics import (
     RunReport,
-    ScalingCurve,
     build_report,
     emit_gantt,
     emit_report,
@@ -66,7 +64,6 @@ from .metrics import (
     weak_scaling_point,
 )
 from .schedule import (
-    BubbleStats,
     PipelineSchedule,
     analytic_bubble,
     build_1f1b,
@@ -91,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdapterSpec",
-    "BubbleStats",
     "ChipSpec",
     "CollectiveCostModel",
     "ConfigError",
@@ -106,11 +102,9 @@ __all__ = [
     "PlanValidationError",
     "PlanViolation",
     "RunReport",
-    "ScalingCurve",
     "SequenceLengthModel",
     "SimConfig",
     "StepWorkload",
-    "TilingPolicy",
     "Topology",
     "Trace",
     "TrainingStage",

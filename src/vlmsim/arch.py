@@ -3,6 +3,7 @@
 Parameter counts, per-step FLOPs, and image-tiling token math for a
 three-size multimodal family (3B / 8B / 70B): a ViT-style vision encoder,
 a two-layer MLP adapter, and a GQA + gated-MLP decoder language model.
+Image tiling reads the vision sheet's max_tiles and tokens_per_tile.
 
 Counting conventions (kept deliberately minimal so the hand oracles in
 tests/oracles/ match exactly):
@@ -34,6 +35,8 @@ class VisionEncoderSpec:
     def __post_init__(self) -> None:
         if self.hidden_size % self.heads != 0:
             raise ValueError("hidden_size must divide evenly into heads")
+        if self.max_tiles < 1:
+            raise ValueError("max_tiles must be >= 1")
         if self.tile_side % self.patch_size != 0:
             raise ValueError("tile_side must be divisible by patch_size")
         patches = (self.tile_side // self.patch_size) ** 2
@@ -98,17 +101,6 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.nominal_params <= 0:
             raise ValueError("nominal_params must be positive")
-
-
-@dataclass(frozen=True)
-class TilingPolicy:
-    max_tiles: int = 12
-    tile_side: int = 448
-    add_thumbnail_when_multitile: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_tiles < 1:
-            raise ValueError("max_tiles must be >= 1")
 
 
 _VISION = VisionEncoderSpec(
@@ -223,10 +215,10 @@ def total_param_count(model: ModelSpec) -> int:
 # image tiling
 
 
-def tile_grid(width: int, height: int, policy: TilingPolicy) -> tuple[int, int]:
+def tile_grid(width: int, height: int, vision: VisionEncoderSpec) -> tuple[int, int]:
     """Pick the (rows, cols) tile grid whose aspect ratio best matches the image.
 
-    Searches every grid with rows*cols <= max_tiles and minimizes
+    Searches every grid with rows*cols <= vision.max_tiles and minimizes
     |log(cols/rows) - log(width/height)|. Ties go to the smaller tile count,
     then to more columns, which keeps a square image on a single tile.
     """
@@ -236,8 +228,8 @@ def tile_grid(width: int, height: int, policy: TilingPolicy) -> tuple[int, int]:
         raise ValueError("image dimensions must be >= 1")
     target = math.log(width / height)
     best: tuple[float, int, int, int, int] | None = None
-    for rows in range(1, policy.max_tiles + 1):
-        for cols in range(1, policy.max_tiles // rows + 1):
+    for rows in range(1, vision.max_tiles + 1):
+        for cols in range(1, vision.max_tiles // rows + 1):
             diff = abs(math.log(cols / rows) - target)
             key = (diff, rows * cols, -cols, rows, cols)
             if best is None or key < best:
@@ -246,16 +238,11 @@ def tile_grid(width: int, height: int, policy: TilingPolicy) -> tuple[int, int]:
     return best[3], best[4]
 
 
-def visual_token_count(
-    width: int,
-    height: int,
-    policy: TilingPolicy,
-    vision: VisionEncoderSpec,
-) -> int:
-    """Visual tokens an image contributes: tiles plus an optional thumbnail."""
-    rows, cols = tile_grid(width, height, policy)
+def visual_token_count(width: int, height: int, vision: VisionEncoderSpec) -> int:
+    """Visual tokens of an image: its tiles, plus a thumbnail if more than one."""
+    rows, cols = tile_grid(width, height, vision)
     tiles = rows * cols
-    if tiles > 1 and policy.add_thumbnail_when_multitile:
+    if tiles > 1:
         tiles += 1
     return tiles * vision.tokens_per_tile
 

@@ -81,14 +81,13 @@ def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
                 seed=config.seed,
                 workload=config.workload,
             )
-            curve = scaling_efficiency(
+            efficiency = scaling_efficiency(
                 [
                     (reference, ref_trace.tokens_per_step / ref_trace.makespan),
                     (chips, trace.tokens_per_step / trace.makespan),
                 ],
                 reference=reference,
-            )
-            efficiency = curve.efficiency_at(chips)
+            )[chips]
     report = build_report(
         trace,
         config.model,
@@ -168,8 +167,11 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
     # sections a sparse config omitted are created on the way down
     node = doc
     parts = dotted.split(".")
-    for part in parts[:-1]:
+    for depth, part in enumerate(parts[:-1], 1):
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            at = ".".join(parts[:depth])
+            raise ConfigError(f"axis key {dotted!r}: $.{at} is not an object")
     node[parts[-1]] = value
 
 
@@ -177,9 +179,8 @@ def _point_dir_name(assignment: tuple[tuple[str, object], ...]) -> str:
     return "__".join(f"{key}={value}" for key, value in assignment)
 
 
-def _run_sweep_point(doc_json: str, out_dir: str) -> list[str]:
+def _run_sweep_point(config: SimConfig, out_dir: str) -> list[str]:
     # module-level so process pools can pickle the call
-    config = load_config(json.loads(doc_json))
     return report_csv_row(cmd_simulate(config, Path(out_dir)))
 
 
@@ -190,8 +191,10 @@ def cmd_sweep(
     parallel: int = 1,
 ) -> int:
     """Cartesian sweep. Overrides land on the raw document, so values the
-    base config left symbolic (dp: "auto") re-resolve per point. At most
-    `parallel` points, and never more than there are, run at once."""
+    base config left symbolic (dp: "auto") re-resolve per point. Every
+    point's config is loaded before the first point runs, so a bad point
+    fails the sweep, named by its directory, before anything is written.
+    At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
     base_config = load_config(copy.deepcopy(doc))
@@ -205,18 +208,21 @@ def cmd_sweep(
             raise ConfigError(f"axis {key!r} has no values")
         _check_key_path(schema_doc, key)
 
-    points = []
+    assignments = []
+    jobs = []
     for combo in itertools.product(*(values for _, values in axes)):
         assignment = tuple(zip((key for key, _ in axes), combo))
+        name = _point_dir_name(assignment)
         point_doc = copy.deepcopy(doc)
-        for key, value in assignment:
-            _set_by_path(point_doc, key, value)
-        points.append((assignment, point_doc))
+        try:
+            for key, value in assignment:
+                _set_by_path(point_doc, key, value)
+            config = load_config(point_doc)
+        except ConfigError as exc:
+            raise ConfigError(f"point {name}: {exc}", exc.violations) from exc
+        assignments.append(assignment)
+        jobs.append((config, str(out_dir / name)))
 
-    jobs = [
-        (json.dumps(doc), str(out_dir / _point_dir_name(assignment)))
-        for assignment, doc in points
-    ]
     # a fork pool starts all of its workers at the first call, used or not
     workers = min(parallel, len(jobs))
     if workers > 1:
@@ -231,7 +237,7 @@ def cmd_sweep(
 
     axis_keys = [key for key, _ in axes]
     lines = [",".join(axis_keys + CSV_COLUMNS)]
-    for (assignment, _), report_row in zip(points, report_rows):
+    for assignment, report_row in zip(assignments, report_rows):
         row = [str(value) for _, value in assignment] + report_row
         lines.append(",".join(row))
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")

@@ -337,6 +337,11 @@ _WORKLOAD = _table(
 _SCALING = _table(None, _Key("reference_chips", int))
 
 
+def _non_negative_seed(root, path, enclosing):
+    if root["seed"] < 0:
+        raise ConfigError(f"at {path}.seed: must be >= 0, got {root['seed']}")
+
+
 def _reference_chips(raw, path, enclosing):
     reference = _walk(_SCALING, raw, path)["reference_chips"]
     if reference < 1:
@@ -354,6 +359,7 @@ _ROOT = _table(
     _Key("costmodel", _COSTMODEL, {}),
     _Key("workload", _WORKLOAD),
     _Key("seed", int, 0),
+    _non_negative_seed,
     _Key("scaling", _Custom(
         _reference_chips, lambda reference: {"reference_chips": reference}
     ), attr="scaling_reference_chips"),

@@ -243,15 +243,11 @@ class Trace:
         return self.dp * self.tp * self.pp
 
     @property
-    def microbatch_tokens(self) -> list[int]:
-        return [
+    def tokens_per_step(self) -> int:
+        return self.dp * sum(
             size * seq
             for size, seq in zip(self.microbatch_sizes, self.microbatch_seq_lens)
-        ]
-
-    @property
-    def tokens_per_step(self) -> int:
-        return self.dp * sum(self.microbatch_tokens)
+        )
 
     @property
     def stage_rows(self) -> list[list[tuple]]:
@@ -767,7 +763,9 @@ def run(
                     extend((start, comm_end, KIND_COLLECTIVE, mb))
                 comm_free[i] = comm_end
                 end = start + span
-                if tc <= tg or comp == 0.0:
+                if comp == 0.0:
+                    pass  # no GEMM: the slot only waits out its lump
+                elif tc <= tg:
                     gemm_start = start + tc
                     if end > gemm_start:
                         extend((gemm_start, end, compute_kind, mb))

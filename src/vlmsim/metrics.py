@@ -1,4 +1,4 @@
-"""Headline metrics derived from traces, plus report and chart emission."""
+"""Headline metrics of traces as plain values, plus report and chart emission."""
 
 from __future__ import annotations
 
@@ -174,44 +174,20 @@ def mfu(
     return achieved / peak
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
-    chips: int
-    throughput: float
-    efficiency: float
-
-
-@dataclass(frozen=True)
-class ScalingCurve:
-    points: list[ScalingPoint]
-
-    def efficiency_at(self, chips: int) -> float:
-        for point in self.points:
-            if point.chips == chips:
-                return point.efficiency
-        raise KeyError(f"no scaling point at {chips} chips")
-
-
 def scaling_efficiency(
     runs: list[tuple[int, float]], reference: int
-) -> ScalingCurve:
-    """Weak-scaling efficiency: per-chip throughput relative to the reference."""
-    ref_throughput = None
-    for chips, throughput in runs:
-        if chips == reference:
-            ref_throughput = throughput
-    if ref_throughput is None:
+) -> dict[int, float]:
+    """Weak-scaling efficiency by chip count, in chip order: each run's
+    per-chip throughput over the reference run's. A chip count listed
+    twice keeps its last throughput."""
+    throughputs = dict(runs)
+    if reference not in throughputs:
         raise ValueError(f"reference point {reference} chips missing from runs")
-    per_chip_ref = ref_throughput / reference
-    points = [
-        ScalingPoint(
-            chips=chips,
-            throughput=throughput,
-            efficiency=(throughput / chips) / per_chip_ref,
-        )
-        for chips, throughput in sorted(runs)
-    ]
-    return ScalingCurve(points=points)
+    per_chip_ref = throughputs[reference] / reference
+    return {
+        chips: (throughputs[chips] / chips) / per_chip_ref
+        for chips in sorted(throughputs)
+    }
 
 
 def weak_scaling_point(
@@ -256,7 +232,6 @@ def build_report(
     config_digest: str,
     efficiency: float | None = None,
 ) -> RunReport:
-    stats = measured_bubble(trace, plan.pp)
     memory = memory_per_chip(
         model,
         plan,
@@ -270,12 +245,20 @@ def build_report(
         step_time=trace.makespan,
         tokens_per_second=trace.tokens_per_step / trace.makespan,
         mfu=mfu(trace, model, stage, plan, topology),
-        bubble=stats.bubble_fraction,
+        bubble=measured_bubble(trace),
         overlap_efficiency=overlap_efficiency(trace),
         memory=memory,
         efficiency=efficiency,
     )
 
+
+# label text as XML character data: markup escaped, \r as a reference (a
+# parser reads a literal one as \n), and the characters XML 1.0 cannot hold
+# (C0 controls but tab and newline, surrogates, U+FFFE, U+FFFF) as U+FFFD
+_XML_TEXT = dict.fromkeys(
+    [*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF],
+    "\ufffd",
+) | str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
 
 _GANTT_COLORS = {
     "fwd": "#4c78a8",
@@ -345,8 +328,8 @@ def emit_gantt(
     the cut. The trace file is the complete record. All lanes of one stage
     and resource show the same intervals, so each (stage, resource) lane
     is drawn once, at y = 0 inside <defs>, and every chip's lane places it
-    at its own height with <use>. Labels are escaped for XML and the file
-    is written as UTF-8.
+    at its own height with <use>. Labels are escaped for XML (U+FFFD for
+    what XML 1.0 cannot hold) and the file is written as UTF-8.
     """
     if max_chips < 1:
         raise ValueError(f"max_chips must be >= 1, got {max_chips}")
@@ -363,10 +346,7 @@ def emit_gantt(
     height = chips * 2 * (lane_h + gap) + gap + 20
     scale = (width - left - 10) / trace.makespan
     marker_x = f"{width - 10:.0f}"
-    titles = [
-        label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        for _, label in trace.kinds
-    ]
+    titles = [label.translate(_XML_TEXT) for _, label in trace.kinds]
 
     defs: dict[tuple[int, str], str] = {}
     tails: dict[tuple[float, int], str] = {}

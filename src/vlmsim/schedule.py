@@ -1,4 +1,4 @@
-"""Pipeline schedules, the one schedule executor, and bubble statistics.
+"""Pipeline schedules, the one schedule executor, and the bubble fraction.
 
 A schedule is a per-stage ordered list of (kind, microbatch) slots. The
 builder guarantees the 1F1B shape: stage i warms up with min(p-i, m)
@@ -32,17 +32,6 @@ class PipelineSchedule:
             "microbatches": self.microbatches,
             "slots": [[[kind, mb] for kind, mb in stage] for stage in self.slots],
         }
-
-
-@dataclass(frozen=True)
-class BubbleStats:
-    bubble_fraction: float
-    per_stage_idle: list[float]
-    makespan: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.bubble_fraction < 1.0:
-            raise ValueError(f"bubble fraction {self.bubble_fraction} out of range")
 
 
 def build_1f1b(p: int, m: int) -> PipelineSchedule:
@@ -190,22 +179,19 @@ def min_microbatches_for_bubble(p: int, target: float) -> int:
     return m
 
 
-def measured_bubble(trace, p: int) -> BubbleStats:
-    """Bubble statistics from a simulated trace.
+def measured_bubble(trace) -> float:
+    """Bubble fraction of a simulated trace, in [0, 1).
 
-    bubble = 1 - (compute-busy chip seconds) / (chips * makespan). The
-    per-stage idle list uses one representative chip per stage (all chips
-    in a stage group are in lockstep).
+    bubble = 1 - (compute-busy chip seconds) / (chips * makespan), with one
+    representative chip per stage (all chips in a stage group are in
+    lockstep). A stage's idle time is the makespan minus its entry in
+    trace.stage_compute_busy().
     """
     if trace.makespan <= 0.0 or trace.pp == 0:
         raise ValueError("empty trace")
-    if p != trace.pp:
-        raise ValueError(f"trace has {trace.pp} stages, expected {p}")
-    per_stage_busy = trace.stage_compute_busy()
-    busy_chip_seconds = sum(per_stage_busy) * trace.tp * trace.dp
+    busy_chip_seconds = sum(trace.stage_compute_busy()) * trace.tp * trace.dp
     chips = trace.pp * trace.tp * trace.dp
     bubble = 1.0 - busy_chip_seconds / (chips * trace.makespan)
-    idle = [trace.makespan - busy for busy in per_stage_busy]
-    return BubbleStats(
-        bubble_fraction=bubble, per_stage_idle=idle, makespan=trace.makespan
-    )
+    if not 0.0 <= bubble < 1.0:
+        raise ValueError(f"bubble fraction {bubble} out of range")
+    return bubble

@@ -197,6 +197,8 @@ def plan_step_microbatches(
     model = workload.seq_len_model or stage_model
     if microbatches < 1:
         raise ValueError("microbatches must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     batches: list[list[int]] = []
     current: list[int] = []

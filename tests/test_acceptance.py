@@ -24,7 +24,6 @@ from vlmsim import (
     CostBook,
     CostModelConfig,
     GradSyncPolicy,
-    TilingPolicy,
     analytic_bubble,
     build_1f1b,
     build_gpipe,
@@ -79,7 +78,7 @@ def uniform_bubble(catalog, stage, p: int, m: int) -> float:
         workload=fixed_workload(64),
         cost_book=CostBook.uniform(p, m, fwd=1.0, bwd=2.0),
     )
-    return measured_bubble(trace, p).bubble_fraction
+    return measured_bubble(trace)
 
 
 def test_criterion_1_bubble_rate(catalog, full_stage):
@@ -250,8 +249,8 @@ def test_criterion_5_weak_scaling_efficiency():
             samples.append((chips, trace.tokens_per_step / trace.makespan))
         curves[overlap] = scaling_efficiency(samples, reference=8)
 
-    eff_on = curves[True].efficiency_at(5120)
-    eff_off = curves[False].efficiency_at(5120)
+    eff_on = curves[True][5120]
+    eff_off = curves[False][5120]
     elapsed = time.monotonic() - start
     record_acceptance(
         "5",
@@ -337,17 +336,16 @@ def exhaustive_best_grid(width: int, height: int, max_tiles: int) -> tuple[int, 
 
 def test_criterion_7_tiling(catalog):
     start = time.monotonic()
-    policy = TilingPolicy()
     vision = catalog["70B"].vision
     dims = range(224, 4481, 112)
 
     peak = 0
     for width in dims:
         for height in dims:
-            assert tile_grid(width, height, policy) == exhaustive_best_grid(
-                width, height, policy.max_tiles
+            assert tile_grid(width, height, vision) == exhaustive_best_grid(
+                width, height, vision.max_tiles
             )
-            peak = max(peak, visual_token_count(width, height, policy, vision))
+            peak = max(peak, visual_token_count(width, height, vision))
     elapsed = time.monotonic() - start
     record_acceptance(
         "7",

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from vlmsim.arch import (
     LanguageModelSpec,
-    TilingPolicy,
     adapter_fwd_flops_per_tile,
     adapter_param_count,
     component_param_counts,
@@ -239,14 +239,13 @@ class TestTiling:
             (448, 4032, (9, 1)),
         ],
     )
-    def test_grid_examples(self, w, h, expect):
-        assert tile_grid(w, h, TilingPolicy()) == expect
+    def test_grid_examples(self, w, h, expect, catalog):
+        assert tile_grid(w, h, catalog["8B"].vision) == expect
 
     def test_max_visual_tokens(self, catalog):
-        policy = TilingPolicy()
         vision = catalog["8B"].vision
         counts = [
-            visual_token_count(w, h, policy, vision)
+            visual_token_count(w, h, vision)
             for w in range(112, 4481, 112)
             for h in range(112, 4481, 112)
         ]
@@ -254,20 +253,20 @@ class TestTiling:
 
     def test_single_tile_has_no_thumbnail(self, catalog):
         vision = catalog["8B"].vision
-        assert visual_token_count(448, 448, TilingPolicy(), vision) == 256
-        assert visual_token_count(896, 448, TilingPolicy(), vision) == 3 * 256
+        assert visual_token_count(448, 448, vision) == 256
+        assert visual_token_count(896, 448, vision) == 3 * 256
 
-    def test_grid_matches_exhaustive_enumeration(self):
-        policy = TilingPolicy()
+    def test_grid_matches_exhaustive_enumeration(self, catalog):
+        vision = catalog["8B"].vision
         dims = range(224, 4481, 112)
         for w in dims:
             for h in dims:
-                got = tile_grid(w, h, policy)
+                got = tile_grid(w, h, vision)
                 best = min(
                     (abs(math.log(c / r) - math.log(w / h)), r * c, -c, r, c)
-                    for r in range(1, policy.max_tiles + 1)
-                    for c in range(1, policy.max_tiles + 1)
-                    if r * c <= policy.max_tiles
+                    for r in range(1, vision.max_tiles + 1)
+                    for c in range(1, vision.max_tiles + 1)
+                    if r * c <= vision.max_tiles
                 )
                 assert got == (best[3], best[4]), (w, h)
 
@@ -277,17 +276,29 @@ class TestTiling:
     )
     @settings(max_examples=300, deadline=None)
     def test_grid_properties(self, w, h, catalog):
-        policy = TilingPolicy()
-        rows, cols = tile_grid(w, h, policy)
-        assert 1 <= rows * cols <= policy.max_tiles
-        assert tile_grid(h, w, policy) == (cols, rows)
+        vision = catalog["8B"].vision
+        rows, cols = tile_grid(w, h, vision)
+        assert 1 <= rows * cols <= vision.max_tiles
+        assert tile_grid(h, w, vision) == (cols, rows)
         count = rows * cols
         expected = count * 256 + (256 if count > 1 else 0)
-        assert visual_token_count(w, h, policy, catalog["8B"].vision) == expected
+        assert visual_token_count(w, h, vision) == expected
 
-    def test_scale_invariance(self):
-        policy = TilingPolicy()
-        base = tile_grid(1344, 448, policy)
+    def test_scale_invariance(self, catalog):
+        vision = catalog["8B"].vision
+        base = tile_grid(1344, 448, vision)
         assert base == (1, 3)
         for k in (2, 3, 5):
-            assert tile_grid(1344 * k, 448 * k, policy) == base
+            assert tile_grid(1344 * k, 448 * k, vision) == base
+
+    def test_grid_reads_the_sheets_max_tiles(self, catalog):
+        vision = dataclasses.replace(catalog["8B"].vision, max_tiles=6)
+        dims = range(112, 4481, 112)
+        grids = [tile_grid(w, h, vision) for w in dims for h in dims]
+        assert max(rows * cols for rows, cols in grids) == 6
+        counts = [visual_token_count(w, h, vision) for w in dims for h in dims]
+        assert max(counts) == 7 * 256  # 6 tiles + thumbnail
+
+    def test_zero_max_tiles_is_refused(self, catalog):
+        with pytest.raises(ValueError, match="max_tiles must be >= 1"):
+            dataclasses.replace(catalog["8B"].vision, max_tiles=0)

@@ -307,6 +307,25 @@ class TestSweep:
         assert "not present in config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,message", [
+        # $.model is the catalog name "8B", not an object
+        ("model.lm.layers=16,32",
+         "point model.lm.layers=16: axis key 'model.lm.layers': "
+         "$.model is not an object"),
+        # the tp=8 point is fine; tp=3 does not divide the 8-chip node
+        ("plan.tp=8,3", "point plan.tp=3: plan does not fit topology"),
+    ])
+    def test_bad_point_fails_before_any_run(self, tmp_path, capsys, axis,
+                                            message):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", FUSION_PRESET, "--axis", axis,
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_two_axis_cartesian_product(self, tmp_path):
         config = sweepable_config(tmp_path)
         out = tmp_path / "grid"
@@ -426,4 +445,33 @@ class TestAutoDpWithZeroFactor:
         err = capsys.readouterr().err
         assert "error: at $.plan: dp, tp, pp must all be >= 1" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestRefusedAtTheirPath:
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_zero_max_tiles(self, tmp_path, capsys, command):
+        with open(FUSION_PRESET) as f:
+            doc = json.load(f)
+        doc["model"] = {
+            "lm": {"hidden_size": 1024, "layers": 4, "kv_heads": 2,
+                   "head_size": 128, "intermediate_size": 2816,
+                   "vocab_size": 32000, "embedding_tying": True},
+            "vision": {"max_tiles": 0},
+        }
+        bad = tmp_path / "tiles.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--config", str(bad)] + (["--out", str(out)] if command == "simulate" else [])
+        assert main([command] + argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: at $.model.vision: max_tiles must be >= 1" in err
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", FUSION_PRESET, "--seed", "-1",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()

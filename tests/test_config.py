@@ -169,6 +169,18 @@ class TestStrictKeys:
             load_config(doc)
 
 
+    @pytest.mark.parametrize("lengths", [
+        {"kind": "fixed", "value": 4096},
+        {"kind": "lognormal-truncated", "mean": 7.0, "sigma": 0.5, "cap": 4096},
+    ])
+    def test_negative_seed_is_refused(self, lengths):
+        doc = base_doc(seed=-1)
+        doc["workload"]["sequence_length"] = lengths
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert str(err.value) == "at $.seed: must be >= 0, got -1"
+
+
 class TestDpResolution:
     def test_auto_divides_chips(self):
         doc = base_doc()

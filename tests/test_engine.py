@@ -123,8 +123,7 @@ class TestScheduleTiming:
     def test_zero_comm_bubble_matches_analytic(self, catalog):
         for p, m in [(2, 2), (2, 8), (4, 4), (4, 16), (8, 8), (8, 24)]:
             trace = run_uniform(catalog, p=p, m=m)
-            stats = measured_bubble(trace, p)
-            assert stats.bubble_fraction == pytest.approx(
+            assert measured_bubble(trace) == pytest.approx(
                 analytic_bubble(p, m), abs=1e-12
             )
 
@@ -243,6 +242,27 @@ class TestFusionInEngine:
         assert fwd_rows[0][2] == pytest.approx(
             fused_allgather_gemm_time(0.4, 0.8, 4), abs=1e-12
         )
+
+    def test_zero_flop_gemm_under_a_lump_records_no_compute(
+        self, catalog, full_stage
+    ):
+        topo = make_topology(nodes=1, chips_per_node=2, memory=1e18)
+        for k in range(1, 9):
+            book = CostBook.uniform(1, 2, fwd=0.0, bwd=1.0, tp_comm=0.8)
+            trace = run(
+                catalog["3B"], full_stage,
+                make_plan(dp=1, tp=2, pp=1, m=2, fusion_chunks=k), topo,
+                CostModelConfig(), seed=0,
+                workload=fixed_workload(64, budget=64), cost_book=book,
+            )
+            rows = trace.stage_rows[0]
+            assert not [r for r in rows if r[3] == "fwd"], k
+            assert trace.stage_compute_busy()[0] == pytest.approx(
+                sum(book.bwd[0]), rel=1e-12
+            )
+            # the forward slot still ends where its lump does
+            collectives = [r for r in rows if r[3] == "collective"]
+            assert collectives[1][1] == collectives[0][2] == 0.8
 
     def test_makespan_monotone_in_chunks(self, catalog):
         times = []

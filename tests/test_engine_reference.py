@@ -228,7 +228,9 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
                 comm_free[i] = start + lump
                 tc = lump / chunks
                 tg = comp / chunks
-                if tc <= tg or comp == 0.0:
+                if comp == 0.0:
+                    pass
+                elif tc <= tg:
                     record(i, COMPUTE, start + tc, start + span, label, mb)
                 else:
                     for j in range(chunks):

@@ -26,8 +26,6 @@ from vlmsim.config import config_digest, load_config
 from vlmsim.metrics import (
     CSV_COLUMNS,
     RunReport,
-    ScalingCurve,
-    ScalingPoint,
     build_report,
     emit_gantt,
     emit_report,
@@ -157,7 +155,7 @@ class TestMfu:
             workload=workload, cost_book=quiet,
         )
         got_mfu = mfu(trace, model, full_stage, plan, topo)
-        bubble = measured_bubble(trace, p).bubble_fraction
+        bubble = measured_bubble(trace)
         assert got_mfu + bubble == pytest.approx(1.0, abs=1e-9)
         assert bubble > 0.0
 
@@ -175,8 +173,14 @@ class TestMfu:
             workload=fixed_workload(2048, budget=2048),
         )
         got_mfu = mfu(trace, catalog["3B"], full_stage, plan, topo)
-        bubble = measured_bubble(trace, 4).bubble_fraction
+        bubble = measured_bubble(trace)
         assert got_mfu + bubble == pytest.approx(1.0, abs=1e-9)
+
+    def test_bubble_outside_unit_interval_is_refused(self):
+        # compute busy past the makespan would be a negative bubble
+        trace = synthetic_trace([[(COMPUTE, 0.0, 2.0, "fwd", 0)]], makespan=1.0)
+        with pytest.raises(ValueError, match="bubble fraction -1.0 out of range"):
+            measured_bubble(trace)
 
 
 class TestReports:
@@ -422,13 +426,21 @@ class TestGantt:
             assert " drawn" not in svg
             assert not [el for el in ET.fromstring(svg) if el.tag == SVG + "text"]
 
-    def test_labels_are_escaped(self):
+    def test_labels_are_escaped(self, tmp_path):
+        # markup, a \r a parser would read as \n, and characters XML 1.0
+        # cannot hold (U+FFFD stands in for each)
+        labels = ["a\rb", "a\x01b\x01", "\x00\x1f\ufffe\ud800", "tab\tnl\n"]
         trace = synthetic_trace(
-            [[(COMPUTE, 0.0, 1.0, "a<b&c", 0), (COMM, 0.0, 1.0, "x>y", 0)]]
+            [[(COMPUTE, 0.0, 1.0, "a<b&c", 0), (COMM, 0.0, 1.0, "x>y", 0)]
+             + [(COMPUTE, j + 1.0, j + 2.0, label, 0)
+                for j, label in enumerate(labels)]]
         )
-        root = ET.fromstring(emit_gantt(trace))
-        titles = [el.text for el in root.iter(SVG + "title")]
-        assert titles == ["a<b&c", "x>y"]
+        out = tmp_path / "chart.svg"
+        emit_gantt(trace, path=out)
+        titles = [el.text for el in ET.parse(out).getroot().iter(SVG + "title")]
+        assert titles == [
+            "a<b&c", "a\rb", "a\ufffdb\ufffd", "\ufffd" * 4, "tab\tnl\n", "x>y",
+        ]
 
     def test_file_is_utf8_in_an_ascii_locale(self, tmp_path):
         out = tmp_path / "chart.svg"
@@ -598,17 +610,17 @@ class TestGanttMatchesReference:
 
 class TestScaling:
     def test_efficiency_relative_to_reference(self):
-        curve = scaling_efficiency([(8, 100.0), (16, 180.0)], reference=8)
-        assert curve.efficiency_at(8) == 1.0
-        assert curve.efficiency_at(16) == pytest.approx(0.9, abs=1e-12)
-        assert [p.chips for p in curve.points] == [8, 16]
+        curve = scaling_efficiency([(16, 180.0), (8, 100.0)], reference=8)
+        assert curve[8] == 1.0
+        assert curve[16] == pytest.approx(0.9, abs=1e-12)
+        assert list(curve) == [8, 16]
 
     def test_missing_reference_raises(self):
         with pytest.raises(ValueError):
             scaling_efficiency([(16, 180.0)], reference=8)
-        curve = ScalingCurve(points=[ScalingPoint(8, 100.0, 1.0)])
+        curve = scaling_efficiency([(8, 100.0)], reference=8)
         with pytest.raises(KeyError):
-            curve.efficiency_at(64)
+            curve[64]
 
     def test_weak_scaling_rule(self):
         topo = make_topology(nodes=640, chips_per_node=8)

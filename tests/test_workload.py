@@ -142,6 +142,13 @@ class TestStepPlanning:
         plan = plan_step_microbatches(stage_model, workload, microbatches=3, seed=0)
         assert plan.batches == [[1024]] * 3
 
+    def test_negative_seed_is_refused_for_both_kinds(self):
+        workload = StepWorkload(microbatch_token_budget=4096)
+        for stage_model in (SequenceLengthModel.fixed(1024),
+                            SequenceLengthModel.lognormal(mean=6.0, sigma=0.8)):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                plan_step_microbatches(stage_model, workload, 4, seed=-1)
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             MicrobatchPlan(batches=[[]], token_budget_per_batch=10)
