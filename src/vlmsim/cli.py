@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import engine
@@ -46,6 +47,32 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get("VLMSIM_OUT", "vlmsim-out"))
 
 
+@contextmanager
+def _at_reference(chips: int):
+    """Name the scaling reference in a failure of its point."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(
+            f"at $.scaling.reference_chips ({chips} chips): {exc}",
+            getattr(exc, "violations", None),
+        ) from exc
+
+
+def check_config(config: SimConfig) -> None:
+    """Check a config, and its scaling reference point, as `simulate`
+    would run them (engine.step_shape), without the event loop."""
+    def check(topology, plan):
+        engine.step_shape(config.model, config.stage, plan, topology,
+                          config.costmodel, config.seed, config.workload)
+
+    check(config.topology, config.plan)
+    reference = config.scaling_reference_chips
+    if reference not in (None, config.topology.total_chips):
+        with _at_reference(reference):
+            check(*weak_scaling_point(config.topology, config.plan, reference))
+
+
 def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
     """Run one config; returns (trace, report).
 
@@ -53,15 +80,11 @@ def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
     reference chip count (same weak-scaling rule the sweep uses) prices
     the efficiency field.
     """
-    trace = engine.run(
-        model=config.model,
-        stage=config.stage,
-        plan=config.plan,
-        topology=config.topology,
-        costmodel=config.costmodel,
-        seed=config.seed,
-        workload=config.workload,
-    )
+    def run(topology, plan):
+        return engine.run(config.model, config.stage, plan, topology,
+                          config.costmodel, config.seed, config.workload)
+
+    trace = run(config.topology, config.plan)
     efficiency = None
     if config.scaling_reference_chips is not None:
         reference = config.scaling_reference_chips
@@ -69,18 +92,10 @@ def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
         if reference == chips:
             efficiency = 1.0
         else:
-            ref_topology, ref_plan = weak_scaling_point(
-                config.topology, config.plan, reference
-            )
-            ref_trace = engine.run(
-                model=config.model,
-                stage=config.stage,
-                plan=ref_plan,
-                topology=ref_topology,
-                costmodel=config.costmodel,
-                seed=config.seed,
-                workload=config.workload,
-            )
+            with _at_reference(reference):
+                ref_trace = run(*weak_scaling_point(
+                    config.topology, config.plan, reference
+                ))
             efficiency = scaling_efficiency(
                 [
                     (reference, ref_trace.tokens_per_step / ref_trace.makespan),
@@ -192,8 +207,9 @@ def cmd_sweep(
 ) -> int:
     """Cartesian sweep. Overrides land on the raw document, so values the
     base config left symbolic (dp: "auto") re-resolve per point. Every
-    point's config is loaded before the first point runs, so a bad point
-    fails the sweep, named by its directory, before anything is written.
+    point's config is loaded and checked (check_config) before the first
+    point runs, so a bad point fails the sweep, named by its directory,
+    before anything is written.
     At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
@@ -218,8 +234,11 @@ def cmd_sweep(
             for key, value in assignment:
                 _set_by_path(point_doc, key, value)
             config = load_config(point_doc)
-        except ConfigError as exc:
-            raise ConfigError(f"point {name}: {exc}", exc.violations) from exc
+            check_config(config)
+        except ValueError as exc:
+            raise ConfigError(
+                f"point {name}: {exc}", getattr(exc, "violations", None)
+            ) from exc
         assignments.append(assignment)
         jobs.append((config, str(out_dir / name)))
 
@@ -247,10 +266,7 @@ def cmd_sweep(
 def cmd_validate(config: SimConfig) -> int:
     """Check a config as `simulate` would, without the event loop."""
     try:
-        engine.step_shape(
-            config.model, config.stage, config.plan, config.topology,
-            config.costmodel, config.seed, config.workload,
-        )
+        check_config(config)
     except PlanValidationError as exc:
         print(json.dumps([v.as_dict() for v in exc.violations], indent=2))
         return EXIT_VALIDATION
@@ -310,22 +326,13 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out else _default_out_dir()
         cmd_simulate(config, out_dir)
         return EXIT_OK
-    except ConfigError as exc:
-        if exc.violations:
+    except ValueError as exc:
+        # a refused config, with the plan violations behind it if any
+        if getattr(exc, "violations", None):
             print(
                 json.dumps([v.as_dict() for v in exc.violations], indent=2),
                 file=sys.stderr,
             )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PlanValidationError as exc:
-        print(
-            json.dumps([v.as_dict() for v in exc.violations], indent=2),
-            file=sys.stderr,
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -102,27 +102,19 @@ class MemoryBreakdown:
     optimizer: float
     activations: float
 
+    # report keys: the terms in field order, then their sum
+    KEYS = ("weights", "grads", "optimizer", "activations", "total")
+
     @property
     def total(self) -> float:
         return self.weights + self.grads + self.optimizer + self.activations
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "weights": self.weights,
-            "grads": self.grads,
-            "optimizer": self.optimizer,
-            "activations": self.activations,
-            "total": self.total,
-        }
+        return {key: getattr(self, key) for key in self.KEYS}
 
     def dominant_term(self) -> str:
-        parts = {
-            "weights": self.weights,
-            "grads": self.grads,
-            "optimizer": self.optimizer,
-            "activations": self.activations,
-        }
-        return max(parts, key=lambda k: parts[k])
+        """The largest term; a tie goes to the first in field order."""
+        return max(self.KEYS[:-1], key=lambda key: getattr(self, key))
 
 
 @dataclass(frozen=True)

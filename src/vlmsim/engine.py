@@ -3,9 +3,10 @@
 Each chip has two resources, a compute unit and a communication unit,
 reflecting hardware where the two are physically separate and bypass
 streams let transfers run beside matrix work. With
-`chip.has_independent_comm_unit` off, every transfer serializes onto the
-compute timeline instead, which models a conventional single-stream chip
-and is the baseline for the overlap comparisons.
+`chip.has_independent_comm_unit` off, the chip is one unit: its comm
+timeline is its compute timeline, so every transfer serializes with the
+matrix work. That conventional single-stream chip is the baseline for the
+overlap comparisons; both kinds of chip run the same timing rules below.
 
 Cost construction and timing rules, in one place:
 
@@ -339,22 +340,6 @@ class Trace:
                 raise AssertionError(
                     f"stage {stage} overlapping {resource} intervals"
                 )
-
-    def iter_jsonl_lines(self):
-        """One meta line, then one line per stage-group interval.
-
-        The engine simulates at stage-group granularity (every chip of a
-        stage holds an identical timeline; DP replicas are bit-identical),
-        so the trace records each interval once per stage. Chip ids follow
-        (replica * pp + stage) * tp + rank; lines are in writing order per
-        stage (writer_order).
-
-        Lines are the bytes json.dumps(row dict, separators=(",", ":"))
-        gives. json.dumps escapes every line break a label or resource may
-        hold, so splitting at newline characters alone finds the lines.
-        """
-        for text in self._jsonl_texts():
-            yield from text.split("\n")[:-1]
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as handle:
@@ -725,7 +710,8 @@ def run(
     # kind, microbatch (-1 for none)
     records: list[list] = [[] for _ in range(p)]
     comp_free = [0.0] * p
-    comm_free = [0.0] * p
+    # a single-stream chip's comm unit is its compute unit
+    comm_free = [0.0] * p if dual_stream else comp_free
 
     # rows are recorded through bound methods behind the same end > start
     # test everywhere, so a zero-length or NaN interval is never recorded
@@ -747,55 +733,48 @@ def run(
             lump = cost_book.tp_bwd[i][mb]
             compute_kind = KIND_BWD
 
-        if dual_stream:
-            if lump > 0.0:
-                start = max(comp_free[i], comm_free[i], dep)
-                timing = fused.get((lump, comp))
-                if timing is None:
-                    timing = fused[lump, comp] = (
-                        fused_allgather_gemm_time(lump, comp, chunks),
-                        lump / chunks,
-                        comp / chunks,
-                    )
-                span, tc, tg = timing
-                comm_end = start + lump
-                if comm_end > start:
-                    extend((start, comm_end, KIND_COLLECTIVE, mb))
-                comm_free[i] = comm_end
-                end = start + span
-                if comp == 0.0:
-                    pass  # no GEMM: the slot only waits out its lump
-                elif tc <= tg:
-                    gemm_start = start + tc
-                    if end > gemm_start:
-                        extend((gemm_start, end, compute_kind, mb))
-                else:
-                    # GEMM chunks gated by transfer chunks, with gaps; a
-                    # piece ends no later than the next one starts, and the
-                    # last where compute is freed, not an ulp past either
-                    for j in range(1, chunks + 1):
-                        cs = start + j * tc
-                        ce = (min(cs + tg, start + (j + 1) * tc)
-                              if j < chunks else end)
-                        if ce > cs:
-                            extend((cs, ce, compute_kind, mb))
+        if dual_stream and lump > 0.0:
+            start = max(comp_free[i], comm_free[i], dep)
+            timing = fused.get((lump, comp))
+            if timing is None:
+                timing = fused[lump, comp] = (
+                    fused_allgather_gemm_time(lump, comp, chunks),
+                    lump / chunks,
+                    comp / chunks,
+                )
+            span, tc, tg = timing
+            comm_end = start + lump
+            if comm_end > start:
+                extend((start, comm_end, KIND_COLLECTIVE, mb))
+            comm_free[i] = comm_end
+            end = start + span
+            if comp == 0.0:
+                pass  # no GEMM: the slot only waits out its lump
+            elif tc <= tg:
+                gemm_start = start + tc
+                if end > gemm_start:
+                    extend((gemm_start, end, compute_kind, mb))
             else:
-                start = max(comp_free[i], dep)
-                end = start + comp
-                if end > start:
-                    extend((start, end, compute_kind, mb))
-            comp_free[i] = end
+                # GEMM chunks gated by transfer chunks, with gaps; a piece
+                # ends no later than the next one starts, and the last
+                # where compute is freed, not an ulp past either
+                for j in range(1, chunks + 1):
+                    cs = start + j * tc
+                    ce = (min(cs + tg, start + (j + 1) * tc)
+                          if j < chunks else end)
+                    if ce > cs:
+                        extend((cs, ce, compute_kind, mb))
         else:
-            t = max(comp_free[i], dep)
-            if lump > 0.0:
-                if t + lump > t:
-                    extend((t, t + lump, KIND_COLLECTIVE, mb))
-                t += lump
-            end = t + comp
-            if end > t:
-                extend((t, end, compute_kind, mb))
-            comp_free[i] = end
-            comm_free[i] = end
+            start = max(comp_free[i], dep)
+            if lump > 0.0:  # a single-stream chip runs its lump first
+                lump_end = start + lump
+                if lump_end > start:
+                    extend((start, lump_end, KIND_COLLECTIVE, mb))
+                start = lump_end
+            end = start + comp
+            if end > start:
+                extend((start, end, compute_kind, mb))
+        comp_free[i] = end
 
         if kind == FORWARD:
             return _send(i, cost_book.p2p_fwd[i][mb], mb) if i < p - 1 else end
@@ -808,40 +787,35 @@ def run(
         """Send stage i's slot output; return its arrival time."""
         if duration <= 0.0:
             return comp_free[i]
-        t0 = max(comp_free[i], comm_free[i]) if dual_stream else comp_free[i]
+        t0 = max(comp_free[i], comm_free[i])
         t1 = t0 + duration
         if t1 > t0:
             extends[i]((t0, t1, KIND_P2P, mb))
-        if not dual_stream:
-            comp_free[i] = t1
         comm_free[i] = t1
         return t1
 
     def _sync(i: int, producing_compute: float) -> None:
         buckets = cost_book.sync_buckets[i]
         extend = extends[i]
+        n = len(buckets)
         if overlap_sync:
             # buckets become ready progressively across the producing backward
-            n = len(buckets)
             produce_start = comp_free[i] - producing_compute
             free = comm_free[i]
-            for j, dur in enumerate(buckets, 1):
-                ready = produce_start + producing_compute * j / n
-                t = free if free > ready else ready  # max(ready, free)
-                free = t + dur
-                if free > t:
-                    extend((t, free, KIND_SYNC, -1))
-            comm_free[i] = free
         else:
-            # comm unit may still be draining the stage's own p2p send
-            t = max(comp_free[i], comm_free[i])
-            for dur in buckets:
-                end = t + dur
-                if end > t:
-                    extend((t, end, KIND_SYNC, -1))
-                t = end
-            comp_free[i] = t
-            comm_free[i] = t
+            # every bucket is ready once the producing backward and the
+            # stage's own p2p send are done; compute waits for the last
+            free = produce_start = max(comp_free[i], comm_free[i])
+            producing_compute = 0.0
+        for j, dur in enumerate(buckets, 1):
+            ready = produce_start + producing_compute * j / n
+            t = free if free > ready else ready  # max(ready, free)
+            free = t + dur
+            if free > t:
+                extend((t, free, KIND_SYNC, -1))
+        comm_free[i] = free
+        if not overlap_sync:
+            comp_free[i] = free
 
     execute(build_1f1b(p, m), execute_slot)
 

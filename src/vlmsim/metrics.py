@@ -16,8 +16,12 @@ from .schedule import measured_bubble
 from .workload import TrainingStage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunReport:
+    """One run's headline numbers. The field order is the key order of
+    report.json and, with memory flattened, the columns of report.csv."""
+
+    schema: int = 1
     config_digest: str
     chips: int
     step_time: float
@@ -25,9 +29,8 @@ class RunReport:
     mfu: float
     bubble: float
     overlap_efficiency: float
-    memory: MemoryBreakdown
     efficiency: float | None = None
-    schema: int = 1
+    memory: MemoryBreakdown
 
     def __post_init__(self) -> None:
         for name in ("step_time", "tokens_per_second"):
@@ -40,35 +43,16 @@ class RunReport:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
 
     def as_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config_digest": self.config_digest,
-            "chips": self.chips,
-            "step_time": self.step_time,
-            "tokens_per_second": self.tokens_per_second,
-            "mfu": self.mfu,
-            "bubble": self.bubble,
-            "overlap_efficiency": self.overlap_efficiency,
-            "efficiency": self.efficiency,
-            "memory": self.memory.as_dict(),
-        }
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc["memory"] = self.memory.as_dict()
+        return doc
 
 
 CSV_COLUMNS = [
-    "schema",
-    "config_digest",
-    "chips",
-    "step_time",
-    "tokens_per_second",
-    "mfu",
-    "bubble",
-    "overlap_efficiency",
-    "efficiency",
-    "memory_weights",
-    "memory_grads",
-    "memory_optimizer",
-    "memory_activations",
-    "memory_total",
+    column for f in dataclasses.fields(RunReport) for column in (
+        [f"memory_{key}" for key in MemoryBreakdown.KEYS]
+        if f.name == "memory" else [f.name]
+    )
 ]
 
 
@@ -76,9 +60,7 @@ def report_csv_row(report: RunReport) -> list[str]:
     """CSV cells of a report; floats as float.__repr__, so numpy floats
     from an injected CostBook print as plain numbers."""
     doc = report.as_json_dict()
-    memory = doc.pop("memory")
-    for key, value in memory.items():
-        doc[f"memory_{key}"] = value
+    doc |= {f"memory_{key}": value for key, value in doc["memory"].items()}
     return [
         "" if doc[col] is None
         else float.__repr__(doc[col]) if isinstance(doc[col], float)

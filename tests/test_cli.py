@@ -314,6 +314,11 @@ class TestSweep:
          "$.model is not an object"),
         # the tp=8 point is fine; tp=3 does not divide the 8-chip node
         ("plan.tp=8,3", "point plan.tp=3: plan does not fit topology"),
+        # the memory fit is checked at the sampled step shape, which
+        # load_config does not reach
+        ("topology.chip.memory=1.92e11,1e9",
+         "point topology.chip.memory=1000000000.0: estimated 2.419e+10 B "
+         "exceeds chip memory 1.000e+09 B"),
     ])
     def test_bad_point_fails_before_any_run(self, tmp_path, capsys, axis,
                                             message):
@@ -324,6 +329,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_reference_point_fails_before_any_run(self, tmp_path,
+                                                      capsys):
+        # both 5120-chip points fit; the 8-chip reference of the second
+        # does not
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", FLAGSHIP_PRESET,
+                     "--axis", "topology.chip.memory=1.92e11,1.5e11",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert '"constraint": "memory-fit"' in err
+        assert (
+            "error: point topology.chip.memory=150000000000.0: "
+            "at $.scaling.reference_chips (8 chips): estimated 1.551e+11 B "
+            "exceeds chip memory 1.500e+11 B"
+        ) in err
         assert not out.exists()
 
     def test_two_axis_cartesian_product(self, tmp_path):
@@ -466,6 +489,30 @@ class TestRefusedAtTheirPath:
         assert main([command] + argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "error: at $.model.vision: max_tiles must be >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("section,key,value,message", [
+        # the 5120-chip step fits; its 8-chip reference does not
+        ("chip", "memory", 1.5e11,
+         "(8 chips): estimated 1.551e+11 B exceeds chip memory 1.500e+11 B"),
+        ("scaling", "reference_chips", 12,
+         "(12 chips): chips 12 not divisible by tp 8"),
+    ])
+    def test_scaling_reference_point(self, tmp_path, capsys, command,
+                                     section, key, value, message):
+        with open(FLAGSHIP_PRESET) as f:
+            doc = json.load(f)
+        sheet = doc["topology"]["chip"] if section == "chip" else doc[section]
+        sheet[key] = value
+        bad = tmp_path / "reference.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--config", str(bad)] + (["--out", str(out)] if command == "simulate" else [])
+        assert main([command] + argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "ok" not in captured.out
+        assert f"error: at $.scaling.reference_chips {message}" in captured.err
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):

@@ -402,17 +402,17 @@ class TestGradSync:
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, catalog, small_topology, full_stage,
-                                  costmodel):
-        def go():
+                                  costmodel, tmp_path):
+        def go(name):
             trace = run(
                 catalog["3B"], full_stage,
                 make_plan(dp=1, tp=8, pp=1, m=6),
                 small_topology, costmodel, seed=11,
                 workload=fixed_workload(2048, budget=2048),
             )
-            return "\n".join(trace.iter_jsonl_lines())
+            return "\n".join(jsonl_lines(trace, tmp_path / name))
 
-        assert go() == go()
+        assert go("a.jsonl") == go("b.jsonl")
 
     def test_seed_changes_sampled_lengths(self, catalog, small_topology,
                                           full_stage, costmodel):
@@ -502,6 +502,12 @@ def bare_trace(stage_rows, makespan=1.0):
     return trace_from_rows(stage_rows, makespan=makespan)
 
 
+def jsonl_lines(trace, path):
+    """The lines of the trace.jsonl that write_jsonl writes at `path`."""
+    trace.write_jsonl(path)
+    return path.read_bytes().decode().split("\n")[:-1]
+
+
 # finite floats of every magnitude, plus ones whose repr is a known edge:
 # the smallest subnormal, the largest double, a rounding residue, the
 # exponent switch points of repr and negative zero. Many draws come from
@@ -527,12 +533,14 @@ class TestJsonlWriter:
                                max_size=3))
     @example(stage_rows=EDGE_ROWS)
     @settings(max_examples=300, deadline=None)
-    def test_row_lines_equal_json_dumps(self, stage_rows):
+    def test_row_lines_equal_json_dumps(self, tmp_path_factory, stage_rows):
         trace = bare_trace(stage_rows)
-        lines = list(trace.iter_jsonl_lines())
+        lines = jsonl_lines(
+            trace, tmp_path_factory.getbasetemp() / "row_lines.jsonl"
+        )
         assert lines[1:] == reference_row_lines(trace)
 
-    def test_numpy_cost_book_writes_plain_floats(self, catalog):
+    def test_numpy_cost_book_writes_plain_floats(self, catalog, tmp_path):
         p, m = 3, 4
         book = CostBook(
             fwd=[[np.float64(0.1) * (i + 1)] * m for i in range(p)],
@@ -551,7 +559,7 @@ class TestJsonlWriter:
             seed=0, workload=fixed_workload(64, budget=64), cost_book=book,
         )
         assert type(book.bwd[0][0]) is np.float64
-        lines = list(trace.iter_jsonl_lines())
+        lines = jsonl_lines(trace, tmp_path / "trace.jsonl")
         assert lines[1:] == reference_row_lines(trace)
         assert "np.float64" not in "".join(lines)
 
@@ -560,8 +568,16 @@ class TestJsonlWriter:
                              (COMM, 0.0, 1e-300, "p2p", 3)]] + EDGE_ROWS)
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(path)
+        meta = json.dumps(
+            {"dp": trace.dp, "tp": trace.tp, "pp": trace.pp,
+             "seed": trace.seed, "makespan": trace.makespan,
+             "microbatch_sizes": trace.microbatch_sizes,
+             "microbatch_seq_lens": trace.microbatch_seq_lens,
+             "visual_tokens_per_sample": trace.visual_tokens_per_sample},
+            separators=(",", ":"),
+        )
         assert path.read_text() == "".join(
-            line + "\n" for line in trace.iter_jsonl_lines()
+            line + "\n" for line in [meta, *reference_row_lines(trace)]
         )
 
 
