@@ -23,6 +23,7 @@ from .arch import (
 )
 from .cluster import (
     ChipSpec,
+    ConfigError,
     MemoryBreakdown,
     ParallelismPlan,
     PlanViolation,
@@ -38,7 +39,6 @@ from .comm import (
     stage_grad_bytes,
 )
 from .config import (
-    ConfigError,
     SimConfig,
     config_digest,
     load_config,
@@ -47,7 +47,6 @@ from .config import (
 from .engine import (
     CostBook,
     CostModelConfig,
-    PlanValidationError,
     Trace,
     fused_allgather_gemm_time,
     run,
@@ -99,7 +98,6 @@ __all__ = [
     "ModelSpec",
     "ParallelismPlan",
     "PipelineSchedule",
-    "PlanValidationError",
     "PlanViolation",
     "RunReport",
     "SequenceLengthModel",

@@ -25,7 +25,6 @@ from .config import (
     load_config,
     resolved_config_dict,
 )
-from .engine import PlanValidationError
 from .metrics import (
     CSV_COLUMNS,
     RunReport,
@@ -48,14 +47,14 @@ def _default_out_dir() -> Path:
 
 
 @contextmanager
-def _at_reference(chips: int):
-    """Name the scaling reference in a failure of its point."""
+def _named(where: str):
+    """Prefix a refusal inside the block with where it happened; its plan
+    violations, if any, go with it."""
     try:
         yield
     except ValueError as exc:
         raise ConfigError(
-            f"at $.scaling.reference_chips ({chips} chips): {exc}",
-            getattr(exc, "violations", None),
+            f"{where}: {exc}", getattr(exc, "violations", None)
         ) from exc
 
 
@@ -69,7 +68,7 @@ def check_config(config: SimConfig) -> None:
     check(config.topology, config.plan)
     reference = config.scaling_reference_chips
     if reference not in (None, config.topology.total_chips):
-        with _at_reference(reference):
+        with _named(f"at $.scaling.reference_chips ({reference} chips)"):
             check(*weak_scaling_point(config.topology, config.plan, reference))
 
 
@@ -92,7 +91,7 @@ def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
         if reference == chips:
             efficiency = 1.0
         else:
-            with _at_reference(reference):
+            with _named(f"at $.scaling.reference_chips ({reference} chips)"):
                 ref_trace = run(*weak_scaling_point(
                     config.topology, config.plan, reference
                 ))
@@ -166,20 +165,9 @@ def parse_axis(spec: str) -> tuple[str, list]:
     return key, [_axis_value(v) for v in values.split(",")]
 
 
-def _check_key_path(doc: dict, dotted: str) -> None:
-    node = doc
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"axis key {dotted!r} not present in config")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"axis key {dotted!r} not present in config")
-
-
 def _set_by_path(doc: dict, dotted: str, value) -> None:
-    # the path was validated against the resolved schema; intermediate
-    # sections a sparse config omitted are created on the way down
+    # sections a sparse config omitted are created on the way down;
+    # load_config then refuses a key the schema does not know
     node = doc
     parts = dotted.split(".")
     for depth, part in enumerate(parts[:-1], 1):
@@ -206,10 +194,11 @@ def cmd_sweep(
     parallel: int = 1,
 ) -> int:
     """Cartesian sweep. Overrides land on the raw document, so values the
-    base config left symbolic (dp: "auto") re-resolve per point. Every
-    point's config is loaded and checked (check_config) before the first
-    point runs, so a bad point fails the sweep, named by its directory,
-    before anything is written.
+    base config left symbolic (dp: "auto") re-resolve per point. An axis
+    key given twice, or an axis repeating a value's text (which names the
+    point's directory), is refused. Every point's config is loaded and
+    checked (check_config) before the first point runs, so a bad point
+    fails the sweep, named by its directory, before anything is written.
     At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
@@ -218,27 +207,28 @@ def cmd_sweep(
         cmd_simulate(base_config, out_dir)
         return EXIT_OK
 
-    schema_doc = resolved_config_dict(base_config)
+    axis_keys = [key for key, _ in axes]
     for key, values in axes:
+        texts = [str(value) for value in values]
+        repeated = [text for text in texts if texts.count(text) > 1]
         if not values:
             raise ConfigError(f"axis {key!r} has no values")
-        _check_key_path(schema_doc, key)
+        if axis_keys.count(key) > 1:
+            raise ConfigError(f"axis key {key!r} is given twice")
+        if repeated:
+            raise ConfigError(f"axis {key!r} repeats the value {repeated[0]!r}")
 
     assignments = []
     jobs = []
     for combo in itertools.product(*(values for _, values in axes)):
-        assignment = tuple(zip((key for key, _ in axes), combo))
+        assignment = tuple(zip(axis_keys, combo))
         name = _point_dir_name(assignment)
         point_doc = copy.deepcopy(doc)
-        try:
+        with _named(f"point {name}"):
             for key, value in assignment:
                 _set_by_path(point_doc, key, value)
             config = load_config(point_doc)
             check_config(config)
-        except ValueError as exc:
-            raise ConfigError(
-                f"point {name}: {exc}", getattr(exc, "violations", None)
-            ) from exc
         assignments.append(assignment)
         jobs.append((config, str(out_dir / name)))
 
@@ -254,7 +244,6 @@ def cmd_sweep(
     else:
         report_rows = [_run_sweep_point(*job) for job in jobs]
 
-    axis_keys = [key for key, _ in axes]
     lines = [",".join(axis_keys + CSV_COLUMNS)]
     for assignment, report_row in zip(assignments, report_rows):
         row = [str(value) for _, value in assignment] + report_row
@@ -264,12 +253,9 @@ def cmd_sweep(
 
 
 def cmd_validate(config: SimConfig) -> int:
-    """Check a config as `simulate` would, without the event loop."""
-    try:
-        check_config(config)
-    except PlanValidationError as exc:
-        print(json.dumps([v.as_dict() for v in exc.violations], indent=2))
-        return EXIT_VALIDATION
+    """Check a config as `simulate` would, without the event loop. A
+    refusal raises to `main`, which prints it on stderr."""
+    check_config(config)
     print("ok")
     return EXIT_OK
 

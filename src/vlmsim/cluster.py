@@ -1,4 +1,5 @@
-"""Chip/node topology, 3D parallelism plans, and the per-chip memory model.
+"""Chip/node topology, 3D parallelism plans, plan violations and the one
+error type of a refused config, and the per-chip memory model.
 
 Memory accounting follows a documented internal cost model (constants are
 simulator parameters, not measured values):
@@ -124,6 +125,14 @@ class PlanViolation:
 
     def as_dict(self) -> dict[str, str]:
         return {"constraint": self.constraint, "message": self.message}
+
+
+class ConfigError(ValueError):
+    """A refused config or plan, with the plan violations behind it if any."""
+
+    def __init__(self, message: str, violations: list[PlanViolation] | None = None):
+        super().__init__(message)
+        self.violations = violations or []
 
 
 def partition_layers(model: ModelSpec, pp: int, balance: str = "uniform") -> list[int]:
@@ -255,18 +264,11 @@ def memory_per_chip(
 
 
 def validate_plan(
-    topology: Topology,
-    plan: ParallelismPlan,
-    model: ModelSpec,
-    stage: TrainingStage | None = None,
-    seq_len: int | None = None,
-    microbatch: int | None = None,
+    topology: Topology, plan: ParallelismPlan, model: ModelSpec
 ) -> list[PlanViolation]:
-    """Check a plan against a topology; returns violations as data.
-
-    Structural checks always run. The memory-fit check runs only when the
-    workload context (stage, seq_len, microbatch) is supplied.
-    """
+    """Check a plan's shape against a topology and a model; returns the
+    violations as data. The memory fit needs the step's shape, so
+    engine.step_shape checks it."""
     violations = []
     chips = topology.total_chips
     product = plan.dp * plan.tp * plan.pp
@@ -304,19 +306,4 @@ def validate_plan(
                 message=f"pp {plan.pp} exceeds layer count {model.lm.layers}",
             )
         )
-        return violations
-
-    if stage is not None and seq_len is not None and microbatch is not None:
-        breakdown = memory_per_chip(model, plan, stage, seq_len, microbatch)
-        if breakdown.total > topology.chip.memory:
-            violations.append(
-                PlanViolation(
-                    constraint="memory-fit",
-                    message=(
-                        f"estimated {breakdown.total:.3e} B exceeds chip memory "
-                        f"{topology.chip.memory:.3e} B; dominant term is "
-                        f"{breakdown.dominant_term()}"
-                    ),
-                )
-            )
     return violations

@@ -29,16 +29,10 @@ from .arch import (
     builtin_model_catalog,
     total_param_count,
 )
-from .cluster import ChipSpec, ParallelismPlan, Topology, validate_plan
+from .cluster import ChipSpec, ConfigError, ParallelismPlan, Topology, validate_plan
 from .comm import GradSyncPolicy
 from .engine import CostModelConfig
 from .workload import SequenceLengthModel, StepWorkload, TrainingStage, stage_by_name
-
-
-class ConfigError(ValueError):
-    def __init__(self, message: str, violations: list | None = None):
-        super().__init__(message)
-        self.violations = violations or []
 
 
 @dataclass(frozen=True)

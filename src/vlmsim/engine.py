@@ -10,8 +10,9 @@ overlap comparisons; both kinds of chip run the same timing rules below.
 
 Cost construction and timing rules, in one place:
 
-  * step_shape samples the microbatches and validates the plan at the
-    largest shape before any timing; the CLI's `validate` runs it too;
+  * step_shape checks the plan's shape, bounds the work, samples the
+    microbatches and checks the memory fit at the largest shape before
+    any timing, raising ConfigError; the CLI's `validate` runs it too;
   * compute durations are arch.stage_flops of the stage (forward, and
     backward with its recompute extra) divided by tp * peak_flops;
   * TP collectives inside a stage are aggregated into one per-slot comm
@@ -72,9 +73,11 @@ import numpy as np
 
 from .arch import ModelSpec, stage_flops, step_flops
 from .cluster import (
+    ConfigError,
     ParallelismPlan,
-    Topology,
     PlanViolation,
+    Topology,
+    memory_per_chip,
     partition_layers,
     validate_plan,
 )
@@ -122,12 +125,6 @@ JSONL_BLOCK_ROWS = 2048
 # check_work_bound). The deepest planning point in use, pp=80 with 4096
 # microbatches, estimates 6.6M rows (it records 2.0M).
 MAX_TRACE_ROWS = 20_000_000
-
-
-class PlanValidationError(ValueError):
-    def __init__(self, violations: list[PlanViolation]):
-        self.violations = violations
-        super().__init__("; ".join(v.message for v in violations))
 
 
 @dataclass(frozen=True)
@@ -583,7 +580,7 @@ def check_work_bound(
     stage: TrainingStage,
     plan: ParallelismPlan,
     costmodel: CostModelConfig,
-    partition: list[int] | None,
+    partition: list[int],
 ) -> None:
     """Refuse, from the config alone, a run above MAX_TRACE_ROWS.
 
@@ -593,13 +590,12 @@ def check_work_bound(
     each stage's buckets, at most stage bytes / bucket_bytes + 1. It
     runs before any microbatch is sampled or bucket list built. The key
     named is the one behind the larger of the slot and sync terms.
-    `partition` is None when the pipeline is deeper than the model.
     """
     p = plan.pp
     m = plan.microbatches_per_step
     slot_rows = 2 * m * p * (plan.fusion_chunks + 2 if plan.tp > 1 else 2)
     sync_rows = 0.0
-    if plan.dp > 1 and partition is not None:
+    if plan.dp > 1:
         policy = costmodel.grad_sync
         volume = sum(
             stage_grad_bytes(
@@ -615,7 +611,7 @@ def check_work_bound(
             "costmodel.grad_sync.bucket_bytes" if sync_rows > slot_rows
             else "plan.microbatches_per_step"
         )
-        raise ValueError(
+        raise ConfigError(
             f"at $.{key}: the run would record about {rows:.3g} trace rows, "
             f"more than the limit of {MAX_TRACE_ROWS:,}"
         )
@@ -632,22 +628,22 @@ def step_shape(
 ) -> tuple[StepWorkload, MicrobatchPlan, list[int]]:
     """The step's workload, microbatches and layer partition, checked.
 
-    The one step-shape rule of `run` and of the CLI's `validate`: fill in
-    the default workload, split the layers over the stages once, refuse
-    unbounded work (check_work_bound), sample the microbatches, check the
-    longest packed sequence against the context limit, and validate the
-    plan, memory fit included, at the largest microbatch size and the
-    longest sequence of the step. Raises ValueError, or
-    PlanValidationError carrying the violations.
+    The one step-shape rule of `run` and of the CLI's `validate`. It checks
+    in the order things can fail: the plan's shape (validate_plan); then,
+    with the layers split once, the work bound (check_work_bound); then,
+    with the microbatches sampled, the context limit and the memory fit at
+    the step's largest microbatch size and longest sequence. Every refusal
+    is a ConfigError, with the plan violations if any.
     """
+    violations = validate_plan(topology, plan, model)
+    if violations:
+        raise ConfigError("; ".join(v.message for v in violations), violations)
     if workload is None:
         lengths = stage.seq_len_model
         budget = lengths.value if lengths.kind == "fixed" else lengths.cap
         workload = StepWorkload(microbatch_token_budget=budget)
 
-    partition = None  # a pipeline deeper than the model: validate_plan refuses
-    if plan.pp <= model.lm.layers:
-        partition = partition_layers(model, plan.pp, plan.layer_balance)
+    partition = partition_layers(model, plan.pp, plan.layer_balance)
     check_work_bound(model, stage, plan, costmodel, partition)
     microbatches = plan_step_microbatches(
         stage.seq_len_model, workload, plan.microbatches_per_step, seed
@@ -655,16 +651,22 @@ def step_shape(
     peak_size = max(len(b) for b in microbatches.batches)
     peak_seq = max(max(b) for b in microbatches.batches)
     if peak_seq > model.lm.context_limit:
-        raise ValueError(
+        raise ConfigError(
             f"packed sequence length {peak_seq} exceeds context limit "
             f"{model.lm.context_limit}"
         )
 
-    violations = validate_plan(
-        topology, plan, model, stage=stage, seq_len=peak_seq, microbatch=peak_size
-    )
-    if violations:
-        raise PlanValidationError(violations)
+    memory = memory_per_chip(model, plan, stage, peak_seq, peak_size)
+    if memory.total > topology.chip.memory:
+        fit = PlanViolation(
+            constraint="memory-fit",
+            message=(
+                f"estimated {memory.total:.3e} B exceeds chip memory "
+                f"{topology.chip.memory:.3e} B; dominant term is "
+                f"{memory.dominant_term()}"
+            ),
+        )
+        raise ConfigError(fit.message, [fit])
     return workload, microbatches, partition
 
 

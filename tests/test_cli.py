@@ -304,7 +304,45 @@ class TestSweep:
         code = main(["sweep", "--config", BUBBLE_PRESET,
                      "--axis", "plan.bogus=1,2", "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "not present in config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: point plan.bogus=1: unknown key at $.plan.bogus" in err
+        assert not out.exists()
+
+    def test_axis_key_of_a_section_the_config_omits(self, tmp_path):
+        # bubble-claim has no scaling section; the schema has the key
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", BUBBLE_PRESET,
+                     "--axis", "scaling.reference_chips=8", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["scaling.reference_chips"] for row in rows] == ["8"]
+        assert rows[0]["efficiency"] == "1.0"
+        resolved = json.loads(
+            (out / "scaling.reference_chips=8" / "resolved_config.json")
+            .read_text()
+        )
+        assert resolved["scaling"] == {"reference_chips": 8}
+
+    @pytest.mark.parametrize("axes,message", [
+        # the header would name the key twice over a row of both values
+        (["plan.fusion_chunks=2", "plan.fusion_chunks=4"],
+         "axis key 'plan.fusion_chunks' is given twice"),
+        # both points would write one directory
+        (["plan.fusion_chunks=2,2"],
+         "axis 'plan.fusion_chunks' repeats the value '2'"),
+        (["seed=1,\"1\""], "axis 'seed' repeats the value '1'"),
+    ])
+    def test_colliding_axes_refused(self, tmp_path, capsys, pool_sizes, axes,
+                                    message):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", FUSION_PRESET, "--out", str(out),
+                "--parallel", "2"]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert pool_sizes == []
         assert not out.exists()
 
     @pytest.mark.parametrize("axis,message", [
@@ -382,10 +420,12 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         code = main(["validate", "--config", str(bad)])
         assert code == EXIT_VALIDATION
-        out = capsys.readouterr().out
-        violations = json.loads(out)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        violations, end = json.JSONDecoder().raw_decode(captured.err)
         assert violations[0]["constraint"] == "memory-fit"
         assert "exceeds chip memory" in violations[0]["message"]
+        assert captured.err[end:].startswith("\nerror: estimated ")
 
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -409,10 +449,10 @@ class TestValidate:
         )
         assert main([command] + argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        # validate prints the violations to stdout, simulate to stderr
-        printed = captured.out if command == "validate" else captured.err
-        assert '"constraint": "memory-fit"' in printed
-        assert "estimated 1.119e+12 B exceeds chip memory" in printed
+        # both print the refusal on stderr only
+        assert captured.out == ""
+        assert '"constraint": "memory-fit"' in captured.err
+        assert "estimated 1.119e+12 B exceeds chip memory" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -511,7 +551,7 @@ class TestRefusedAtTheirPath:
         argv = ["--config", str(bad)] + (["--out", str(out)] if command == "simulate" else [])
         assert main([command] + argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert "ok" not in captured.out
+        assert captured.out == ""
         assert f"error: at $.scaling.reference_chips {message}" in captured.err
         assert not out.exists()
 

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlmsim import engine
 from vlmsim.arch import lm_layer_param_count
 from vlmsim.cluster import (
     ChipSpec,
+    ConfigError,
     MemoryBreakdown,
     ParallelismPlan,
     Topology,
@@ -13,7 +15,19 @@ from vlmsim.cluster import (
     stage_local_params,
     validate_plan,
 )
-from tests.conftest import make_plan, make_topology
+from tests.conftest import fixed_workload, make_plan, make_topology
+
+
+def step_shape_violations(topology, plan, model, stage, seq_len, microbatch):
+    """The plan violations engine.step_shape raises for a step of
+    `microbatch`-sample batches of `seq_len` tokens; [] if it accepts."""
+    workload = fixed_workload(seq_len, budget=seq_len * microbatch)
+    try:
+        engine.step_shape(model, stage, plan, topology,
+                          engine.CostModelConfig(), 0, workload)
+    except ConfigError as exc:
+        return exc.violations
+    return []
 
 
 class TestPartition:
@@ -288,7 +302,7 @@ class TestValidation:
         plan = make_plan(dp=1, tp=8, pp=1, m=1)
         model = catalog["8B"]
         assert validate_plan(topo, plan, model) == []
-        violations = validate_plan(
+        violations = step_shape_violations(
             topo, plan, model, stage=full_stage, seq_len=4096, microbatch=1
         )
         assert [v.constraint for v in violations] == ["memory-fit"]
@@ -298,7 +312,7 @@ class TestValidation:
         # long sequences with score materialization make activations dominate
         topo = make_topology(nodes=1, chips_per_node=8, memory=64e9)
         plan = make_plan(dp=1, tp=8, pp=1, m=1)
-        violations = validate_plan(
+        violations = step_shape_violations(
             topo,
             plan,
             catalog["8B"],
@@ -329,7 +343,7 @@ class TestValidation:
             distributed_optimizer=True,
             layer_balance="cost-balanced",
         )
-        violations = validate_plan(
+        violations = step_shape_violations(
             topo,
             plan,
             catalog["70B"],

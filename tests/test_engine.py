@@ -13,14 +13,13 @@ from vlmsim.engine import (
     COMPUTE,
     CostBook,
     CostModelConfig,
-    PlanValidationError,
     build_cost_book,
     fused_allgather_gemm_time,
     run,
     step_shape,
     step_training_flops,
 )
-from vlmsim.cluster import partition_layers
+from vlmsim.cluster import ConfigError, partition_layers
 from vlmsim.config import load_config
 from vlmsim.comm import GradSyncPolicy
 from vlmsim.schedule import (
@@ -184,7 +183,7 @@ class TestScheduleTiming:
     def test_invalid_plan_raises_before_simulation(
         self, catalog, small_topology, full_stage, costmodel
     ):
-        with pytest.raises(PlanValidationError) as err:
+        with pytest.raises(ConfigError) as err:
             run(
                 catalog["3B"],
                 full_stage,
@@ -196,6 +195,23 @@ class TestScheduleTiming:
             )
         assert err.value.violations
         assert err.value.violations[0].constraint == "parallelism-product"
+
+    def test_plan_shape_refused_before_the_work_bound(
+        self, catalog, full_stage, costmodel
+    ):
+        # 40 stages of a 36-layer model, with far too many microbatches:
+        # the pipeline depth is named, not the trace-row bound
+        with pytest.raises(ConfigError) as err:
+            run(
+                catalog["3B"],
+                full_stage,
+                make_plan(dp=1, tp=1, pp=40, m=10**9),
+                make_topology(nodes=5, chips_per_node=8),
+                costmodel,
+                seed=0,
+            )
+        assert [v.constraint for v in err.value.violations] == ["pipeline-depth"]
+        assert str(err.value) == "pp 40 exceeds layer count 36"
 
     def test_context_limit_checked_after_packing(
         self, catalog, small_topology, full_stage, costmodel

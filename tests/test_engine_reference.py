@@ -26,7 +26,7 @@ from vlmsim.arch import (
     step_flops,
     vision_fwd_flops_per_tile,
 )
-from vlmsim.cluster import partition_layers, stage_local_params, validate_plan
+from vlmsim.cluster import ConfigError, partition_layers, stage_local_params
 from vlmsim.comm import GradSyncPolicy, collective_time, split_buckets
 from vlmsim.config import load_config
 from vlmsim.engine import (
@@ -40,7 +40,6 @@ from vlmsim.engine import (
     MAX_TRACE_ROWS,
     CostBook,
     CostModelConfig,
-    PlanValidationError,
     _boundary_crosses_nodes,
     _dp_group_spans_nodes,
     _link_model,
@@ -182,14 +181,9 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
     record() call per row, fused time per slot, builtin max throughout."""
     p = plan.pp
     m = plan.microbatches_per_step
-    microbatches = plan_step_microbatches(stage.seq_len_model, workload, m, seed)
-    peak_size = max(len(b) for b in microbatches.batches)
-    peak_seq = max(max(b) for b in microbatches.batches)
-    violations = validate_plan(topology, plan, model, stage=stage,
-                               seq_len=peak_seq, microbatch=peak_size)
-    if violations:
-        raise PlanValidationError(violations)
-    partition = partition_layers(model, p, plan.layer_balance)
+    workload, microbatches, partition = engine.step_shape(
+        model, stage, plan, topology, costmodel, seed, workload
+    )
     if cost_book is None:
         cost_book = reference_cost_book(model, stage, plan, topology, costmodel,
                                         partition, microbatches, workload)
@@ -646,8 +640,8 @@ class TestWorkBound:
     def test_pipeline_deeper_than_model_refused_as_a_violation(self, catalog,
                                                                 full_stage):
         # the sync term partitions the layers, which a pipeline deeper than
-        # the model cannot do; validate_plan names it instead
-        with pytest.raises(PlanValidationError) as err:
+        # the model cannot do; validate_plan names it first
+        with pytest.raises(ConfigError) as err:
             run(catalog["3B"], full_stage, make_plan(dp=2, tp=1, pp=40, m=40),
                 make_topology(nodes=10, chips_per_node=8), CostModelConfig(),
                 seed=0)
