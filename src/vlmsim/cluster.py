@@ -1,5 +1,6 @@
-"""Chip/node topology, 3D parallelism plans, plan violations and the one
-error type of a refused config, and the per-chip memory model.
+"""Chip/node topology and stage-group placement, 3D parallelism plans,
+plan violations and the one error type of a refused config, and the
+per-chip memory model.
 
 Memory accounting follows a documented internal cost model (constants are
 simulator parameters, not measured values):
@@ -15,14 +16,21 @@ simulator parameters, not measured values):
              plus 2*query_heads*seq^2*microbatch/tp bytes of attention
              scores per layer, which selective recomputation removes;
              full recomputation keeps only a 2*h boundary checkpoint per
-             layer per token. The deepest 1F1B stage holds min(pp, m)
-             microbatches in flight, and it also owns the embeddings,
-             vision encoder, and adapter.
+             layer per token. Stage i holds schedule.in_flight(pp, m, i)
+             = min(pp - i, m) microbatches in flight; the first stage also
+             owns the embeddings, vision encoder, and adapter, and the last
+             the output head unless embeddings are tied.
+
+A chip's estimate is the largest over the pipeline stages: the first holds
+the most microbatches, but a balanced split may give a later stage more
+layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .arch import (
     RECOMPUTE_POLICIES,
@@ -31,6 +39,7 @@ from .arch import (
     lm_layer_param_count,
     vision_param_count,
 )
+from .schedule import in_flight
 from .workload import TrainingStage
 
 LAYER_BALANCE_MODES = ("uniform", "cost-balanced")
@@ -218,21 +227,24 @@ def stage_local_params(
     return counts
 
 
-def memory_per_chip(
+def stage_memory(
     model: ModelSpec,
     plan: ParallelismPlan,
     stage: TrainingStage,
+    partition: list[int],
+    stage_index: int,
     seq_len: int,
     microbatch: int,
 ) -> MemoryBreakdown:
-    """Memory high-water estimate for the deepest (first) pipeline stage."""
+    """Memory high-water estimate for one chip of pipeline stage
+    `stage_index`: its own layers and params, and its 1F1B in-flight
+    count of microbatches."""
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
     if microbatch < 0:
         raise ValueError("microbatch must be >= 0")
 
-    partition = partition_layers(model, plan.pp, plan.layer_balance)
-    local = stage_local_params(model, partition, 0)
+    local = stage_local_params(model, partition, stage_index)
     total_params = sum(local.values())
     trainable_params = sum(local[c] for c in local if c in stage.trainable)
 
@@ -255,20 +267,48 @@ def memory_per_chip(
         else:
             scores = 2.0 * model.lm.query_heads * float(seq_len) ** 2 * microbatch / tp
     tokens = float(microbatch * seq_len)
-    in_flight = min(plan.pp, plan.microbatches_per_step)
-    activations = partition[0] * (tokens * per_token + scores) * in_flight
+    held = in_flight(plan.pp, plan.microbatches_per_step, stage_index)
+    activations = partition[stage_index] * (tokens * per_token + scores) * held
 
     return MemoryBreakdown(
         weights=weights, grads=grads, optimizer=optimizer, activations=activations
     )
 
 
+def memory_per_chip(
+    model: ModelSpec,
+    plan: ParallelismPlan,
+    stage: TrainingStage,
+    seq_len: int,
+    microbatch: int,
+) -> MemoryBreakdown:
+    """Memory high-water estimate for the pipeline stage that needs the
+    most (stage_memory of each stage; on a tie, the first stage)."""
+    partition = partition_layers(model, plan.pp, plan.layer_balance)
+    return max(
+        (
+            stage_memory(model, plan, stage, partition, i, seq_len, microbatch)
+            for i in range(plan.pp)
+        ),
+        key=lambda memory: memory.total,
+    )
+
+
+def group_nodes(topology: Topology, plan: ParallelismPlan) -> np.ndarray:
+    """The node of every stage group, a (dp, pp) array indexed [replica,
+    stage]. Chip ids are (replica * pp + stage) * tp + rank, and a group
+    sits on one node as tp divides chips_per_node (tp-within-node).
+    np.diff along a row marks the stage boundaries it crosses nodes at."""
+    groups = np.arange(plan.dp * plan.pp).reshape(plan.dp, plan.pp)
+    return groups * plan.tp // topology.chips_per_node
+
+
 def validate_plan(
     topology: Topology, plan: ParallelismPlan, model: ModelSpec
 ) -> list[PlanViolation]:
-    """Check a plan's shape against a topology and a model; returns the
-    violations as data. The memory fit needs the step's shape, so
-    engine.step_shape checks it."""
+    """Check a plan's shape and replica placement against a topology and
+    a model; returns the violations as data. The memory fit needs the
+    step's shape, so engine.step_shape checks it."""
     violations = []
     chips = topology.total_chips
     product = plan.dp * plan.tp * plan.pp
@@ -299,6 +339,21 @@ def validate_plan(
                 ),
             )
         )
+    if not violations:
+        # the engine prices every replica as replica 0, so each must cross
+        # nodes at the stage boundaries replica 0 crosses at. Replica 0
+        # starts a node, so a replica that differs crosses first.
+        crosses = np.diff(group_nodes(topology, plan)) != 0
+        differ = np.argwhere(crosses != crosses[0])
+        if len(differ):
+            replica, boundary = differ[0].tolist()
+            violations.append(PlanViolation(
+                constraint="replica-placement",
+                message=(
+                    f"replica {replica} crosses nodes at stage boundary "
+                    f"{boundary}-{boundary + 1}, unlike replica 0"
+                ),
+            ))
     if plan.pp > model.lm.layers:
         violations.append(
             PlanViolation(
@@ -307,3 +362,4 @@ def validate_plan(
             )
         )
     return violations
+

@@ -38,11 +38,13 @@ span once per distinct (lump, compute) pair of the run. These memos live
 in the locals of one call; nothing is cached across runs.
 
 All DP replicas execute identical work on an identical sampled length
-schedule (a documented symmetry), so one replica is simulated at
-stage-group granularity and the trace expands lazily to every
-(replica, tp-rank) chip. Event times are double-precision seconds and the
-whole construction is an arithmetic fold over the schedule, so a given
-(inputs, seed) pair is bit-reproducible.
+schedule, and validate_plan checks that every replica crosses nodes at
+the stage boundaries replica 0 crosses at, so replica 0's links price
+every replica. One replica is simulated at stage-group granularity and
+the trace expands lazily to every (replica, tp-rank) chip. Event times
+are double-precision seconds and the whole construction is an arithmetic
+fold over the schedule, so a given (inputs, seed) pair is
+bit-reproducible.
 
 The trace's record is per-stage numpy columns: each row's start, end,
 kind (an index into Trace.kinds, its resource and label) and microbatch.
@@ -77,6 +79,7 @@ from .cluster import (
     ParallelismPlan,
     PlanViolation,
     Topology,
+    group_nodes,
     memory_per_chip,
     partition_layers,
     validate_plan,
@@ -94,6 +97,7 @@ from .workload import (
     StepWorkload,
     TrainingStage,
     plan_step_microbatches,
+    trainable_param_count,
 )
 
 COMPUTE = "compute"
@@ -216,7 +220,8 @@ class Trace:
 
     A stage group is the set of dp * tp chips executing identical work in
     lockstep; rows expand to per-chip intervals on demand. Chip ids follow
-    (replica * pp + stage) * tp + rank.
+    (replica * pp + stage) * tp + rank, the numbering cluster.group_nodes
+    places on nodes.
 
     The record is stage_columns, one StageColumns per stage; a row's kind
     indexes `kinds`, its (resource, label) pair. A Trace is read-only once
@@ -455,26 +460,6 @@ def _link_model(topology: Topology, inter_node: bool) -> CollectiveCostModel:
     return CollectiveCostModel(topology.intra_latency, topology.intra_node_bw)
 
 
-def _node_of(chip: int, topology: Topology) -> int:
-    return chip // topology.chips_per_node
-
-def _dp_group_spans_nodes(topology: Topology, plan: ParallelismPlan) -> bool:
-    if plan.dp == 1:
-        return False
-    nodes = {
-        _node_of((d * plan.pp) * plan.tp, topology) for d in range(plan.dp)
-    }
-    return len(nodes) > 1
-
-
-def _boundary_crosses_nodes(
-    stage: int, topology: Topology, plan: ParallelismPlan
-) -> bool:
-    a = _node_of(stage * plan.tp, topology)
-    b = _node_of((stage + 1) * plan.tp, topology)
-    return a != b
-
-
 def build_cost_book(
     model: ModelSpec,
     stage: TrainingStage,
@@ -496,6 +481,11 @@ def build_cost_book(
     tp = plan.tp
     chip_rate = plan.tp * topology.chip.peak_flops
     intra = _link_model(topology, inter_node=False)
+    # every replica is priced as replica 0 (validate_plan refuses a layout
+    # where that is false): its row gives the p2p links, and stage 0's
+    # column the DP link
+    nodes = group_nodes(topology, plan)
+    crosses = (np.diff(nodes[0]) != 0).tolist()
 
     shapes = [(len(batch), max(batch)) for batch in microbatches.batches]
     # stage-independent terms of each distinct shape: TP collective time
@@ -523,9 +513,9 @@ def build_cost_book(
         layers = partition[i]
         send = recv = None
         if i < p - 1:
-            send = _link_model(topology, _boundary_crosses_nodes(i, topology, plan))
+            send = _link_model(topology, crosses[i])
         if i > 0:
-            recv = _link_model(topology, _boundary_crosses_nodes(i - 1, topology, plan))
+            recv = _link_model(topology, crosses[i - 1])
         priced = {}
         for (size, seq), (per_layer, boundary_bytes) in shape_terms.items():
             f_flops, b_flops = stage_flops(
@@ -550,7 +540,7 @@ def build_cost_book(
 
     sync_buckets: list[list[float]] = []
     policy = costmodel.grad_sync
-    dp_link = _link_model(topology, _dp_group_spans_nodes(topology, plan))
+    dp_link = _link_model(topology, bool((nodes[:, 0] != nodes[0, 0]).any()))
     for i in range(p):
         if plan.dp == 1:
             sync_buckets.append([])
@@ -580,16 +570,17 @@ def check_work_bound(
     stage: TrainingStage,
     plan: ParallelismPlan,
     costmodel: CostModelConfig,
-    partition: list[int],
 ) -> None:
     """Refuse, from the config alone, a run above MAX_TRACE_ROWS.
 
     The estimate bounds one replica's trace from above: each of a stage's
     2m slots records its compute (up to fusion_chunks gated pieces when
     tp > 1), a TP collective and a p2p send; with dp > 1 each sync records
-    each stage's buckets, at most stage bytes / bucket_bytes + 1. It
-    runs before any microbatch is sampled or bucket list built. The key
-    named is the one behind the larger of the slot and sync terms.
+    each stage's buckets, at most stage bytes / bucket_bytes + 1. The
+    stages' bytes add up to the step's trainable params, sharded 1/tp, at
+    the sync precision. It runs before the layers are split, any
+    microbatch sampled or bucket list built. The key named is the one
+    behind the larger of the slot and sync terms.
     """
     p = plan.pp
     m = plan.microbatches_per_step
@@ -597,11 +588,8 @@ def check_work_bound(
     sync_rows = 0.0
     if plan.dp > 1:
         policy = costmodel.grad_sync
-        volume = sum(
-            stage_grad_bytes(
-                model, stage, partition, i, plan.tp, policy.precision_bytes
-            )
-            for i in range(p)
+        volume = (
+            trainable_param_count(model, stage) / plan.tp * policy.precision_bytes
         )
         syncs = m if policy.frequency == "per_microbatch" else 1
         sync_rows = (volume / policy.bucket_bytes + p) * syncs
@@ -629,9 +617,9 @@ def step_shape(
     """The step's workload, microbatches and layer partition, checked.
 
     The one step-shape rule of `run` and of the CLI's `validate`. It checks
-    in the order things can fail: the plan's shape (validate_plan); then,
-    with the layers split once, the work bound (check_work_bound); then,
-    with the microbatches sampled, the context limit and the memory fit at
+    in the order things can fail: the plan's shape (validate_plan); then
+    the work bound (check_work_bound); then, with the layers split once and
+    the microbatches sampled, the context limit and the memory fit at
     the step's largest microbatch size and longest sequence. Every refusal
     is a ConfigError, with the plan violations if any.
     """
@@ -643,8 +631,8 @@ def step_shape(
         budget = lengths.value if lengths.kind == "fixed" else lengths.cap
         workload = StepWorkload(microbatch_token_budget=budget)
 
+    check_work_bound(model, stage, plan, costmodel)
     partition = partition_layers(model, plan.pp, plan.layer_balance)
-    check_work_bound(model, stage, plan, costmodel, partition)
     microbatches = plan_step_microbatches(
         stage.seq_len_model, workload, plan.microbatches_per_step, seed
     )

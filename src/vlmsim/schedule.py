@@ -1,9 +1,10 @@
 """Pipeline schedules, the one schedule executor, and the bubble fraction.
 
 A schedule is a per-stage ordered list of (kind, microbatch) slots. The
-builder guarantees the 1F1B shape: stage i warms up with min(p-i, m)
-forwards, alternates one-forward-one-backward, then drains. A GPipe-style
-reference builder exists as a memory-property contrast. `execute` holds the
+builder guarantees the 1F1B shape: stage i warms up with
+in_flight(p, m, i) = min(p-i, m) forwards, alternates
+one-forward-one-backward, then drains. A GPipe-style reference builder
+exists as a memory-property contrast. `execute` holds the
 dependency rule: the engine prices a run through it, and `check_schedule`
 runs any schedule, GPipe included, through it at unit cost.
 """
@@ -34,12 +35,19 @@ class PipelineSchedule:
         }
 
 
+def in_flight(p: int, m: int, i: int) -> int:
+    """The most forwards stage i of a p-stage 1F1B step over m
+    microbatches holds awaiting their backward: its warmup, min(p - i, m)
+    (the 1F1B in-flight bound of Narayanan et al., SC'21)."""
+    return min(p - i, m)
+
+
 def build_1f1b(p: int, m: int) -> PipelineSchedule:
     if p < 1 or m < 1:
         raise ValueError("p and m must be >= 1")
     stages = []
     for i in range(p):
-        warmup = min(p - i, m)
+        warmup = in_flight(p, m, i)
         slots: list[Slot] = [(FORWARD, k) for k in range(1, warmup + 1)]
         for j in range(1, m - warmup + 1):
             slots.append((BACKWARD, j))

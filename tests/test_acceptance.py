@@ -42,8 +42,10 @@ from vlmsim import (
     weak_scaling_point,
 )
 from vlmsim.cli import EXIT_OK, main
+from vlmsim.cluster import stage_memory
 from vlmsim.comm import split_buckets
 from vlmsim.engine import LABEL_SYNC
+from vlmsim.schedule import in_flight
 from tests.conftest import (
     PRESET_DIR,
     PRESETS,
@@ -203,14 +205,24 @@ def test_criterion_4_sequence_parallel_memory():
     reduction = 1.0 - on.activations / off.activations
     assert reduction >= 0.45
 
-    # sharding sub-property, tolerance 0: the replicated-activation byte
-    # class (10h per token) divides exactly by tp, and the on/off delta is
-    # exactly that class times (1 - 1/tp)
-    tp = cfg.plan.tp
-    partition = partition_layers(cfg.model, cfg.plan.pp, cfg.plan.layer_balance)
-    in_flight = min(cfg.plan.pp, cfg.plan.microbatches_per_step)
+    # sharding sub-property, tolerance 0, at the binding stage (the one
+    # whose breakdown memory_per_chip reports, on and off): the
+    # replicated-activation byte class (10h per token) divides exactly by
+    # tp, and the on/off delta is exactly that class times (1 - 1/tp)
+    tp, pp = cfg.plan.tp, cfg.plan.pp
+    partition = partition_layers(cfg.model, pp, cfg.plan.layer_balance)
+    binding = [
+        stage_memory(cfg.model, cfg.plan, cfg.stage, partition, i, seq_len,
+                     microbatch)
+        for i in range(pp)
+    ].index(on)
+    assert off == stage_memory(cfg.model, plan_off, cfg.stage, partition,
+                               binding, seq_len, microbatch)
+    held = in_flight(pp, cfg.plan.microbatches_per_step, binding)
     tokens = float(microbatch * seq_len)
-    sp_class = partition[0] * tokens * (10.0 * cfg.model.lm.hidden_size) * in_flight
+    sp_class = (
+        partition[binding] * tokens * (10.0 * cfg.model.lm.hidden_size) * held
+    )
     shard = sp_class / tp
     assert shard * tp == sp_class
     assert off.activations - on.activations == sp_class - shard

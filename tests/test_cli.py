@@ -1,5 +1,7 @@
 import concurrent.futures
+import copy
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -14,13 +16,14 @@ from vlmsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    check_config,
     main,
     parse_axis,
 )
 from vlmsim.cluster import MemoryBreakdown
 from vlmsim.config import ConfigError
 from vlmsim.metrics import RunReport, report_csv_row
-from tests.conftest import PRESET_DIR
+from tests.conftest import PRESET_DIR, PRESETS
 
 ARTIFACTS = [
     "report.json",
@@ -452,7 +455,7 @@ class TestValidate:
         # both print the refusal on stderr only
         assert captured.out == ""
         assert '"constraint": "memory-fit"' in captured.err
-        assert "estimated 1.119e+12 B exceeds chip memory" in captured.err
+        assert "estimated 1.195e+12 B exceeds chip memory" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -471,6 +474,78 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error: unsupported algorithm 'tree' at $.costmodel.algorithm" in err
         assert not out.exists()
+
+
+def asymmetric_doc(dp=4, pp=3):
+    """fusion-claim on three 8-chip nodes with tp=2: at pp=3 and dp=4,
+    replicas 1 and 2 each cross a node at a stage boundary, replica 0
+    does not."""
+    with open(FUSION_PRESET) as f:
+        doc = json.load(f)
+    doc["topology"]["nodes"] = 3
+    doc["plan"].update(dp=dp, tp=2, pp=pp)
+    return doc
+
+
+class TestReplicaPlacement:
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_asymmetric_replicas_refused(self, tmp_path, capsys, command):
+        config = tmp_path / "asymmetric.json"
+        config.write_text(json.dumps(asymmetric_doc()))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config)] + (
+            ["--out", str(out)] if command == "simulate" else []
+        )
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"constraint": "replica-placement"' in captured.err
+        assert ("replica 1 crosses nodes at stage boundary 0-1, unlike "
+                "replica 0") in captured.err
+        assert not out.exists()
+
+    def test_asymmetric_sweep_point_fails_before_any_run(self, tmp_path,
+                                                          capsys):
+        doc = asymmetric_doc(dp="auto", pp=1)
+        config = tmp_path / "auto.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config),
+                     "--axis", "plan.pp=1,3", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert '"constraint": "replica-placement"' in err
+        assert "error: point plan.pp=3: " in err
+        assert not out.exists()
+
+    def test_load_config_refuses(self):
+        with pytest.raises(ConfigError) as err:
+            vlmsim.load_config(asymmetric_doc())
+        assert [v.constraint for v in err.value.violations] == [
+            "replica-placement"
+        ]
+
+    @pytest.mark.parametrize("path", [
+        *(str(Path(PRESET_DIR) / name) for name in PRESETS),
+        "bench/workloads/flagship.json",
+        "bench/workloads/sweep-grid.json",
+        "bench/workloads/multimodal-api.json",
+    ])
+    def test_shipped_configs_accepted(self, path):
+        # check_config checks the scaling reference point too
+        check_config(vlmsim.load_config(path))
+
+    def test_sweep_grid_points_accepted(self):
+        # the axes of bench/run.py's sweep-grid workload
+        with open("bench/workloads/sweep-grid.json") as f:
+            doc = json.load(f)
+        for pp, recompute, chunks in itertools.product(
+            [4, 8], ["none", "selective", "full"], [1, 4, 8]
+        ):
+            point = copy.deepcopy(doc)
+            point["plan"].update(pp=pp, recompute=recompute,
+                                 fusion_chunks=chunks)
+            check_config(vlmsim.load_config(point))
 
 
 class TestNonFiniteNumbers:

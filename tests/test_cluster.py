@@ -10,12 +10,14 @@ from vlmsim.cluster import (
     MemoryBreakdown,
     ParallelismPlan,
     Topology,
+    group_nodes,
     memory_per_chip,
     partition_layers,
     stage_local_params,
     validate_plan,
 )
-from tests.conftest import fixed_workload, make_plan, make_topology
+from vlmsim.config import load_config
+from tests.conftest import PRESET_DIR, fixed_workload, make_plan, make_topology
 
 
 def step_shape_violations(topology, plan, model, stage, seq_len, microbatch):
@@ -251,6 +253,42 @@ class TestMemory:
             )
             assert wider.total >= smaller.total
 
+    def test_flagship_binds_at_stage_one(self, full_stage):
+        # cost balancing gives stage 0 nine layers and stage 1 eleven; with
+        # seven microbatches in flight against eight, stage 1 needs more
+        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        plan = config.plan
+        assert partition_layers(config.model, 8, plan.layer_balance)[:2] == [9, 11]
+        params = 11 * lm_layer_param_count(config.model.lm)
+        h = config.model.lm.hidden_size
+        # sequence parallel at tp=8, selective recompute: 34h/8 per token
+        per_token = 24.0 * h / 8 + 10.0 * h / 8
+        expect = MemoryBreakdown(
+            weights=params * 2.0 / 8,
+            grads=params * 2.0 / 8,
+            optimizer=params * 12.0 / 8 / 80,
+            activations=11 * (4096 * per_token) * 7,
+        )
+        mem = memory_per_chip(config.model, plan, full_stage, 4096, 1)
+        assert mem == expect
+        assert mem.total == 15_863_172_300.8
+
+    def test_uniform_layout_binds_at_stage_zero(self, catalog, full_stage):
+        # equal layers: stage 0 holds the most params and microbatches
+        model = catalog["70B"]
+        plan = make_plan(dp=2, tp=8, pp=8, m=16)
+        local = stage_local_params(model, [10] * 8, 0)
+        params = sum(local.values())
+        h = model.lm.hidden_size
+        scores = 2.0 * model.lm.query_heads * 4096.0**2 / 8
+        mem = memory_per_chip(model, plan, full_stage, 4096, 1)
+        assert mem == MemoryBreakdown(
+            weights=params * 2.0 / 8,
+            grads=params * 2.0 / 8,
+            optimizer=params * 12.0 / 8,
+            activations=10 * (4096 * (24.0 * h / 8 + 10.0 * h) + scores) * 8,
+        )
+
     def test_breakdown_helpers(self):
         mem = MemoryBreakdown(weights=4.0, grads=1.0, optimizer=2.0, activations=3.0)
         assert mem.total == 10.0
@@ -372,3 +410,52 @@ class TestValidation:
             ParallelismPlan(
                 dp=1, tp=1, pp=1, microbatches_per_step=1, recompute="maybe"
             )
+
+
+# tp=2, pp=3, dp=4 on three 8-chip nodes: replica 0 sits on node 0, but
+# replicas 1 and 2 each cross a node at a stage boundary
+ASYMMETRIC = dict(topology=make_topology(nodes=3, chips_per_node=8),
+                  plan=make_plan(dp=4, tp=2, pp=3, m=4))
+
+
+class TestPlacement:
+    def test_group_nodes_follow_chip_ids(self):
+        assert group_nodes(**ASYMMETRIC).tolist() == [
+            [0, 0, 0], [0, 1, 1], [1, 1, 2], [2, 2, 2],
+        ]
+        flagship = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        nodes = group_nodes(flagship.topology, flagship.plan)
+        # tp = chips_per_node = 8: each group fills a node of its own
+        assert nodes[0].tolist() == list(range(8))
+        assert nodes[79].tolist() == list(range(632, 640))
+
+    def test_replicas_crossing_at_other_boundaries_refused(self, catalog):
+        violations = validate_plan(**ASYMMETRIC, model=catalog["3B"])
+        assert [v.constraint for v in violations] == ["replica-placement"]
+        assert violations[0].message.startswith(
+            "replica 1 crosses nodes at stage boundary 0-1, unlike replica 0"
+        )
+
+    def test_run_refuses_asymmetric_replicas(self, catalog, full_stage):
+        with pytest.raises(ConfigError) as err:
+            engine.run(catalog["3B"], full_stage, ASYMMETRIC["plan"],
+                       ASYMMETRIC["topology"], engine.CostModelConfig(),
+                       seed=0, workload=fixed_workload(1024))
+        assert [v.constraint for v in err.value.violations] == [
+            "replica-placement"
+        ]
+
+    def test_placement_checked_only_once_the_shape_fits(self, catalog):
+        # a wrong product is named alone: placement reads a layout that
+        # does not exist
+        topology = make_topology(nodes=3, chips_per_node=8)
+        plan = make_plan(dp=5, tp=2, pp=3, m=4)
+        violations = validate_plan(topology, plan, catalog["3B"])
+        assert [v.constraint for v in violations] == ["parallelism-product"]
+
+    def test_symmetric_crossings_accepted(self, catalog):
+        # pp=4 over 2-group nodes: every replica crosses at boundary 1-2
+        topology = make_topology(nodes=6, chips_per_node=4)
+        plan = make_plan(dp=3, tp=2, pp=4, m=4)
+        assert group_nodes(topology, plan)[1].tolist() == [2, 2, 3, 3]
+        assert validate_plan(topology, plan, catalog["3B"]) == []

@@ -678,9 +678,15 @@ class TestOneExecutor:
         check_schedule(build_1f1b(4, 8))
         assert len(calls) == 2
 
+    def test_placement_read_from_the_cluster(self):
+        # replica placement has one owner, cluster.group_nodes
+        for helper in ("_node_of", "_dp_group_spans_nodes",
+                       "_boundary_crosses_nodes"):
+            assert not hasattr(engine, helper)
+
     def test_partition_computed_at_most_twice_per_run(self, monkeypatch):
-        # step_shape's partition serves check_work_bound and run;
-        # memory_per_chip still splits the layers on its own
+        # step_shape's partition serves run; memory_per_chip still
+        # splits the layers on its own
         calls = count_calls(monkeypatch, cluster.partition_layers, cluster,
                             engine)
         flagship_run()

@@ -26,8 +26,20 @@ from vlmsim.arch import (
     step_flops,
     vision_fwd_flops_per_tile,
 )
-from vlmsim.cluster import ConfigError, partition_layers, stage_local_params
-from vlmsim.comm import GradSyncPolicy, collective_time, split_buckets
+from vlmsim.cluster import (
+    ConfigError,
+    ParallelismPlan,
+    Topology,
+    group_nodes,
+    partition_layers,
+    stage_local_params,
+)
+from vlmsim.comm import (
+    GradSyncPolicy,
+    collective_time,
+    split_buckets,
+    stage_grad_bytes,
+)
 from vlmsim.config import load_config
 from vlmsim.engine import (
     COMM,
@@ -40,8 +52,6 @@ from vlmsim.engine import (
     MAX_TRACE_ROWS,
     CostBook,
     CostModelConfig,
-    _boundary_crosses_nodes,
-    _dp_group_spans_nodes,
     _link_model,
     build_cost_book,
     check_work_bound,
@@ -55,6 +65,7 @@ from vlmsim.workload import (
     StepWorkload,
     plan_step_microbatches,
     stage_by_name,
+    trainable_param_count,
 )
 from tests.conftest import (
     PRESET_DIR,
@@ -66,6 +77,26 @@ from tests.conftest import (
 
 BOOK_FIELDS = ("fwd", "bwd", "tp_fwd", "tp_bwd", "p2p_fwd", "p2p_bwd",
                "sync_buckets")
+
+
+def _node_of(chip: int, topology: Topology) -> int:
+    return chip // topology.chips_per_node
+
+def _dp_group_spans_nodes(topology: Topology, plan: ParallelismPlan) -> bool:
+    if plan.dp == 1:
+        return False
+    nodes = {
+        _node_of((d * plan.pp) * plan.tp, topology) for d in range(plan.dp)
+    }
+    return len(nodes) > 1
+
+
+def _boundary_crosses_nodes(
+    stage: int, topology: Topology, plan: ParallelismPlan
+) -> bool:
+    a = _node_of(stage * plan.tp, topology)
+    b = _node_of((stage + 1) * plan.tp, topology)
+    return a != b
 
 
 def reference_cost_book(model, stage, plan, topology, costmodel, partition,
@@ -357,6 +388,12 @@ def small_configs(draw):
         fusion_chunks=draw(st.integers(1, 8)),
         layer_balance=draw(st.sampled_from(["uniform", "cost-balanced"])),
     )
+    crosses = np.diff(group_nodes(topology, plan)) != 0
+    if (crosses != crosses[0]).any():
+        # replicas that cross nodes at different stage boundaries are
+        # refused (replica-placement): one group per node instead
+        topology = dataclasses.replace(topology, nodes=dp * pp,
+                                       chips_per_node=tp)
     costmodel = CostModelConfig(grad_sync=GradSyncPolicy(
         precision_bytes=draw(st.sampled_from([2, 4])),
         frequency=draw(st.sampled_from(["per_step", "per_microbatch"])),
@@ -583,11 +620,6 @@ class TestPricingWork:
         )
 
 
-def config_partition(config):
-    plan = config.plan
-    return partition_layers(config.model, plan.pp, plan.layer_balance)
-
-
 def flagship_with(tmp_path, section, key, value):
     with open(f"{PRESET_DIR}/paper-70b-5120.json") as handle:
         doc = json.load(handle)
@@ -611,6 +643,7 @@ class TestWorkBound:
         def never(*args, **kwargs):
             raise AssertionError("work built before the bound was checked")
 
+        monkeypatch.setattr(engine, "partition_layers", never)
         monkeypatch.setattr(engine, "split_buckets", never)
         monkeypatch.setattr(engine, "plan_step_microbatches", never)
         path = flagship_with(tmp_path, section, key, value)
@@ -628,19 +661,42 @@ class TestWorkBound:
     def test_presets_accepted(self, preset):
         config = load_config(f"{PRESET_DIR}/{preset}")
         check_work_bound(config.model, config.stage, config.plan,
-                         config.costmodel, config_partition(config))
+                         config.costmodel)
 
     @pytest.mark.parametrize("workload", ["flagship", "sweep-grid",
                                           "multimodal-api"])
     def test_benchmark_workloads_accepted(self, workload):
         config = load_config(f"bench/workloads/{workload}.json")
         check_work_bound(config.model, config.stage, config.plan,
-                         config.costmodel, config_partition(config))
+                         config.costmodel)
+
+    def test_bound_needs_no_layer_split(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the work bound split the layers")
+
+        monkeypatch.setattr(engine, "partition_layers", never)
+        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        check_work_bound(config.model, config.stage, config.plan,
+                         config.costmodel)
+
+    @pytest.mark.parametrize("model", ["3B", "8B", "70B"])
+    @pytest.mark.parametrize("pp", [1, 3, 8])
+    @pytest.mark.parametrize("balance", ["uniform", "cost-balanced"])
+    def test_trainable_total_is_every_splits_sum(self, catalog, model, pp,
+                                                 balance):
+        # the sync volume the bound reads, against the stages' sync bytes
+        model = catalog[model]
+        for name in ("general-knowledge-injection", "cross-modal-alignment"):
+            stage = stage_by_name(name)
+            partition = partition_layers(model, pp, balance)
+            stages = sum(stage_grad_bytes(model, stage, partition, i, 4, 2)
+                         for i in range(pp))
+            total = trainable_param_count(model, stage) / 4 * 2
+            assert stages == pytest.approx(total, rel=1e-15)
 
     def test_pipeline_deeper_than_model_refused_as_a_violation(self, catalog,
                                                                 full_stage):
-        # the sync term partitions the layers, which a pipeline deeper than
-        # the model cannot do; validate_plan names it first
+        # validate_plan names it before anything splits the layers
         with pytest.raises(ConfigError) as err:
             run(catalog["3B"], full_stage, make_plan(dp=2, tp=1, pp=40, m=40),
                 make_topology(nodes=10, chips_per_node=8), CostModelConfig(),
@@ -652,5 +708,4 @@ class TestWorkBound:
         config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
         plan = dataclasses.replace(config.plan, pp=80, dp=8,
                                    microbatches_per_step=4096)
-        check_work_bound(config.model, config.stage, plan, config.costmodel,
-                         partition_layers(config.model, 80, plan.layer_balance))
+        check_work_bound(config.model, config.stage, plan, config.costmodel)

@@ -13,6 +13,7 @@ from vlmsim.schedule import (
     build_1f1b,
     build_gpipe,
     check_schedule,
+    in_flight,
     max_in_flight,
     min_microbatches_for_bubble,
     simulate_slot_completion,
@@ -178,6 +179,14 @@ class TestInFlightMemory:
                 schedule = build_1f1b(p, m)
                 for i in range(p):
                     assert max_in_flight(schedule, i) == min(p - i, m)
+
+    def test_in_flight_is_the_1f1b_peak(self):
+        # the count the memory model reads is the one the builder warms up to
+        for p in range(1, 17):
+            for m in range(1, 65):
+                schedule = build_1f1b(p, m)
+                for i in range(p):
+                    assert in_flight(p, m, i) == max_in_flight(schedule, i)
 
     def test_gpipe_holds_everything(self):
         schedule = build_gpipe(4, 16)
