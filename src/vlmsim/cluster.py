@@ -21,9 +21,9 @@ simulator parameters, not measured values):
              owns the embeddings, vision encoder, and adapter, and the last
              the output head unless embeddings are tied.
 
-A chip's estimate is the largest over the pipeline stages: the first holds
-the most microbatches, but a balanced split may give a later stage more
-layers.
+A chip's estimate is the largest over the stages of a given layer split:
+the first holds the most microbatches, but a balanced split may give a
+later stage more layers.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def partition_layers(model: ModelSpec, pp: int, balance: str = "uniform") -> lis
     parameter-MAC proxy where the first stage carries an embedding extra
     and the last a head extra (both hidden*vocab MACs), so both ends get
     fewer layers than uniform; the exact integer min-max is found by
-    bisection on the stage cost bound.
+    bisection on the stage cost bound. The cost book prices no embedding
+    MACs, and vision and attention FLOPs are not in the proxy.
     """
     layers = model.lm.layers
     if pp < 1:
@@ -279,12 +280,12 @@ def memory_per_chip(
     model: ModelSpec,
     plan: ParallelismPlan,
     stage: TrainingStage,
+    partition: list[int],
     seq_len: int,
     microbatch: int,
 ) -> MemoryBreakdown:
-    """Memory high-water estimate for the pipeline stage that needs the
-    most (stage_memory of each stage; on a tie, the first stage)."""
-    partition = partition_layers(model, plan.pp, plan.layer_balance)
+    """Memory high-water estimate for the stage of `partition` that needs
+    the most (stage_memory of each stage; on a tie, the first stage)."""
     return max(
         (
             stage_memory(model, plan, stage, partition, i, seq_len, microbatch)

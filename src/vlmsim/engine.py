@@ -10,9 +10,10 @@ overlap comparisons; both kinds of chip run the same timing rules below.
 
 Cost construction and timing rules, in one place:
 
-  * step_shape checks the plan's shape, bounds the work, samples the
-    microbatches and checks the memory fit at the largest shape before
-    any timing, raising ConfigError; the CLI's `validate` runs it too;
+  * step_shape checks the plan's shape, bounds the work, splits the
+    layers, samples the microbatches and checks the memory fit before any
+    timing, raising ConfigError; `validate` runs it too, and `run` reads
+    its split, shapes and memory figure instead of deriving them again;
   * compute durations are arch.stage_flops of the stage (forward, and
     backward with its recompute extra) divided by tp * peak_flops;
   * TP collectives inside a stage are aggregated into one per-slot comm
@@ -33,9 +34,8 @@ Cost construction and timing rules, in one place:
 
 Durations depend on a microbatch only through its shape, so the cost book
 prices them once per (stage, microbatch size, padded length) and once per
-sync bucket size, and the event loop computes each fused allgather+GEMM
-span once per distinct (lump, compute) pair of the run. These memos live
-in the locals of one call; nothing is cached across runs.
+sync bucket size. These memos live in the locals of one call; nothing is
+cached across runs.
 
 All DP replicas execute identical work on an identical sampled length
 schedule, and validate_plan checks that every replica crosses nodes at
@@ -76,6 +76,7 @@ import numpy as np
 from .arch import ModelSpec, stage_flops, step_flops
 from .cluster import (
     ConfigError,
+    MemoryBreakdown,
     ParallelismPlan,
     PlanViolation,
     Topology,
@@ -221,7 +222,8 @@ class Trace:
     A stage group is the set of dp * tp chips executing identical work in
     lockstep; rows expand to per-chip intervals on demand. Chip ids follow
     (replica * pp + stage) * tp + rank, the numbering cluster.group_nodes
-    places on nodes.
+    places on nodes. `memory` is the per-chip estimate step_shape checked
+    against chip memory; trace.jsonl does not write it.
 
     The record is stage_columns, one StageColumns per stage; a row's kind
     indexes `kinds`, its (resource, label) pair. A Trace is read-only once
@@ -239,6 +241,7 @@ class Trace:
     microbatch_sizes: list[int]
     microbatch_seq_lens: list[int]
     visual_tokens_per_sample: int
+    memory: MemoryBreakdown
     kinds: tuple[tuple[str, str], ...] = KINDS
 
     @property
@@ -487,7 +490,7 @@ def build_cost_book(
     nodes = group_nodes(topology, plan)
     crosses = (np.diff(nodes[0]) != 0).tolist()
 
-    shapes = [(len(batch), max(batch)) for batch in microbatches.batches]
+    shapes = microbatches.shapes
     # stage-independent terms of each distinct shape: TP collective time
     # per layer and boundary bytes
     shape_terms = {}
@@ -613,8 +616,9 @@ def step_shape(
     costmodel: CostModelConfig,
     seed: int,
     workload: StepWorkload | None = None,
-) -> tuple[StepWorkload, MicrobatchPlan, list[int]]:
-    """The step's workload, microbatches and layer partition, checked.
+) -> tuple[StepWorkload, MicrobatchPlan, list[int], MemoryBreakdown]:
+    """The step's workload, microbatches, layer partition and per-chip
+    memory estimate, checked: the one place a run derives them.
 
     The one step-shape rule of `run` and of the CLI's `validate`. It checks
     in the order things can fail: the plan's shape (validate_plan); then
@@ -636,15 +640,14 @@ def step_shape(
     microbatches = plan_step_microbatches(
         stage.seq_len_model, workload, plan.microbatches_per_step, seed
     )
-    peak_size = max(len(b) for b in microbatches.batches)
-    peak_seq = max(max(b) for b in microbatches.batches)
+    peak_size, peak_seq = map(max, zip(*microbatches.shapes))
     if peak_seq > model.lm.context_limit:
         raise ConfigError(
             f"packed sequence length {peak_seq} exceeds context limit "
             f"{model.lm.context_limit}"
         )
 
-    memory = memory_per_chip(model, plan, stage, peak_seq, peak_size)
+    memory = memory_per_chip(model, plan, stage, partition, peak_seq, peak_size)
     if memory.total > topology.chip.memory:
         fit = PlanViolation(
             constraint="memory-fit",
@@ -655,7 +658,7 @@ def step_shape(
             ),
         )
         raise ConfigError(fit.message, [fit])
-    return workload, microbatches, partition
+    return workload, microbatches, partition, memory
 
 
 def run(
@@ -676,7 +679,7 @@ def run(
     everything else (schedule shape, overlap policy, sync placement) is
     unaffected by the override.
     """
-    workload, microbatches, partition = step_shape(
+    workload, microbatches, partition, memory = step_shape(
         model, stage, plan, topology, costmodel, seed, workload
     )
     p = plan.pp
@@ -706,9 +709,6 @@ def run(
     # rows are recorded through bound methods behind the same end > start
     # test everywhere, so a zero-length or NaN interval is never recorded
     extends = [record.extend for record in records]
-    # (lump, comp) -> fused span and per-chunk transfer/GEMM times; a slot
-    # shape repeats across microbatches, so each pair is priced once per run
-    fused: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def execute_slot(i: int, kind: str, k: int, dep: float) -> float:
         """Run one slot from `dep` on; return its output's hand-off time."""
@@ -725,19 +725,13 @@ def run(
 
         if dual_stream and lump > 0.0:
             start = max(comp_free[i], comm_free[i], dep)
-            timing = fused.get((lump, comp))
-            if timing is None:
-                timing = fused[lump, comp] = (
-                    fused_allgather_gemm_time(lump, comp, chunks),
-                    lump / chunks,
-                    comp / chunks,
-                )
-            span, tc, tg = timing
+            tc = lump / chunks
+            tg = comp / chunks
             comm_end = start + lump
             if comm_end > start:
                 extend((start, comm_end, KIND_COLLECTIVE, mb))
             comm_free[i] = comm_end
-            end = start + span
+            end = start + fused_allgather_gemm_time(lump, comp, chunks)
             if comp == 0.0:
                 pass  # no GEMM: the slot only waits out its lump
             elif tc <= tg:
@@ -825,9 +819,10 @@ def run(
         makespan=max(max(comp_free), max(comm_free)),
         seed=seed,
         stage_columns=stage_columns,
-        microbatch_sizes=[len(b) for b in microbatches.batches],
-        microbatch_seq_lens=[max(b) for b in microbatches.batches],
+        microbatch_sizes=[size for size, _ in microbatches.shapes],
+        microbatch_seq_lens=[seq for _, seq in microbatches.shapes],
         visual_tokens_per_sample=workload.visual_tokens_per_sample,
+        memory=memory,
     )
     trace.check_invariants()
     return trace

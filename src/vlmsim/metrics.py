@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ModelSpec
-from .cluster import MemoryBreakdown, ParallelismPlan, Topology, memory_per_chip
+from .cluster import MemoryBreakdown, ParallelismPlan, Topology
 from .engine import COMM, COMPUTE, Trace, sequential_sum, step_training_flops
 from .schedule import measured_bubble
 from .workload import TrainingStage
@@ -214,13 +214,8 @@ def build_report(
     config_digest: str,
     efficiency: float | None = None,
 ) -> RunReport:
-    memory = memory_per_chip(
-        model,
-        plan,
-        stage,
-        seq_len=max(trace.microbatch_seq_lens),
-        microbatch=max(trace.microbatch_sizes),
-    )
+    """The headline numbers of a run's trace. Its memory is trace.memory,
+    the figure the run's memory-fit check used."""
     return RunReport(
         config_digest=config_digest,
         chips=topology.total_chips,
@@ -229,7 +224,7 @@ def build_report(
         mfu=mfu(trace, model, stage, plan, topology),
         bubble=measured_bubble(trace),
         overlap_efficiency=overlap_efficiency(trace),
-        memory=memory,
+        memory=trace.memory,
         efficiency=efficiency,
     )
 

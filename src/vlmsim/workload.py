@@ -9,6 +9,7 @@ dynamic batching earn its keep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,16 +149,18 @@ class MicrobatchPlan:
     padded: bool = True
 
     def __post_init__(self) -> None:
-        for batch in self.batches:
-            if not batch:
-                raise ValueError("empty batch in plan")
-            if self.batch_cost(batch) > self.token_budget_per_batch:
+        if not all(self.batches):
+            raise ValueError("empty batch in plan")
+        for batch, (size, seq) in zip(self.batches, self.shapes):
+            cost = size * seq if self.padded else sum(batch)
+            if cost > self.token_budget_per_batch:
                 raise ValueError("batch exceeds token budget")
 
-    def batch_cost(self, batch: list[int]) -> int:
-        if self.padded:
-            return len(batch) * max(batch)
-        return sum(batch)
+    @cached_property
+    def shapes(self) -> list[tuple[int, int]]:
+        """Each batch's shape, (sample count, longest length): what the
+        memory fit checks, the cost book prices and the trace records."""
+        return [(len(batch), max(batch)) for batch in self.batches]
 
 
 @dataclass(frozen=True)

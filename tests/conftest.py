@@ -7,6 +7,7 @@ import pytest
 from vlmsim import (
     ChipSpec,
     CostModelConfig,
+    MemoryBreakdown,
     ParallelismPlan,
     SequenceLengthModel,
     StepWorkload,
@@ -45,7 +46,8 @@ def trace_from_rows(stage_rows, **meta) -> Trace:
 
     Kinds are coded in order of first appearance, a None microbatch as -1.
     `meta` overrides the Trace fields other than the record; by default
-    dp = tp = 1, one stage per list, makespan 1.0 and one 1-token batch.
+    dp = tp = 1, one stage per list, makespan 1.0, one 1-token batch and
+    zero memory.
     """
     kinds: dict[tuple[str, str], int] = {}
     columns = [
@@ -65,6 +67,7 @@ def trace_from_rows(stage_rows, **meta) -> Trace:
         dp=1, tp=1, pp=len(stage_rows), makespan=1.0, seed=0,
         microbatch_sizes=[1], microbatch_seq_lens=[1],
         visual_tokens_per_sample=0,
+        memory=MemoryBreakdown(0.0, 0.0, 0.0, 0.0),
     )
     return Trace(stage_columns=columns, kinds=tuple(kinds), **fields | meta)
 

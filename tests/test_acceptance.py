@@ -199,8 +199,12 @@ def test_criterion_4_sequence_parallel_memory():
     cfg = load_config(str(Path(PRESET_DIR) / "seqpar-32k.json"))
     seq_len, microbatch = 32768, 1
     plan_off = dataclasses.replace(cfg.plan, sequence_parallel=False)
-    on = memory_per_chip(cfg.model, cfg.plan, cfg.stage, seq_len, microbatch)
-    off = memory_per_chip(cfg.model, plan_off, cfg.stage, seq_len, microbatch)
+    tp, pp = cfg.plan.tp, cfg.plan.pp
+    partition = partition_layers(cfg.model, pp, cfg.plan.layer_balance)
+    on = memory_per_chip(cfg.model, cfg.plan, cfg.stage, partition, seq_len,
+                         microbatch)
+    off = memory_per_chip(cfg.model, plan_off, cfg.stage, partition, seq_len,
+                          microbatch)
 
     reduction = 1.0 - on.activations / off.activations
     assert reduction >= 0.45
@@ -209,8 +213,6 @@ def test_criterion_4_sequence_parallel_memory():
     # whose breakdown memory_per_chip reports, on and off): the
     # replicated-activation byte class (10h per token) divides exactly by
     # tp, and the on/off delta is exactly that class times (1 - 1/tp)
-    tp, pp = cfg.plan.tp, cfg.plan.pp
-    partition = partition_layers(cfg.model, pp, cfg.plan.layer_balance)
     binding = [
         stage_memory(cfg.model, cfg.plan, cfg.stage, partition, i, seq_len,
                      microbatch)

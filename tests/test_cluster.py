@@ -138,7 +138,8 @@ class TestMemory:
     def test_exact_formula_small_case(self, catalog, full_stage):
         model = catalog["8B"]
         plan = make_plan(dp=1, tp=8, pp=1, m=1)
-        mem = memory_per_chip(model, plan, full_stage, seq_len=4096, microbatch=1)
+        mem = memory_per_chip(model, plan, full_stage, [model.lm.layers],
+                              seq_len=4096, microbatch=1)
         local = stage_local_params(model, partition_layers(model, 1), 0)
         params = sum(local.values())
         assert mem.weights == params * 2.0 / 8
@@ -156,7 +157,8 @@ class TestMemory:
         model = catalog["8B"]
         plan = make_plan(dp=1, tp=8, pp=1, m=1)
         align = stage_by_name("cross-modal-alignment")
-        mem = memory_per_chip(model, plan, align, seq_len=4096, microbatch=1)
+        mem = memory_per_chip(model, plan, align, [model.lm.layers],
+                              seq_len=4096, microbatch=1)
         assert mem.grads == 33_562_624 * 2.0 / 8
         assert mem.optimizer == 33_562_624 * 12.0 / 8
 
@@ -165,13 +167,15 @@ class TestMemory:
         # shrinks from 10h to 10h/8: (24+10)/8 vs 24/8+10 per token
         model = catalog["70B"]
         base = make_plan(dp=1, tp=8, pp=8, m=8, recompute="selective")
-        off = memory_per_chip(model, base, full_stage, 32768, 1)
+        partition = partition_layers(model, 8)
+        off = memory_per_chip(model, base, full_stage, partition, 32768, 1)
         import dataclasses
 
         on = memory_per_chip(
             model,
             dataclasses.replace(base, sequence_parallel=True),
             full_stage,
+            partition,
             32768,
             1,
         )
@@ -183,13 +187,15 @@ class TestMemory:
     def test_selective_recompute_removes_score_memory(self, catalog, full_stage):
         model = catalog["8B"]
         plan = make_plan(dp=1, tp=8, pp=1, m=1)
-        none = memory_per_chip(model, plan, full_stage, 8192, 2)
+        none = memory_per_chip(model, plan, full_stage, [model.lm.layers],
+                               8192, 2)
         import dataclasses
 
         sel = memory_per_chip(
             model,
             dataclasses.replace(plan, recompute="selective"),
             full_stage,
+            [model.lm.layers],
             8192,
             2,
         )
@@ -200,19 +206,23 @@ class TestMemory:
     def test_full_recompute_keeps_boundary_only(self, catalog, full_stage):
         model = catalog["8B"]
         plan = make_plan(dp=1, tp=1, pp=1, m=1, recompute="full")
-        mem = memory_per_chip(model, plan, full_stage, 4096, 1)
+        mem = memory_per_chip(model, plan, full_stage, [model.lm.layers],
+                              4096, 1)
         assert mem.activations == model.lm.layers * 4096 * 2.0 * model.lm.hidden_size
 
     def test_in_flight_saturates_at_pp(self, catalog, full_stage):
         model = catalog["70B"]
         shallow = make_plan(dp=1, tp=8, pp=4, m=64)
-        a = memory_per_chip(model, shallow, full_stage, 4096, 1)
+        partition = partition_layers(model, 4)
+        a = memory_per_chip(model, shallow, full_stage, partition, 4096, 1)
         b = memory_per_chip(
-            model, make_plan(dp=1, tp=8, pp=4, m=4), full_stage, 4096, 1
+            model, make_plan(dp=1, tp=8, pp=4, m=4), full_stage, partition,
+            4096, 1,
         )
         assert a.activations == b.activations  # min(pp, m) = 4 both ways
         c = memory_per_chip(
-            model, make_plan(dp=1, tp=8, pp=4, m=2), full_stage, 4096, 1
+            model, make_plan(dp=1, tp=8, pp=4, m=2), full_stage, partition,
+            4096, 1,
         )
         assert c.activations == a.activations / 2
 
@@ -221,11 +231,13 @@ class TestMemory:
         base = make_plan(dp=4, tp=2, pp=1, m=4)
         import dataclasses
 
-        plain = memory_per_chip(model, base, full_stage, 4096, 1)
+        plain = memory_per_chip(model, base, full_stage, [model.lm.layers],
+                                4096, 1)
         sharded = memory_per_chip(
             model,
             dataclasses.replace(base, distributed_optimizer=True),
             full_stage,
+            [model.lm.layers],
             4096,
             1,
         )
@@ -243,13 +255,15 @@ class TestMemory:
     ):
         model = catalog["8B"]
         plan = make_plan(dp=1, tp=tp, pp=1, m=1)
-        smaller = memory_per_chip(model, plan, full_stage, seq, mb)
-        bigger = memory_per_chip(model, plan, full_stage, seq, mb + 1)
+        whole = [model.lm.layers]
+        smaller = memory_per_chip(model, plan, full_stage, whole, seq, mb)
+        bigger = memory_per_chip(model, plan, full_stage, whole, seq, mb + 1)
         assert bigger.activations >= smaller.activations
         assert bigger.total >= smaller.total
         if tp > 1:
             wider = memory_per_chip(
-                model, make_plan(dp=1, tp=tp // 2, pp=1, m=1), full_stage, seq, mb
+                model, make_plan(dp=1, tp=tp // 2, pp=1, m=1), full_stage,
+                whole, seq, mb,
             )
             assert wider.total >= smaller.total
 
@@ -269,7 +283,8 @@ class TestMemory:
             optimizer=params * 12.0 / 8 / 80,
             activations=11 * (4096 * per_token) * 7,
         )
-        mem = memory_per_chip(config.model, plan, full_stage, 4096, 1)
+        partition = partition_layers(config.model, 8, plan.layer_balance)
+        mem = memory_per_chip(config.model, plan, full_stage, partition, 4096, 1)
         assert mem == expect
         assert mem.total == 15_863_172_300.8
 
@@ -281,7 +296,7 @@ class TestMemory:
         params = sum(local.values())
         h = model.lm.hidden_size
         scores = 2.0 * model.lm.query_heads * 4096.0**2 / 8
-        mem = memory_per_chip(model, plan, full_stage, 4096, 1)
+        mem = memory_per_chip(model, plan, full_stage, [10] * 8, 4096, 1)
         assert mem == MemoryBreakdown(
             weights=params * 2.0 / 8,
             grads=params * 2.0 / 8,

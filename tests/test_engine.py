@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vlmsim import cluster, engine, schedule
+from vlmsim import cli, cluster, engine, metrics, schedule
 from vlmsim.arch import stage_flops, step_flops
 from vlmsim.engine import (
     COMM,
@@ -21,6 +22,7 @@ from vlmsim.engine import (
 )
 from vlmsim.cluster import ConfigError, partition_layers
 from vlmsim.config import load_config
+from vlmsim.metrics import build_report
 from vlmsim.comm import GradSyncPolicy
 from vlmsim.schedule import (
     analytic_bubble,
@@ -480,7 +482,7 @@ class TestStepFlops:
     def test_cost_book_is_stage_flops_over_chip_rate(self, path):
         cfg = load_config(path)
         plan = cfg.plan
-        workload, microbatches, _ = step_shape(
+        workload, microbatches, _, _ = step_shape(
             cfg.model, cfg.stage, plan, cfg.topology, cfg.costmodel,
             cfg.seed, cfg.workload,
         )
@@ -648,13 +650,20 @@ def flagship_run():
 
 
 def count_calls(monkeypatch, fn, *modules):
-    """Wrap `fn` at its lookup name in each module; return the call list."""
+    """Wrap `fn` at its lookup name in each module, by default at every
+    vlmsim name bound to it; return the call list."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
+    if not modules:
+        modules = [
+            module for name, module in sys.modules.items()
+            if name.split(".")[0] == "vlmsim"
+            and getattr(module, fn.__name__, None) is fn
+        ]
     for module in modules:
         monkeypatch.setattr(module, fn.__name__, counted)
     return calls
@@ -685,10 +694,46 @@ class TestOneExecutor:
             assert not hasattr(engine, helper)
 
     def test_partition_computed_at_most_twice_per_run(self, monkeypatch):
-        # step_shape's partition serves run; memory_per_chip still
-        # splits the layers on its own
+        # step_shape splits the layers once; the cost book and the memory
+        # estimate read its split
         calls = count_calls(monkeypatch, cluster.partition_layers, cluster,
                             engine)
         flagship_run()
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
+
+
+class TestStepFactsOnce:
+    """engine.step_shape is the one place a run splits its layers and
+    estimates its memory; the rest of the run reads what it produced."""
+
+    def test_simulate_splits_and_estimates_once_per_run(
+        self, monkeypatch, tmp_path
+    ):
+        # the flagship and its 8-chip weak-scaling reference: two runs
+        splits = count_calls(monkeypatch, cluster.partition_layers)
+        estimates = count_calls(monkeypatch, cluster.memory_per_chip)
+        argv = ["simulate", "--config", f"{PRESET_DIR}/paper-70b-5120.json",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(splits) == 2
+        assert len(estimates) == 2
+
+    def test_report_memory_is_the_fit_checked_figure(self, monkeypatch):
+        config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+        *_, memory = step_shape(
+            config.model, config.stage, config.plan, config.topology,
+            config.costmodel, config.seed, config.workload,
+        )
+        trace = flagship_run()
+
+        def never(*args, **kwargs):
+            raise AssertionError("memory estimated again")
+
+        for module in (cluster, engine, metrics):
+            monkeypatch.setattr(module, "memory_per_chip", never,
+                                raising=False)
+        report = build_report(trace, config.model, config.stage, config.plan,
+                              config.topology, "a" * 64)
+        assert trace.memory == memory
+        assert report.memory == memory
 

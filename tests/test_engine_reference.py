@@ -212,7 +212,7 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
     record() call per row, fused time per slot, builtin max throughout."""
     p = plan.pp
     m = plan.microbatches_per_step
-    workload, microbatches, partition = engine.step_shape(
+    workload, microbatches, partition, _ = engine.step_shape(
         model, stage, plan, topology, costmodel, seed, workload
     )
     if cost_book is None:
