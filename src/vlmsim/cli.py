@@ -58,32 +58,45 @@ def _named(where: str):
         ) from exc
 
 
-def check_config(config: SimConfig) -> None:
+def check_config(config: SimConfig) -> tuple:
     """Check a config, and its scaling reference point, as `simulate`
-    would run them (engine.step_shape), without the event loop."""
+    would run them (engine.step_shape), without the event loop. Returns
+    the two step shapes, the reference's None when it is not run, for
+    `execute` to run them from."""
     def check(topology, plan):
-        engine.step_shape(config.model, config.stage, plan, topology,
-                          config.costmodel, config.seed, config.workload)
+        return engine.step_shape(config.model, config.stage, plan, topology,
+                                 config.costmodel, config.seed,
+                                 config.workload)
 
-    check(config.topology, config.plan)
+    point_shape = check(config.topology, config.plan)
+    reference_shape = None
     reference = config.scaling_reference_chips
     if reference not in (None, config.topology.total_chips):
         with _named(f"at $.scaling.reference_chips ({reference} chips)"):
-            check(*weak_scaling_point(config.topology, config.plan, reference))
+            reference_shape = check(*weak_scaling_point(
+                config.topology, config.plan, reference
+            ))
+    return point_shape, reference_shape
 
 
-def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
+def execute(
+    config: SimConfig, shapes: tuple = (None, None)
+) -> tuple[engine.Trace, RunReport]:
     """Run one config; returns (trace, report).
 
     When the config carries a scaling reference, a second run at the
     reference chip count (same weak-scaling rule the sweep uses) prices
-    the efficiency field.
+    the efficiency field. `shapes`, check_config's result for the config,
+    spares the two runs deriving their step shapes again.
     """
-    def run(topology, plan):
-        return engine.run(config.model, config.stage, plan, topology,
-                          config.costmodel, config.seed, config.workload)
+    point_shape, reference_shape = shapes
 
-    trace = run(config.topology, config.plan)
+    def run(topology, plan, shape):
+        return engine.run(config.model, config.stage, plan, topology,
+                          config.costmodel, config.seed, config.workload,
+                          shape=shape)
+
+    trace = run(config.topology, config.plan, point_shape)
     efficiency = None
     if config.scaling_reference_chips is not None:
         reference = config.scaling_reference_chips
@@ -94,7 +107,7 @@ def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
             with _named(f"at $.scaling.reference_chips ({reference} chips)"):
                 ref_trace = run(*weak_scaling_point(
                     config.topology, config.plan, reference
-                ))
+                ), reference_shape)
             efficiency = scaling_efficiency(
                 [
                     (reference, ref_trace.tokens_per_step / ref_trace.makespan),
@@ -114,9 +127,12 @@ def execute(config: SimConfig) -> tuple[engine.Trace, RunReport]:
     return trace, report
 
 
-def cmd_simulate(config: SimConfig, out_dir: Path) -> RunReport:
-    """Run one config and write its five artifacts; returns the report."""
-    trace, report = execute(config)
+def cmd_simulate(
+    config: SimConfig, out_dir: Path, shapes: tuple = (None, None)
+) -> RunReport:
+    """Run one config (from its checked `shapes`, as in `execute`) and
+    write its five artifacts; returns the report."""
+    trace, report = execute(config, shapes)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -182,9 +198,9 @@ def _point_dir_name(assignment: tuple[tuple[str, object], ...]) -> str:
     return "__".join(f"{key}={value}" for key, value in assignment)
 
 
-def _run_sweep_point(config: SimConfig, out_dir: str) -> list[str]:
+def _run_sweep_point(config: SimConfig, out_dir: str, shapes: tuple) -> list[str]:
     # module-level so process pools can pickle the call
-    return report_csv_row(cmd_simulate(config, Path(out_dir)))
+    return report_csv_row(cmd_simulate(config, Path(out_dir), shapes))
 
 
 def cmd_sweep(
@@ -198,7 +214,8 @@ def cmd_sweep(
     key given twice, or an axis repeating a value's text (which names the
     point's directory), is refused. Every point's config is loaded and
     checked (check_config) before the first point runs, so a bad point
-    fails the sweep, named by its directory, before anything is written.
+    fails the sweep, named by its directory, before anything is written;
+    each point then runs from the step shapes its check derived.
     At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
@@ -228,9 +245,9 @@ def cmd_sweep(
             for key, value in assignment:
                 _set_by_path(point_doc, key, value)
             config = load_config(point_doc)
-            check_config(config)
+            shapes = check_config(config)
         assignments.append(assignment)
-        jobs.append((config, str(out_dir / name)))
+        jobs.append((config, str(out_dir / name), shapes))
 
     # a fork pool starts all of its workers at the first call, used or not
     workers = min(parallel, len(jobs))

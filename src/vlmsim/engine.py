@@ -13,16 +13,19 @@ Cost construction and timing rules, in one place:
   * step_shape checks the plan's shape, bounds the work, splits the
     layers, samples the microbatches and checks the memory fit before any
     timing, raising ConfigError; `validate` runs it too, and `run` reads
-    its split, shapes and memory figure instead of deriving them again;
+    its split, shapes and memory figure instead of deriving them again
+    (the CLI hands each run the shape it checked);
   * compute durations are arch.stage_flops of the stage (forward, and
     backward with its recompute extra) divided by tp * peak_flops;
   * TP collectives inside a stage are aggregated into one per-slot comm
     lump (2 allgather + 2 reducescatter per layer and direction under
     sequence parallelism, 2 allreduce otherwise), and the lump overlaps
-    its slot's compute through the chunked allgather+GEMM fusion pipeline;
+    its slot's compute through the chunked allgather+GEMM fusion pipeline,
+    whose span (fused_allgather_gemm_time) the slot computes itself;
   * slots run in 1F1B order through schedule.execute, which holds the
     dependency rule: a slot starts no earlier than the hand-off it waits
-    for, a p2p arrival or (last stage's backward) its own forward's end;
+    for, a p2p arrival or (last stage's backward) its own forward's end.
+    It keeps each stage's hand-off times in lists indexed by microbatch;
   * stage boundary activations travel as p2p events that occupy the
     sender's comm unit only (DMA-style; the receiver just observes the
     arrival time);
@@ -670,16 +673,20 @@ def run(
     seed: int,
     workload: StepWorkload | None = None,
     cost_book: CostBook | None = None,
+    *,
+    shape: tuple | None = None,
 ) -> Trace:
     """Simulate one optimizer step; returns the interval trace.
 
     The step shape is sampled and the plan validated (step_shape) before
-    any timing work happens. `cost_book` overrides the computed work
-    durations, which is how calibrated or synthetic costs are injected;
-    everything else (schedule shape, overlap policy, sync placement) is
-    unaffected by the override.
+    any timing work happens. `shape` is step_shape's result for these same
+    arguments, from a caller that has checked it already, and is then not
+    derived again. `cost_book` overrides the computed work durations,
+    which is how calibrated or synthetic costs are injected; everything
+    else (schedule shape, overlap policy, sync placement) is unaffected by
+    the override.
     """
-    workload, microbatches, partition, memory = step_shape(
+    workload, microbatches, partition, memory = shape or step_shape(
         model, stage, plan, topology, costmodel, seed, workload
     )
     p = plan.pp
@@ -709,36 +716,45 @@ def run(
     # rows are recorded through bound methods behind the same end > start
     # test everywhere, so a zero-length or NaN interval is never recorded
     extends = [record.extend for record in records]
+    # the book's lists, bound once; a slot indexes them [stage][microbatch]
+    fwd, bwd, tp_fwd, tp_bwd = (cost_book.fwd, cost_book.bwd,
+                                cost_book.tp_fwd, cost_book.tp_bwd)
+    p2p_fwd, p2p_bwd = cost_book.p2p_fwd, cost_book.p2p_bwd
+    sync_buckets = cost_book.sync_buckets
 
     def execute_slot(i: int, kind: str, k: int, dep: float) -> float:
         """Run one slot from `dep` on; return its output's hand-off time."""
         mb = k - 1
         extend = extends[i]
+        # a forward sends downstream and a backward upstream, if the
+        # neighbour exists
         if kind == FORWARD:
-            comp = cost_book.fwd[i][mb]
-            lump = cost_book.tp_fwd[i][mb]
-            compute_kind = KIND_FWD
+            comp, lump, compute_kind = fwd[i][mb], tp_fwd[i][mb], KIND_FWD
+            duration = p2p_fwd[i][mb] if i < p - 1 else 0.0
         else:
-            comp = cost_book.bwd[i][mb]
-            lump = cost_book.tp_bwd[i][mb]
-            compute_kind = KIND_BWD
+            comp, lump, compute_kind = bwd[i][mb], tp_bwd[i][mb], KIND_BWD
+            duration = p2p_bwd[i][mb] if i > 0 else 0.0
 
         if dual_stream and lump > 0.0:
             start = max(comp_free[i], comm_free[i], dep)
-            tc = lump / chunks
-            tg = comp / chunks
             comm_end = start + lump
             if comm_end > start:
                 extend((start, comm_end, KIND_COLLECTIVE, mb))
             comm_free[i] = comm_end
-            end = start + fused_allgather_gemm_time(lump, comp, chunks)
+            tc = lump / chunks
+            tg = comp / chunks
+            # the span is fused_allgather_gemm_time(lump, comp, chunks) in
+            # its IEEE operations, max(tc, tg) taken by the branch; the
+            # plan and the book already meet its argument checks
             if comp == 0.0:
-                pass  # no GEMM: the slot only waits out its lump
+                end = comm_end  # no GEMM: the slot only waits out its lump
             elif tc <= tg:
+                end = start + (tc + (chunks - 1) * tg + tg)
                 gemm_start = start + tc
                 if end > gemm_start:
                     extend((gemm_start, end, compute_kind, mb))
             else:
+                end = start + (tc + (chunks - 1) * tc + tg)
                 # GEMM chunks gated by transfer chunks, with gaps; a piece
                 # ends no later than the next one starts, and the last
                 # where compute is freed, not an ulp past either
@@ -760,26 +776,24 @@ def run(
                 extend((start, end, compute_kind, mb))
         comp_free[i] = end
 
-        if kind == FORWARD:
-            return _send(i, cost_book.p2p_fwd[i][mb], mb) if i < p - 1 else end
-        handoff = _send(i, cost_book.p2p_bwd[i][mb], mb) if i > 0 else end
-        if cost_book.sync_buckets[i] and (per_microbatch_sync or k == m):
+        # the send holds the comm unit (a single-stream chip's compute
+        # unit too); its arrival is the hand-off
+        if duration <= 0.0:
+            handoff = end
+        else:
+            free = comm_free[i]
+            t0 = free if free > end else end  # max(end, free)
+            handoff = t0 + duration
+            if handoff > t0:
+                extend((t0, handoff, KIND_P2P, mb))
+            comm_free[i] = handoff
+        if (compute_kind == KIND_BWD and sync_buckets[i]
+                and (per_microbatch_sync or k == m)):
             _sync(i, comp)
         return handoff
 
-    def _send(i: int, duration: float, mb: int) -> float:
-        """Send stage i's slot output; return its arrival time."""
-        if duration <= 0.0:
-            return comp_free[i]
-        t0 = max(comp_free[i], comm_free[i])
-        t1 = t0 + duration
-        if t1 > t0:
-            extends[i]((t0, t1, KIND_P2P, mb))
-        comm_free[i] = t1
-        return t1
-
     def _sync(i: int, producing_compute: float) -> None:
-        buckets = cost_book.sync_buckets[i]
+        buckets = sync_buckets[i]
         extend = extends[i]
         n = len(buckets)
         if overlap_sync:

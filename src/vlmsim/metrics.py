@@ -106,10 +106,12 @@ def overlap_efficiency(trace: Trace) -> float:
         end = cols.end[compute]
         if not (start.size and comm_start.size):
             continue
-        # equal starts join one piece in any order
-        order = np.argsort(start)
-        start = start[order]
-        end = end[order]
+        # equal starts join one piece in any order; the engine records
+        # compute in start order, so only other traces need the sort
+        if not (start[1:] >= start[:-1]).all():
+            order = np.argsort(start)
+            start = start[order]
+            end = end[order]
         # an interval opens a new union piece unless it starts by the
         # furthest end so far
         opens = np.flatnonzero(np.concatenate(

@@ -107,27 +107,33 @@ def execute(
     stage i waits for forward k's hand-off on stage i-1. Backward k waits
     for backward k's on stage i+1, or on the last stage for its own forward
     k's, and is never ready before its stage has run forward k (a gate
-    only; `dep` stays the hand-off). Raises ValueError on deadlock.
+    only; `dep` stays the hand-off). Raises ValueError on deadlock, or
+    for a slot whose microbatch is outside 1..m.
     """
-    p = schedule.stages
-    fwd_handoff: list[dict[int, float]] = [{} for _ in range(p)]
-    bwd_handoff: list[dict[int, float]] = [{} for _ in range(p)]
+    p, m = schedule.stages, schedule.microbatches
+    # each stage's hand-off times indexed by microbatch, None until that
+    # slot has run (index 0 is never used)
+    fwd_handoff = [[None] * (m + 1) for _ in range(p)]
+    bwd_handoff = [[None] * (m + 1) for _ in range(p)]
     position = [0] * p
     remaining = sum(len(s) for s in schedule.slots)
     while remaining:
         before = remaining
         for i in range(p):
             slots, pos = schedule.slots[i], position[i]
+            n = len(slots)
             fwd_done, bwd_done = fwd_handoff[i], bwd_handoff[i]
             fwd_above = fwd_handoff[i - 1]  # unread on stage 0
             bwd_below = fwd_done if i == p - 1 else bwd_handoff[i + 1]
-            while pos < len(slots):
+            while pos < n:
                 kind, k = slots[pos]
+                if not 0 < k <= m:  # a list index would wrap or overrun
+                    raise ValueError(f"stage {i} slot {slots[pos]} outside 1..{m}")
                 if kind == FORWARD:
-                    dep = 0.0 if i == 0 else fwd_above.get(k)
+                    dep = 0.0 if i == 0 else fwd_above[k]
                     done = fwd_done
                 else:
-                    dep = bwd_below.get(k) if k in fwd_done else None
+                    dep = bwd_below[k] if fwd_done[k] is not None else None
                     done = bwd_done
                 if dep is None:
                     break

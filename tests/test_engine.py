@@ -87,6 +87,35 @@ class TestFusedTime:
         with pytest.raises(ValueError):
             fused_allgather_gemm_time(-1.0, 1.0, 2)
 
+    @given(
+        lump=st.floats(min_value=1e-6, max_value=10),
+        comp=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10)),
+        k=st.integers(min_value=1, max_value=16),
+    )
+    @example(lump=1.0, comp=1.0, k=8)  # tc == tg
+    @example(lump=3.0, comp=0.5, k=4)  # tc > tg: gated chunks
+    @example(lump=0.5, comp=3.0, k=4)  # tc < tg
+    @settings(max_examples=200, deadline=None)
+    def test_engine_slot_ends_at_the_closed_form(self, catalog, lump, comp,
+                                                 k):
+        # the slot computes its span inline: p=1, m=1, the fused forward
+        # starts at 0.0, and the backward (no lump) starts where it ends
+        book = CostBook(fwd=[[comp]], bwd=[[1.0]], tp_fwd=[[lump]],
+                        tp_bwd=[[0.0]], p2p_fwd=[[0.0]], p2p_bwd=[[0.0]],
+                        sync_buckets=[[]])
+        trace = run(
+            catalog["3B"], stage_by_name("general-knowledge-injection"),
+            make_plan(fusion_chunks=k),
+            make_topology(chips_per_node=1, memory=1e18), CostModelConfig(),
+            seed=0, workload=fixed_workload(64), cost_book=book,
+        )
+        backward = [row for row in trace.stage_rows[0] if row[3] == "bwd"]
+        assert len(backward) == 1
+        # repr tells the bits apart
+        assert repr(backward[0][1]) == repr(
+            fused_allgather_gemm_time(lump, comp, k)
+        )
+
 
 def run_uniform(catalog, p, m, fwd=1.0, bwd=2.0, tp_comm=0.0, p2p=0.0,
                 dual=True, **plan_kw):
@@ -717,6 +746,20 @@ class TestStepFactsOnce:
         assert cli.main(argv) == 0
         assert len(splits) == 2
         assert len(estimates) == 2
+
+    def test_sweep_derives_each_step_shape_once(self, monkeypatch, tmp_path):
+        # 18 points, each with its weak-scaling reference: check_config
+        # derives the 36 step shapes and the runs read them
+        splits = count_calls(monkeypatch, cluster.partition_layers)
+        estimates = count_calls(monkeypatch, cluster.memory_per_chip)
+        argv = ["sweep", "--config", "bench/workloads/sweep-grid.json",
+                "--parallel", "1", "--out", str(tmp_path)]
+        for axis in ("plan.pp=4,8", "plan.recompute=none,selective,full",
+                     "plan.fusion_chunks=1,4,8"):
+            argv += ["--axis", axis]
+        assert cli.main(argv) == 0
+        assert len(splits) == 36
+        assert len(estimates) == 36
 
     def test_report_memory_is_the_fit_checked_figure(self, monkeypatch):
         config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")

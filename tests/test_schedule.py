@@ -13,6 +13,7 @@ from vlmsim.schedule import (
     build_1f1b,
     build_gpipe,
     check_schedule,
+    execute,
     in_flight,
     max_in_flight,
     min_microbatches_for_bubble,
@@ -110,6 +111,26 @@ class TestLegalityChecker:
         schedule = PipelineSchedule(stages=2, microbatches=2, slots=slots)
         with pytest.raises(ValueError, match="deadlock"):
             check_schedule(schedule)
+
+    @pytest.mark.parametrize("slot", [
+        (FORWARD, 0), (FORWARD, -1), (FORWARD, 3), (BACKWARD, -1),
+        (BACKWARD, 3),
+    ])
+    def test_execute_rejects_microbatch_out_of_range(self, slot):
+        # hand-offs are kept in lists by microbatch: -1 must not wrap onto
+        # microbatch 2, nor 3 run past the end
+        slots = ((FORWARD, 1), (FORWARD, 2), (BACKWARD, 1), (BACKWARD, 2))
+        schedule = PipelineSchedule(stages=1, microbatches=2,
+                                    slots=(slots[:2] + (slot,) + slots[2:],))
+        ran = []
+
+        def run_slot(i, kind, k, dep):
+            ran.append((kind, k))
+            return 1.0
+
+        with pytest.raises(ValueError, match="outside 1..2"):
+            execute(schedule, run_slot)
+        assert ran == list(slots[:2])
 
     def test_gpipe_is_legal(self):
         check_schedule(build_gpipe(4, 8))
