@@ -32,7 +32,9 @@ Cost construction and timing rules, in one place:
   * each stage syncs comm.stage_grad_bytes in buckets, which become ready
     progressively across its last backward (per-step sync) or every
     backward (per-microbatch sync) and queue FIFO on the comm unit when
-    overlapped, else run serially after the producing backward;
+    overlapped, else run serially after the producing backward. The queue
+    is a max-plus chain, free = max(ready_j, free) + dur_j, which the
+    loop runs as scalars, keeping only each bucket's end;
   * the optimizer update itself is charged zero time.
 
 Durations depend on a microbatch only through its shape, so the cost book
@@ -51,11 +53,14 @@ bit-reproducible.
 
 The trace's record is per-stage numpy columns: each row's start, end,
 kind (an index into Trace.kinds, its resource and label) and microbatch.
-The event loop records a stage's rows into one flat list and turns it
-into columns once, after the step. Scans over every row (the invariant
-check, compute busy time, comm overlap) read the columns. Their sums add
-left to right, in row order, so they give the floats that row-by-row
-loops give.
+The event loop records a stage's slot rows into one flat list, and of each
+sync only its bucket ends and where it began. After the step, one array
+pass per stage rebuilds every bucket's start from the ends in the loop's
+own float operations and places each sync's rows right after the slot
+rows recorded before it, one slice per sync, so the columns hold the rows
+in event order. Scans over every row (the invariant check, compute busy
+time, comm overlap) read the columns. Their sums add left to right, in row
+order, so they give the floats that row-by-row loops give.
 
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
@@ -228,8 +233,11 @@ class Trace:
     places on nodes. `memory` is the per-chip estimate step_shape checked
     against chip memory; trace.jsonl does not write it.
 
-    The record is stage_columns, one StageColumns per stage; a row's kind
-    indexes `kinds`, its (resource, label) pair. A Trace is read-only once
+    The record is stage_columns, one StageColumns per stage, its rows in
+    event order (a sync's bucket rows right after the slot rows before
+    it); a row's kind indexes `kinds`, its (resource, label) pair. `run`
+    builds each stage's columns once, after its event loop, from the slot
+    rows and the sync bucket ends the loop kept. A Trace is read-only once
     `run` returns: the kind masks and the writers' row order are derived
     from the columns on first use and cached, so a later edit of the
     columns would leave them stale.
@@ -706,9 +714,13 @@ def run(
     per_microbatch_sync = costmodel.grad_sync.frequency == "per_microbatch"
     chunks = plan.fusion_chunks
 
-    # each stage's rows in one flat list, four values a row: start, end,
-    # kind, microbatch (-1 for none)
+    # each stage's slot rows in one flat list, four values a row: start,
+    # end, kind, microbatch (-1 for none). A sync records only its bucket
+    # ends (one list per sync in sync_ends) and its entry in syncs; the
+    # starts are rebuilt and the rows placed after the loop (_stage_columns)
     records: list[list] = [[] for _ in range(p)]
+    syncs: list[list[tuple]] = [[] for _ in range(p)]
+    sync_ends: list[list[list]] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     # a single-stream chip's comm unit is its compute unit
     comm_free = [0.0] * p if dual_stream else comp_free
@@ -794,7 +806,6 @@ def run(
 
     def _sync(i: int, producing_compute: float) -> None:
         buckets = sync_buckets[i]
-        extend = extends[i]
         n = len(buckets)
         if overlap_sync:
             # buckets become ready progressively across the producing backward
@@ -805,27 +816,28 @@ def run(
             # stage's own p2p send are done; compute waits for the last
             free = produce_start = max(comp_free[i], comm_free[i])
             producing_compute = 0.0
+        slot_rows = len(records[i]) // 4
+        syncs[i].append((slot_rows, produce_start, producing_compute, free))
+        # the max-plus chain free = max(ready_j, free) + dur_j; only each
+        # bucket's end is kept, _stage_columns rebuilds its start
+        ends = []
+        append = ends.append
         for j, dur in enumerate(buckets, 1):
             ready = produce_start + producing_compute * j / n
-            t = free if free > ready else ready  # max(ready, free)
-            free = t + dur
-            if free > t:
-                extend((t, free, KIND_SYNC, -1))
+            free = (free if free > ready else ready) + dur  # max(ready, free)
+            append(free)
+        sync_ends[i].append(ends)
         comm_free[i] = free
         if not overlap_sync:
             comp_free[i] = free
 
     execute(build_1f1b(p, m), execute_slot)
 
-    stage_columns = []
-    for record in records:
-        start, end, kind, mb = (
-            np.fromiter(record, np.float64, len(record)).reshape(-1, 4).T
-        )
-        stage_columns.append(StageColumns(
-            start.copy(), end.copy(), kind.astype(np.uint8),
-            mb.astype(np.int64),
-        ))
+    stage_columns = [
+        _stage_columns(record, stage_syncs, ends, len(buckets))
+        for record, stage_syncs, ends, buckets
+        in zip(records, syncs, sync_ends, sync_buckets)
+    ]
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
@@ -840,6 +852,56 @@ def run(
     )
     trace.check_invariants()
     return trace
+
+
+def _stage_columns(
+    record: list, syncs: list[tuple], sync_ends: list[list], n: int
+) -> StageColumns:
+    """One stage's columns from its flat slot record and its syncs.
+
+    `syncs` holds, per sync, the slot rows recorded before it, the start
+    of the producing backward, that backward's compute (0.0 when the sync
+    is not overlapped) and the comm-free time on entry; `sync_ends` holds
+    the end of each of its n buckets. Bucket j (from 1) was ready at
+    produce_start + producing_compute * j / n and started at the later of
+    that and the previous bucket's end (the entry time for the first), the
+    tie going to readiness; these are the event loop's IEEE operations, so
+    the rebuilt starts are its floats. A bucket is recorded when it ends
+    after it starts, like every row, and a sync's rows go right after the
+    slot rows recorded before it, one slice each, so placing them costs in
+    proportion to syncs, not rows. The lists are emptied on the way.
+    """
+    rows = np.fromiter(record, np.float64, len(record)).reshape(-1, 4)
+    record.clear()
+    if syncs:
+        cut, produce_start, producing_compute, entry = np.array(syncs).T
+        end = np.array(sync_ends, np.float64)  # [sync][bucket]
+        sync_ends.clear()
+        ready = (produce_start[:, None]
+                 + producing_compute[:, None] * np.arange(1, n + 1) / n)
+        prev_end = np.concatenate((entry[:, None], end[:, :-1]), axis=1)
+        start = np.where(prev_end > ready, prev_end, ready)
+        kept = end > start
+        sync_rows = np.empty((np.count_nonzero(kept), 4))
+        sync_rows[:, 0] = start[kept]
+        sync_rows[:, 1] = end[kept]
+        sync_rows[:, 2] = KIND_SYNC
+        sync_rows[:, 3] = -1
+        # the slot rows before each sync and the sync's own rows, in turn
+        slot_cuts = cut.astype(np.int64).tolist()
+        sync_cuts = np.cumsum(kept.sum(axis=1)).tolist()
+        pieces = []
+        slot_at = sync_at = 0
+        for slot_cut, sync_cut in zip(slot_cuts, sync_cuts):
+            pieces.append(rows[slot_at:slot_cut])
+            pieces.append(sync_rows[sync_at:sync_cut])
+            slot_at, sync_at = slot_cut, sync_cut
+        pieces.append(rows[slot_at:])
+        rows = np.concatenate(pieces)
+    start, end, kind, mb = rows.T
+    return StageColumns(
+        start.copy(), end.copy(), kind.astype(np.uint8), mb.astype(np.int64)
+    )
 
 
 def step_training_flops(trace: Trace, model: ModelSpec, plan: ParallelismPlan) -> float:

@@ -45,15 +45,17 @@ def in_flight(p: int, m: int, i: int) -> int:
 def build_1f1b(p: int, m: int) -> PipelineSchedule:
     if p < 1 or m < 1:
         raise ValueError("p and m must be >= 1")
+    # the 2m distinct slots, built once; every stage's tuple refers to them
+    forward = [(FORWARD, k) for k in range(m + 1)]
+    backward = [(BACKWARD, k) for k in range(m + 1)]
     stages = []
     for i in range(p):
         warmup = in_flight(p, m, i)
-        slots: list[Slot] = [(FORWARD, k) for k in range(1, warmup + 1)]
+        slots: list[Slot] = forward[1:warmup + 1]
         for j in range(1, m - warmup + 1):
-            slots.append((BACKWARD, j))
-            slots.append((FORWARD, warmup + j))
-        for j in range(m - warmup + 1, m + 1):
-            slots.append((BACKWARD, j))
+            slots.append(backward[j])
+            slots.append(forward[warmup + j])
+        slots += backward[m - warmup + 1:]
         stages.append(tuple(slots))
     return PipelineSchedule(stages=p, microbatches=m, slots=tuple(stages))
 

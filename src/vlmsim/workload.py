@@ -1,9 +1,9 @@
 """Training-stage workloads: token budgets, trainable masks, batching.
 
-The four-stage curriculum is encoded as data (budgets, component masks,
-mixture composition). Sequence lengths come from a pluggable distribution,
-default lognormal with a hard cap, since long-tail lengths are what makes
-dynamic batching earn its keep.
+The four-stage curriculum is encoded as data (token budgets and component
+masks). Sequence lengths come from a pluggable distribution, default
+lognormal with a hard cap, since long-tail lengths are what makes dynamic
+batching earn its keep.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class TrainingStage:
     name: str
     token_budget: int
     trainable: frozenset[str]
-    mixture: dict[str, float]
     seq_len_model: SequenceLengthModel
 
     def __post_init__(self) -> None:
@@ -61,10 +60,6 @@ class TrainingStage:
         unknown = self.trainable - set(COMPONENTS)
         if unknown:
             raise ValueError(f"unknown trainable components {sorted(unknown)}")
-        if self.mixture:
-            total = sum(self.mixture.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"mixture weights sum to {total}, expected 1")
 
 
 _DEFAULT_LENGTHS = SequenceLengthModel.lognormal(mean=8.0, sigma=0.7, cap=32768)
@@ -73,43 +68,32 @@ _DEFAULT_LENGTHS = SequenceLengthModel.lognormal(mean=8.0, sigma=0.7, cap=32768)
 def stage_catalog() -> list[TrainingStage]:
     """The four training stages, in curriculum order.
 
-    Budgets and masks are catalog data; the mixture of the second stage
-    carries the corpus composition weights (the residual rounding 0.001 is
-    folded into the grab-bag category so weights sum to exactly 1). Sequence
-    length distributions are declared defaults, not measured values.
+    Budgets and masks are catalog data. Sequence length distributions are
+    declared defaults, not measured values.
     """
     return [
         TrainingStage(
             name="cross-modal-alignment",
             token_budget=100_000_000_000,
             trainable=frozenset({"adapter"}),
-            mixture={"Caption&VQA": 1.0},
             seq_len_model=_DEFAULT_LENGTHS,
         ),
         TrainingStage(
             name="general-knowledge-injection",
             token_budget=2_660_000_000_000,
             trainable=frozenset(COMPONENTS),
-            mixture={
-                "OCR&OCRQA&KIE": 0.438,
-                "Caption": 0.411,
-                "VideoUnderstanding": 0.107,
-                "Others": 0.044,
-            },
             seq_len_model=_DEFAULT_LENGTHS,
         ),
         TrainingStage(
             name="domain-enhancement",
             token_budget=320_000_000_000,
             trainable=frozenset(COMPONENTS),
-            mixture={"Domain": 0.7, "General": 0.3},
             seq_len_model=_DEFAULT_LENGTHS,
         ),
         TrainingStage(
             name="instruction-tuning",
             token_budget=1_000_000_000,
             trainable=frozenset(COMPONENTS),
-            mixture={"Instruction": 1.0},
             seq_len_model=_DEFAULT_LENGTHS,
         ),
     ]

@@ -3,9 +3,11 @@
 `reference_cost_book` prices every (stage, microbatch) pair and every sync
 bucket separately, and `reference_run` records each row through a `record`
 call with builtin `max`. The engine prices each distinct microbatch shape,
-bucket size and fused (lump, comp) pair once per run and records rows
-into one flat list per stage; both must give the same floats, bit for bit,
-on every path. Traces are compared through their `stage_rows` view.
+bucket size and fused (lump, comp) pair once per run, records slot rows
+into one flat list per stage and of a sync only its bucket ends, whose
+starts it rebuilds after the loop; both must give the same floats, bit for
+bit, on every path. Traces are compared through their `stage_rows` view or
+their columns.
 """
 
 import dataclasses
@@ -564,6 +566,125 @@ def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
                             seq_len_model=SequenceLengthModel.fixed(64))
     args = (catalog["3B"], full_stage, plan, topology, costmodel, 0, workload)
     return args, book
+
+
+
+def assert_columns_identical(trace, expect):
+    """Every stage's columns equal bit for bit (times compared as bit
+    patterns, kinds as their (resource, label) pairs), and the makespan."""
+    assert len(trace.stage_columns) == len(expect.stage_columns)
+    for cols, ref in zip(trace.stage_columns, expect.stage_columns):
+        for name in ("start", "end"):
+            assert (getattr(cols, name).view(np.int64).tolist()
+                    == getattr(ref, name).view(np.int64).tolist())
+        assert cols.microbatch.tolist() == ref.microbatch.tolist()
+        assert ([trace.kinds[k] for k in cols.kind.tolist()]
+                == [expect.kinds[k] for k in ref.kind.tolist()])
+    assert_identical(trace.makespan, expect.makespan)
+
+
+def sync_book_run(catalog, full_stage, buckets, frequency, *, p=2, m=3,
+                  dual=True, overlap=True, bwd=2.0):
+    """run() arguments and a CostBook whose every stage syncs `buckets`:
+    forwards of 1 s, backwards of `bwd`, p2p sends of 0.1 s, no TP lump."""
+    book = CostBook.uniform(p, m, fwd=1.0, bwd=bwd, p2p=0.1)
+    book = dataclasses.replace(book,
+                               sync_buckets=[list(buckets) for _ in range(p)])
+    topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
+                             dual=dual)
+    plan = make_plan(pp=p, m=m, overlap_grad_sync=overlap)
+    costmodel = CostModelConfig(grad_sync=GradSyncPolicy(frequency=frequency))
+    workload = StepWorkload(microbatch_token_budget=64,
+                            seq_len_model=SequenceLengthModel.fixed(64))
+    args = (catalog["3B"], full_stage, plan, topology, costmodel, 0, workload)
+    return args, book
+
+
+def sync_rows(trace, stage):
+    cols = trace.stage_columns[stage]
+    at = [trace.kinds[k] == (COMM, LABEL_SYNC) for k in cols.kind.tolist()]
+    return list(zip(cols.start[at].tolist(), cols.end[at].tolist()))
+
+
+# buckets of 6 s backwards, each ready 1 s after the one before: the
+# short ones run out before the next is ready, the 1.8 s one holds the
+# next two in the queue, so readiness overtakes the queue three times
+OVERTAKING = [0.5, 1.8, 0.1, 0.1, 0.5, 0.1]
+
+
+class TestSyncChainMatchesReference:
+    """The sync chain's rows, rebuilt from each bucket's end after the
+    loop, against the frozen per-row loop."""
+
+    FREQUENCIES = pytest.mark.parametrize(
+        "frequency", ["per_step", "per_microbatch"]
+    )
+
+    def check(self, catalog, full_stage, buckets, frequency, **kwargs):
+        args, book = sync_book_run(catalog, full_stage, buckets, frequency,
+                                   **kwargs)
+        trace = run(*args, cost_book=book)
+        assert_columns_identical(trace, reference_run(*args, cost_book=book))
+        return trace
+
+    @FREQUENCIES
+    def test_zero_length_bucket_mid_chain(self, catalog, full_stage,
+                                          frequency):
+        trace = self.check(catalog, full_stage, [0.3, 0.0, 0.2], frequency)
+        syncs = 3 if frequency == "per_microbatch" else 1
+        assert len(sync_rows(trace, 0)) == 2 * syncs
+
+    @FREQUENCIES
+    def test_bucket_under_one_ulp_dropped(self, catalog, full_stage,
+                                          frequency):
+        # the chain is past 1 s, where an ulp is 2.2e-16: end == start
+        trace = self.check(catalog, full_stage, [0.25, 1e-17, 0.25],
+                           frequency)
+        syncs = 3 if frequency == "per_microbatch" else 1
+        assert len(sync_rows(trace, 1)) == 2 * syncs
+
+    @FREQUENCIES
+    def test_readiness_overtakes_the_queue_repeatedly(self, catalog,
+                                                      full_stage, frequency):
+        trace = self.check(catalog, full_stage, OVERTAKING, frequency,
+                           bwd=6.0)
+        rows = sync_rows(trace, 0)[-len(OVERTAKING):]
+        gaps = sum(start > prev_end
+                   for (_, prev_end), (start, _) in zip(rows, rows[1:]))
+        queued = sum(start == prev_end
+                     for (_, prev_end), (start, _) in zip(rows, rows[1:]))
+        assert gaps >= 2 and queued >= 1
+
+    @FREQUENCIES
+    def test_overlap_off(self, catalog, full_stage, frequency):
+        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6.0,
+                   overlap=False)
+
+    @FREQUENCIES
+    def test_single_stream_chip(self, catalog, full_stage, frequency):
+        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6.0,
+                   dual=False)
+
+    @FREQUENCIES
+    def test_producing_compute_zero(self, catalog, full_stage, frequency):
+        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=0.0)
+
+    @given(
+        buckets=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-18, 1e-15),
+                      st.floats(0.0, 3.0)),
+            min_size=1, max_size=12,
+        ),
+        frequency=st.sampled_from(["per_step", "per_microbatch"]),
+        p=st.integers(1, 3), m=st.integers(1, 4), dual=st.booleans(),
+        overlap=st.booleans(),
+        bwd=st.one_of(st.just(0.0), st.floats(1e-3, 8.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_bucket_lists(self, catalog, full_stage, buckets,
+                                 frequency, p, m, dual, overlap, bwd):
+        self.check(catalog, full_stage, buckets, frequency, p=p, m=m,
+                   dual=dual, overlap=overlap, bwd=bwd)
 
 
 class TestPricingWork:

@@ -32,15 +32,6 @@ class TestStageCatalog:
         for stage in stages[1:]:
             assert stage.trainable == frozenset({"vision", "adapter", "lm"})
 
-    def test_mixtures_sum_to_one(self):
-        for stage in stage_catalog():
-            assert sum(stage.mixture.values()) == pytest.approx(1.0, abs=1e-12)
-        mix = stage_by_name("general-knowledge-injection").mixture
-        assert mix["OCR&OCRQA&KIE"] == 0.438
-        assert mix["Caption"] == 0.411
-        assert mix["VideoUnderstanding"] == 0.107
-        assert mix["Others"] == 0.044
-
     def test_lookup_by_name(self):
         assert stage_by_name("domain-enhancement").token_budget == 320_000_000_000
         with pytest.raises(KeyError):
@@ -59,15 +50,6 @@ class TestStageCatalog:
                 name="x",
                 token_budget=1,
                 trainable=frozenset({"lora"}),
-                mixture={},
-                seq_len_model=lengths,
-            )
-        with pytest.raises(ValueError):
-            TrainingStage(
-                name="x",
-                token_budget=1,
-                trainable=frozenset(),
-                mixture={"a": 0.5, "b": 0.4},
                 seq_len_model=lengths,
             )
 
