@@ -235,12 +235,10 @@ class Trace:
 
     The record is stage_columns, one StageColumns per stage, its rows in
     event order (a sync's bucket rows right after the slot rows before
-    it); a row's kind indexes `kinds`, its (resource, label) pair. `run`
-    builds each stage's columns once, after its event loop, from the slot
-    rows and the sync bucket ends the loop kept. A Trace is read-only once
-    `run` returns: the kind masks and the writers' row order are derived
-    from the columns on first use and cached, so a later edit of the
-    columns would leave them stale.
+    it); a row's kind indexes `kinds`, its (resource, label) pair. A Trace
+    is read-only once `run` returns: the kind masks and the writers' row
+    order are derived from the columns on first use and cached, so a later
+    edit of the columns would leave them stale.
     """
 
     dp: int
@@ -818,8 +816,7 @@ def run(
             producing_compute = 0.0
         slot_rows = len(records[i]) // 4
         syncs[i].append((slot_rows, produce_start, producing_compute, free))
-        # the max-plus chain free = max(ready_j, free) + dur_j; only each
-        # bucket's end is kept, _stage_columns rebuilds its start
+        # the max-plus chain free = max(ready_j, free) + dur_j
         ends = []
         append = ends.append
         for j, dur in enumerate(buckets, 1):

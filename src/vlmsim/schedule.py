@@ -46,16 +46,16 @@ def build_1f1b(p: int, m: int) -> PipelineSchedule:
     if p < 1 or m < 1:
         raise ValueError("p and m must be >= 1")
     # the 2m distinct slots, built once; every stage's tuple refers to them
-    forward = [(FORWARD, k) for k in range(m + 1)]
-    backward = [(BACKWARD, k) for k in range(m + 1)]
+    forward = [(FORWARD, k) for k in range(1, m + 1)]
+    backward = [(BACKWARD, k) for k in range(1, m + 1)]
     stages = []
     for i in range(p):
         warmup = in_flight(p, m, i)
-        slots: list[Slot] = forward[1:warmup + 1]
-        for j in range(1, m - warmup + 1):
+        slots: list[Slot] = forward[:warmup]
+        for j in range(m - warmup):
             slots.append(backward[j])
             slots.append(forward[warmup + j])
-        slots += backward[m - warmup + 1:]
+        slots += backward[m - warmup:]
         stages.append(tuple(slots))
     return PipelineSchedule(stages=p, microbatches=m, slots=tuple(stages))
 
