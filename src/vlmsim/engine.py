@@ -714,11 +714,11 @@ def run(
 
     # each stage's slot rows in one flat list, four values a row: start,
     # end, kind, microbatch (-1 for none). A sync records only its bucket
-    # ends (one list per sync in sync_ends) and its entry in syncs; the
-    # starts are rebuilt and the rows placed after the loop (_stage_columns)
+    # ends (in sync_ends) and its entry in syncs; the starts are rebuilt
+    # and the rows placed after the loop (_trace_columns)
     records: list[list] = [[] for _ in range(p)]
     syncs: list[list[tuple]] = [[] for _ in range(p)]
-    sync_ends: list[list[list]] = [[] for _ in range(p)]
+    sync_ends: list[list[float]] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     # a single-stream chip's comm unit is its compute unit
     comm_free = [0.0] * p if dual_stream else comp_free
@@ -726,6 +726,7 @@ def run(
     # rows are recorded through bound methods behind the same end > start
     # test everywhere, so a zero-length or NaN interval is never recorded
     extends = [record.extend for record in records]
+    end_appends = [ends.append for ends in sync_ends]
     # the book's lists, bound once; a slot indexes them [stage][microbatch]
     fwd, bwd, tp_fwd, tp_bwd = (cost_book.fwd, cost_book.bwd,
                                 cost_book.tp_fwd, cost_book.tp_bwd)
@@ -817,24 +818,20 @@ def run(
         slot_rows = len(records[i]) // 4
         syncs[i].append((slot_rows, produce_start, producing_compute, free))
         # the max-plus chain free = max(ready_j, free) + dur_j
-        ends = []
-        append = ends.append
+        append = end_appends[i]
         for j, dur in enumerate(buckets, 1):
             ready = produce_start + producing_compute * j / n
             free = (free if free > ready else ready) + dur  # max(ready, free)
             append(free)
-        sync_ends[i].append(ends)
         comm_free[i] = free
         if not overlap_sync:
             comp_free[i] = free
 
     execute(build_1f1b(p, m), execute_slot)
 
-    stage_columns = [
-        _stage_columns(record, stage_syncs, ends, len(buckets))
-        for record, stage_syncs, ends, buckets
-        in zip(records, syncs, sync_ends, sync_buckets)
-    ]
+    stage_columns = _trace_columns(
+        records, syncs, sync_ends, [len(buckets) for buckets in sync_buckets]
+    )
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
@@ -851,54 +848,81 @@ def run(
     return trace
 
 
-def _stage_columns(
-    record: list, syncs: list[tuple], sync_ends: list[list], n: int
-) -> StageColumns:
-    """One stage's columns from its flat slot record and its syncs.
+def _trace_columns(
+    records: list[list], syncs: list[list[tuple]],
+    sync_ends: list[list[float]], bucket_counts: list[int],
+) -> list[StageColumns]:
+    """Each stage's columns from its flat slot record and its syncs.
 
-    `syncs` holds, per sync, the slot rows recorded before it, the start
-    of the producing backward, that backward's compute (0.0 when the sync
-    is not overlapped) and the comm-free time on entry; `sync_ends` holds
-    the end of each of its n buckets. Bucket j (from 1) was ready at
+    A sync's bucket rows (_sync_rows) go right after the slot rows recorded
+    before it, one slice each, so placing them costs in proportion to
+    syncs, not rows. Each record is emptied once its rows are read.
+    """
+    sync_rows, bounds, slot_cuts = _sync_rows(syncs, sync_ends, bucket_counts)
+    columns = []
+    first = 0  # the stage's first sync, counted over the run
+    for record, stage_syncs in zip(records, syncs):
+        rows = np.fromiter(record, np.float64, len(record)).reshape(-1, 4)
+        record.clear()
+        # the slot rows before each sync and the sync's own rows, in turn
+        pieces = []
+        slot_at = 0
+        for s in range(first, first + len(stage_syncs)):
+            pieces.append(rows[slot_at:slot_cuts[s]])
+            pieces.append(sync_rows[bounds[s]:bounds[s + 1]])
+            slot_at = slot_cuts[s]
+        first += len(stage_syncs)
+        pieces.append(rows[slot_at:])
+        start, end, kind, mb = np.concatenate(pieces).T
+        columns.append(StageColumns(
+            start.copy(), end.copy(), kind.astype(np.uint8),
+            mb.astype(np.int64),
+        ))
+    return columns
+
+
+def _sync_rows(
+    syncs: list[list[tuple]], sync_ends: list[list[float]],
+    bucket_counts: list[int],
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Every sync bucket row of the run, rebuilt in one array pass.
+
+    `syncs[i]` holds, per sync of stage i, the slot rows recorded before
+    it, the start of the producing backward, that backward's compute (0.0
+    when the sync is not overlapped) and the comm-free time on entry;
+    `sync_ends[i]` holds the end of each of their bucket_counts[i]
+    buckets, and is emptied once read. Bucket j of n (from 1) was ready at
     produce_start + producing_compute * j / n and started at the later of
     that and the previous bucket's end (the entry time for the first), the
-    tie going to readiness; these are the event loop's IEEE operations, so
-    the rebuilt starts are its floats. A bucket is recorded when it ends
-    after it starts, like every row, and a sync's rows go right after the
-    slot rows recorded before it, one slice each, so placing them costs in
-    proportion to syncs, not rows. The lists are emptied on the way.
+    tie going to readiness: the event loop's IEEE operations, so the
+    rebuilt starts are its floats. A bucket is kept when it ends after it
+    starts, as every row is.
+
+    Returns the kept rows (start, end, kind, microbatch), syncs in stage
+    order then event order; `bounds`, where sync s's rows are
+    rows[bounds[s]:bounds[s + 1]]; and each sync's slot-row count.
     """
-    rows = np.fromiter(record, np.float64, len(record)).reshape(-1, 4)
-    record.clear()
-    if syncs:
-        cut, produce_start, producing_compute, entry = np.array(syncs).T
-        end = np.array(sync_ends, np.float64)  # [sync][bucket]
-        sync_ends.clear()
-        ready = (produce_start[:, None]
-                 + producing_compute[:, None] * np.arange(1, n + 1) / n)
-        prev_end = np.concatenate((entry[:, None], end[:, :-1]), axis=1)
-        start = np.where(prev_end > ready, prev_end, ready)
-        kept = end > start
-        sync_rows = np.empty((np.count_nonzero(kept), 4))
-        sync_rows[:, 0] = start[kept]
-        sync_rows[:, 1] = end[kept]
-        sync_rows[:, 2] = KIND_SYNC
-        sync_rows[:, 3] = -1
-        # the slot rows before each sync and the sync's own rows, in turn
-        slot_cuts = cut.astype(np.int64).tolist()
-        sync_cuts = np.cumsum(kept.sum(axis=1)).tolist()
-        pieces = []
-        slot_at = sync_at = 0
-        for slot_cut, sync_cut in zip(slot_cuts, sync_cuts):
-            pieces.append(rows[slot_at:slot_cut])
-            pieces.append(sync_rows[sync_at:sync_cut])
-            slot_at, sync_at = slot_cut, sync_cut
-        pieces.append(rows[slot_at:])
-        rows = np.concatenate(pieces)
-    start, end, kind, mb = rows.T
-    return StageColumns(
-        start.copy(), end.copy(), kind.astype(np.uint8), mb.astype(np.int64)
-    )
+    meta = np.array(list(chain.from_iterable(syncs))).reshape(-1, 4)
+    n = np.repeat(bucket_counts, [len(stage_syncs) for stage_syncs in syncs])
+    end = np.concatenate([np.array(ends, np.float64) for ends in sync_ends])
+    for ends in sync_ends:
+        ends.clear()
+    first = np.cumsum(n) - n  # each sync's first bucket
+    j = np.arange(1, len(end) + 1) - np.repeat(first, n)
+    ready = (np.repeat(meta[:, 1], n)
+             + np.repeat(meta[:, 2], n) * j / np.repeat(n, n))
+    prev_end = np.empty_like(end)
+    prev_end[1:] = end[:-1]
+    prev_end[first] = meta[:, 3]
+    start = np.where(prev_end > ready, prev_end, ready)
+    kept = end > start
+    rows = np.empty((np.count_nonzero(kept), 4))
+    rows[:, 0] = start[kept]
+    rows[:, 1] = end[kept]
+    rows[:, 2] = KIND_SYNC
+    rows[:, 3] = -1
+    bounds = np.concatenate(([0], np.cumsum(kept)))[np.append(first, len(end))]
+    return rows, bounds.tolist(), meta[:, 0].astype(np.int64).tolist()
 
 
 def step_training_flops(trace: Trace, model: ModelSpec, plan: ParallelismPlan) -> float:

@@ -606,10 +606,13 @@ def sync_rows(trace, stage):
     return list(zip(cols.start[at].tolist(), cols.end[at].tolist()))
 
 
-# buckets of 6 s backwards, each ready 1 s after the one before: the
-# short ones run out before the next is ready, the 1.8 s one holds the
-# next two in the queue, so readiness overtakes the queue three times
-OVERTAKING = [0.5, 1.8, 0.1, 0.1, 0.5, 0.1]
+# buckets of a 5700.1 s backward, each ready about 950 s after the one
+# before: the short ones run out before the next is ready, the 1800 s one
+# holds the next in the queue, so readiness overtakes the queue before
+# and after it. 5700.1 * j / 6 and 5700.1 * (j / 6) differ at every j, by
+# more than the start of the backward (1 s) can round away, so readiness
+# computed in another order is told apart
+OVERTAKING = [500.0, 1800.0, 100.0, 100.0, 500.0, 100.0]
 
 
 class TestSyncChainMatchesReference:
@@ -647,7 +650,7 @@ class TestSyncChainMatchesReference:
     def test_readiness_overtakes_the_queue_repeatedly(self, catalog,
                                                       full_stage, frequency):
         trace = self.check(catalog, full_stage, OVERTAKING, frequency,
-                           bwd=6.0)
+                           bwd=5700.1)
         rows = sync_rows(trace, 0)[-len(OVERTAKING):]
         gaps = sum(start > prev_end
                    for (_, prev_end), (start, _) in zip(rows, rows[1:]))
@@ -657,12 +660,12 @@ class TestSyncChainMatchesReference:
 
     @FREQUENCIES
     def test_overlap_off(self, catalog, full_stage, frequency):
-        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6.0,
+        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6000.0,
                    overlap=False)
 
     @FREQUENCIES
     def test_single_stream_chip(self, catalog, full_stage, frequency):
-        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6.0,
+        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6000.0,
                    dual=False)
 
     @FREQUENCIES
