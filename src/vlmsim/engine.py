@@ -55,10 +55,10 @@ The trace's record is per-stage numpy columns: each row's start, end,
 kind (an index into Trace.kinds, its resource and label) and microbatch.
 The event loop records a stage's slot rows into one flat list, and of each
 sync only its bucket ends and where it began. After the step, one array
-pass per stage rebuilds every bucket's start from the ends in the loop's
-own float operations and places each sync's rows right after the slot
-rows recorded before it, one slice per sync, so the columns hold the rows
-in event order. Scans over every row (the invariant check, compute busy
+pass over all the run's syncs rebuilds every bucket's start from the ends
+in the loop's own float operations, and each sync's rows are placed right
+after the slot rows recorded before it, one slice per sync, so the
+columns hold the rows in event order. Scans over every row (the invariant check, compute busy
 time, comm overlap) read the columns. Their sums add left to right, in row
 order, so they give the floats that row-by-row loops give.
 
@@ -724,7 +724,8 @@ def run(
     comm_free = [0.0] * p if dual_stream else comp_free
 
     # rows are recorded through bound methods behind the same end > start
-    # test everywhere, so a zero-length or NaN interval is never recorded
+    # test everywhere (bucket rows in _sync_rows), so a zero-length or NaN
+    # interval is never recorded
     extends = [record.extend for record in records]
     end_appends = [ends.append for ends in sync_ends]
     # the book's lists, bound once; a slot indexes them [stage][microbatch]
