@@ -70,7 +70,6 @@ from .schedule import (
     check_schedule,
     max_in_flight,
     measured_bubble,
-    min_microbatches_for_bubble,
 )
 from .workload import (
     SequenceLengthModel,
@@ -124,7 +123,6 @@ __all__ = [
     "measured_bubble",
     "memory_per_chip",
     "mfu",
-    "min_microbatches_for_bubble",
     "overlap_efficiency",
     "partition_layers",
     "plan_step_microbatches",

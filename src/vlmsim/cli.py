@@ -58,63 +58,57 @@ def _named(where: str):
         ) from exc
 
 
-def check_config(config: SimConfig) -> tuple:
+def check_config(config: SimConfig) -> list[tuple]:
     """Check a config, and its scaling reference point, as `simulate`
     would run them (engine.step_shape), without the event loop. Returns
-    the two step shapes, the reference's None when it is not run, for
-    `execute` to run them from."""
+    the runs `simulate` makes, each as (topology, plan, step shape): the
+    point, then the reference when that is a second run."""
     def check(topology, plan):
-        return engine.step_shape(config.model, config.stage, plan, topology,
-                                 config.costmodel, config.seed,
-                                 config.workload)
+        return topology, plan, engine.step_shape(
+            config.model, config.stage, plan, topology, config.costmodel,
+            config.seed, config.workload,
+        )
 
-    point_shape = check(config.topology, config.plan)
-    reference_shape = None
+    runs = [check(config.topology, config.plan)]
     reference = config.scaling_reference_chips
     if reference not in (None, config.topology.total_chips):
         with _named(f"at $.scaling.reference_chips ({reference} chips)"):
-            reference_shape = check(*weak_scaling_point(
+            runs.append(check(*weak_scaling_point(
                 config.topology, config.plan, reference
-            ))
-    return point_shape, reference_shape
+            )))
+    return runs
 
 
 def execute(
-    config: SimConfig, shapes: tuple = (None, None)
+    config: SimConfig, runs: list[tuple] | None = None
 ) -> tuple[engine.Trace, RunReport]:
     """Run one config; returns (trace, report).
 
-    When the config carries a scaling reference, a second run at the
-    reference chip count (same weak-scaling rule the sweep uses) prices
-    the efficiency field. `shapes`, check_config's result for the config,
-    spares the two runs deriving their step shapes again.
+    `runs` is check_config's result for the config, which is checked here
+    when it is not given. When the config carries a scaling reference, the
+    last run prices the efficiency field: the reference run, or the point
+    itself when the reference is the point's own chip count.
     """
-    point_shape, reference_shape = shapes
-
-    def run(topology, plan, shape):
-        return engine.run(config.model, config.stage, plan, topology,
-                          config.costmodel, config.seed, config.workload,
-                          shape=shape)
-
-    trace = run(config.topology, config.plan, point_shape)
+    if runs is None:
+        runs = check_config(config)
+    traces = [
+        engine.run(config.model, config.stage, plan, topology,
+                   config.costmodel, config.seed, config.workload,
+                   shape=shape)
+        for topology, plan, shape in runs
+    ]
+    trace = traces[0]
     efficiency = None
-    if config.scaling_reference_chips is not None:
-        reference = config.scaling_reference_chips
+    reference = config.scaling_reference_chips
+    if reference is not None:
         chips = config.topology.total_chips
-        if reference == chips:
-            efficiency = 1.0
-        else:
-            with _named(f"at $.scaling.reference_chips ({reference} chips)"):
-                ref_trace = run(*weak_scaling_point(
-                    config.topology, config.plan, reference
-                ), reference_shape)
-            efficiency = scaling_efficiency(
-                [
-                    (reference, ref_trace.tokens_per_step / ref_trace.makespan),
-                    (chips, trace.tokens_per_step / trace.makespan),
-                ],
-                reference=reference,
-            )[chips]
+        efficiency = scaling_efficiency(
+            [
+                (reference, traces[-1].tokens_per_step / traces[-1].makespan),
+                (chips, trace.tokens_per_step / trace.makespan),
+            ],
+            reference=reference,
+        )[chips]
     report = build_report(
         trace,
         config.model,
@@ -128,11 +122,11 @@ def execute(
 
 
 def cmd_simulate(
-    config: SimConfig, out_dir: Path, shapes: tuple = (None, None)
+    config: SimConfig, out_dir: Path, runs: list[tuple] | None = None
 ) -> RunReport:
-    """Run one config (from its checked `shapes`, as in `execute`) and
-    write its five artifacts; returns the report."""
-    trace, report = execute(config, shapes)
+    """Run one config (its checked `runs`, as in `execute`) and write its
+    five artifacts; returns the report."""
+    trace, report = execute(config, runs)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -198,9 +192,9 @@ def _point_dir_name(assignment: tuple[tuple[str, object], ...]) -> str:
     return "__".join(f"{key}={value}" for key, value in assignment)
 
 
-def _run_sweep_point(config: SimConfig, out_dir: str, shapes: tuple) -> list[str]:
+def _run_sweep_point(config: SimConfig, out_dir: str, runs: list) -> list[str]:
     # module-level so process pools can pickle the call
-    return report_csv_row(cmd_simulate(config, Path(out_dir), shapes))
+    return report_csv_row(cmd_simulate(config, Path(out_dir), runs))
 
 
 def cmd_sweep(
@@ -215,7 +209,7 @@ def cmd_sweep(
     point's directory), is refused. Every point's config is loaded and
     checked (check_config) before the first point runs, so a bad point
     fails the sweep, named by its directory, before anything is written;
-    each point then runs from the step shapes its check derived.
+    each point then makes the runs its check returned.
     At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
@@ -245,9 +239,9 @@ def cmd_sweep(
             for key, value in assignment:
                 _set_by_path(point_doc, key, value)
             config = load_config(point_doc)
-            shapes = check_config(config)
+            runs = check_config(config)
         assignments.append(assignment)
-        jobs.append((config, str(out_dir / name), shapes))
+        jobs.append((config, str(out_dir / name), runs))
 
     # a fork pool starts all of its workers at the first call, used or not
     workers = min(parallel, len(jobs))

@@ -34,7 +34,7 @@ Cost construction and timing rules, in one place:
     backward (per-microbatch sync) and queue FIFO on the comm unit when
     overlapped, else run serially after the producing backward. The queue
     is a max-plus chain, free = max(ready_j, free) + dur_j, which the
-    loop runs as scalars, keeping only each bucket's end;
+    loop runs as scalars, keeping only each bucket's start;
   * the optimizer update itself is charged zero time.
 
 Durations depend on a microbatch only through its shape, so the cost book
@@ -54,13 +54,14 @@ bit-reproducible.
 The trace's record is per-stage numpy columns: each row's start, end,
 kind (an index into Trace.kinds, its resource and label) and microbatch.
 The event loop records a stage's slot rows into one flat list, and of each
-sync only its bucket ends and where it began. After the step, one array
-pass over all the run's syncs rebuilds every bucket's start from the ends
-in the loop's own float operations, and each sync's rows are placed right
-after the slot rows recorded before it, one slice per sync, so the
-columns hold the rows in event order. Scans over every row (the invariant check, compute busy
-time, comm overlap) read the columns. Their sums add left to right, in row
-order, so they give the floats that row-by-row loops give.
+sync only its bucket starts and the slot rows recorded before it. After
+the step, one array addition over all the run's syncs gives every
+bucket's end, start + duration, the loop's own float operation, and each
+sync's rows are placed right after the slot rows recorded before it, one
+slice per sync, so the columns hold the rows in event order. Scans over
+every row (the invariant check, compute busy time, comm overlap) read the
+columns. Their sums add left to right, in row order, so they give the
+floats that row-by-row loops give.
 
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
@@ -714,11 +715,11 @@ def run(
 
     # each stage's slot rows in one flat list, four values a row: start,
     # end, kind, microbatch (-1 for none). A sync records only its bucket
-    # ends (in sync_ends) and its entry in syncs; the starts are rebuilt
-    # and the rows placed after the loop (_trace_columns)
+    # starts (in sync_starts) and, in syncs, its stage's slot-row count;
+    # the ends are added and the rows placed after the loop (_trace_columns)
     records: list[list] = [[] for _ in range(p)]
-    syncs: list[list[tuple]] = [[] for _ in range(p)]
-    sync_ends: list[list[float]] = [[] for _ in range(p)]
+    syncs: list[list[int]] = [[] for _ in range(p)]
+    sync_starts: list[list[float]] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     # a single-stream chip's comm unit is its compute unit
     comm_free = [0.0] * p if dual_stream else comp_free
@@ -727,7 +728,7 @@ def run(
     # test everywhere (bucket rows in _sync_rows), so a zero-length or NaN
     # interval is never recorded
     extends = [record.extend for record in records]
-    end_appends = [ends.append for ends in sync_ends]
+    start_appends = [starts.append for starts in sync_starts]
     # the book's lists, bound once; a slot indexes them [stage][microbatch]
     fwd, bwd, tp_fwd, tp_bwd = (cost_book.fwd, cost_book.bwd,
                                 cost_book.tp_fwd, cost_book.tp_bwd)
@@ -816,23 +817,21 @@ def run(
             # stage's own p2p send are done; compute waits for the last
             free = produce_start = max(comp_free[i], comm_free[i])
             producing_compute = 0.0
-        slot_rows = len(records[i]) // 4
-        syncs[i].append((slot_rows, produce_start, producing_compute, free))
+        syncs[i].append(len(records[i]) // 4)
         # the max-plus chain free = max(ready_j, free) + dur_j
-        append = end_appends[i]
+        append = start_appends[i]
         for j, dur in enumerate(buckets, 1):
             ready = produce_start + producing_compute * j / n
-            free = (free if free > ready else ready) + dur  # max(ready, free)
-            append(free)
+            start = free if free > ready else ready  # max(ready, free)
+            append(start)
+            free = start + dur
         comm_free[i] = free
         if not overlap_sync:
             comp_free[i] = free
 
     execute(build_1f1b(p, m), execute_slot)
 
-    stage_columns = _trace_columns(
-        records, syncs, sync_ends, [len(buckets) for buckets in sync_buckets]
-    )
+    stage_columns = _trace_columns(records, syncs, sync_starts, sync_buckets)
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
@@ -850,29 +849,30 @@ def run(
 
 
 def _trace_columns(
-    records: list[list], syncs: list[list[tuple]],
-    sync_ends: list[list[float]], bucket_counts: list[int],
+    records: list[list], syncs: list[list[int]],
+    sync_starts: list[list[float]], sync_buckets: list[list[float]],
 ) -> list[StageColumns]:
     """Each stage's columns from its flat slot record and its syncs.
 
-    A sync's bucket rows (_sync_rows) go right after the slot rows recorded
-    before it, one slice each, so placing them costs in proportion to
-    syncs, not rows. Each record is emptied once its rows are read.
+    `syncs[i]` holds, per sync of stage i, the slot rows recorded before
+    it. A sync's bucket rows (_sync_rows) go right after those, one slice
+    each, so placing them costs in proportion to syncs, not rows. Each
+    record is emptied once its rows are read.
     """
-    sync_rows, bounds, slot_cuts = _sync_rows(syncs, sync_ends, bucket_counts)
+    sync_rows, bounds = _sync_rows(syncs, sync_starts, sync_buckets)
     columns = []
-    first = 0  # the stage's first sync, counted over the run
-    for record, stage_syncs in zip(records, syncs):
+    s = 0  # the run's syncs placed so far
+    for record, slot_cuts in zip(records, syncs):
         rows = np.fromiter(record, np.float64, len(record)).reshape(-1, 4)
         record.clear()
         # the slot rows before each sync and the sync's own rows, in turn
         pieces = []
         slot_at = 0
-        for s in range(first, first + len(stage_syncs)):
-            pieces.append(rows[slot_at:slot_cuts[s]])
+        for cut in slot_cuts:
+            pieces.append(rows[slot_at:cut])
             pieces.append(sync_rows[bounds[s]:bounds[s + 1]])
-            slot_at = slot_cuts[s]
-        first += len(stage_syncs)
+            slot_at = cut
+            s += 1
         pieces.append(rows[slot_at:])
         start, end, kind, mb = np.concatenate(pieces).T
         columns.append(StageColumns(
@@ -883,47 +883,42 @@ def _trace_columns(
 
 
 def _sync_rows(
-    syncs: list[list[tuple]], sync_ends: list[list[float]],
-    bucket_counts: list[int],
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Every sync bucket row of the run, rebuilt in one array pass.
+    syncs: list[list[int]], sync_starts: list[list[float]],
+    sync_buckets: list[list[float]],
+) -> tuple[np.ndarray, list[int]]:
+    """Every sync bucket row of the run, in one array pass.
 
-    `syncs[i]` holds, per sync of stage i, the slot rows recorded before
-    it, the start of the producing backward, that backward's compute (0.0
-    when the sync is not overlapped) and the comm-free time on entry;
-    `sync_ends[i]` holds the end of each of their bucket_counts[i]
-    buckets, and is emptied once read. Bucket j of n (from 1) was ready at
-    produce_start + producing_compute * j / n and started at the later of
-    that and the previous bucket's end (the entry time for the first), the
-    tie going to readiness: the event loop's IEEE operations, so the
-    rebuilt starts are its floats. A bucket is kept when it ends after it
-    starts, as every row is.
+    `sync_starts[i]` holds the start of every bucket of stage i's
+    len(syncs[i]) syncs, in event order, and is emptied once read. A
+    bucket ends at its start plus its duration from sync_buckets[i]: the
+    event loop's own IEEE addition, so the ends are its floats. A bucket
+    is kept when it ends after it starts, as every row is.
 
     Returns the kept rows (start, end, kind, microbatch), syncs in stage
-    order then event order; `bounds`, where sync s's rows are
-    rows[bounds[s]:bounds[s + 1]]; and each sync's slot-row count.
+    order then event order, and `bounds`, where the run's sync s has
+    rows[bounds[s]:bounds[s + 1]].
     """
-    meta = np.array(list(chain.from_iterable(syncs))).reshape(-1, 4)
-    n = np.repeat(bucket_counts, [len(stage_syncs) for stage_syncs in syncs])
-    end = np.concatenate([np.array(ends, np.float64) for ends in sync_ends])
-    for ends in sync_ends:
-        ends.clear()
-    first = np.cumsum(n) - n  # each sync's first bucket
-    j = np.arange(1, len(end) + 1) - np.repeat(first, n)
-    ready = (np.repeat(meta[:, 1], n)
-             + np.repeat(meta[:, 2], n) * j / np.repeat(n, n))
-    prev_end = np.empty_like(end)
-    prev_end[1:] = end[:-1]
-    prev_end[first] = meta[:, 3]
-    start = np.where(prev_end > ready, prev_end, ready)
+    starts = []
+    for stage_starts in sync_starts:
+        starts.append(np.array(stage_starts, np.float64))
+        stage_starts.clear()
+    start = np.concatenate(starts)
+    counts = [len(stage_syncs) for stage_syncs in syncs]
+    end = start + np.concatenate([
+        np.tile(np.asarray(buckets, np.float64), count)
+        for buckets, count in zip(sync_buckets, counts)
+    ])
     kept = end > start
     rows = np.empty((np.count_nonzero(kept), 4))
     rows[:, 0] = start[kept]
     rows[:, 1] = end[kept]
     rows[:, 2] = KIND_SYNC
     rows[:, 3] = -1
-    bounds = np.concatenate(([0], np.cumsum(kept)))[np.append(first, len(end))]
-    return rows, bounds.tolist(), meta[:, 0].astype(np.int64).tolist()
+    n = np.repeat([len(buckets) for buckets in sync_buckets], counts)
+    # each sync's first bucket, then the run's bucket count
+    edges = np.concatenate(([0], np.cumsum(n)))
+    bounds = np.concatenate(([0], np.cumsum(kept)))[edges]
+    return rows, bounds.tolist()
 
 
 def step_training_flops(trace: Trace, model: ModelSpec, plan: ParallelismPlan) -> float:

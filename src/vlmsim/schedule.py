@@ -11,7 +11,6 @@ runs any schedule, GPipe included, through it at unit cost.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -179,20 +178,6 @@ def analytic_bubble(p: int, m: int) -> float:
     if p < 1 or m < 1:
         raise ValueError("p and m must be >= 1")
     return (p - 1) / (m + p - 1)
-
-
-def min_microbatches_for_bubble(p: int, target: float) -> int:
-    """Smallest m with analytic_bubble(p, m) <= target."""
-    if not 0.0 < target < 1.0:
-        raise ValueError("target must be in (0, 1)")
-    if p == 1:
-        return 1
-    m = max(1, math.ceil((p - 1) * (1.0 - target) / target - 1e-9))
-    while analytic_bubble(p, m) > target:
-        m += 1
-    while m > 1 and analytic_bubble(p, m - 1) <= target:
-        m -= 1
-    return m
 
 
 def measured_bubble(trace) -> float:

@@ -614,8 +614,13 @@ class TestRefusedAtTheirPath:
         ("scaling", "reference_chips", 12,
          "(12 chips): chips 12 not divisible by tp 8"),
     ])
-    def test_scaling_reference_point(self, tmp_path, capsys, command,
-                                     section, key, value, message):
+    def test_scaling_reference_point(self, tmp_path, capsys, monkeypatch,
+                                     command, section, key, value, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a run was priced before the refusal")
+
+        # both runs are checked before either is priced
+        monkeypatch.setattr(engine, "run", never)
         with open(FLAGSHIP_PRESET) as f:
             doc = json.load(f)
         sheet = doc["topology"]["chip"] if section == "chip" else doc[section]

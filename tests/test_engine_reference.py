@@ -4,9 +4,9 @@
 bucket separately, and `reference_run` records each row through a `record`
 call with builtin `max`. The engine prices each distinct microbatch shape,
 bucket size and fused (lump, comp) pair once per run, records slot rows
-into one flat list per stage and of a sync only its bucket ends, whose
-starts it rebuilds after the loop; both must give the same floats, bit for
-bit, on every path. Traces are compared through their `stage_rows` view or
+into one flat list per stage and of a sync only its bucket starts, whose
+ends it adds after the loop; both must give the same floats, bit for bit,
+on every path. Traces are compared through their `stage_rows` view or
 their columns.
 """
 
@@ -583,13 +583,16 @@ def assert_columns_identical(trace, expect):
     assert_identical(trace.makespan, expect.makespan)
 
 
-def sync_book_run(catalog, full_stage, buckets, frequency, *, p=2, m=3,
+def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
                   dual=True, overlap=True, bwd=2.0):
-    """run() arguments and a CostBook whose every stage syncs `buckets`:
-    forwards of 1 s, backwards of `bwd`, p2p sends of 0.1 s, no TP lump."""
+    """run() arguments and a CostBook of one stage per list in
+    `stage_buckets`, each syncing its list: forwards of 1 s, backwards of
+    `bwd`, p2p sends of 0.1 s, no TP lump."""
+    p = len(stage_buckets)
     book = CostBook.uniform(p, m, fwd=1.0, bwd=bwd, p2p=0.1)
-    book = dataclasses.replace(book,
-                               sync_buckets=[list(buckets) for _ in range(p)])
+    book = dataclasses.replace(
+        book, sync_buckets=[list(buckets) for buckets in stage_buckets]
+    )
     topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
                              dual=dual)
     plan = make_plan(pp=p, m=m, overlap_grad_sync=overlap)
@@ -616,16 +619,17 @@ OVERTAKING = [500.0, 1800.0, 100.0, 100.0, 500.0, 100.0]
 
 
 class TestSyncChainMatchesReference:
-    """The sync chain's rows, rebuilt from each bucket's end after the
-    loop, against the frozen per-row loop."""
+    """The sync chain's rows, each bucket's end added to its start after
+    the loop, against the frozen per-row loop."""
 
     FREQUENCIES = pytest.mark.parametrize(
         "frequency", ["per_step", "per_microbatch"]
     )
 
-    def check(self, catalog, full_stage, buckets, frequency, **kwargs):
-        args, book = sync_book_run(catalog, full_stage, buckets, frequency,
-                                   **kwargs)
+    def check(self, catalog, full_stage, stage_buckets, frequency,
+              **kwargs):
+        args, book = sync_book_run(catalog, full_stage, stage_buckets,
+                                   frequency, **kwargs)
         trace = run(*args, cost_book=book)
         assert_columns_identical(trace, reference_run(*args, cost_book=book))
         return trace
@@ -633,7 +637,8 @@ class TestSyncChainMatchesReference:
     @FREQUENCIES
     def test_zero_length_bucket_mid_chain(self, catalog, full_stage,
                                           frequency):
-        trace = self.check(catalog, full_stage, [0.3, 0.0, 0.2], frequency)
+        trace = self.check(catalog, full_stage, [[0.3, 0.0, 0.2]] * 2,
+                           frequency)
         syncs = 3 if frequency == "per_microbatch" else 1
         assert len(sync_rows(trace, 0)) == 2 * syncs
 
@@ -641,7 +646,7 @@ class TestSyncChainMatchesReference:
     def test_bucket_under_one_ulp_dropped(self, catalog, full_stage,
                                           frequency):
         # the chain is past 1 s, where an ulp is 2.2e-16: end == start
-        trace = self.check(catalog, full_stage, [0.25, 1e-17, 0.25],
+        trace = self.check(catalog, full_stage, [[0.25, 1e-17, 0.25]] * 2,
                            frequency)
         syncs = 3 if frequency == "per_microbatch" else 1
         assert len(sync_rows(trace, 1)) == 2 * syncs
@@ -649,7 +654,7 @@ class TestSyncChainMatchesReference:
     @FREQUENCIES
     def test_readiness_overtakes_the_queue_repeatedly(self, catalog,
                                                       full_stage, frequency):
-        trace = self.check(catalog, full_stage, OVERTAKING, frequency,
+        trace = self.check(catalog, full_stage, [OVERTAKING] * 2, frequency,
                            bwd=5700.1)
         rows = sync_rows(trace, 0)[-len(OVERTAKING):]
         gaps = sum(start > prev_end
@@ -660,33 +665,37 @@ class TestSyncChainMatchesReference:
 
     @FREQUENCIES
     def test_overlap_off(self, catalog, full_stage, frequency):
-        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6000.0,
-                   overlap=False)
+        self.check(catalog, full_stage, [OVERTAKING] * 2, frequency,
+                   bwd=6000.0, overlap=False)
 
     @FREQUENCIES
     def test_single_stream_chip(self, catalog, full_stage, frequency):
-        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=6000.0,
-                   dual=False)
+        self.check(catalog, full_stage, [OVERTAKING] * 2, frequency,
+                   bwd=6000.0, dual=False)
 
     @FREQUENCIES
     def test_producing_compute_zero(self, catalog, full_stage, frequency):
-        self.check(catalog, full_stage, OVERTAKING, frequency, bwd=0.0)
+        self.check(catalog, full_stage, [OVERTAKING] * 2, frequency, bwd=0.0)
 
     @given(
-        buckets=st.lists(
-            st.one_of(st.just(0.0), st.floats(1e-18, 1e-15),
-                      st.floats(0.0, 3.0)),
-            min_size=1, max_size=12,
+        # one list per stage, so a duration taken from another stage's
+        # list, or from another sync's place, is told apart
+        stage_buckets=st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-18, 1e-15),
+                          st.floats(0.0, 3.0)),
+                max_size=12,
+            ),
+            min_size=1, max_size=3,
         ),
         frequency=st.sampled_from(["per_step", "per_microbatch"]),
-        p=st.integers(1, 3), m=st.integers(1, 4), dual=st.booleans(),
-        overlap=st.booleans(),
+        m=st.integers(1, 4), dual=st.booleans(), overlap=st.booleans(),
         bwd=st.one_of(st.just(0.0), st.floats(1e-3, 8.0)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_random_bucket_lists(self, catalog, full_stage, buckets,
-                                 frequency, p, m, dual, overlap, bwd):
-        self.check(catalog, full_stage, buckets, frequency, p=p, m=m,
+    def test_random_bucket_lists(self, catalog, full_stage, stage_buckets,
+                                 frequency, m, dual, overlap, bwd):
+        self.check(catalog, full_stage, stage_buckets, frequency, m=m,
                    dual=dual, overlap=overlap, bwd=bwd)
 
 

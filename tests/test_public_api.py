@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "measured_bubble",
     "memory_per_chip",
     "mfu",
-    "min_microbatches_for_bubble",
     "overlap_efficiency",
     "partition_layers",
     "plan_step_microbatches",
@@ -66,7 +65,7 @@ PUBLIC_NAMES = [
 
 def test_all_lists_exactly_the_public_names():
     assert sorted(vlmsim.__all__) == PUBLIC_NAMES
-    assert len(vlmsim.__all__) == len(set(vlmsim.__all__)) == 58
+    assert len(vlmsim.__all__) == len(set(vlmsim.__all__)) == 57
 
 
 def test_each_name_resolves():

@@ -16,7 +16,6 @@ from vlmsim.schedule import (
     execute,
     in_flight,
     max_in_flight,
-    min_microbatches_for_bubble,
     simulate_slot_completion,
 )
 
@@ -142,25 +141,6 @@ class TestAnalyticBubble:
         assert analytic_bubble(8, 160) == 7 / 167
         assert analytic_bubble(1, 7) == 0.0
         assert analytic_bubble(2, 1) == 0.5
-
-    def test_min_microbatches_examples(self):
-        assert min_microbatches_for_bubble(8, 0.05) == 133
-        assert min_microbatches_for_bubble(4, 0.05) == 57
-        assert min_microbatches_for_bubble(1, 0.05) == 1
-
-    def test_min_microbatches_is_tight(self):
-        for p in (2, 4, 8, 16):
-            for target in (0.5, 0.1, 0.05, 0.01):
-                m = min_microbatches_for_bubble(p, target)
-                assert analytic_bubble(p, m) <= target
-                if m > 1:
-                    assert analytic_bubble(p, m - 1) > target
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            min_microbatches_for_bubble(8, 0.0)
-        with pytest.raises(ValueError):
-            min_microbatches_for_bubble(8, 1.0)
 
 
 class TestUnitCostCompletion:
