@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -11,18 +12,19 @@ from pathlib import Path
 import pytest
 
 import vlmsim
-from vlmsim import engine
+from vlmsim import cli, engine
 from vlmsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     check_config,
+    execute,
     main,
     parse_axis,
 )
 from vlmsim.cluster import MemoryBreakdown
 from vlmsim.config import ConfigError
-from vlmsim.metrics import RunReport, report_csv_row
+from vlmsim.metrics import RunReport, report_csv_row, weak_scaling_point
 from tests.conftest import PRESET_DIR, PRESETS
 
 ARTIFACTS = [
@@ -642,3 +644,54 @@ class TestRefusedAtTheirPath:
         assert code == EXIT_VALIDATION
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCheckedRuns:
+    """check_config returns the runs simulate makes; execute runs those."""
+
+    def test_reference_is_a_second_run(self):
+        config = vlmsim.load_config(FLAGSHIP_PRESET)
+        (point, reference) = check_config(config)
+        assert point[:2] == (config.topology, config.plan)
+        assert reference[:2] == weak_scaling_point(
+            config.topology, config.plan, config.scaling_reference_chips
+        )
+        assert reference[0].total_chips == config.scaling_reference_chips
+        for topology, plan, shape in (point, reference):
+            assert shape == engine.step_shape(
+                config.model, config.stage, plan, topology,
+                config.costmodel, config.seed, config.workload,
+            )
+
+    @pytest.mark.parametrize("own_chips,efficiency", [(True, 1.0),
+                                                      (False, None)])
+    def test_point_alone_is_one_run(self, own_chips, efficiency):
+        config = vlmsim.load_config(FLAGSHIP_PRESET)
+        chips = config.topology.total_chips if own_chips else None
+        config = dataclasses.replace(config, scaling_reference_chips=chips)
+        runs = check_config(config)
+        assert [run[:2] for run in runs] == [(config.topology, config.plan)]
+        # a run against itself scales with efficiency exactly 1.0
+        assert execute(config, runs)[1].efficiency == efficiency
+
+    def test_execute_runs_exactly_the_runs_given(self, monkeypatch):
+        config = vlmsim.load_config(FLAGSHIP_PRESET)
+        runs = check_config(config)
+        priced = []
+        real_run = engine.run
+
+        def recording_run(model, stage, plan, topology, *args, **kwargs):
+            priced.append((topology, plan, kwargs["shape"]))
+            return real_run(model, stage, plan, topology, *args, **kwargs)
+
+        def never(config):
+            raise AssertionError("execute checked runs it was handed")
+
+        monkeypatch.setattr(engine, "run", recording_run)
+        monkeypatch.setattr(cli, "check_config", never)
+        trace, report = execute(config, runs)
+        assert priced == runs
+        assert report.efficiency is not None
+        monkeypatch.undo()
+        # without runs, execute checks the config itself: the same report
+        assert execute(config)[1] == report
