@@ -33,8 +33,11 @@ Cost construction and timing rules, in one place:
     progressively across its last backward (per-step sync) or every
     backward (per-microbatch sync) and queue FIFO on the comm unit when
     overlapped, else run serially after the producing backward. The queue
-    is a max-plus chain, free = max(ready_j, free) + dur_j, which the
-    loop runs as scalars, keeping only each bucket's start;
+    is a max-plus chain, free = max(ready_j, free) + dur_j. Readiness
+    never decreases in j, nor does free (durations are >= 0), so once
+    free reaches the last bucket's readiness every later bucket starts at
+    free: the loop steps the chain as scalars only until then and folds
+    the queued tail's durations into free left to right, in C;
   * the optimizer update itself is charged zero time.
 
 Durations depend on a microbatch only through its shape, so the cost book
@@ -53,15 +56,17 @@ bit-reproducible.
 
 The trace's record is per-stage numpy columns: each row's start, end,
 kind (an index into Trace.kinds, its resource and label) and microbatch.
-The event loop records a stage's slot rows into one flat list, and of each
-sync only its bucket starts and the slot rows recorded before it. After
-the step, one array addition over all the run's syncs gives every
-bucket's end, start + duration, the loop's own float operation, and each
-sync's rows are placed right after the slot rows recorded before it, one
-slice per sync, so the columns hold the rows in event order. Scans over
-every row (the invariant check, compute busy time, comm overlap) read the
-columns. Their sums add left to right, in row order, so they give the
-floats that row-by-row loops give.
+The event loop records a stage's slot rows into one flat list, and of
+each sync the slot rows recorded before it, the starts it stepped and
+where its queued tail begins. After the step, one (syncs x buckets)
+matrix for the whole run gives every tail start by one row-wise
+np.cumsum, a sequential add, so the fold's own additions; one array
+addition gives every bucket's end, start + duration, the loop's own
+float operation; and each sync's rows are placed right after the slot
+rows recorded before it, one slice per sync, so the columns hold the
+rows in event order. Scans over every row (the invariant check, compute
+busy time, comm overlap) read the columns. Their sums add left to right,
+in row order, so they give the floats that row-by-row loops give.
 
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
@@ -75,9 +80,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cached_property, reduce
 from itertools import chain, pairwise
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -173,8 +179,9 @@ class CostBook:
     """Per-stage, per-microbatch work and transfer durations (seconds).
 
     Normally built from the model and topology; tests may inject one to
-    run the scheduler over calibrated or synthetic (e.g. uniform) costs.
-    Lists are indexed [stage][microbatch]; sync_buckets is [stage][bucket].
+    run the scheduler over calibrated or synthetic (e.g. uniform) costs,
+    none of them negative. Lists are indexed [stage][microbatch];
+    sync_buckets is [stage][bucket].
     """
 
     fwd: list[list[float]]
@@ -184,26 +191,6 @@ class CostBook:
     p2p_fwd: list[list[float]]
     p2p_bwd: list[list[float]]
     sync_buckets: list[list[float]]
-
-    @classmethod
-    def uniform(
-        cls,
-        p: int,
-        m: int,
-        fwd: float,
-        bwd: float,
-        tp_comm: float = 0.0,
-        p2p: float = 0.0,
-    ) -> "CostBook":
-        return cls(
-            fwd=[[fwd] * m for _ in range(p)],
-            bwd=[[bwd] * m for _ in range(p)],
-            tp_fwd=[[tp_comm] * m for _ in range(p)],
-            tp_bwd=[[tp_comm] * m for _ in range(p)],
-            p2p_fwd=[[p2p] * m for _ in range(p)],
-            p2p_bwd=[[p2p] * m for _ in range(p)],
-            sync_buckets=[[] for _ in range(p)],
-        )
 
 
 class StageColumns(NamedTuple):
@@ -703,8 +690,8 @@ def run(
             model, stage, plan, topology, costmodel,
             partition, microbatches, workload,
         )
-    elif len(cost_book.fwd) != p or any(len(row) != m for row in cost_book.fwd):
-        raise ValueError("injected cost_book shape does not match (pp, microbatches)")
+    else:
+        _check_injected(cost_book, p, m)
 
     dual_stream = topology.chip.has_independent_comm_unit
     overlap_sync = (
@@ -714,11 +701,14 @@ def run(
     chunks = plan.fusion_chunks
 
     # each stage's slot rows in one flat list, four values a row: start,
-    # end, kind, microbatch (-1 for none). A sync records only its bucket
-    # starts (in sync_starts) and, in syncs, its stage's slot-row count;
-    # the ends are added and the rows placed after the loop (_trace_columns)
+    # end, kind, microbatch (-1 for none). A sync records three values in
+    # its stage's flat syncs list: the stage's slot-row count, the first
+    # bucket of its queued tail and the tail's entry free time; and in
+    # sync_starts the starts of the buckets before that tail. The tail's
+    # starts, every end and the rows' places come after the loop
+    # (_trace_columns)
     records: list[list] = [[] for _ in range(p)]
-    syncs: list[list[int]] = [[] for _ in range(p)]
+    syncs: list[list] = [[] for _ in range(p)]
     sync_starts: list[list[float]] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     # a single-stream chip's comm unit is its compute unit
@@ -817,14 +807,22 @@ def run(
             # stage's own p2p send are done; compute waits for the last
             free = produce_start = max(comp_free[i], comm_free[i])
             producing_compute = 0.0
-        syncs[i].append(len(records[i]) // 4)
-        # the max-plus chain free = max(ready_j, free) + dur_j
+        # the max-plus chain free = max(ready_j, free) + dur_j, stepped
+        # while free is behind the last readiness; ready_j and free never
+        # decrease, so from there on every bucket starts at free
+        last_ready = produce_start + producing_compute * n / n
         append = start_appends[i]
-        for j, dur in enumerate(buckets, 1):
+        j = 0
+        while free < last_ready:
+            j += 1
             ready = produce_start + producing_compute * j / n
             start = free if free > ready else ready  # max(ready, free)
             append(start)
-            free = start + dur
+            free = start + buckets[j - 1]
+        syncs[i].extend((len(records[i]) // 4, j, free))
+        # free = free + dur in turn, in C: builtin sum compensates (Python
+        # >= 3.12), and fsum and np.sum add in other orders
+        free = reduce(add, buckets[j:], free)
         comm_free[i] = free
         if not overlap_sync:
             comp_free[i] = free
@@ -848,16 +846,33 @@ def run(
     return trace
 
 
+def _check_injected(book: CostBook, p: int, m: int) -> None:
+    """Refuse an injected book of the wrong shape or with a negative
+    duration: a sync's queued tail needs durations >= 0, and a negative
+    interval would be dropped unseen. NaN and inf are not refused here."""
+    if len(book.fwd) != p or any(len(row) != m for row in book.fwd):
+        raise ValueError("injected cost_book shape does not match (pp, microbatches)")
+    for name in (f.name for f in fields(book)):
+        for i, row in enumerate(getattr(book, name)):
+            for k, value in enumerate(row):
+                if value < 0:
+                    raise ValueError(
+                        f"injected cost_book.{name}[{i}][{k}] is negative "
+                        f"({value!r})"
+                    )
+
+
 def _trace_columns(
-    records: list[list], syncs: list[list[int]],
+    records: list[list], syncs: list[list],
     sync_starts: list[list[float]], sync_buckets: list[list[float]],
 ) -> list[StageColumns]:
     """Each stage's columns from its flat slot record and its syncs.
 
-    `syncs[i]` holds, per sync of stage i, the slot rows recorded before
-    it. A sync's bucket rows (_sync_rows) go right after those, one slice
-    each, so placing them costs in proportion to syncs, not rows. Each
-    record is emptied once its rows are read.
+    `syncs[i]` holds three values per sync of stage i, the first the slot
+    rows recorded before it (the others are _sync_rows'). A sync's bucket
+    rows go right after those slot rows, one slice each, so placing them
+    costs in proportion to syncs, not rows. Each record is emptied once
+    its rows are read.
     """
     sync_rows, bounds = _sync_rows(syncs, sync_starts, sync_buckets)
     columns = []
@@ -868,7 +883,7 @@ def _trace_columns(
         # the slot rows before each sync and the sync's own rows, in turn
         pieces = []
         slot_at = 0
-        for cut in slot_cuts:
+        for cut in slot_cuts[::3]:
             pieces.append(rows[slot_at:cut])
             pieces.append(sync_rows[bounds[s]:bounds[s + 1]])
             slot_at = cut
@@ -883,41 +898,49 @@ def _trace_columns(
 
 
 def _sync_rows(
-    syncs: list[list[int]], sync_starts: list[list[float]],
+    syncs: list[list], sync_starts: list[list[float]],
     sync_buckets: list[list[float]],
 ) -> tuple[np.ndarray, list[int]]:
-    """Every sync bucket row of the run, in one array pass.
+    """Every sync bucket row of the run, from one (syncs x buckets) matrix.
 
-    `sync_starts[i]` holds the start of every bucket of stage i's
-    len(syncs[i]) syncs, in event order, and is emptied once read. A
-    bucket ends at its start plus its duration from sync_buckets[i]: the
-    event loop's own IEEE addition, so the ends are its floats. A bucket
-    is kept when it ends after it starts, as every row is.
+    `syncs[i]` holds three values per sync of stage i, in event order: the
+    slot rows before it, j and free; its buckets from j on queue, the
+    first at free. `sync_starts[i]` holds the starts the loop stepped
+    before each tail. Matrix row s is the run's sync s (stage order, then
+    event order): -0.0 before column j, free at j, then the durations
+    from j on, padded with zero durations to one column past the longest
+    list. A row-wise np.cumsum adds in order, so it gives the loop's fold
+    (-0.0 + x is x), and the stepped starts fill the columns before j,
+    row by row. A bucket ends at start + duration, the loop's own
+    addition, and is kept when it ends after it starts, as every row is,
+    so no padding is kept.
 
     Returns the kept rows (start, end, kind, microbatch), syncs in stage
     order then event order, and `bounds`, where the run's sync s has
     rows[bounds[s]:bounds[s + 1]].
     """
-    starts = []
-    for stage_starts in sync_starts:
-        starts.append(np.array(stage_starts, np.float64))
-        stage_starts.clear()
-    start = np.concatenate(starts)
-    counts = [len(stage_syncs) for stage_syncs in syncs]
-    end = start + np.concatenate([
-        np.tile(np.asarray(buckets, np.float64), count)
-        for buckets, count in zip(sync_buckets, counts)
-    ])
+    width = max(map(len, sync_buckets)) + 1
+    stage = np.repeat(np.arange(len(syncs)), [len(ss) // 3 for ss in syncs])
+    durations = np.array([
+        [*buckets, *[0.0] * (width - len(buckets))] for buckets in sync_buckets
+    ], np.float64)[stage]
+    meta = np.fromiter(chain.from_iterable(syncs), np.float64).reshape(-1, 3)
+    first, free = meta[:, 1].astype(np.intp), meta[:, 2]
+    stepped = np.arange(width) < first[:, None]
+    addends = np.empty_like(durations)
+    addends[:, 1:] = durations[:, :-1]
+    addends[stepped] = -0.0
+    addends[np.arange(len(first)), first] = free
+    start = np.cumsum(addends, axis=1)
+    start[stepped] = np.fromiter(chain.from_iterable(sync_starts), np.float64)
+    end = start + durations
     kept = end > start
     rows = np.empty((np.count_nonzero(kept), 4))
     rows[:, 0] = start[kept]
     rows[:, 1] = end[kept]
     rows[:, 2] = KIND_SYNC
     rows[:, 3] = -1
-    n = np.repeat([len(buckets) for buckets in sync_buckets], counts)
-    # each sync's first bucket, then the run's bucket count
-    edges = np.concatenate(([0], np.cumsum(n)))
-    bounds = np.concatenate(([0], np.cumsum(kept)))[edges]
+    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))
     return rows, bounds.tolist()
 
 

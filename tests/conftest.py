@@ -17,7 +17,7 @@ from vlmsim import (
     stage_by_name,
     stage_grad_bytes,
 )
-from vlmsim.engine import COMM, COMPUTE, StageColumns, Trace
+from vlmsim.engine import COMM, COMPUTE, CostBook, StageColumns, Trace
 
 PRESET_DIR = "presets"
 PRESETS = [
@@ -165,6 +165,20 @@ def make_topology(nodes=1, chips_per_node=8, intra_bw=3e11, inter_bw=2.5e10,
 def make_plan(dp=1, tp=1, pp=1, m=1, **kwargs):
     return ParallelismPlan(
         dp=dp, tp=tp, pp=pp, microbatches_per_step=m, **kwargs
+    )
+
+
+def uniform_book(p, m, fwd, bwd, tp_comm=0.0, p2p=0.0) -> CostBook:
+    """A CostBook of p stages and m microbatches, every slot costing the
+    same, with no sync buckets."""
+    return CostBook(
+        fwd=[[fwd] * m for _ in range(p)],
+        bwd=[[bwd] * m for _ in range(p)],
+        tp_fwd=[[tp_comm] * m for _ in range(p)],
+        tp_bwd=[[tp_comm] * m for _ in range(p)],
+        p2p_fwd=[[p2p] * m for _ in range(p)],
+        p2p_bwd=[[p2p] * m for _ in range(p)],
+        sync_buckets=[[] for _ in range(p)],
     )
 
 

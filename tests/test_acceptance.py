@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlmsim import (
-    CostBook,
     CostModelConfig,
     GradSyncPolicy,
     analytic_bubble,
@@ -55,6 +54,7 @@ from tests.conftest import (
     record_acceptance,
     stage_sync_bytes,
     syncs_per_step,
+    uniform_book,
 )
 
 ORACLE = Path(__file__).parent / "oracles" / "param_counts.csv"
@@ -78,7 +78,7 @@ def uniform_bubble(catalog, stage, p: int, m: int) -> float:
         costmodel=CostModelConfig(),
         seed=0,
         workload=fixed_workload(64),
-        cost_book=CostBook.uniform(p, m, fwd=1.0, bwd=2.0),
+        cost_book=uniform_book(p, m, fwd=1.0, bwd=2.0),
     )
     return measured_bubble(trace)
 
@@ -115,7 +115,7 @@ def fused_makespan(catalog, stage, chunks: int) -> float:
         costmodel=CostModelConfig(),
         seed=0,
         workload=fixed_workload(64),
-        cost_book=CostBook.uniform(1, 1, fwd=1.0, bwd=1.0, tp_comm=1.0),
+        cost_book=uniform_book(1, 1, fwd=1.0, bwd=1.0, tp_comm=1.0),
     )
     return trace.makespan
 

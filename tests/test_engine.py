@@ -40,6 +40,7 @@ from tests.conftest import (
     make_topology,
     row_order,
     trace_from_rows,
+    uniform_book,
 )
 
 
@@ -120,14 +121,18 @@ class TestFusedTime:
 def run_uniform(catalog, p, m, fwd=1.0, bwd=2.0, tp_comm=0.0, p2p=0.0,
                 dual=True, **plan_kw):
     """One replica, synthetic costs, fixed lengths; the scheduling testbed."""
+    book = uniform_book(p, m, fwd=fwd, bwd=bwd, tp_comm=tp_comm, p2p=p2p)
+    return run_book(catalog, book, dual=dual, **plan_kw)
+
+
+def run_book(catalog, book, dual=True, **plan_kw):
+    """run_uniform's testbed over an injected book of any costs."""
+    p, m = len(book.fwd), len(book.fwd[0])
     model = catalog["3B"]
     topo = make_topology(nodes=1, chips_per_node=max(p, 1), memory=1e18,
                          dual=dual)
     plan = make_plan(dp=1, tp=1, pp=p, m=m, **plan_kw)
-    from vlmsim.workload import stage_by_name
-
     stage = stage_by_name("general-knowledge-injection")
-    book = CostBook.uniform(p, m, fwd=fwd, bwd=bwd, tp_comm=tp_comm, p2p=p2p)
     return run(
         model,
         stage,
@@ -198,7 +203,7 @@ class TestScheduleTiming:
 
     def test_injected_book_shape_must_match(self, catalog, small_topology,
                                             full_stage, costmodel):
-        book = CostBook.uniform(2, 4, fwd=1.0, bwd=2.0)
+        book = uniform_book(2, 4, fwd=1.0, bwd=2.0)
         with pytest.raises(ValueError, match="cost_book shape"):
             run(
                 catalog["3B"],
@@ -295,7 +300,7 @@ class TestFusionInEngine:
     ):
         topo = make_topology(nodes=1, chips_per_node=2, memory=1e18)
         for k in range(1, 9):
-            book = CostBook.uniform(1, 2, fwd=0.0, bwd=1.0, tp_comm=0.8)
+            book = uniform_book(1, 2, fwd=0.0, bwd=1.0, tp_comm=0.8)
             trace = run(
                 catalog["3B"], full_stage,
                 make_plan(dp=1, tp=2, pp=1, m=2, fusion_chunks=k), topo,
@@ -652,8 +657,8 @@ class TestFiniteness:
         return run(
             config.model, config.stage, plan, config.topology,
             config.costmodel, config.seed, workload=config.workload,
-            cost_book=CostBook.uniform(plan.pp, plan.microbatches_per_step,
-                                       **costs),
+            cost_book=uniform_book(plan.pp, plan.microbatches_per_step,
+                                   **costs),
         )
 
     def test_nan_cost_is_rejected(self):
@@ -670,6 +675,26 @@ class TestFiniteness:
             trace = bare_trace([[(COMPUTE, start, end, "fwd", 0)]])
             with pytest.raises(AssertionError, match="not positive"):
                 trace.check_invariants()
+
+
+class TestInjectedBook:
+    """run() refuses an injected book with a negative duration: a sync's
+    queued tail and the record test assume durations >= 0."""
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(CostBook)]
+    )
+    def test_negative_duration_is_refused(self, catalog, name):
+        lists = [[0.5] * 3, [0.5, 0.5, -1e-12]]
+        book = dataclasses.replace(uniform_book(2, 3, fwd=1.0, bwd=2.0),
+                                   **{name: lists})
+        with pytest.raises(ValueError,
+                           match=rf"cost_book\.{name}\[1\]\[2\] is negative"):
+            run_book(catalog, book)
+
+    def test_negative_zero_is_not_negative(self, catalog):
+        book = uniform_book(2, 3, fwd=-0.0, bwd=2.0)
+        assert run_book(catalog, book).makespan > 0.0
 
 
 def flagship_run():

@@ -4,14 +4,16 @@
 bucket separately, and `reference_run` records each row through a `record`
 call with builtin `max`. The engine prices each distinct microbatch shape,
 bucket size and fused (lump, comp) pair once per run, records slot rows
-into one flat list per stage and of a sync only its bucket starts, whose
-ends it adds after the loop; both must give the same floats, bit for bit,
+into one flat list per stage, steps a sync's bucket chain only until
+its queue forms and folds the queued tail, and adds the tail's starts and
+every end after the loop; both must give the same floats, bit for bit,
 on every path. Traces are compared through their `stage_rows` view or
 their columns.
 """
 
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -75,6 +77,7 @@ from tests.conftest import (
     make_plan,
     make_topology,
     trace_from_rows,
+    uniform_book,
 )
 
 BOOK_FIELDS = ("fwd", "bwd", "tp_fwd", "tp_bwd", "p2p_fwd", "p2p_bwd",
@@ -589,7 +592,7 @@ def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
     `stage_buckets`, each syncing its list: forwards of 1 s, backwards of
     `bwd`, p2p sends of 0.1 s, no TP lump."""
     p = len(stage_buckets)
-    book = CostBook.uniform(p, m, fwd=1.0, bwd=bwd, p2p=0.1)
+    book = uniform_book(p, m, fwd=1.0, bwd=bwd, p2p=0.1)
     book = dataclasses.replace(
         book, sync_buckets=[list(buckets) for buckets in stage_buckets]
     )
@@ -619,8 +622,9 @@ OVERTAKING = [500.0, 1800.0, 100.0, 100.0, 500.0, 100.0]
 
 
 class TestSyncChainMatchesReference:
-    """The sync chain's rows, each bucket's end added to its start after
-    the loop, against the frozen per-row loop."""
+    """The sync chain's rows against the frozen per-row loop: the loop
+    steps a sync until its queue reaches the last bucket's readiness, and
+    the queued tail's starts and every end are added after it."""
 
     FREQUENCIES = pytest.mark.parametrize(
         "frequency", ["per_step", "per_microbatch"]
@@ -676,6 +680,110 @@ class TestSyncChainMatchesReference:
     @FREQUENCIES
     def test_producing_compute_zero(self, catalog, full_stage, frequency):
         self.check(catalog, full_stage, [OVERTAKING] * 2, frequency, bwd=0.0)
+
+    @pytest.mark.parametrize("second, rows", [
+        (3.0, [(2.0, 3.0), (3.0, 6.0), (6.0, 7.0), (7.0, 10.0)]),
+        (5.0, [(2.0, 3.0), (3.0, 8.0), (8.0, 9.0), (9.0, 14.0)]),
+    ])
+    def test_sync_entering_at_or_past_its_last_readiness(
+            self, catalog, full_stage, second, rows):
+        # one stage, backwards of 2 s: the first sync's buckets are ready at
+        # 2 and 3 s and it ends at 6 or 8 s; the second backward runs 4-6 s,
+        # so the second sync enters at or past its last readiness, 6 s, and
+        # queues from its first bucket on
+        trace = self.check(catalog, full_stage, [[1.0, second]],
+                           "per_microbatch", m=2)
+        assert sync_rows(trace, 0) == rows
+
+    def test_sync_crossing_into_its_queue_mid_chain(self, catalog,
+                                                    full_stage):
+        # ready at 1 + 2 j / 5 s: the short buckets wait for readiness, the
+        # third runs past the last readiness (3 s), and the last two queue
+        trace = self.check(catalog, full_stage, [[0.25, 0.25, 3.0, 1.0, 1.0]],
+                           "per_step", m=1)
+        rows = sync_rows(trace, 0)
+        assert [start for start, _ in rows[:3]] == [
+            1.0 + 2.0 * j / 5 for j in (1, 2, 3)
+        ]
+        assert [start for start, _ in rows[3:]] == [end for _, end in rows[2:4]]
+
+    def test_queue_test_reads_the_last_readiness(self, catalog, full_stage):
+        # the last readiness as the chain computes it, 1 + bwd * 3 / 3,
+        # rounds an ulp above 1 + bwd, where the second bucket ends: so
+        # the third still waits for its readiness
+        bwd = 0.6715145436308927
+        ready = [1.0 + bwd * j / 3 for j in (1, 2, 3)]
+        assert ready[2] > 1.0 + bwd
+        trace = self.check(catalog, full_stage,
+                           [[0.01, (1.0 + bwd) - ready[1], 0.5]], "per_step",
+                           m=1, bwd=bwd)
+        assert [start for start, _ in sync_rows(trace, 0)] == ready
+
+    @FREQUENCIES
+    def test_one_bucket(self, catalog, full_stage, frequency):
+        self.check(catalog, full_stage, [[0.5], [3.0], [1e-17]], frequency,
+                   m=4)
+
+    @FREQUENCIES
+    def test_stages_of_different_bucket_counts(self, catalog, full_stage,
+                                               frequency):
+        # the run's one matrix pads every sync to the longest list; a stage
+        # with no buckets syncs nothing
+        trace = self.check(catalog, full_stage,
+                           [[0.4] * 7, [], [0.2, 0.9], [1.5]], frequency, m=4)
+        syncs = 4 if frequency == "per_microbatch" else 1
+        assert [len(sync_rows(trace, i)) for i in range(4)] == [
+            n * syncs for n in (7, 0, 2, 1)
+        ]
+
+    @FREQUENCIES
+    def test_overlap_off_queues_every_bucket(self, catalog, full_stage,
+                                             frequency):
+        # every bucket is ready when the sync starts: each sync is one queue
+        stage_buckets = [[0.4] * 7, [0.2, 0.9]]
+        trace = self.check(catalog, full_stage, stage_buckets, frequency,
+                           m=3, overlap=False)
+        for i, buckets in enumerate(stage_buckets):
+            rows = sync_rows(trace, i)
+            for at in range(0, len(rows), len(buckets)):
+                queue = rows[at:at + len(buckets)]
+                assert all(start == prev_end for (_, prev_end), (start, _)
+                           in zip(queue, queue[1:]))
+
+    def test_queued_tail_adds_left_to_right(self, catalog, full_stage):
+        # the 3 s bucket, ready at 1 + 2 / 18 s, ends past the last
+        # readiness (3 s), so the sixteen 1e-16 s buckets and the last one
+        # queue. Each 1e-16 is under half an ulp of the queue's time (about
+        # 4.1 s, where an ulp is 8.9e-16), so added left to right they add
+        # nothing, while a compensated sum (math.fsum, builtin sum from
+        # Python 3.12) or their own sum added at once adds 1.6e-15
+        tiny = [1e-16] * 16
+        trace = self.check(catalog, full_stage, [[3.0, *tiny, 0.25]],
+                           "per_step", m=1)
+        (_, queued), (start, end) = sync_rows(trace, 0)
+        assert start == queued
+        assert trace.makespan == end == queued + 0.25
+        assert math.fsum([queued, *tiny]) > queued
+
+    @given(
+        stage_buckets=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+            min_size=1, max_size=3,
+        ),
+        # a chain of about `scale` times its backward: the queue forms late
+        # in the chain at small scales and from the first bucket at large
+        scale=st.floats(1e-3, 4.0),
+        frequency=st.sampled_from(["per_step", "per_microbatch"]),
+        m=st.integers(1, 4),
+        bwd=st.floats(1e-3, 8.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_queue_boundaries(self, catalog, full_stage,
+                                     stage_buckets, scale, frequency, m, bwd):
+        self.check(catalog, full_stage, [
+            [d * scale * bwd / len(buckets) for d in buckets]
+            for buckets in stage_buckets
+        ], frequency, m=m, bwd=bwd)
 
     @given(
         # one list per stage, so a duration taken from another stage's

@@ -48,6 +48,7 @@ from tests.conftest import (
     make_topology,
     row_order,
     trace_from_rows,
+    uniform_book,
 )
 
 
@@ -356,7 +357,7 @@ class TestGantt:
         # units later; the svg lanes must preserve that geometry
         topo = make_topology(nodes=1, chips_per_node=4, memory=1e18)
         plan = make_plan(dp=1, tp=1, pp=4, m=16)
-        book = CostBook.uniform(4, 16, fwd=1.0, bwd=2.0)
+        book = uniform_book(4, 16, fwd=1.0, bwd=2.0)
         trace = run(
             catalog["3B"], full_stage, plan, topo, costmodel, seed=0,
             workload=fixed_workload(64, budget=64), cost_book=book,
