@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 COMPONENTS = ("vision", "adapter", "lm")
 
 RECOMPUTE_POLICIES = ("none", "selective", "full")
@@ -281,14 +283,14 @@ def adapter_fwd_flops_per_tile(vision: VisionEncoderSpec, adapter: AdapterSpec) 
 
 def stage_flops(
     model: ModelSpec,
-    layers: int,
+    layers: int | np.ndarray,
     first: bool,
     last: bool,
-    microbatch: int,
-    seq_len: int,
+    microbatch: int | np.ndarray,
+    seq_len: int | np.ndarray,
     visual_tokens: int = 0,
     recompute: str = "none",
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(forward, backward) FLOPs of one pipeline stage for one microbatch.
 
     `layers` decoder layers over `microbatch` samples padded to `seq_len`;
@@ -297,9 +299,16 @@ def stage_flops(
     head. Backward is 2x forward plus the recompute extra: selective
     re-runs the attention score matmuls, full the decoder layers. Frozen
     components are charged a full backward too.
+
+    `layers`, `microbatch` and `seq_len` may be integer numpy arrays that
+    broadcast together: the FLOPs are then float64 arrays, each element the
+    float the scalar call gives, since every element takes the same IEEE
+    operations in the same order. That is how a step's distinct microbatch
+    shapes are priced in one call, for several stages at once.
     """
     lm = model.lm
-    tokens = float(microbatch * seq_len)
+    # the exact integer product, rounded to float once, as float() does
+    tokens = 1.0 * (microbatch * seq_len)
     layer_flops = lm_layer_fwd_flops_per_token(lm, seq_len)
     fwd = tokens * layers * layer_flops
     if last:
@@ -321,25 +330,28 @@ def stage_flops(
 
 def step_flops(
     model: ModelSpec,
-    microbatch: int,
-    seq_len: int,
+    microbatch: int | np.ndarray,
+    seq_len: int | np.ndarray,
     visual_tokens: int = 0,
     recompute: str = "none",
-) -> float:
+) -> float | np.ndarray:
     """Training FLOPs for one microbatch: forward + backward + recompute.
 
     The whole model taken as one pipeline stage (see stage_flops), so the
-    per-stage FLOPs of any layer partition add up to this.
+    per-stage FLOPs of any layer partition add up to this. Elementwise
+    over numpy arrays of sizes and lengths, as stage_flops is; every
+    element must pass the checks.
     """
     if recompute not in RECOMPUTE_POLICIES:
         raise ValueError(f"unknown recompute policy {recompute!r}")
-    if microbatch < 0:
+    if (np.asarray(microbatch) < 0).any():
         raise ValueError("microbatch must be >= 0")
-    if seq_len < 1:
+    if (np.asarray(seq_len) < 1).any():
         raise ValueError("seq_len must be >= 1")
-    if seq_len > model.lm.context_limit:
+    if (np.asarray(seq_len) > model.lm.context_limit).any():
         raise ValueError(
-            f"seq_len {seq_len} exceeds context limit {model.lm.context_limit}"
+            f"seq_len {np.max(seq_len)} exceeds context limit "
+            f"{model.lm.context_limit}"
         )
     fwd, bwd = stage_flops(
         model, model.lm.layers, True, True, microbatch, seq_len,

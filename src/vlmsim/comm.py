@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arch import ModelSpec
 from .cluster import stage_local_params
 from .workload import TrainingStage
@@ -30,27 +32,34 @@ class CollectiveCostModel:
 
 def collective_time(
     kind: str,
-    payload_bytes: float,
-    participants: int,
+    payload_bytes: float | np.ndarray,
+    participants: int | np.ndarray,
     model: CollectiveCostModel,
-) -> float:
-    """Ring collective completion time in seconds; 0 for a lone participant."""
+) -> float | np.ndarray:
+    """Ring collective completion time in seconds; 0 for a lone participant.
+
+    `payload_bytes` and `participants` may be numpy arrays that broadcast
+    together: the times are then a float64 array, each element the float
+    the scalar call gives (the same IEEE operations in the same order),
+    and every element must pass the checks. Scalars give a Python float.
+    """
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"unknown collective kind {kind!r}")
-    if participants < 1:
+    if (np.asarray(participants) < 1).any():
         raise ValueError("participants must be >= 1")
-    if payload_bytes < 0:
+    if (np.asarray(payload_bytes) < 0).any():
         raise ValueError("payload must be >= 0")
     n = participants
-    if n == 1:
-        return 0.0
     bw = model.bandwidth
     lat = model.latency_per_hop
     if kind == "allreduce":
-        return 2.0 * (n - 1) / n * payload_bytes / bw + 2.0 * (n - 1) * lat
-    if kind in ("allgather", "reducescatter"):
-        return (n - 1) / n * payload_bytes / bw + (n - 1) * lat
-    return payload_bytes / bw + lat  # p2p
+        time = 2.0 * (n - 1) / n * payload_bytes / bw + 2.0 * (n - 1) * lat
+    elif kind in ("allgather", "reducescatter"):
+        time = (n - 1) / n * payload_bytes / bw + (n - 1) * lat
+    else:  # p2p
+        time = payload_bytes / bw + lat
+    time = np.where(n == 1, 0.0, time)
+    return time if time.ndim else float(time)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,6 @@ class PipelineSchedule:
     microbatches: int
     slots: tuple[tuple[Slot, ...], ...]
 
-    def as_json_dict(self) -> dict:
-        return {
-            "stages": self.stages,
-            "microbatches": self.microbatches,
-            "slots": [[[kind, mb] for kind, mb in stage] for stage in self.slots],
-        }
-
 
 def in_flight(p: int, m: int, i: int) -> int:
     """The most forwards stage i of a p-stage 1F1B step over m

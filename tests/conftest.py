@@ -7,6 +7,7 @@ import pytest
 from vlmsim import (
     ChipSpec,
     CostModelConfig,
+    LanguageModelSpec,
     MemoryBreakdown,
     ParallelismPlan,
     SequenceLengthModel,
@@ -39,6 +40,20 @@ def row_order(row: Row) -> tuple:
     reproduces it with numpy, and tests sort by this key as reference.
     """
     return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
+
+
+# odd LM dimensions give FLOPs with full mantissas, so a change in the
+# order or grouping of their float operations shows in the last bits; the
+# catalog models' FLOPs are multiples of large powers of two
+ODD_LM = LanguageModelSpec(
+    hidden_size=4095, layers=81, kv_heads=5, head_size=63,
+    intermediate_size=11007, vocab_size=150001, embedding_tying=False,
+)
+
+
+def assert_identical(a, b):
+    # repr tells -0.0 from 0.0 and numpy.float64 from float, which == hides
+    assert repr(a) == repr(b)
 
 
 def trace_from_rows(stage_rows, **meta) -> Trace:

@@ -4,11 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlmsim.arch import (
+    RECOMPUTE_POLICIES,
     LanguageModelSpec,
     adapter_fwd_flops_per_tile,
     adapter_param_count,
@@ -25,6 +27,8 @@ from vlmsim.arch import (
     vision_param_count,
     visual_token_count,
 )
+
+from tests.conftest import ODD_LM, assert_identical
 
 ORACLES = Path(__file__).parent / "oracles"
 
@@ -226,6 +230,70 @@ class TestStageFlops:
         assert none[1] == 2.0 * none[0]
         assert selective[1] - none[1] == tokens * 7 * 4.0 * 2048 * lm.hidden_size
         assert full[1] - none[1] == none[0]
+
+
+class TestArrayShapes:
+    """stage_flops and step_flops over arrays of shapes: one definition,
+    each element the float its scalar call gives."""
+
+    shapes = st.lists(
+        st.tuples(st.integers(0, 64), st.sampled_from([1, 77, 4096, 30000])),
+        min_size=1, max_size=40,
+    )
+
+    @given(
+        shapes=shapes,
+        layers=st.lists(st.integers(0, 81), min_size=1, max_size=4),
+        first=st.booleans(),
+        last=st.booleans(),
+        visual=st.sampled_from([0, 77, 1792]),
+        recompute=st.sampled_from(RECOMPUTE_POLICIES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stage_flops_elementwise(self, catalog, shapes, layers, first,
+                                     last, visual, recompute):
+        # a column of layer counts against a row of shapes, as the cost
+        # book prices the stages between the first and the last
+        model = dataclasses.replace(catalog["70B"], lm=ODD_LM)
+        sizes, seqs = (np.array(column) for column in zip(*shapes))
+        fwd, bwd = stage_flops(model, np.array(layers)[:, None], first, last,
+                               sizes, seqs, visual, recompute)
+        assert fwd.dtype == bwd.dtype == np.float64
+        for r, count in enumerate(layers):
+            scalar = [
+                stage_flops(model, count, first, last, size, seq, visual,
+                            recompute)
+                for size, seq in shapes
+            ]
+            assert_identical((fwd[r].tolist(), bwd[r].tolist()),
+                             tuple(map(list, zip(*scalar))))
+
+    @given(shapes=shapes, visual=st.sampled_from([0, 77, 1792]),
+           recompute=st.sampled_from(RECOMPUTE_POLICIES))
+    @settings(max_examples=100, deadline=None)
+    def test_step_flops_elementwise(self, catalog, shapes, visual, recompute):
+        model = dataclasses.replace(catalog["70B"], lm=ODD_LM)
+        sizes, seqs = (np.array(column) for column in zip(*shapes))
+        assert_identical(
+            step_flops(model, sizes, seqs, visual, recompute).tolist(),
+            [step_flops(model, size, seq, visual, recompute)
+             for size, seq in shapes],
+        )
+
+    @pytest.mark.parametrize("size, seq", [
+        (-1, 4096), (1, 0), (1, 32769),
+    ])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_step_flops_refuses_a_bad_element_anywhere(self, catalog, size,
+                                                       seq, at):
+        model = catalog["8B"]
+        with pytest.raises(ValueError):
+            step_flops(model, size, seq)
+        sizes = np.full(5, 2)
+        seqs = np.full(5, 4096)
+        sizes[at], seqs[at] = size, seq
+        with pytest.raises(ValueError):
+            step_flops(model, sizes, seqs)
 
 
 class TestTiling:

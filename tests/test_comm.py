@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlmsim.cluster import partition_layers, stage_local_params
 from vlmsim.comm import (
+    COLLECTIVE_KINDS,
     CollectiveCostModel,
     GradSyncPolicy,
     collective_time,
@@ -14,6 +16,7 @@ from vlmsim.comm import (
 )
 from vlmsim.engine import COMPUTE, LABEL_SYNC, CostModelConfig, run
 from tests.conftest import (
+    assert_identical,
     fixed_workload,
     make_plan,
     make_topology,
@@ -98,6 +101,55 @@ class TestCollectiveTime:
         t = collective_time("allreduce", payload, n, cost)
         assert collective_time("allreduce", payload * 2, n, cost) > t
         assert collective_time("allreduce", payload, n + 1, cost) > t
+
+
+class TestCollectiveArrays:
+    """collective_time over arrays of payloads and participant counts: one
+    definition, each element the float its scalar call gives."""
+
+    @given(
+        payloads=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e13)), min_size=1,
+            max_size=20,
+        ),
+        kind=st.sampled_from(COLLECTIVE_KINDS),
+        n=st.sampled_from([1, 2, 5, 8]),
+        bw=st.floats(min_value=1e6, max_value=1e13),
+        lat=st.sampled_from([0.0, 5e-6, 1.1e-5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_payloads_equal_scalar_calls(self, payloads, kind, n, bw,
+                                               lat):
+        cost = CollectiveCostModel(latency_per_hop=lat, bandwidth=bw)
+        times = collective_time(kind, np.array(payloads), n, cost)
+        assert times.dtype == np.float64
+        assert_identical(
+            times.tolist(),
+            [collective_time(kind, payload, n, cost) for payload in payloads],
+        )
+
+    @pytest.mark.parametrize("kind", COLLECTIVE_KINDS)
+    @pytest.mark.parametrize("payload", [0.0, 1.0, 3e9 + 0.1])
+    def test_array_participants_equal_scalar_calls(self, kind, payload):
+        cost = CollectiveCostModel(latency_per_hop=5e-6, bandwidth=3e11)
+        participants = [1, 2, 5, 8]
+        times = collective_time(kind, payload, np.array(participants), cost)
+        assert_identical(
+            times.tolist(),
+            [collective_time(kind, payload, n, cost) for n in participants],
+        )
+
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_a_bad_element_anywhere_is_refused(self, at):
+        cost = CollectiveCostModel(latency_per_hop=0.0, bandwidth=1e11)
+        payloads = np.full(8, 1e6)
+        payloads[at] = -1.0
+        with pytest.raises(ValueError, match="payload must be >= 0"):
+            collective_time("allreduce", payloads, 2, cost)
+        participants = np.full(8, 4)
+        participants[at] = 0
+        with pytest.raises(ValueError, match="participants must be >= 1"):
+            collective_time("p2p", 1e6, participants, cost)
 
 
 def step_sync_bytes(model, stage, plan, policy) -> float:

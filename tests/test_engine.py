@@ -23,7 +23,7 @@ from vlmsim.engine import (
 from vlmsim.cluster import ConfigError, partition_layers
 from vlmsim.config import load_config
 from vlmsim.metrics import build_report
-from vlmsim.comm import GradSyncPolicy
+from vlmsim.comm import GradSyncPolicy, collective_time
 from vlmsim.schedule import (
     analytic_bubble,
     build_1f1b,
@@ -663,12 +663,18 @@ class TestFiniteness:
 
     def test_nan_cost_is_rejected(self):
         # NaN durations used to leave a 0-row trace with makespan nan
-        with pytest.raises(AssertionError, match="not finite"):
+        with pytest.raises(ValueError,
+                           match=r"cost_book\.fwd\[0\]\[0\] is not finite"):
             self.fusion_run(fwd=float("nan"), bwd=1.0)
 
     def test_infinite_cost_is_rejected(self):
-        with pytest.raises(AssertionError, match="makespan inf is not finite"):
+        with pytest.raises(ValueError,
+                           match=r"cost_book\.fwd\[0\]\[0\] is not finite"):
             self.fusion_run(fwd=float("inf"), bwd=1.0)
+
+    def test_infinite_makespan_is_not_finite(self):
+        with pytest.raises(AssertionError, match="makespan inf is not finite"):
+            bare_trace([[]], makespan=float("inf")).check_invariants()
 
     def test_nan_interval_is_not_positive(self):
         for start, end in ((float("nan"), 1.0), (0.0, float("nan"))):
@@ -678,8 +684,9 @@ class TestFiniteness:
 
 
 class TestInjectedBook:
-    """run() refuses an injected book with a negative duration: a sync's
-    queued tail and the record test assume durations >= 0."""
+    """run() refuses an injected book with a negative, NaN or infinite
+    duration: a sync's queued tail and the record test assume finite
+    durations >= 0."""
 
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(CostBook)]
@@ -690,6 +697,31 @@ class TestInjectedBook:
                                    **{name: lists})
         with pytest.raises(ValueError,
                            match=rf"cost_book\.{name}\[1\]\[2\] is negative"):
+            run_book(catalog, book)
+
+    @pytest.mark.parametrize("name", ["fwd", "bwd", "tp_bwd", "p2p_fwd"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_duration_is_refused(self, catalog, name, value):
+        # with bwd[1][1] = nan this book was accepted at makespan 11.2:
+        # max() keeps a NaN only in first place
+        book = uniform_book(2, 3, fwd=1.0, bwd=2.0, p2p=0.1)
+        getattr(book, name)[1][1] = value
+        with pytest.raises(ValueError,
+                           match=rf"cost_book\.{name}\[1\]\[1\] is not finite"):
+            run_book(catalog, book)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sync_bucket_is_refused(self, catalog, value):
+        # a NaN bucket was accepted with its row dropped; an inf one ended
+        # in an AssertionError on the makespan
+        book = dataclasses.replace(
+            uniform_book(2, 3, fwd=1.0, bwd=2.0, p2p=0.1),
+            sync_buckets=[[0.5, 0.5], [0.5, value, 0.5]],
+        )
+        with pytest.raises(
+            ValueError, match=r"cost_book\.sync_buckets\[1\]\[1\] is not finite"
+        ):
             run_book(catalog, book)
 
     def test_negative_zero_is_not_negative(self, catalog):
@@ -805,3 +837,23 @@ class TestStepFactsOnce:
         assert trace.memory == memory
         assert report.memory == memory
 
+
+class TestPricingCalls:
+    """A run prices its distinct microbatch shapes in array calls, so its
+    FLOP and collective calls grow with the stages, not stages x shapes."""
+
+    def test_calls_scale_with_stages_not_shapes(self, monkeypatch):
+        config = load_config("bench/workloads/multimodal-api.json")
+        flops = count_calls(monkeypatch, stage_flops)
+        collectives = count_calls(monkeypatch, collective_time)
+        trace = run(config.model, config.stage, config.plan, config.topology,
+                    config.costmodel, config.seed, workload=config.workload)
+        step_training_flops(trace, config.model, config.plan)
+        pp = config.plan.pp
+        shapes = set(zip(trace.microbatch_sizes, trace.microbatch_seq_lens))
+        assert pp == 4 and len(shapes) == 231
+        # the cost book's three (the first stage, the two between, the
+        # last) and one under step_flops
+        assert len(flops) == 3 + 1
+        # the TP lump's two, one p2p per kind of link, one for the buckets
+        assert len(collectives) <= 2 * pp

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from vlmsim import cli, engine
 from vlmsim.arch import (
-    LanguageModelSpec,
     adapter_fwd_flops_per_tile,
     lm_head_fwd_flops_per_token,
     lm_layer_fwd_flops_per_token,
@@ -72,8 +71,10 @@ from vlmsim.workload import (
     trainable_param_count,
 )
 from tests.conftest import (
+    ODD_LM,
     PRESET_DIR,
     PRESETS,
+    assert_identical,
     make_plan,
     make_topology,
     trace_from_rows,
@@ -354,11 +355,6 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
         microbatch_seq_lens=[max(b) for b in microbatches.batches],
         visual_tokens_per_sample=workload.visual_tokens_per_sample,
     )
-
-
-def assert_identical(a, b):
-    # repr tells -0.0 from 0.0 and numpy.float64 from float, which == hides
-    assert repr(a) == repr(b)
 
 
 @st.composite
@@ -840,13 +836,9 @@ class TestPricingWork:
     @settings(max_examples=200, deadline=None)
     def test_mfu_numerator_sums_in_batch_order(self, catalog, shapes, visual,
                                                recompute, dp):
-        # odd LM dimensions give per-batch FLOPs with full mantissas, so a
-        # sum taken in any other order (or as count * flops) differs; the
-        # catalog models' FLOPs are multiples of large powers of two
-        model = dataclasses.replace(catalog["70B"], lm=LanguageModelSpec(
-            hidden_size=4095, layers=81, kv_heads=5, head_size=63,
-            intermediate_size=11007, vocab_size=150001, embedding_tying=False,
-        ))
+        # per-batch FLOPs with full mantissas: a sum taken in any other
+        # order (or as count * flops) differs
+        model = dataclasses.replace(catalog["70B"], lm=ODD_LM)
         sizes, seqs = (list(column) for column in zip(*shapes))
         trace = trace_from_rows([[]], dp=dp, microbatch_sizes=sizes,
                                 microbatch_seq_lens=seqs,

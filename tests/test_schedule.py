@@ -27,7 +27,12 @@ class TestBuild1F1B:
         with open(ORACLES / "schedule_p3_m4.json") as f:
             golden = json.load(f)
         schedule = build_1f1b(golden["stages"], golden["microbatches"])
-        assert schedule.as_json_dict() == golden
+        assert {
+            "stages": schedule.stages,
+            "microbatches": schedule.microbatches,
+            "slots": [[[kind, mb] for kind, mb in stage]
+                      for stage in schedule.slots],
+        } == golden
 
     def test_warmup_depth_per_stage(self):
         schedule = build_1f1b(4, 16)
