@@ -284,8 +284,8 @@ def adapter_fwd_flops_per_tile(vision: VisionEncoderSpec, adapter: AdapterSpec) 
 def stage_flops(
     model: ModelSpec,
     layers: int | np.ndarray,
-    first: bool,
-    last: bool,
+    first: bool | np.ndarray,
+    last: bool | np.ndarray,
     microbatch: int | np.ndarray,
     seq_len: int | np.ndarray,
     visual_tokens: int = 0,
@@ -294,31 +294,32 @@ def stage_flops(
     """(forward, backward) FLOPs of one pipeline stage for one microbatch.
 
     `layers` decoder layers over `microbatch` samples padded to `seq_len`;
-    the first stage adds the vision encoder and adapter for `visual_tokens`
-    per sample (which already occupy part of `seq_len`), the last the LM
-    head. Backward is 2x forward plus the recompute extra: selective
-    re-runs the attention score matmuls, full the decoder layers. Frozen
-    components are charged a full backward too.
+    a `last` stage adds the LM head, and a `first` stage the vision
+    encoder and adapter for `visual_tokens` per sample (which already
+    occupy part of `seq_len`). Each end's term is added times its flag, so
+    a stage that holds neither adds +0.0 and keeps its float. Backward is
+    2x forward plus the recompute extra: selective re-runs the attention
+    score matmuls, full the decoder layers. Frozen components are charged
+    a full backward too.
 
-    `layers`, `microbatch` and `seq_len` may be integer numpy arrays that
-    broadcast together: the FLOPs are then float64 arrays, each element the
-    float the scalar call gives, since every element takes the same IEEE
-    operations in the same order. That is how a step's distinct microbatch
-    shapes are priced in one call, for several stages at once.
+    `layers`, `first`, `last`, `microbatch` and `seq_len` may be numpy
+    arrays (integer, or boolean flags) that broadcast together: the FLOPs
+    are then float64 arrays, each element the float the scalar call gives,
+    since every element takes the same IEEE operations in the same order.
+    That is how every stage and all of a step's distinct microbatch shapes
+    are priced in one call: stages down a column, shapes along a row.
     """
     lm = model.lm
     # the exact integer product, rounded to float once, as float() does
     tokens = 1.0 * (microbatch * seq_len)
     layer_flops = lm_layer_fwd_flops_per_token(lm, seq_len)
     fwd = tokens * layers * layer_flops
-    if last:
-        fwd += tokens * lm_head_fwd_flops_per_token(lm)
-    if first and visual_tokens > 0:
-        tiles = microbatch * (visual_tokens / model.vision.tokens_per_tile)
-        fwd += tiles * (
-            vision_fwd_flops_per_tile(model.vision)
-            + adapter_fwd_flops_per_tile(model.vision, model.adapter)
-        )
+    fwd = fwd + tokens * lm_head_fwd_flops_per_token(lm) * last
+    tiles = microbatch * (visual_tokens / model.vision.tokens_per_tile)
+    fwd = fwd + tiles * (
+        vision_fwd_flops_per_tile(model.vision)
+        + adapter_fwd_flops_per_tile(model.vision, model.adapter)
+    ) * first
     if recompute == "selective":
         extra = tokens * layers * 4.0 * seq_len * lm.hidden_size
     elif recompute == "full":

@@ -209,13 +209,14 @@ def cmd_sweep(
     point's directory), is refused. Every point's config is loaded and
     checked (check_config) before the first point runs, so a bad point
     fails the sweep, named by its directory, before anything is written;
-    each point then makes the runs its check returned.
+    each point then makes the runs its check returned. The base document
+    is loaded only when there are no axes, so a base that its axes
+    override into valid points sweeps.
     At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
-    base_config = load_config(copy.deepcopy(doc))
     if not axes:
-        cmd_simulate(base_config, out_dir)
+        cmd_simulate(load_config(copy.deepcopy(doc)), out_dir)
         return EXIT_OK
 
     axis_keys = [key for key, _ in axes]

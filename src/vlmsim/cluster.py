@@ -28,6 +28,7 @@ later stage more layers.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,15 +146,15 @@ class ConfigError(ValueError):
 
 
 def partition_layers(model: ModelSpec, pp: int, balance: str = "uniform") -> list[int]:
-    """Split decoder layers over pp stages.
-
-    Uniform mode differs by at most one layer, extras to the earliest
-    stages. Cost-balanced mode minimizes the max per-stage cost under a
-    parameter-MAC proxy where the first stage carries an embedding extra
-    and the last a head extra (both hidden*vocab MACs), so both ends get
-    fewer layers than uniform; the exact integer min-max is found by
-    bisection on the stage cost bound. The cost book prices no embedding
-    MACs, and vision and attention FLOPs are not in the proxy.
+    """Split decoder layers over pp stages by water-filling: every stage
+    starts with one layer, and each further layer goes to the stage it
+    leaves cheapest, the earliest on a tie. A stage costs its layers times
+    a layer's params, plus hidden*vocab (an embedding, a head) on the first
+    and the last stage in cost-balanced mode only; uniform counts thus
+    differ by at most one, extras to the earliest stages. The split
+    min-maxes the stage cost and, among such splits, has the smallest
+    descending stage costs. The cost book prices no embedding MACs, and
+    the proxy holds no vision or attention FLOPs.
     """
     layers = model.lm.layers
     if pp < 1:
@@ -163,47 +164,19 @@ def partition_layers(model: ModelSpec, pp: int, balance: str = "uniform") -> lis
     if balance not in LAYER_BALANCE_MODES:
         raise ValueError(f"unknown layer balance mode {balance!r}")
 
-    if balance == "uniform":
-        base, rem = divmod(layers, pp)
-        return [base + 1] * rem + [base] * (pp - rem)
-
     per_layer = lm_layer_param_count(model.lm)
-    boundary = model.lm.hidden_size * model.lm.vocab_size
+    boundary = model.lm.hidden_size * model.lm.vocab_size * (balance == "cost-balanced")
     extras = [0] * pp
     extras[0] += boundary
     extras[-1] += boundary
-
-    def capacity(bound: int) -> list[int] | None:
-        counts = []
-        for extra in extras:
-            cap = (bound - extra) // per_layer
-            if cap < 1:
-                return None
-            counts.append(min(cap, layers))
-        return counts if sum(counts) >= layers else None
-
-    lo, hi = per_layer, layers * per_layer + max(extras)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if capacity(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    counts = capacity(lo)
-    assert counts is not None
-    excess = sum(counts) - layers
-    while excess > 0:
-        # shave the costliest stage; rightmost wins ties for determinism
-        best = None
-        for i in range(pp):
-            if counts[i] <= 1:
-                continue
-            cost = counts[i] * per_layer + extras[i]
-            if best is None or cost >= best[0]:
-                best = (cost, i)
-        assert best is not None
-        counts[best[1]] -= 1
-        excess -= 1
+    counts = [1] * pp
+    # (cost of the stage with one more layer, stage)
+    heap = [(2 * per_layer + extra, i) for i, extra in enumerate(extras)]
+    heapq.heapify(heap)
+    for _ in range(layers - pp):
+        cost, i = heap[0]
+        counts[i] += 1
+        heapq.heapreplace(heap, (cost + per_layer, i))
     return counts
 
 

@@ -45,10 +45,10 @@ Durations depend on a microbatch only through its shape, so the cost book
 indexes the step's distinct (microbatch size, padded length) shapes once
 and prices them all in one array expression per quantity: arch.stage_flops
 and comm.collective_time work elementwise on numpy arrays, each element
-the float of the scalar call. The FLOPs take three calls (the first stage,
-the stages between, their layer counts down a column, and the last), the
-TP lump one or two and the p2p one per kind of link; a gather by the
-index fills every [stage][microbatch] list. The run's distinct sync
+the float of the scalar call. The FLOPs take one call over every stage
+(its layer count and first/last flags down a column, the shapes along a
+row), the TP lump one or two and the p2p one per kind of link; a gather by
+the index fills every [stage][microbatch] list. The run's distinct sync
 bucket sizes are priced in one call as well. Nothing is cached across
 runs.
 
@@ -492,8 +492,9 @@ def build_cost_book(
 
     A microbatch's durations depend only on its shape (sample count, padded
     length), so the distinct shapes are indexed once and priced in array
-    calls whose number does not grow with them (see the module docstring);
-    a gather by the index repeats the values across the microbatches. The
+    calls whose number does not grow with them: one stage_flops call for
+    every stage and shape, and the collectives of the module docstring; a
+    gather by the index repeats the values across the microbatches. The
     run's distinct sync bucket sizes are priced in one call too.
     """
     p = plan.pp
@@ -522,21 +523,15 @@ def build_cost_book(
     if plan.sequence_parallel:
         boundary_bytes = boundary_bytes / tp
 
-    # priced[field, stage, shape], fields in CostBook order
+    # priced[field, stage, shape], fields in CostBook order; every stage
+    # in one call, its layer count and end flags down a column
     priced = np.zeros((6, p, len(sizes)))
     layers = np.array(partition)[:, None]
-    # the first stage, the stages between it and the last in one call
-    # (their layer counts down a column), and the last
-    groups = [(0, 1, True, p == 1)]
-    if p > 2:
-        groups.append((1, p - 1, False, False))
-    if p > 1:
-        groups.append((p - 1, p, False, True))
-    for start, stop, first, last in groups:
-        priced[:2, start:stop] = stage_flops(
-            model, layers[start:stop], first, last, sizes, seqs,
-            workload.visual_tokens_per_sample, plan.recompute,
-        )
+    stage_index = np.arange(p)[:, None]
+    priced[:2] = stage_flops(
+        model, layers, stage_index == 0, stage_index == p - 1, sizes, seqs,
+        workload.visual_tokens_per_sample, plan.recompute,
+    )
     priced[:2] /= chip_rate
     priced[2:4] = layers * per_layer
     # a stage sends forward over the boundary after it and backward over
@@ -869,15 +864,19 @@ def run(
 
 
 def _check_injected(book: CostBook, p: int, m: int) -> None:
-    """Refuse an injected book of the wrong shape or with a duration that
-    is NaN, infinite or negative. A NaN or an inf can leave an accepted
-    run with a finite makespan (max keeps a NaN only in first place) or
-    a dropped row; a sync's queued tail needs durations >= 0, and a
-    negative interval would be dropped unseen."""
-    if len(book.fwd) != p or any(len(row) != m for row in book.fwd):
-        raise ValueError("injected cost_book shape does not match (pp, microbatches)")
+    """Refuse an injected book of the wrong shape (pp rows, of m entries
+    except in sync_buckets) or with a duration that is NaN, infinite or
+    negative. A NaN or an inf can leave an accepted run with a finite
+    makespan (max keeps a NaN only in first place) or a dropped row; a
+    sync's queued tail needs durations >= 0, and a negative interval would
+    be dropped unseen."""
     for name in (f.name for f in fields(book)):
-        for i, row in enumerate(getattr(book, name)):
+        rows = getattr(book, name)
+        if len(rows) != p or (name != "sync_buckets"
+                              and any(len(row) != m for row in rows)):
+            raise ValueError(f"injected cost_book shape of {name} does not "
+                             f"match (pp, microbatches) = ({p}, {m})")
+        for i, row in enumerate(rows):
             for k, value in enumerate(row):
                 if not math.isfinite(value):
                     raise ValueError(

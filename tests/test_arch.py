@@ -252,8 +252,8 @@ class TestArrayShapes:
     @settings(max_examples=300, deadline=None)
     def test_stage_flops_elementwise(self, catalog, shapes, layers, first,
                                      last, visual, recompute):
-        # a column of layer counts against a row of shapes, as the cost
-        # book prices the stages between the first and the last
+        # a column of layer counts against a row of shapes, with scalar
+        # end flags shared by every stage
         model = dataclasses.replace(catalog["70B"], lm=ODD_LM)
         sizes, seqs = (np.array(column) for column in zip(*shapes))
         fwd, bwd = stage_flops(model, np.array(layers)[:, None], first, last,
@@ -266,6 +266,30 @@ class TestArrayShapes:
                 for size, seq in shapes
             ]
             assert_identical((fwd[r].tolist(), bwd[r].tolist()),
+                             tuple(map(list, zip(*scalar))))
+
+    @pytest.mark.parametrize("recompute", RECOMPUTE_POLICIES)
+    @pytest.mark.parametrize("visual", [0, 1792])
+    @pytest.mark.parametrize("pp", [1, 2, 3, 5, 8])
+    def test_stage_flops_with_end_flag_columns(self, catalog, pp, visual,
+                                               recompute):
+        # every stage in one call, as the cost book prices them: layer
+        # counts and boolean first/last flags down a column
+        model = dataclasses.replace(catalog["70B"], lm=ODD_LM)
+        layers = [7, 1, 12, 3, 9, 4, 6, 2][:pp]
+        sizes = np.array([1, 3, 0, 17, 64])
+        seqs = np.array([4096, 77, 1, 30000, 2048])
+        stage = np.arange(pp)[:, None]
+        fwd, bwd = stage_flops(model, np.array(layers)[:, None], stage == 0,
+                               stage == pp - 1, sizes, seqs, visual, recompute)
+        assert fwd.shape == bwd.shape == (pp, len(sizes))
+        for i, count in enumerate(layers):
+            scalar = [
+                stage_flops(model, count, i == 0, i == pp - 1, int(size),
+                            int(seq), visual, recompute)
+                for size, seq in zip(sizes, seqs)
+            ]
+            assert_identical((fwd[i].tolist(), bwd[i].tolist()),
                              tuple(map(list, zip(*scalar))))
 
     @given(shapes=shapes, visual=st.sampled_from([0, 77, 1792]),

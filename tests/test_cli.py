@@ -392,6 +392,38 @@ class TestSweep:
         ) in err
         assert not out.exists()
 
+    def test_base_the_axes_make_valid_sweeps(self, tmp_path, capsys):
+        # pp=3 does not fit the 8-chip topology; every point sets pp=8.
+        # The base's own violation used to refuse the sweep, naming no point
+        with open(BUBBLE_PRESET) as f:
+            doc = json.load(f)
+        doc["plan"].update(pp=3, microbatches_per_step=16)
+        config = tmp_path / "pp3.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config),
+                     "--axis", "plan.pp=8",
+                     "--axis", "plan.microbatches_per_step=16,32",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["plan.microbatches_per_step"] for row in rows] == [
+            "16", "32"
+        ]
+        for m in (16, 32):
+            point = out / f"plan.pp=8__plan.microbatches_per_step={m}"
+            assert (point / "report.json").is_file()
+
+        # a point that keeps the base's pp is still refused, by its name
+        bad = tmp_path / "bad"
+        code = main(["sweep", "--config", str(config),
+                     "--axis", "plan.pp=8,3", "--out", str(bad)])
+        assert code == EXIT_VALIDATION
+        assert ("error: point plan.pp=3: plan does not fit topology: "
+                "dp*tp*pp = 3") in capsys.readouterr().err
+        assert not bad.exists()
+
     def test_two_axis_cartesian_product(self, tmp_path):
         config = sweepable_config(tmp_path)
         out = tmp_path / "grid"

@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlmsim import engine
-from vlmsim.arch import lm_layer_param_count
+from vlmsim.arch import LanguageModelSpec, lm_layer_param_count
 from vlmsim.cluster import (
     ChipSpec,
     ConfigError,
@@ -55,8 +58,8 @@ class TestPartition:
                 assert balanced[-1] <= uniform[-1]
 
     def test_cost_balanced_minimizes_max_stage_cost(self, catalog):
-        # bisection result must beat (or tie) the uniform split under the
-        # same cost proxy
+        # the cost-balanced split must beat (or tie) the uniform split
+        # under the same cost proxy
         model = catalog["70B"]
         per_layer = lm_layer_param_count(model.lm)
         boundary = model.lm.hidden_size * model.lm.vocab_size
@@ -95,6 +98,69 @@ class TestPartition:
             assert len(part) == pp
             assert sum(part) == model.lm.layers
             assert min(part) >= 1
+
+
+def compositions(layers, pp):
+    """Every split of `layers` into `pp` stages of at least one layer."""
+    for cuts in itertools.combinations(range(1, layers), pp - 1):
+        bounds = (0, *cuts, layers)
+        yield [b - a for a, b in itertools.pairwise(bounds)]
+
+
+@st.composite
+def lm_sheets(draw):
+    """A small LM sheet whose boundary cost (hidden * vocab) is up to
+    twelve layers' cost, often an exact multiple of a half, a third or a
+    quarter of it, so that stage costs tie."""
+    head_size = draw(st.sampled_from([1, 2, 8]))
+    kv_heads = draw(st.integers(1, 4))
+    hidden = head_size * kv_heads * draw(st.integers(1, 4))
+    intermediate = draw(st.integers(1, 64))
+    # a layer costs hidden * unit params
+    unit = 2 * hidden + 2 * kv_heads * head_size + 3 * intermediate
+    vocab = draw(st.one_of(
+        st.integers(1, 6 * unit),
+        st.builds(lambda k, d: max(1, k * unit // d),
+                  st.integers(0, 12), st.sampled_from([1, 2, 3, 4])),
+    ))
+    return LanguageModelSpec(
+        hidden_size=hidden, layers=draw(st.integers(1, 12)),
+        kv_heads=kv_heads, head_size=head_size,
+        intermediate_size=intermediate, vocab_size=vocab,
+        embedding_tying=False,
+    )
+
+
+class TestPartitionOracle:
+    """partition_layers against every composition of a small model: the
+    split min-maxes the stage cost, and it is the composition whose stage
+    costs, sorted in descending order, are lexicographically smallest,
+    ties going to more layers on earlier stages."""
+
+    @given(lm=lm_sheets())
+    @settings(max_examples=300, deadline=None)
+    def test_split_is_the_lexicographic_min_max(self, catalog, lm):
+        model = dataclasses.replace(catalog["8B"], lm=lm)
+        per_layer = lm_layer_param_count(lm)
+        for balance in ("uniform", "cost-balanced"):
+            boundary = lm.hidden_size * lm.vocab_size
+            if balance == "uniform":
+                boundary = 0
+
+            def costs(counts):
+                costs = [n * per_layer for n in counts]
+                costs[0] += boundary
+                costs[-1] += boundary
+                return costs
+
+            for pp in range(1, lm.layers + 1):
+                split = partition_layers(model, pp, balance)
+                every = list(compositions(lm.layers, pp))
+                assert max(costs(split)) == min(max(costs(c)) for c in every)
+                best = min(every, key=lambda c: (
+                    sorted(costs(c), reverse=True), [-n for n in c]
+                ))
+                assert split == best, (balance, pp)
 
 
 class TestStageLocals:

@@ -724,6 +724,30 @@ class TestInjectedBook:
         ):
             run_book(catalog, book)
 
+    @pytest.mark.parametrize("name, i, change", [
+        # a short row ended the event loop in an IndexError
+        ("bwd", 1, lambda row: row.pop()),
+        # a long row was read in part: accepted at makespan 12.4
+        ("p2p_fwd", 0, lambda row: row.append(0.1)),
+        ("tp_bwd", 1, lambda row: row.pop()),
+    ])
+    def test_every_list_must_be_pp_by_m(self, catalog, name, i, change):
+        book = uniform_book(2, 3, fwd=1.0, bwd=2.0, p2p=0.1)
+        change(getattr(book, name)[i])
+        with pytest.raises(ValueError,
+                           match=rf"cost_book shape of {name} does not match"):
+            run_book(catalog, book)
+
+    @pytest.mark.parametrize("rows", [[[]], [[], [], []]])
+    def test_sync_buckets_must_be_pp_rows(self, catalog, rows):
+        book = dataclasses.replace(
+            uniform_book(2, 3, fwd=1.0, bwd=2.0, p2p=0.1), sync_buckets=rows
+        )
+        with pytest.raises(
+            ValueError, match=r"cost_book shape of sync_buckets does not match"
+        ):
+            run_book(catalog, book)
+
     def test_negative_zero_is_not_negative(self, catalog):
         book = uniform_book(2, 3, fwd=-0.0, bwd=2.0)
         assert run_book(catalog, book).makespan > 0.0
@@ -852,8 +876,17 @@ class TestPricingCalls:
         pp = config.plan.pp
         shapes = set(zip(trace.microbatch_sizes, trace.microbatch_seq_lens))
         assert pp == 4 and len(shapes) == 231
-        # the cost book's three (the first stage, the two between, the
-        # last) and one under step_flops
-        assert len(flops) == 3 + 1
+        # the cost book's one, every stage down a column, and one under
+        # step_flops
+        assert len(flops) == 1 + 1
         # the TP lump's two, one p2p per kind of link, one for the buckets
         assert len(collectives) <= 2 * pp
+
+    @pytest.mark.parametrize("pp", [1, 2, 3, 8])
+    def test_one_flops_call_at_any_pp(self, monkeypatch, catalog, pp):
+        flops = count_calls(monkeypatch, stage_flops, engine)
+        run(catalog["3B"], stage_by_name("general-knowledge-injection"),
+            make_plan(dp=1, tp=1, pp=pp, m=4),
+            make_topology(chips_per_node=pp, memory=1e18), CostModelConfig(),
+            seed=0, workload=fixed_workload(64))
+        assert len(flops) == 1
