@@ -128,27 +128,26 @@ def cmd_simulate(
     five artifacts; returns the report."""
     trace, report = execute(config, runs)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a path is recorded before its write starts, so a write that fails
+    # part way removes its own partial file along with the ones before it
     written: list[Path] = []
+
+    def started(name: str) -> Path:
+        written.append(out_dir / name)
+        return written[-1]
+
     try:
         for name, content in (
             ("report.json", emit_report(report, "json")),
             ("report.csv", emit_report(report, "csv")),
         ):
-            path = out_dir / name
-            path.write_text(content)
-            written.append(path)
-        path = out_dir / "trace.jsonl"
-        trace.write_jsonl(path)
-        written.append(path)
-        path = out_dir / "gantt.svg"
-        emit_gantt(trace, path)
-        written.append(path)
-        path = out_dir / "resolved_config.json"
-        path.write_text(
+            started(name).write_text(content)
+        trace.write_jsonl(started("trace.jsonl"))
+        emit_gantt(trace, started("gantt.svg"))
+        started("resolved_config.json").write_text(
             json.dumps(resolved_config_dict(config), indent=2, sort_keys=True)
             + "\n"
         )
-        written.append(path)
     except OSError:
         for path in written:
             try:

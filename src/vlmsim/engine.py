@@ -78,9 +78,11 @@ in row order, so they give the floats that row-by-row loops give.
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
 np.lexsort permutation. trace.jsonl is assembled from it by gathers, a
-block of rows at a time, formatting each distinct time of a block once,
-and gantt.svg draws each (stage, resource) lane's first rows from it
-once, as a def that every chip's lane of that stage places with <use>.
+chunk of rows at a time in that order across stage boundaries, formatting
+each distinct time of a chunk once. gantt.svg gathers the first rows of
+each drawn (stage, resource) lane from it, formats every x and width of
+the chart in one pass, and draws each lane once, as a def that every
+chip's lane of that stage places with <use>.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
-from itertools import chain, pairwise
+from itertools import chain
 from operator import add
 from typing import NamedTuple
 
@@ -143,10 +145,12 @@ KINDS = (
 )
 KIND_FWD, KIND_BWD, KIND_COLLECTIVE, KIND_P2P, KIND_SYNC = range(len(KINDS))
 
-# Rows trace.jsonl formats and joins at a time, in writing order: it bounds
-# the writer's memory, and a time recurs within a few rows of that order,
-# so a block dedupes its times about as well as its whole stage does.
-JSONL_BLOCK_ROWS = 2048
+# Rows trace.jsonl formats and joins at a time, taken in writing order
+# across stage boundaries. It bounds the writer's memory: about 1.5 MiB at
+# once with the chunk before's texts kept for their hand-offs. A time
+# recurs within a few rows of that order, so a chunk of this size, handed
+# the chunk before's texts, formats about as few times as whole stages do.
+JSONL_CHUNK_ROWS = 4096
 
 # Largest run accepted, in estimated trace rows of one replica (see
 # check_work_bound). The deepest planning point in use, pp=80 with 4096
@@ -355,16 +359,21 @@ class Trace:
             handle.writelines(self._jsonl_texts())
 
     def _jsonl_texts(self):
-        """The meta line, then blocks of interval lines, each line ending in
+        """The meta line, then chunks of interval lines, each line ending in
         a newline.
 
         A line is six fragments: the head (stage and resource), start,
-        ',"end":', end, the label and the microbatch. Heads and labels are
-        formatted once per kind, and each distinct microbatch once per
-        stage. Times are told apart by bit pattern, so -0.0 and 0.0 stay
-        apart. Each distinct time of a block is formatted once, and a time
-        two adjacent stages share once for both (_time_texts). Times are
-        finite (check_invariants).
+        ',"end":', end, the label and the microbatch. Heads are formatted
+        once per (stage, kind), labels once per kind and microbatches once
+        per trace, into a table indexed by microbatch + 1 (-1 and below
+        print null). The rows are taken JSONL_CHUNK_ROWS at a time in
+        writing order, stage after stage, so a chunk may span the end of
+        one stage and the start of the next. Each distinct time of a chunk
+        is formatted once: times are told apart by bit pattern, so -0.0 and
+        0.0 stay apart, and a time the chunk before also held takes that
+        chunk's text (_time_texts), which carries the hand-off times two
+        adjacent stages share across the boundary. Times are finite
+        (check_invariants).
         """
         yield json.dumps(
             {
@@ -379,67 +388,77 @@ class Trace:
             },
             separators=(",", ":"),
         ) + "\n"
+        resources = [json.dumps(res) for res, _ in self.kinds]
+        heads = np.array([
+            f'{{"stage":{stage},"resource":{res},"start":'
+            for stage in range(len(self.stage_columns)) for res in resources
+        ], object)
         label_texts = np.array([
             f',"label":{json.dumps(label)},"microbatch":'
             for _, label in self.kinds
         ], object)
-        # the times a stage shares with the stage before or after it (the
-        # hand-offs) are formatted once for both, and kept for its blocks
-        handed_in = (np.empty(0, np.int64), np.empty(0, object))
-        neighbours = pairwise(chain(
-            map(_time_bits, self.stage_columns), [np.empty(0, np.int64)]
-        ))
-        for stage, (cols, order, (bits, next_bits)) in enumerate(
-            zip(self.stage_columns, self.writer_order, neighbours)
-        ):
-            shared = np.zeros(len(bits), bool)
-            for other in (handed_in[0], next_bits):
-                _, at, _ = np.intersect1d(
-                    bits, other, assume_unique=True, return_indices=True
-                )
-                shared[at] = True
-            known = (bits[shared], _time_texts(bits[shared], *handed_in))
-            heads = np.array([
-                f'{{"stage":{stage},"resource":{json.dumps(res)},"start":'
-                for res, _ in self.kinds
-            ], object)
-            # each distinct microbatch of the stage is formatted once
-            microbatches, microbatch_code = np.unique(
-                cols.microbatch, return_inverse=True
+        # the text of each microbatch the trace holds, at microbatch + 1
+        top = max((int(cols.microbatch.max(initial=-1))
+                   for cols in self.stage_columns), default=-1)
+        present = np.zeros(top + 2, bool)
+        for cols in self.stage_columns:
+            present[np.maximum(cols.microbatch, -1) + 1] = True
+        microbatch_texts = np.empty(top + 2, object)
+        microbatch_texts[present] = [
+            f'{"null" if code == 0 else code - 1}}}\n'
+            for code in np.flatnonzero(present).tolist()
+        ]
+        known = (np.empty(0, np.int64), np.empty(0, object))
+        for pieces in self._writer_chunks():
+            start, end, kind, microbatch = (
+                np.concatenate([
+                    getattr(cols, name)[rows] for _, cols, rows in pieces
+                ])
+                for name in StageColumns._fields
             )
-            microbatch_texts = np.array([
-                f'{"null" if mb < 0 else mb}}}\n'
-                for mb in microbatches.tolist()
-            ], object)
-            for first in range(0, len(order), JSONL_BLOCK_ROWS):
-                rows = order[first:first + JSONL_BLOCK_ROWS]
-                n = len(rows)
-                kind = cols.kind[rows]
-                block_bits, inverse = np.unique(
-                    np.concatenate((cols.start[rows], cols.end[rows]))
-                    .view(np.int64),
-                    return_inverse=True,
-                )
-                times = _time_texts(block_bits, *known)[inverse]
-                fragments = [',"end":'] * (6 * n)
-                fragments[0::6] = heads[kind].tolist()
-                fragments[1::6] = times[:n].tolist()
-                fragments[3::6] = times[n:].tolist()
-                fragments[4::6] = label_texts[kind].tolist()
-                fragments[5::6] = (
-                    microbatch_texts[microbatch_code[rows]].tolist()
-                )
-                yield "".join(fragments)
-            handed_in = known
+            head = np.concatenate([
+                cols.kind[rows].astype(np.intp) + stage * len(self.kinds)
+                for stage, cols, rows in pieces
+            ])
+            n = len(start)
+            bits, inverse = np.unique(
+                np.concatenate((start, end)).view(np.int64),
+                return_inverse=True,
+            )
+            known = (bits, _time_texts(bits, *known))
+            times = known[1][inverse]
+            fragments = [',"end":'] * (6 * n)
+            fragments[0::6] = heads[head].tolist()
+            fragments[1::6] = times[:n].tolist()
+            fragments[3::6] = times[n:].tolist()
+            fragments[4::6] = label_texts[kind].tolist()
+            fragments[5::6] = microbatch_texts[
+                np.maximum(microbatch, -1) + 1
+            ].tolist()
+            yield "".join(fragments)
 
-
-def _time_bits(cols: StageColumns) -> np.ndarray:
-    """A stage's distinct times as int64 bit patterns, ascending; -0.0 and
-    0.0 differ. (np.unique without an inverse would import numpy.ma.)"""
-    bits = np.sort(np.concatenate((cols.start, cols.end)).view(np.int64))
-    first = np.ones(len(bits), bool)
-    first[1:] = bits[1:] != bits[:-1]
-    return bits[first]
+    def _writer_chunks(self):
+        """The rows in writing order, stage after stage, JSONL_CHUNK_ROWS at
+        a time (the last chunk may hold fewer): each chunk a list of
+        (stage, its columns, positions of its rows) pieces, one per stage
+        the chunk reaches."""
+        pieces = []
+        room = JSONL_CHUNK_ROWS
+        for stage, (cols, order) in enumerate(
+            zip(self.stage_columns, self.writer_order)
+        ):
+            first = 0
+            while first < len(order):
+                rows = order[first:first + room]
+                pieces.append((stage, cols, rows))
+                first += len(rows)
+                room -= len(rows)
+                if not room:
+                    yield pieces
+                    pieces = []
+                    room = JSONL_CHUNK_ROWS
+        if pieces:
+            yield pieces
 
 
 def _time_texts(

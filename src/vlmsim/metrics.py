@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -248,47 +249,51 @@ _GANTT_COLORS = {
 }
 
 
-def _lane_def(
-    trace: Trace, stage: int, res: str, left: float, scale: float,
-    lane_h: int, max_intervals: int, marker_x: str, titles: list[str],
-    tails: dict[tuple[float, int], str],
-) -> str:
-    """The <defs> group of one (stage, resource) lane, drawn at y = 0.
+# the fragments a chart's .3f numbers are joined from: integer parts (the
+# chart is 1200 wide) and ".000" to ".999" by thousandths
+_INTEGERS = np.array([str(i) for i in range(2048)], object)
+_THOUSANDTHS = np.array([f".{i:03d}" for i in range(1000)], object)
 
-    Every chip of a stage draws the same rects, so each chip's lane places
-    this group with <use> at its own y. The lane's first max_intervals
-    intervals are drawn, and a "clipped" marker follows when it has more.
-    x and w take the IEEE operations of left + start * scale and
-    max((end - start) * scale, 0.05), elementwise; `tails` holds each
-    rect's text after x by (w, kind), which repeats across microbatches of
-    one shape.
+
+def _thousandths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float64 v times 1000, rounded half to even from its exact
+    value, as uint64; and whether that is exact: v positive and normal,
+    with v * 1000 < 2**53.
+
+    Such a v is m * 2**-s for its 53-bit significand m and a shift s >= 9,
+    so m * 1000 < 2**63 is exact, and the result is m * 1000 shifted right
+    by s, rounded half to even on the bits shifted out. format(v, ".3f")
+    rounds the exact value the same way, so these are its digits. A shift
+    of 64 or more leaves less than half, so 0.
     """
-    cols = trace.stage_columns[stage]
-    order = trace.writer_order[stage]
-    kinds = cols.kind[order]
-    in_lane = (trace.compute if res == COMPUTE else trace.comm)[kinds]
-    drawn = order[in_lane][:max_intervals]
-    start = cols.start[drawn]
-    xs = (left + start * scale).tolist()
-    ws = np.maximum((cols.end[drawn] - start) * scale, 0.05).tolist()
-    parts = [f'<g id="s{stage}-{res}">\n']
-    for x, w, kind in zip(xs, ws, kinds[in_lane][:max_intervals].tolist()):
-        tail = tails.get((w, kind))
-        if tail is None:
-            _, label = trace.kinds[kind]
-            color = _GANTT_COLORS.get(label, "#999999")
-            tail = tails[w, kind] = (
-                f'" y="0" width="{w:.3f}" height="{lane_h}" fill="{color}">'
-                f"<title>{titles[kind]}</title></rect>\n"
-            )
-        parts.append(f'<rect x="{x:.3f}{tail}')
-    if np.count_nonzero(in_lane) > max_intervals:
-        parts.append(
-            f'<text x="{marker_x}" y="{lane_h - 3}" '
-            f'text-anchor="end">clipped</text>\n'
-        )
-    parts.append("</g>\n")
-    return "".join(parts)
+    exact = (values >= np.finfo(np.float64).tiny) & (values < 2.0**53 / 1000)
+    bits = values.view(np.uint64)
+    scaled = (bits & np.uint64(2**52 - 1) | np.uint64(2**52)) * np.uint64(1000)
+    shift = 1075 - (bits >> np.uint64(52)).astype(np.int64)
+    clamped = np.clip(shift, 1, 63).astype(np.uint64)
+    rounded = scaled >> clamped
+    rest = scaled - (rounded << clamped)
+    half = np.uint64(1) << (clamped - np.uint64(1))
+    rounded += (rest > half) | (rest == half) & (rounded & np.uint64(1) == 1)
+    rounded[shift >= 64] = 0
+    return rounded, exact
+
+
+def _format_3f(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """format(v, ".3f") of each float64 value, as two object arrays whose
+    elementwise concatenation is the text: from _thousandths, the integer
+    part from _INTEGERS and the ".ddd" fraction from _THOUSANDTHS. A value
+    _thousandths does not make exact, or whose integer part is past the
+    table, falls back to format(), whole in the first array."""
+    thousandths, exact = _thousandths(values)
+    fallback = np.flatnonzero(~exact | (thousandths >= 1000 * len(_INTEGERS)))
+    thousandths[fallback] = 0
+    heads = _INTEGERS[thousandths // 1000]
+    tails = _THOUSANDTHS[thousandths % 1000]
+    for at in fallback.tolist():
+        heads[at] = format(float(values[at]), ".3f")
+        tails[at] = ""
+    return heads, tails
 
 
 def emit_gantt(
@@ -309,6 +314,13 @@ def emit_gantt(
     is drawn once, at y = 0 inside <defs>, and every chip's lane places it
     at its own height with <use>. Labels are escaped for XML (U+FFFD for
     what XML 1.0 cannot hold) and the file is written as UTF-8.
+
+    The drawn rows of every lane are gathered first, and every rect's x
+    and width computed in one pass with the IEEE operations of
+    left + start * scale and max((end - start) * scale, 0.05). Their .3f
+    texts come from integers (_format_3f), each distinct width formatted
+    once. A rect is then four fragments: '<rect x="', x's integer part,
+    its fraction, and one tail per distinct (width, kind).
     """
     if max_chips < 1:
         raise ValueError(f"max_chips must be >= 1, got {max_chips}")
@@ -327,19 +339,71 @@ def emit_gantt(
     marker_x = f"{width - 10:.0f}"
     titles = [label.translate(_XML_TEXT) for _, label in trace.kinds]
 
-    defs: dict[tuple[int, str], str] = {}
-    tails: dict[tuple[float, int], str] = {}
+    # the lanes drawn: chips 0..chips-1 reach stages 0..k-1, each defined
+    # once per resource, compute before comm, in the order chips reach them
+    lanes = [
+        (stage, res)
+        for stage in range(min(trace.pp, (chips - 1) // trace.tp + 1))
+        for res in (COMPUTE, COMM)
+    ]
+    picked = []
+    clipped = []
+    for stage, res in lanes:
+        order = trace.writer_order[stage]
+        in_lane = (trace.compute if res == COMPUTE else trace.comm)[
+            trace.stage_columns[stage].kind[order]
+        ]
+        picked.append(order[in_lane][:max_intervals])
+        clipped.append(np.count_nonzero(in_lane) > max_intervals)
+    # every drawn rect of the chart at once, lane after lane
+    start, end, kind = (
+        np.concatenate([
+            getattr(trace.stage_columns[stage], name)[rows]
+            for (stage, _), rows in zip(lanes, picked)
+        ])
+        for name in ("start", "end", "kind")
+    )
+    widths, width_at = np.unique(
+        np.maximum((end - start) * scale, 0.05), return_inverse=True
+    )
+    n = len(start)
+    heads, tails = _format_3f(np.concatenate((left + start * scale, widths)))
+    # the text after x is one per distinct (width, kind) pair: a pair's code
+    # is width index * kinds + kind, and the codes present are numbered up
+    pair = width_at * len(trace.kinds) + kind
+    present = np.zeros(len(widths) * len(trace.kinds), bool)
+    present[pair] = True
+    pair_at = (np.cumsum(present) - 1)[pair]
+    rect_tails = np.array([
+        f'" y="0" width="{heads[n + w]}{tails[n + w]}" height="{lane_h}" '
+        f'fill="{_GANTT_COLORS.get(trace.kinds[k][1], "#999999")}">'
+        f"<title>{titles[k]}</title></rect>\n"
+        for w, k in map(
+            divmod, np.flatnonzero(present).tolist(), repeat(len(trace.kinds))
+        )
+    ], object)
+    rects = ['<rect x="'] * (4 * n)
+    rects[1::4] = heads[:n].tolist()
+    rects[2::4] = tails[:n].tolist()
+    rects[3::4] = rect_tails[pair_at].tolist()
+    defs = []
+    first = 0
+    for (stage, res), rows, cut in zip(lanes, picked, clipped):
+        defs.append(f'<g id="s{stage}-{res}">\n')
+        defs += rects[4 * first:4 * (first + len(rows))]
+        first += len(rows)
+        if cut:
+            defs.append(
+                f'<text x="{marker_x}" y="{lane_h - 3}" '
+                f'text-anchor="end">clipped</text>\n'
+            )
+        defs.append("</g>\n")
     body = []
     lane = 0
     for chip in range(chips):
         stage = (chip % (trace.pp * trace.tp)) // trace.tp
         for res in (COMPUTE, COMM):
             y = gap + lane * (lane_h + gap)
-            if (stage, res) not in defs:
-                defs[stage, res] = _lane_def(
-                    trace, stage, res, left, scale, lane_h, max_intervals,
-                    marker_x, titles, tails,
-                )
             body.append(
                 f'<g class="lane" data-lane="chip{chip}-{res}">\n'
                 f'<text x="4" y="{y + lane_h - 3}">chip {chip} {res}</text>\n'
@@ -357,7 +421,7 @@ def emit_gantt(
         f'xmlns:xlink="http://www.w3.org/1999/xlink" width="{width:.0f}" '
         f'height="{height:.0f}" font-family="monospace" font-size="10">\n'
         "<defs>\n",
-        *defs.values(),
+        *defs,
         "</defs>\n",
         *body,
         "</svg>\n",

@@ -142,6 +142,26 @@ class TestSimulate:
         for name in ARTIFACTS:
             assert (tmp_path / name).is_file(), name
 
+    @pytest.mark.parametrize("name", ["trace.jsonl", "gantt.svg"])
+    def test_failed_write_leaves_no_artifact(self, tmp_path, capsys,
+                                             monkeypatch, name):
+        # a write that fails part way (a full disk, say) removes its own
+        # partial file as well as the artifacts written before it
+        def partial(trace, path):
+            with open(path, "w") as handle:
+                handle.write('{"dp":')
+            raise OSError(28, "No space left on device")
+
+        if name == "trace.jsonl":
+            monkeypatch.setattr(engine.Trace, "write_jsonl", partial)
+        else:
+            monkeypatch.setattr(cli, "emit_gantt", partial)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", BUBBLE_PRESET,
+                     "--out", str(out)]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == []
+
     def test_import_starts_no_process_machinery(self):
         # only a parallel sweep imports the process pool
         code = ("import sys, vlmsim.cli; print(sorted(m for m in sys.modules"

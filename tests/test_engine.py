@@ -1,6 +1,9 @@
+import collections
 import dataclasses
 import json
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -631,6 +634,61 @@ class TestJsonlWriter:
         assert path.read_text() == "".join(
             line + "\n" for line in [meta, *reference_row_lines(trace)]
         )
+
+
+# three to five stages that draw their times from one short list, so rows
+# tie and adjacent stages share times (hand-offs), -0.0 and 0.0 among them
+@st.composite
+def handoff_stages(draw):
+    shared = st.sampled_from(draw(st.lists(times, max_size=6)) + [-0.0, 0.0])
+    row = st.tuples(
+        st.sampled_from([COMPUTE, COMM, "host"]), shared, shared,
+        st.sampled_from(["fwd", "bwd", "p2p", "sync_bucket"]),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
+    )
+    return draw(st.lists(st.lists(row, max_size=12), min_size=3, max_size=5))
+
+
+class TestJsonlChunks:
+    """trace.jsonl is formatted a chunk of rows at a time, in writing order
+    across stage boundaries, each chunk handed the texts of the one before."""
+
+    @given(stage_rows=handoff_stages(),
+           chunk=st.integers(min_value=1, max_value=7))
+    @example(
+        stage_rows=[
+            [(COMPUTE, 0.0, 1.5, "fwd", 0), (COMM, 1.5, 2.0, "p2p", 0)],
+            [(COMM, -0.0, 2.0, "p2p", 0), (COMPUTE, 2.0, 3.5, "fwd", 0),
+             (COMM, 3.5, 4.0, "p2p", None)],
+            [(COMM, 0.0, 4.0, "p2p", 1), (COMPUTE, 4.0, 5.5, "bwd", 1)],
+        ],
+        chunk=2,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_lines_equal_json_dumps(self, tmp_path_factory, stage_rows,
+                                        chunk):
+        trace = bare_trace(stage_rows)
+        with mock.patch.object(engine, "JSONL_CHUNK_ROWS", chunk):
+            lines = jsonl_lines(
+                trace, tmp_path_factory.getbasetemp() / "chunk_lines.jsonl"
+            )
+        assert lines[1:] == reference_row_lines(trace)
+
+    def test_multimodal_api_streams_in_bounded_memory(self):
+        # whole-trace dedupe holds 7.5 MiB of texts at once here; the
+        # writer's row order is the trace's, so it is built before counting
+        config = load_config("bench/workloads/multimodal-api.json")
+        trace = run(config.model, config.stage, config.plan, config.topology,
+                    config.costmodel, config.seed, workload=config.workload)
+        assert sum(len(cols.start) for cols in trace.stage_columns) == 73_216
+        trace.writer_order
+        tracemalloc.start()
+        try:
+            collections.deque(trace._jsonl_texts(), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestStageRowsView:

@@ -26,6 +26,8 @@ from vlmsim.config import config_digest, load_config
 from vlmsim.metrics import (
     CSV_COLUMNS,
     RunReport,
+    _format_3f,
+    _thousandths,
     build_report,
     emit_gantt,
     emit_report,
@@ -607,6 +609,72 @@ class TestGanttMatchesReference:
         assert gantt_lanes(svg) == gantt_lanes(reference_gantt(trace))
         assert svg.count('class="lane"') == 128
         assert "clipped" in svg
+
+
+def assert_formats_as_format(values):
+    """_format_3f's head + tail is format(v, ".3f") for every value."""
+    heads, tails = _format_3f(values)
+    got = list(map(str.__add__, heads.tolist(), tails.tolist()))
+    want = [format(v, ".3f") for v in values.tolist()]
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want)
+               if g != w]
+        pytest.fail(f"{len(bad)} texts differ, first (value, got, want): "
+                    f"{bad[:3]}")
+
+
+# inputs the integer path does not take: negative, signed zero, subnormal,
+# v * 1000 >= 2**53, infinite and NaN
+FALLBACK = [
+    -1.0, -0.0005, -1e-300, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+    2.0**53 / 1000, np.nextafter(2.0**53 / 1000, np.inf), 1e13, 1e300,
+    1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+class TestFixedPointFormat:
+    """The chart's .3f numbers come from integers: the significand times
+    1000, shifted right by the binary exponent with round-half-even."""
+
+    def test_every_tie_in_the_chart_range_and_its_neighbours(self):
+        # k/1000 + 0.0005 over [0.05, 1200] as the nearest double, and
+        # one ulp below and above it
+        for first in range(50, 1_200_000, 100_000):
+            k = np.arange(first, min(first + 100_000, 1_200_000))
+            ties = (2 * k + 1) / 2000
+            for values in (np.nextafter(ties, -np.inf), ties,
+                           np.nextafter(ties, np.inf)):
+                assert_formats_as_format(values)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(0)
+        assert_formats_as_format(np.concatenate((
+            rng.uniform(0.0, 2100.0, 100_000),
+            np.round(rng.uniform(0.0, 2100.0, 50_000), 3),
+            10.0 ** rng.uniform(-320.0, 16.0, 100_000),
+            # any double: both signs, subnormals, infinities, NaNs
+            rng.integers(0, 2**64, 100_000, np.uint64).view(np.float64),
+        )))
+
+    def test_fallback_inputs(self):
+        values = np.array(FALLBACK)
+        _, exact = _thousandths(values)
+        assert not exact.any()
+        assert_formats_as_format(values)
+
+    def test_thousandths_are_exact_below_2_53(self):
+        # past the chart's integer table too, up to v * 1000 < 2**53
+        rng = np.random.default_rng(1)
+        values = np.concatenate((
+            [2.2250738585072014e-308, 0.0004999999999999999, 0.0005,
+             0.0005000000000000001, np.nextafter(2.0**53 / 1000, 0)],
+            10.0 ** rng.uniform(-307.0, np.log10(2.0**53 / 1000), 200_000),
+        ))
+        thousandths, exact = _thousandths(values)
+        assert exact.all()
+        assert thousandths.tolist() == [
+            int(format(v, ".3f").replace(".", "")) for v in values.tolist()
+        ]
 
 
 class TestScaling:
