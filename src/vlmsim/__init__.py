@@ -64,11 +64,7 @@ from .metrics import (
 )
 from .schedule import (
     PipelineSchedule,
-    analytic_bubble,
     build_1f1b,
-    build_gpipe,
-    check_schedule,
-    max_in_flight,
     measured_bubble,
 )
 from .workload import (
@@ -106,12 +102,9 @@ __all__ = [
     "Trace",
     "TrainingStage",
     "VisionEncoderSpec",
-    "analytic_bubble",
     "build_1f1b",
-    "build_gpipe",
     "build_report",
     "builtin_model_catalog",
-    "check_schedule",
     "collective_time",
     "component_param_counts",
     "config_digest",
@@ -119,7 +112,6 @@ __all__ = [
     "emit_report",
     "fused_allgather_gemm_time",
     "load_config",
-    "max_in_flight",
     "measured_bubble",
     "memory_per_chip",
     "mfu",

@@ -63,17 +63,24 @@ bit-reproducible.
 
 The trace's record is per-stage numpy columns: each row's start, end,
 kind (an index into Trace.kinds, its resource and label) and microbatch.
-The event loop records a stage's slot rows into one flat list, and of
-each sync the slot rows recorded before it, the starts it stepped and
-where its queued tail begins. After the step, one (syncs x buckets)
-matrix for the whole run gives every tail start by one row-wise
-np.cumsum, a sequential add, so the fold's own additions; one array
-addition gives every bucket's end, start + duration, the loop's own
-float operation; and each sync's rows are placed right after the slot
-rows recorded before it, one slice per sync, so the columns hold the
-rows in event order. Scans over every row (the invariant check, compute
-busy time, comm overlap) read the columns. Their sums add left to right,
-in row order, so they give the floats that row-by-row loops give.
+The event loop keeps three numbers per slot in its stage's flat list: its
+start, its send start (its end when it sends nothing) and its microbatch
+code, negative for a backward; and of each sync the slot it follows, the
+starts it stepped and where its queued tail begins. Each row's times
+follow from its slot's start by fixed additions, so after the step one
+array pass (_trace_columns) builds every row of the run in a fixed number
+of numpy calls: each time is the loop's own IEEE operation on the slot's
+costs, gathered from the book, and the loop's end > start tests become
+masks. One (syncs x buckets) matrix for the whole run gives every queued
+bucket's start by one row-wise np.cumsum, a sequential add, so the fold's
+own additions. One cumulative sum of the rows per slot gives each row's
+place, and the rows are scattered straight into one start, end, kind and
+microbatch array for the run, in event order: a slot's collective,
+compute, p2p send, then the buckets of the sync that follows it. Each
+stage's columns are a slice of those arrays. Scans over every row (the
+invariant check, compute busy time, comm overlap) read the columns. Their
+sums add left to right, in row order, so they give the floats that
+row-by-row loops give.
 
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
@@ -233,8 +240,9 @@ class Trace:
     against chip memory; trace.jsonl does not write it.
 
     The record is stage_columns, one StageColumns per stage, its rows in
-    event order (a sync's bucket rows right after the slot rows before
-    it); a row's kind indexes `kinds`, its (resource, label) pair. A Trace
+    event order (a sync's bucket rows right after the rows of the slot it
+    follows); a row's kind indexes `kinds`, its (resource, label) pair. A
+    run's stages are slices of one array per column. A Trace
     is read-only once `run` returns: the kind masks and the writers' row
     order are derived from the columns on first use and cached, so a later
     edit of the columns would leave them stale.
@@ -736,12 +744,13 @@ def run(
     per_microbatch_sync = costmodel.grad_sync.frequency == "per_microbatch"
     chunks = plan.fusion_chunks
 
-    # each stage's slot rows in one flat list, four values a row: start,
-    # end, kind, microbatch (-1 for none). A sync records three values in
-    # its stage's flat syncs list: the stage's slot-row count, the first
+    # each stage's slots in one flat list, three values a slot: its start,
+    # its send start t0 (its end when it sends nothing) and its microbatch
+    # code, k for forward k and -k for backward k. A sync records three
+    # values in its stage's flat syncs list: the slot it follows, the first
     # bucket of its queued tail and the tail's entry free time; and in
-    # sync_starts the starts of the buckets before that tail. The tail's
-    # starts, every end and the rows' places come after the loop
+    # sync_starts the starts of the buckets before that tail. Every row
+    # follows from these by the loop's own additions, after the loop
     # (_trace_columns)
     records: list[list] = [[] for _ in range(p)]
     syncs: list[list] = [[] for _ in range(p)]
@@ -750,9 +759,6 @@ def run(
     # a single-stream chip's comm unit is its compute unit
     comm_free = [0.0] * p if dual_stream else comp_free
 
-    # rows are recorded through bound methods behind the same end > start
-    # test everywhere (bucket rows in _sync_rows), so a zero-length or NaN
-    # interval is never recorded
     extends = [record.extend for record in records]
     start_appends = [starts.append for starts in sync_starts]
     # the book's lists, bound once; a slot indexes them [stage][microbatch]
@@ -764,70 +770,45 @@ def run(
     def execute_slot(i: int, kind: str, k: int, dep: float) -> float:
         """Run one slot from `dep` on; return its output's hand-off time."""
         mb = k - 1
-        extend = extends[i]
         # a forward sends downstream and a backward upstream, if the
         # neighbour exists
         if kind == FORWARD:
-            comp, lump, compute_kind = fwd[i][mb], tp_fwd[i][mb], KIND_FWD
+            comp, lump, code = fwd[i][mb], tp_fwd[i][mb], k
             duration = p2p_fwd[i][mb] if i < p - 1 else 0.0
         else:
-            comp, lump, compute_kind = bwd[i][mb], tp_bwd[i][mb], KIND_BWD
+            comp, lump, code = bwd[i][mb], tp_bwd[i][mb], -k
             duration = p2p_bwd[i][mb] if i > 0 else 0.0
 
         if dual_stream and lump > 0.0:
             start = max(comp_free[i], comm_free[i], dep)
-            comm_end = start + lump
-            if comm_end > start:
-                extend((start, comm_end, KIND_COLLECTIVE, mb))
-            comm_free[i] = comm_end
-            tc = lump / chunks
-            tg = comp / chunks
-            # the span is fused_allgather_gemm_time(lump, comp, chunks) in
-            # its IEEE operations, max(tc, tg) taken by the branch; the
-            # plan and the book already meet its argument checks
+            comm_free[i] = start + lump
             if comp == 0.0:
-                end = comm_end  # no GEMM: the slot only waits out its lump
-            elif tc <= tg:
-                end = start + (tc + (chunks - 1) * tg + tg)
-                gemm_start = start + tc
-                if end > gemm_start:
-                    extend((gemm_start, end, compute_kind, mb))
+                end = comm_free[i]  # no GEMM: the slot only waits out its lump
             else:
-                end = start + (tc + (chunks - 1) * tc + tg)
-                # GEMM chunks gated by transfer chunks, with gaps; a piece
-                # ends no later than the next one starts, and the last
-                # where compute is freed, not an ulp past either
-                for j in range(1, chunks + 1):
-                    cs = start + j * tc
-                    ce = (min(cs + tg, start + (j + 1) * tc)
-                          if j < chunks else end)
-                    if ce > cs:
-                        extend((cs, ce, compute_kind, mb))
+                # the span is fused_allgather_gemm_time(lump, comp, chunks)
+                # in its IEEE operations, max(tc, tg) taken by the branch;
+                # the plan and the book already meet its argument checks
+                tc = lump / chunks
+                tg = comp / chunks
+                end = start + (tc + (chunks - 1) * (tg if tc <= tg else tc)
+                               + tg)
         else:
             start = max(comp_free[i], dep)
-            if lump > 0.0:  # a single-stream chip runs its lump first
-                lump_end = start + lump
-                if lump_end > start:
-                    extend((start, lump_end, KIND_COLLECTIVE, mb))
-                start = lump_end
-            end = start + comp
-            if end > start:
-                extend((start, end, compute_kind, mb))
+            # a single-stream chip runs its lump first
+            end = (start + lump if lump > 0.0 else start) + comp
         comp_free[i] = end
 
         # the send holds the comm unit (a single-stream chip's compute
         # unit too); its arrival is the hand-off
         if duration <= 0.0:
-            handoff = end
+            t0 = handoff = end
         else:
             free = comm_free[i]
             t0 = free if free > end else end  # max(end, free)
             handoff = t0 + duration
-            if handoff > t0:
-                extend((t0, handoff, KIND_P2P, mb))
             comm_free[i] = handoff
-        if (compute_kind == KIND_BWD and sync_buckets[i]
-                and (per_microbatch_sync or k == m)):
+        extends[i]((start, t0, code))
+        if code < 0 and sync_buckets[i] and (per_microbatch_sync or k == m):
             _sync(i, comp)
         return handoff
 
@@ -855,7 +836,7 @@ def run(
             start = free if free > ready else ready  # max(ready, free)
             append(start)
             free = start + buckets[j - 1]
-        syncs[i].extend((len(records[i]) // 4, j, free))
+        syncs[i].extend((len(records[i]) // 3 - 1, j, free))
         # free = free + dur in turn, in C: builtin sum compensates (Python
         # >= 3.12), and fsum and np.sum add in other orders
         free = reduce(add, buckets[j:], free)
@@ -865,7 +846,8 @@ def run(
 
     execute(build_1f1b(p, m), execute_slot)
 
-    stage_columns = _trace_columns(records, syncs, sync_starts, sync_buckets)
+    stage_columns = _trace_columns(records, syncs, sync_starts, cost_book,
+                                   dual_stream, chunks)
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
@@ -910,67 +892,102 @@ def _check_injected(book: CostBook, p: int, m: int) -> None:
 
 
 def _trace_columns(
-    records: list[list], syncs: list[list],
-    sync_starts: list[list[float]], sync_buckets: list[list[float]],
+    records: list[list], syncs: list[list], sync_starts: list[list[float]],
+    book: CostBook, dual_stream: bool, chunks: int,
 ) -> list[StageColumns]:
-    """Each stage's columns from its flat slot record and its syncs.
+    """Every row of the run from its slot and sync records, in a fixed
+    number of numpy calls however many stages and syncs.
 
-    `syncs[i]` holds three values per sync of stage i, the first the slot
-    rows recorded before it (the others are _sync_rows'). A sync's bucket
-    rows go right after those slot rows, one slice each, so placing them
-    costs in proportion to syncs, not rows. Each record is emptied once
-    its rows are read.
-    """
-    sync_rows, bounds = _sync_rows(syncs, sync_starts, sync_buckets)
-    columns = []
-    s = 0  # the run's syncs placed so far
-    for record, slot_cuts in zip(records, syncs):
-        rows = np.fromiter(record, np.float64, len(record)).reshape(-1, 4)
-        record.clear()
-        # the slot rows before each sync and the sync's own rows, in turn
-        pieces = []
-        slot_at = 0
-        for cut in slot_cuts[::3]:
-            pieces.append(rows[slot_at:cut])
-            pieces.append(sync_rows[bounds[s]:bounds[s + 1]])
-            slot_at = cut
-            s += 1
-        pieces.append(rows[slot_at:])
-        start, end, kind, mb = np.concatenate(pieces).T
-        columns.append(StageColumns(
-            start.copy(), end.copy(), kind.astype(np.uint8),
-            mb.astype(np.int64),
-        ))
-    return columns
-
-
-def _sync_rows(
-    syncs: list[list], sync_starts: list[list[float]],
-    sync_buckets: list[list[float]],
-) -> tuple[np.ndarray, list[int]]:
-    """Every sync bucket row of the run, from one (syncs x buckets) matrix.
+    `records[i]` holds three values per slot of stage i, in event order:
+    its start s, its send start t0 and its microbatch code (k, or -k for
+    backward k); every stage runs 2m slots. A slot's rows, in event order:
+    its TP collective (s, s + lump); its compute, from s, from the lump's
+    end on a single-stream chip, or under a fused lump from s + tc to the
+    span's end, in pieces from each s + j*tc when the transfer gates the
+    GEMM (tc > tg), a piece ending by the next start and the last at the
+    span's end; its p2p send (t0, t0 + duration); then the bucket rows of
+    the sync that follows it. A row is kept when it ends after it starts,
+    the loop's record test.
 
     `syncs[i]` holds three values per sync of stage i, in event order: the
-    slot rows before it, j and free; its buckets from j on queue, the
-    first at free. `sync_starts[i]` holds the starts the loop stepped
-    before each tail. Matrix row s is the run's sync s (stage order, then
-    event order): -0.0 before column j, free at j, then the durations
-    from j on, padded with zero durations to one column past the longest
-    list. A row-wise np.cumsum adds in order, so it gives the loop's fold
-    (-0.0 + x is x), and the stepped starts fill the columns before j,
-    row by row. A bucket ends at start + duration, the loop's own
-    addition, and is kept when it ends after it starts, as every row is,
-    so no padding is kept.
+    slot it follows, j and free; its buckets from j on queue, the first at
+    free. `sync_starts[i]` holds the starts the loop stepped before each
+    tail. Matrix row r is the run's sync r (stage order, then event
+    order): -0.0 before column j, free at j, then the durations from j on,
+    padded with zero durations to one column past the longest list. A
+    row-wise np.cumsum adds in order, so it gives the loop's fold (-0.0 + x
+    is x), and the stepped starts fill the columns before j, row by row.
 
-    Returns the kept rows (start, end, kind, microbatch), syncs in stage
-    order then event order, and `bounds`, where the run's sync s has
-    rows[bounds[s]:bounds[s + 1]].
+    Each row's place is its slot's place in one cumulative sum of the rows
+    per slot, plus its place among the slot's rows; each stage's columns
+    are a slice of the run's. Every temporary is dropped after its last
+    use, and the records are emptied once read.
     """
-    width = max(map(len, sync_buckets)) + 1
-    stage = np.repeat(np.arange(len(syncs)), [len(ss) // 3 for ss in syncs])
+    p = len(records)
+    m = len(book.fwd[0])
+    per_stage = 2 * m
+    slot = np.array(records, np.float64).reshape(-1, 3)
+    for record in records:
+        record.clear()
+    n = len(slot)
+    s, t0 = slot[:, 0], slot[:, 1]
+    back = slot[:, 2] < 0.0
+    microbatch = np.abs(slot[:, 2]).astype(np.int64) - 1
+    # each slot's GEMM, TP lump and send, gathered at once from the book's
+    # lists in CostBook order, (forward, backward) pairs of (p, m). A
+    # forward sends downstream and a backward upstream: the last stage's
+    # forwards and the first stage's backwards send nothing, as a send of
+    # 0.0
+    costs = np.array((book.fwd, book.bwd, book.tp_fwd, book.tp_bwd,
+                      book.p2p_fwd, book.p2p_bwd), np.float64)
+    costs[4, p - 1] = costs[5, 0] = 0.0
+    at = (np.arange(n) // per_stage + back * p) * m + microbatch
+    comp, lump, duration = costs.reshape(3, -1)[:, at]
+    del costs, at
+    handoff = t0 + duration
+    keep_p2p = handoff > t0
+    del duration
+
+    lump_end = s + lump
+    keep_collective = lump_end > s
+    has_lump = lump > 0.0
+    fused = has_lump & dual_stream
+    tc = lump / chunks
+    tg = comp / chunks
+    gemm = comp != 0.0
+    del lump
+    cstart = np.where(fused, s + tc, np.where(has_lump, lump_end, s))
+    end = np.where(
+        fused,
+        np.where(gemm, s + (tc + (chunks - 1) * np.maximum(tc, tg) + tg),
+                 lump_end),
+        cstart + comp,
+    )
+    del comp, has_lump
+    gated = fused & gemm & (tc > tg)
+    single = (end > cstart) & (gemm | ~fused) & ~gated
+    del fused, gemm
+    g = np.flatnonzero(gated)
+    del gated
+    piece_start = s[g, None] + np.arange(1, chunks + 1) * tc[g, None]
+    piece_end = np.empty_like(piece_start)
+    np.minimum(piece_start[:, :-1] + tg[g, None], piece_start[:, 1:],
+               out=piece_end[:, :-1])
+    piece_end[:, -1] = end[g]
+    piece = piece_end > piece_start
+    del tc, tg
+
+    slot_rows = keep_collective.astype(np.intp)
+    slot_rows += single
+    slot_rows[g] += np.count_nonzero(piece, axis=1)
+    slot_rows += keep_p2p
+
+    width = max(map(len, book.sync_buckets)) + 1
+    sync_stage = np.repeat(np.arange(p), [len(ss) // 3 for ss in syncs])
     durations = np.array([
-        [*buckets, *[0.0] * (width - len(buckets))] for buckets in sync_buckets
-    ], np.float64)[stage]
+        [*buckets, *[0.0] * (width - len(buckets))]
+        for buckets in book.sync_buckets
+    ], np.float64)[sync_stage]
     meta = np.fromiter(chain.from_iterable(syncs), np.float64).reshape(-1, 3)
     first, free = meta[:, 1].astype(np.intp), meta[:, 2]
     stepped = np.arange(width) < first[:, None]
@@ -978,17 +995,57 @@ def _sync_rows(
     addends[:, 1:] = durations[:, :-1]
     addends[stepped] = -0.0
     addends[np.arange(len(first)), first] = free
-    start = np.cumsum(addends, axis=1)
-    start[stepped] = np.fromiter(chain.from_iterable(sync_starts), np.float64)
-    end = start + durations
-    kept = end > start
-    rows = np.empty((np.count_nonzero(kept), 4))
-    rows[:, 0] = start[kept]
-    rows[:, 1] = end[kept]
-    rows[:, 2] = KIND_SYNC
-    rows[:, 3] = -1
-    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))
-    return rows, bounds.tolist()
+    sync_start = np.cumsum(addends, axis=1)
+    del addends
+    sync_start[stepped] = np.fromiter(chain.from_iterable(sync_starts),
+                                      np.float64)
+    sync_end = sync_start + durations
+    kept = sync_end > sync_start
+    sync_slot = meta[:, 0].astype(np.intp) + sync_stage * per_stage
+    del durations, stepped, meta
+
+    rows = slot_rows.copy()
+    rows[sync_slot] += np.count_nonzero(kept, axis=1)
+    row_at = np.cumsum(rows) - rows
+    total = int(row_at[-1] + rows[-1])
+    start_col = np.empty(total)
+    end_col = np.empty(total)
+    # a slot's compute kind and microbatch on all its rows, then the other
+    # kinds and the syncs' -1 in their places
+    kind_col = np.repeat(
+        np.where(back, np.uint8(KIND_BWD), np.uint8(KIND_FWD)), rows
+    )
+    microbatch_col = np.repeat(microbatch, rows)
+    del rows, back, microbatch
+
+    at = row_at[keep_collective]
+    start_col[at] = s[keep_collective]
+    end_col[at] = lump_end[keep_collective]
+    kind_col[at] = KIND_COLLECTIVE
+    compute_at = row_at + keep_collective
+    at = compute_at[single]
+    start_col[at] = cstart[single]
+    end_col[at] = end[single]
+    at = (compute_at[g, None] + np.cumsum(piece, axis=1) - 1)[piece]
+    start_col[at] = piece_start[piece]
+    end_col[at] = piece_end[piece]
+    at = (row_at + slot_rows - 1)[keep_p2p]
+    start_col[at] = t0[keep_p2p]
+    end_col[at] = handoff[keep_p2p]
+    kind_col[at] = KIND_P2P
+    at = ((row_at + slot_rows)[sync_slot, None]
+          + np.cumsum(kept, axis=1) - 1)[kept]
+    start_col[at] = sync_start[kept]
+    end_col[at] = sync_end[kept]
+    kind_col[at] = KIND_SYNC
+    microbatch_col[at] = -1
+
+    bounds = [*row_at[::per_stage].tolist(), total]
+    return [
+        StageColumns(start_col[a:b], end_col[a:b], kind_col[a:b],
+                     microbatch_col[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def step_training_flops(trace: Trace, model: ModelSpec, plan: ParallelismPlan) -> float:

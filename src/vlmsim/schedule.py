@@ -1,12 +1,12 @@
-"""Pipeline schedules, the one schedule executor, and the bubble fraction.
+"""The 1F1B pipeline schedule, the one schedule executor, and the bubble
+fraction.
 
 A schedule is a per-stage ordered list of (kind, microbatch) slots. The
 builder guarantees the 1F1B shape: stage i warms up with
 in_flight(p, m, i) = min(p-i, m) forwards, alternates
-one-forward-one-backward, then drains. A GPipe-style reference builder
-exists as a memory-property contrast. `execute` holds the
-dependency rule: the engine prices a run through it, and `check_schedule`
-runs any schedule, GPipe included, through it at unit cost.
+one-forward-one-backward, then drains. `execute` holds the dependency
+rule: the engine prices a run through it, and any schedule of this form
+can be run through it.
 """
 
 from __future__ import annotations
@@ -50,44 +50,6 @@ def build_1f1b(p: int, m: int) -> PipelineSchedule:
         slots += backward[m - warmup:]
         stages.append(tuple(slots))
     return PipelineSchedule(stages=p, microbatches=m, slots=tuple(stages))
-
-
-def build_gpipe(p: int, m: int) -> PipelineSchedule:
-    """All forwards, then all backwards: the high-memory reference shape."""
-    if p < 1 or m < 1:
-        raise ValueError("p and m must be >= 1")
-    slots = tuple(
-        tuple(
-            [(FORWARD, k) for k in range(1, m + 1)]
-            + [(BACKWARD, k) for k in range(1, m + 1)]
-        )
-        for _ in range(p)
-    )
-    return PipelineSchedule(stages=p, microbatches=m, slots=slots)
-
-
-def check_schedule(schedule: PipelineSchedule) -> None:
-    """Legality validator; raises ValueError on any violation.
-
-    Checks exactly-once coverage, forward-before-backward per stage, and
-    cross-stage executability: the schedule must run to completion through
-    `execute`, the executor that prices a run, at unit cost.
-    """
-    p, m = schedule.stages, schedule.microbatches
-    if len(schedule.slots) != p:
-        raise ValueError("slot list count != stages")
-    for i, slots in enumerate(schedule.slots):
-        seen: dict[Slot, int] = {}
-        for pos, slot in enumerate(slots):
-            if slot in seen:
-                raise ValueError(f"stage {i} repeats slot {slot}")
-            seen[slot] = pos
-        for k in range(1, m + 1):
-            if (FORWARD, k) not in seen or (BACKWARD, k) not in seen:
-                raise ValueError(f"stage {i} missing microbatch {k}")
-            if seen[(BACKWARD, k)] < seen[(FORWARD, k)]:
-                raise ValueError(f"stage {i} runs backward {k} before forward")
-    simulate_slot_completion(schedule)  # raises on deadlock
 
 
 def execute(
@@ -137,40 +99,6 @@ def execute(
             position[i] = pos
         if remaining == before:
             raise ValueError("schedule deadlocks: circular or missing dependency")
-
-
-def simulate_slot_completion(schedule: PipelineSchedule) -> list[list[float]]:
-    """Unit-cost completion times per stage slot; raises if not executable.
-
-    Runs `execute` with every slot taking 1.0 and handing off at its end.
-    Returns per-stage completion times aligned with the slots.
-    """
-    clock = [0.0] * schedule.stages
-    times: list[list[float]] = [[] for _ in range(schedule.stages)]
-
-    def run_slot(i: int, kind: str, k: int, dep: float) -> float:
-        clock[i] = max(clock[i], dep) + 1.0
-        times[i].append(clock[i])
-        return clock[i]
-
-    execute(schedule, run_slot)
-    return times
-
-
-def max_in_flight(schedule: PipelineSchedule, stage_index: int) -> int:
-    """Peak count of forwards awaiting their backward on one stage."""
-    live = 0
-    peak = 0
-    for kind, _ in schedule.slots[stage_index]:
-        live += 1 if kind == FORWARD else -1
-        peak = max(peak, live)
-    return peak
-
-
-def analytic_bubble(p: int, m: int) -> float:
-    if p < 1 or m < 1:
-        raise ValueError("p and m must be >= 1")
-    return (p - 1) / (m + p - 1)
 
 
 def measured_bubble(trace) -> float:

@@ -18,7 +18,9 @@ from vlmsim import (
     stage_by_name,
     stage_grad_bytes,
 )
+from vlmsim import schedule
 from vlmsim.engine import COMM, COMPUTE, CostBook, StageColumns, Trace
+from vlmsim.schedule import BACKWARD, FORWARD, PipelineSchedule
 
 PRESET_DIR = "presets"
 PRESETS = [
@@ -223,6 +225,84 @@ def syncs_per_step(policy, plan) -> int:
     if policy.frequency == "per_microbatch":
         return plan.microbatches_per_step
     return 1
+
+
+# Schedule helpers that only tests read: a GPipe contrast schedule, a
+# legality check and unit-cost completion times run through the pricing
+# executor (schedule.execute, looked up on each call so a test may wrap it),
+# the in-flight count of a slot list, and 1F1B's closed-form bubble.
+
+
+def build_gpipe(p: int, m: int) -> PipelineSchedule:
+    """All forwards, then all backwards: the high-memory reference shape."""
+    if p < 1 or m < 1:
+        raise ValueError("p and m must be >= 1")
+    slots = tuple(
+        tuple(
+            [(FORWARD, k) for k in range(1, m + 1)]
+            + [(BACKWARD, k) for k in range(1, m + 1)]
+        )
+        for _ in range(p)
+    )
+    return PipelineSchedule(stages=p, microbatches=m, slots=slots)
+
+
+def check_schedule(sched: PipelineSchedule) -> None:
+    """Legality validator; raises ValueError on any violation.
+
+    Checks exactly-once coverage, forward-before-backward per stage, and
+    cross-stage executability: the schedule must run to completion through
+    `schedule.execute`, the executor that prices a run, at unit cost.
+    """
+    p, m = sched.stages, sched.microbatches
+    if len(sched.slots) != p:
+        raise ValueError("slot list count != stages")
+    for i, slots in enumerate(sched.slots):
+        seen = {}
+        for pos, slot in enumerate(slots):
+            if slot in seen:
+                raise ValueError(f"stage {i} repeats slot {slot}")
+            seen[slot] = pos
+        for k in range(1, m + 1):
+            if (FORWARD, k) not in seen or (BACKWARD, k) not in seen:
+                raise ValueError(f"stage {i} missing microbatch {k}")
+            if seen[(BACKWARD, k)] < seen[(FORWARD, k)]:
+                raise ValueError(f"stage {i} runs backward {k} before forward")
+    simulate_slot_completion(sched)  # raises on deadlock
+
+
+def simulate_slot_completion(sched: PipelineSchedule) -> list[list[float]]:
+    """Unit-cost completion times per stage slot; raises if not executable.
+
+    Runs `schedule.execute` with every slot taking 1.0 and handing off at
+    its end. Returns per-stage completion times aligned with the slots.
+    """
+    clock = [0.0] * sched.stages
+    times: list[list[float]] = [[] for _ in range(sched.stages)]
+
+    def run_slot(i: int, kind: str, k: int, dep: float) -> float:
+        clock[i] = max(clock[i], dep) + 1.0
+        times[i].append(clock[i])
+        return clock[i]
+
+    schedule.execute(sched, run_slot)
+    return times
+
+
+def max_in_flight(sched: PipelineSchedule, stage_index: int) -> int:
+    """Peak count of forwards awaiting their backward on one stage."""
+    live = 0
+    peak = 0
+    for kind, _ in sched.slots[stage_index]:
+        live += 1 if kind == FORWARD else -1
+        peak = max(peak, live)
+    return peak
+
+
+def analytic_bubble(p: int, m: int) -> float:
+    if p < 1 or m < 1:
+        raise ValueError("p and m must be >= 1")
+    return (p - 1) / (m + p - 1)
 
 
 # Release-gate bookkeeping: test_acceptance registers one verdict line per

@@ -23,13 +23,10 @@ from hypothesis import strategies as st
 from vlmsim import (
     CostModelConfig,
     GradSyncPolicy,
-    analytic_bubble,
     build_1f1b,
-    build_gpipe,
     component_param_counts,
     fused_allgather_gemm_time,
     load_config,
-    max_in_flight,
     measured_bubble,
     memory_per_chip,
     partition_layers,
@@ -48,9 +45,12 @@ from vlmsim.schedule import in_flight
 from tests.conftest import (
     PRESET_DIR,
     PRESETS,
+    analytic_bubble,
+    build_gpipe,
     fixed_workload,
     make_plan,
     make_topology,
+    max_in_flight,
     record_acceptance,
     stage_sync_bytes,
     syncs_per_step,

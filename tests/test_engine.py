@@ -27,21 +27,18 @@ from vlmsim.cluster import ConfigError, partition_layers
 from vlmsim.config import load_config
 from vlmsim.metrics import build_report
 from vlmsim.comm import GradSyncPolicy, collective_time
-from vlmsim.schedule import (
-    analytic_bubble,
-    build_1f1b,
-    check_schedule,
-    measured_bubble,
-    simulate_slot_completion,
-)
+from vlmsim.schedule import build_1f1b, measured_bubble
 from vlmsim.workload import SequenceLengthModel, stage_by_name
 from tests.conftest import (
     EDGE_ROWS,
     PRESET_DIR,
+    analytic_bubble,
+    check_schedule,
     fixed_workload,
     make_plan,
     make_topology,
     row_order,
+    simulate_slot_completion,
     trace_from_rows,
     uniform_book,
 )

@@ -2,11 +2,12 @@
 
 `reference_cost_book` prices every (stage, microbatch) pair and every sync
 bucket separately, and `reference_run` records each row through a `record`
-call with builtin `max`. The engine prices each distinct microbatch shape,
-bucket size and fused (lump, comp) pair once per run, records slot rows
-into one flat list per stage, steps a sync's bucket chain only until
-its queue forms and folds the queued tail, and adds the tail's starts and
-every end after the loop; both must give the same floats, bit for bit,
+call with builtin `max`. The engine prices each distinct microbatch shape
+and bucket size once per run. Its event loop keeps three numbers per slot
+(its start, its send start and its microbatch, negative for a backward),
+steps a sync's bucket chain only until its queue forms and folds the
+queued tail; after the loop one array pass builds every row from those
+numbers and the cost book. Both must give the same floats, bit for bit,
 on every path. Traces are compared through their `stage_rows` view or
 their columns.
 """
@@ -488,6 +489,25 @@ class TestRunMatchesReference:
         assert_identical(trace.stage_rows, expect.stage_rows)
         assert_identical(trace.makespan, expect.makespan)
 
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_lump_and_send_under_one_ulp_dropped(self, catalog, full_stage,
+                                                 dual):
+        # TP lumps and p2p sends of 1e-20 s: past time 0, where an ulp is
+        # far larger, each ends where it starts and is not recorded; only
+        # the first slot's lump, from 0.0, is
+        book = uniform_book(2, 3, fwd=1.0, bwd=2.0, tp_comm=1e-20, p2p=1e-20)
+        topology = make_topology(nodes=1, chips_per_node=2, memory=1e18,
+                                 dual=dual)
+        workload = StepWorkload(microbatch_token_budget=64,
+                                seq_len_model=SequenceLengthModel.fixed(64))
+        args = (catalog["3B"], full_stage, make_plan(pp=2, m=3), topology,
+                CostModelConfig(), 0, workload)
+        trace = run(*args, cost_book=book)
+        assert_columns_identical(trace, reference_run(*args, cost_book=book))
+        comm = [row[1:4] for rows in trace.stage_rows for row in rows
+                if row[0] == COMM]
+        assert comm == [(0.0, 1e-20, LABEL_COLLECTIVE)]
+
     def test_gated_last_piece_ends_where_compute_is_freed(self, catalog,
                                                           full_stage):
         # one chunk, lump > GEMM: the piece once ended at (start + tc) + tg,
@@ -536,7 +556,8 @@ class TestRunMatchesReference:
 def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
                    per_microbatch, scale, seed):
     """run() arguments and a CostBook of numpy.float64 uniform draws from
-    default_rng(seed), costs up to 2 s times `scale`, some of them zero."""
+    default_rng(seed), costs up to 2 s times `scale`, some of them zero
+    (GEMMs too, so a slot may run a lump with no GEMM)."""
     rng = np.random.default_rng(seed)
 
     def grid(high, zeros=0.0):
@@ -545,7 +566,8 @@ def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
         return [list(row) for row in values]
 
     book = CostBook(
-        fwd=grid(1.0), bwd=grid(2.0), tp_fwd=grid(1.5, zeros=0.3),
+        fwd=grid(1.0, zeros=0.2), bwd=grid(2.0, zeros=0.2),
+        tp_fwd=grid(1.5, zeros=0.3),
         tp_bwd=grid(1.5, zeros=0.3), p2p_fwd=grid(0.2, zeros=0.3),
         p2p_bwd=grid(0.2, zeros=0.3),
         sync_buckets=[
@@ -801,6 +823,30 @@ class TestSyncChainMatchesReference:
                                  frequency, m, dual, overlap, bwd):
         self.check(catalog, full_stage, stage_buckets, frequency, m=m,
                    dual=dual, overlap=overlap, bwd=bwd)
+
+
+class TestRowBuild:
+    def test_queued_tail_starts_at_free_bit_for_bit(self):
+        # the fold leads each tail with -0.0, the identity of IEEE
+        # addition, so a tail entering at free = -0.0 starts at -0.0
+        # (0.0 + -0.0 is 0.0). No run reaches a free of -0.0, so the
+        # records of one stage and one microbatch are written by hand:
+        # forward (start 0, send start 1), backward (start 1, send start
+        # 3), then a sync after slot 1 whose bucket 0 was stepped to 3.0
+        # and whose tail from bucket 1 enters at -0.0
+        book = CostBook(
+            fwd=[[1.0]], bwd=[[2.0]], tp_fwd=[[0.0]], tp_bwd=[[0.0]],
+            p2p_fwd=[[0.0]], p2p_bwd=[[0.0]], sync_buckets=[[0.5, 0.25]],
+        )
+        (cols,) = engine._trace_columns(
+            [[0.0, 1.0, 1, 1.0, 3.0, -1]], [[1, 1, -0.0]], [[3.0]], book,
+            True, 1,
+        )
+        rows = list(zip(cols.start.tolist(), cols.end.tolist(),
+                        cols.microbatch.tolist()))
+        assert repr(rows) == repr(
+            [(0.0, 1.0, 0), (1.0, 3.0, 0), (3.0, 3.5, -1), (-0.0, 0.25, -1)]
+        )
 
 
 class TestPricingWork:

@@ -24,12 +24,9 @@ PUBLIC_NAMES = [
     "Trace",
     "TrainingStage",
     "VisionEncoderSpec",
-    "analytic_bubble",
     "build_1f1b",
-    "build_gpipe",
     "build_report",
     "builtin_model_catalog",
-    "check_schedule",
     "collective_time",
     "component_param_counts",
     "config_digest",
@@ -37,7 +34,6 @@ PUBLIC_NAMES = [
     "emit_report",
     "fused_allgather_gemm_time",
     "load_config",
-    "max_in_flight",
     "measured_bubble",
     "memory_per_chip",
     "mfu",
@@ -65,7 +61,7 @@ PUBLIC_NAMES = [
 
 def test_all_lists_exactly_the_public_names():
     assert sorted(vlmsim.__all__) == PUBLIC_NAMES
-    assert len(vlmsim.__all__) == len(set(vlmsim.__all__)) == 57
+    assert len(vlmsim.__all__) == len(set(vlmsim.__all__)) == 53
 
 
 def test_each_name_resolves():

@@ -9,12 +9,14 @@ from vlmsim.schedule import (
     BACKWARD,
     FORWARD,
     PipelineSchedule,
-    analytic_bubble,
     build_1f1b,
-    build_gpipe,
-    check_schedule,
     execute,
     in_flight,
+)
+from tests.conftest import (
+    analytic_bubble,
+    build_gpipe,
+    check_schedule,
     max_in_flight,
     simulate_slot_completion,
 )
