@@ -69,9 +69,10 @@ code, negative for a backward; and of each sync the slot it follows, the
 starts it stepped and where its queued tail begins. Each row's times
 follow from its slot's start by fixed additions, so after the step one
 array pass (_trace_columns) builds every row of the run in a fixed number
-of numpy calls: each time is the loop's own IEEE operation on the slot's
-costs, gathered from the book, and the loop's end > start tests become
-masks. One (syncs x buckets) matrix for the whole run gives every queued
+of numpy calls per distinct sync bucket count: each time is the loop's
+own IEEE operation on the slot's costs, gathered from the book, and the
+loop's end > start tests become masks. One (syncs x buckets) matrix per
+bucket count, so no sync is padded to a longer list, gives every queued
 bucket's start by one row-wise np.cumsum, a sequential add, so the fold's
 own additions. One cumulative sum of the rows per slot gives each row's
 place, and the rows are scattered straight into one start, end, kind and
@@ -98,7 +99,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, groupby
 from operator import add
 from typing import NamedTuple
 
@@ -896,7 +897,8 @@ def _trace_columns(
     book: CostBook, dual_stream: bool, chunks: int,
 ) -> list[StageColumns]:
     """Every row of the run from its slot and sync records, in a fixed
-    number of numpy calls however many stages and syncs.
+    number of numpy calls per distinct sync bucket count, however many
+    stages and syncs.
 
     `records[i]` holds three values per slot of stage i, in event order:
     its start s, its send start t0 and its microbatch code (k, or -k for
@@ -912,16 +914,17 @@ def _trace_columns(
     `syncs[i]` holds three values per sync of stage i, in event order: the
     slot it follows, j and free; its buckets from j on queue, the first at
     free. `sync_starts[i]` holds the starts the loop stepped before each
-    tail. Matrix row r is the run's sync r (stage order, then event
-    order): -0.0 before column j, free at j, then the durations from j on,
-    padded with zero durations to one column past the longest list. A
-    row-wise np.cumsum adds in order, so it gives the loop's fold (-0.0 + x
-    is x), and the stepped starts fill the columns before j, row by row.
+    tail. The syncs of the stages with n buckets form one matrix of n + 1
+    columns, row r their sync r (stage order, then event order): -0.0
+    before column j, free at j, the durations from j on, then a zero. A
+    row-wise np.cumsum adds in order, so it gives the loop's fold (-0.0 +
+    x is x), and the stepped starts fill the columns before j, row by row.
 
     Each row's place is its slot's place in one cumulative sum of the rows
     per slot, plus its place among the slot's rows; each stage's columns
-    are a slice of the run's. Every temporary is dropped after its last
-    use, and the records are emptied once read.
+    are a slice of the run's. A run builds gated pieces only when a slot is
+    gated, and no matrix without a sync. Every temporary is dropped after
+    its last use, and the records are emptied once read.
     """
     p = len(records)
     m = len(book.fwd[0])
@@ -969,43 +972,61 @@ def _trace_columns(
     del fused, gemm
     g = np.flatnonzero(gated)
     del gated
-    piece_start = s[g, None] + np.arange(1, chunks + 1) * tc[g, None]
-    piece_end = np.empty_like(piece_start)
-    np.minimum(piece_start[:, :-1] + tg[g, None], piece_start[:, 1:],
-               out=piece_end[:, :-1])
-    piece_end[:, -1] = end[g]
-    piece = piece_end > piece_start
-    del tc, tg
-
     slot_rows = keep_collective.astype(np.intp)
     slot_rows += single
-    slot_rows[g] += np.count_nonzero(piece, axis=1)
     slot_rows += keep_p2p
-
-    width = max(map(len, book.sync_buckets)) + 1
-    sync_stage = np.repeat(np.arange(p), [len(ss) // 3 for ss in syncs])
-    durations = np.array([
-        [*buckets, *[0.0] * (width - len(buckets))]
-        for buckets in book.sync_buckets
-    ], np.float64)[sync_stage]
-    meta = np.fromiter(chain.from_iterable(syncs), np.float64).reshape(-1, 3)
-    first, free = meta[:, 1].astype(np.intp), meta[:, 2]
-    stepped = np.arange(width) < first[:, None]
-    addends = np.empty_like(durations)
-    addends[:, 1:] = durations[:, :-1]
-    addends[stepped] = -0.0
-    addends[np.arange(len(first)), first] = free
-    sync_start = np.cumsum(addends, axis=1)
-    del addends
-    sync_start[stepped] = np.fromiter(chain.from_iterable(sync_starts),
-                                      np.float64)
-    sync_end = sync_start + durations
-    kept = sync_end > sync_start
-    sync_slot = meta[:, 0].astype(np.intp) + sync_stage * per_stage
-    del durations, stepped, meta
+    if g.size:
+        piece_start = s[g, None] + np.arange(1, chunks + 1) * tc[g, None]
+        piece_end = np.empty_like(piece_start)
+        np.minimum(piece_start[:, :-1] + tg[g, None], piece_start[:, 1:],
+                   out=piece_end[:, :-1])
+        piece_end[:, -1] = end[g]
+        piece = piece_end > piece_start
+        slot_rows[g] += np.count_nonzero(piece, axis=1)
+    del tc, tg
 
     rows = slot_rows.copy()
-    rows[sync_slot] += np.count_nonzero(kept, axis=1)
+    groups = []
+    counts = [len(ss) // 3 for ss in syncs]
+    widths = list(map(len, book.sync_buckets))
+    # the syncing stages by bucket count: the syncs of one count and their
+    # stepped starts are slices of arrays read once a run
+    order = sorted(filter(counts.__getitem__, range(p)), key=widths.__getitem__)
+    if order:
+        meta = np.fromiter(chain.from_iterable(map(syncs.__getitem__, order)),
+                           np.float64).reshape(-1, 3)
+        first, free = meta[:, 1].astype(np.intp), meta[:, 2]
+        sync_slot = meta[:, 0].astype(np.intp) + per_stage * np.repeat(
+            order, [counts[i] for i in order])
+        stepped_start = np.fromiter(chain.from_iterable(
+            map(sync_starts.__getitem__, order)), np.float64)
+    sync_at = stepped_at = 0
+    for width, stages in groupby(order, widths.__getitem__):
+        stages = list(stages)
+        n = sum(counts[i] for i in stages)
+        stepped_n = sum(len(sync_starts[i]) for i in stages)
+        durations = np.repeat(np.fromiter(chain.from_iterable(
+            (*book.sync_buckets[i], 0.0) for i in stages), np.float64
+        ).reshape(-1, width + 1), [counts[i] for i in stages], axis=0)
+        head = first[sync_at:sync_at + n]
+        stepped = np.arange(width + 1) < head[:, None]
+        addends = np.empty_like(durations)
+        addends[:, 1:] = durations[:, :-1]
+        addends[stepped] = -0.0
+        addends[np.arange(n), head] = free[sync_at:sync_at + n]
+        sync_start = np.cumsum(addends, axis=1)
+        del addends
+        sync_start[stepped] = stepped_start[stepped_at:stepped_at + stepped_n]
+        sync_end = sync_start + durations
+        kept = sync_end > sync_start
+        count = np.count_nonzero(kept, axis=1)
+        slots = sync_slot[sync_at:sync_at + n]
+        rows[slots] += count
+        groups.append((slots, sync_start, sync_end, kept, count))
+        sync_at += n
+        stepped_at += stepped_n
+        del durations, stepped
+
     row_at = np.cumsum(rows) - rows
     total = int(row_at[-1] + rows[-1])
     start_col = np.empty(total)
@@ -1026,19 +1047,22 @@ def _trace_columns(
     at = compute_at[single]
     start_col[at] = cstart[single]
     end_col[at] = end[single]
-    at = (compute_at[g, None] + np.cumsum(piece, axis=1) - 1)[piece]
-    start_col[at] = piece_start[piece]
-    end_col[at] = piece_end[piece]
+    if g.size:
+        at = (compute_at[g, None] + np.cumsum(piece, axis=1) - 1)[piece]
+        start_col[at] = piece_start[piece]
+        end_col[at] = piece_end[piece]
     at = (row_at + slot_rows - 1)[keep_p2p]
     start_col[at] = t0[keep_p2p]
     end_col[at] = handoff[keep_p2p]
     kind_col[at] = KIND_P2P
-    at = ((row_at + slot_rows)[sync_slot, None]
-          + np.cumsum(kept, axis=1) - 1)[kept]
-    start_col[at] = sync_start[kept]
-    end_col[at] = sync_end[kept]
-    kind_col[at] = KIND_SYNC
-    microbatch_col[at] = -1
+    for slots, sync_start, sync_end, kept, count in groups:
+        # a sync's kept buckets follow its slot's rows, one after another
+        at = row_at[slots] + slot_rows[slots] + count - np.cumsum(count)
+        at = np.repeat(at, count) + np.arange(count.sum())
+        start_col[at] = sync_start[kept]
+        end_col[at] = sync_end[kept]
+        kind_col[at] = KIND_SYNC
+        microbatch_col[at] = -1
 
     bounds = [*row_at[::per_stage].tolist(), total]
     return [

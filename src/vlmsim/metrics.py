@@ -80,6 +80,23 @@ def emit_report(report: RunReport, format: str = "json") -> str:
     raise ValueError(f"unknown report format {format!r}")
 
 
+def _ranks(keys: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(keys, queries, side) for ascending keys, by one merge:
+    each key is placed among the queries, below (side "left") or at most
+    (side "right") every query from its place on, so a query's rank counts
+    the places at or before it. The queries are sorted only when they are
+    out of order; an engine trace records a stage's comm rows in order."""
+    order = None
+    if not (queries[1:] >= queries[:-1]).all():
+        order = np.argsort(queries)
+        queries = queries[order]
+    at = np.searchsorted(queries, keys, "right" if side == "left" else "left")
+    ranks = np.cumsum(np.bincount(at, minlength=len(queries) + 1)[:-1])
+    if order is not None:
+        ranks[order] = ranks.copy()  # back to the queries' own order
+    return ranks
+
+
 def overlap_efficiency(trace: Trace) -> float:
     """Comm seconds under the same stage's compute, over all comm seconds.
 
@@ -93,7 +110,9 @@ def overlap_efficiency(trace: Trace) -> float:
     0. A fully serialized run scores 0 (its comm only touches compute at
     interval endpoints) and comm entirely hidden under compute scores 1.
     Rows of other resources are ignored. Compute intervals are taken to
-    have start <= end, as check_invariants ensures.
+    have start <= end, as check_invariants ensures. A row's pieces are
+    counted by merging the pieces into the rows (_ranks); when no row meets
+    two pieces, the (row, piece) pairs are a selection of the rows.
     """
     durations = [np.empty(0)]
     overlaps = [np.empty(0)]
@@ -121,16 +140,19 @@ def overlap_efficiency(trace: Trace) -> float:
         piece_start = start[opens]
         piece_end = np.maximum.reduceat(end, opens)
         # pieces [first, stop) of each comm row are those that can overlap it
-        first = np.searchsorted(piece_end, comm_start, side="right")
-        stop = np.searchsorted(piece_start, comm_end, side="left")
-        counts = np.maximum(stop - first, 0)
+        first = _ranks(piece_end, comm_start, "right")
+        meets = _ranks(piece_start, comm_end, "left") - first
         # one (comm row, piece) pair per candidate: rows in stored order,
         # each row's pieces from first upward
-        piece = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts - first, counts
-        )
-        hi = np.minimum(np.repeat(comm_end, counts), piece_end[piece])
-        lo = np.maximum(np.repeat(comm_start, counts), piece_start[piece])
+        row = np.flatnonzero(meets > 0)
+        piece = first[row]
+        if meets.max() > 1:
+            counts = meets[row]
+            row = np.repeat(row, counts)
+            piece = np.repeat(piece + counts - np.cumsum(counts), counts)
+            piece += np.arange(len(row))
+        hi = np.minimum(comm_end[row], piece_end[piece])
+        lo = np.maximum(comm_start[row], piece_start[piece])
         overlaps.append((hi - lo)[hi > lo])
     total = sequential_sum(np.concatenate(durations))
     if total == 0.0:

@@ -605,12 +605,12 @@ def assert_columns_identical(trace, expect):
 
 
 def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
-                  dual=True, overlap=True, bwd=2.0):
+                  dual=True, overlap=True, bwd=2.0, p2p=0.1):
     """run() arguments and a CostBook of one stage per list in
     `stage_buckets`, each syncing its list: forwards of 1 s, backwards of
-    `bwd`, p2p sends of 0.1 s, no TP lump."""
+    `bwd`, p2p sends of `p2p` seconds, no TP lump."""
     p = len(stage_buckets)
-    book = uniform_book(p, m, fwd=1.0, bwd=bwd, p2p=0.1)
+    book = uniform_book(p, m, fwd=1.0, bwd=bwd, p2p=p2p)
     book = dataclasses.replace(
         book, sync_buckets=[list(buckets) for buckets in stage_buckets]
     )
@@ -745,13 +745,32 @@ class TestSyncChainMatchesReference:
     @FREQUENCIES
     def test_stages_of_different_bucket_counts(self, catalog, full_stage,
                                                frequency):
-        # the run's one matrix pads every sync to the longest list; a stage
-        # with no buckets syncs nothing
+        # each bucket count has its own matrix; a stage with no buckets
+        # syncs nothing
         trace = self.check(catalog, full_stage,
                            [[0.4] * 7, [], [0.2, 0.9], [1.5]], frequency, m=4)
         syncs = 4 if frequency == "per_microbatch" else 1
         assert [len(sync_rows(trace, i)) for i in range(4)] == [
             n * syncs for n in (7, 0, 2, 1)
+        ]
+
+    @FREQUENCIES
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("dual", [True, False])
+    @pytest.mark.parametrize("p2p", [0.1, 0.0])
+    def test_one_matrix_per_bucket_count(self, catalog, full_stage,
+                                         frequency, overlap, dual, p2p):
+        # counts 3, 7, 0, 2 and 3: the two 3-bucket stages, apart in stage
+        # order, share a matrix; the zero-length buckets are not recorded.
+        # A stage that sends backward enters its sync queued behind the
+        # send; without sends, every overlapped sync steps some buckets
+        stage_buckets = [[0.3, 0.0, 0.2], [0.4] * 7, [], [0.2, 0.9],
+                         [1.5, 0.6, 0.0]]
+        trace = self.check(catalog, full_stage, stage_buckets, frequency,
+                           m=3, overlap=overlap, dual=dual, bwd=3.0, p2p=p2p)
+        syncs = 3 if frequency == "per_microbatch" else 1
+        assert [len(sync_rows(trace, i)) for i in range(5)] == [
+            n * syncs for n in (2, 7, 0, 2, 2)
         ]
 
     @FREQUENCIES

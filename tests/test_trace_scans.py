@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlmsim.engine import COMM, COMPUTE, run
-from vlmsim.metrics import overlap_efficiency
+from vlmsim.metrics import _ranks, overlap_efficiency
 from tests.conftest import trace_from_rows
 from tests.test_engine_reference import small_configs
 
@@ -253,6 +253,127 @@ class TestStageComputeBusy:
         assert repr(trace.stage_compute_busy()) == "[0.0, 0.0]"
 
 
+class TestRanks:
+    """_ranks merges sorted keys into the queries; it must give what
+    np.searchsorted gives, for either side."""
+
+    SIDES = pytest.mark.parametrize("side", ["left", "right"])
+
+    @staticmethod
+    def check(keys, queries, side):
+        keys = np.array(keys, np.float64)
+        queries = np.array(queries, np.float64)
+        got = _ranks(keys, queries, side)
+        assert got.tolist() == np.searchsorted(keys, queries, side).tolist()
+
+    @given(
+        keys=st.lists(st.one_of(GRID, st.floats(-4.0, 4.0)), max_size=12),
+        queries=st.lists(st.one_of(GRID, st.floats(-4.0, 4.0)), max_size=30),
+        sort_queries=st.booleans(),
+        side=st.sampled_from(["left", "right"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted(self, keys, queries, sort_queries, side):
+        self.check(sorted(keys), sorted(queries) if sort_queries else queries,
+                   side)
+
+    @SIDES
+    def test_ties(self, side):
+        self.check([1.0, 1.0, 2.0], [0.5, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0], side)
+
+    @SIDES
+    def test_signed_zeros_tie(self, side):
+        # -0.0 == 0.0: either zero counts as the other, in any order
+        self.check([-0.0, 0.0], [0.0, -0.0, 0.0], side)
+        self.check([0.0, -0.0], [-0.0, -0.0, 0.0], side)
+        self.check([-1.0, -0.0, 0.0, 1.0], [0.0, -1.0, -0.0, 1.0], side)
+
+    @SIDES
+    def test_empty_keys(self, side):
+        self.check([], [0.0, -1.0, 2.0], side)
+
+    @SIDES
+    def test_empty_queries(self, side):
+        self.check([0.0, 1.0], [], side)
+        self.check([], [], side)
+
+    @SIDES
+    def test_unsorted_queries(self, side):
+        self.check([0.0, 1.0, 2.0, 3.0], [2.5, 0.0, 3.0, -1.0, 1.0, 2.5, 0.5],
+                   side)
+
+
+@st.composite
+def pieces_and_rows(draw):
+    """One stage's comm rows over compute pieces, in one of four cases:
+    rows in start order each meeting at most one piece ("one"); rows in
+    start order, one spanning two or more pieces ("spans"); rows in start
+    order ending at a piece's start or starting at a piece's end ("touch");
+    rows in any order ("unsorted").
+
+    The times are a grid: before the first piece, each piece's start,
+    middle and end, the middle of each gap and past the last piece, so
+    piece k runs from grid point 4k + 1 to 4k + 3 and a row from grid
+    point i to j meets it when i < 4k + 3 and j > 4k + 1. A piece is one
+    compute row, or two that touch at its middle and merge."""
+    case = draw(st.sampled_from(["one", "spans", "touch", "unsorted"]))
+    k = draw(st.integers(2 if case == "spans" else 1, 5))
+    t = draw(st.sampled_from([-1.0, -0.0, 0.0, 0.5]))
+    bounds = []
+    for _ in range(k):
+        start = t + draw(st.one_of(st.sampled_from([0.125, 0.5]),
+                                   st.floats(1e-3, 2.0)))
+        t = start + draw(DURATIONS)
+        bounds += [start, t]
+    grid = [bounds[0] - 1.0]
+    for a, b in zip(bounds, bounds[1:]):
+        grid += [a, (a + b) / 2]
+    grid += [bounds[-1], bounds[-1] + 1.0]
+    rows = []
+    for piece in range(k):
+        lo, mid, hi = grid[4 * piece + 1:4 * piece + 4]
+        if draw(st.booleans()):
+            rows += [(COMPUTE, lo, mid, "fwd", piece),
+                     (COMPUTE, mid, hi, "bwd", piece)]
+        else:
+            rows.append((COMPUTE, lo, hi, "fwd", piece))
+    last = len(grid) - 1
+    spans = []
+    if case == "unsorted":
+        ends = st.tuples(st.integers(0, last - 1), st.integers(1, last))
+        spans = [(min(i, j - 1), j)
+                 for i, j in draw(st.lists(ends, min_size=2, max_size=12))]
+        if spans == sorted(spans):
+            spans.reverse()
+    else:
+        at = 0
+        if case == "spans":
+            # from before piece 0's end to past piece 1's start
+            at = draw(st.integers(5, last))
+            spans.append((draw(st.integers(0, 2)), at))
+        while at < last and len(spans) < 12:
+            if case == "touch":
+                # to the next piece start, or from the next piece end
+                piece = -(-(at - 1) // 4)
+                if 4 * piece + 3 >= last or draw(st.booleans()):
+                    if 4 * piece + 1 <= at:
+                        piece += 1
+                    if 4 * piece + 1 > last:
+                        break
+                    i, j = draw(st.integers(at, 4 * piece)), 4 * piece + 1
+                else:
+                    i = 4 * piece + 3
+                    j = draw(st.integers(i + 1, min(i + 2, last)))
+            else:
+                # fewer than four grid steps never reach two pieces
+                i = draw(st.integers(at, min(at + 2, last - 1)))
+                j = draw(st.integers(i + 1, min(i + 3, last)))
+            spans.append((i, j))
+            at = j
+    rows += [(COMM, grid[i], grid[j], "sync_bucket", None) for i, j in spans]
+    return rows
+
+
 class TestOverlapEfficiency:
     @given(trace=st.one_of(
         arbitrary_traces(times=FINITE_TIMES, ordered_compute=True),
@@ -260,6 +381,14 @@ class TestOverlapEfficiency:
     ))
     @settings(max_examples=400, deadline=None)
     def test_same_floats(self, trace):
+        assert_same_floats(
+            overlap_efficiency(trace), reference_overlap_efficiency(trace)
+        )
+
+    @given(stages=st.lists(pieces_and_rows(), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_cases_same_floats(self, stages):
+        trace = make_trace(stages)
         assert_same_floats(
             overlap_efficiency(trace), reference_overlap_efficiency(trace)
         )
