@@ -69,19 +69,18 @@ code, negative for a backward; and of each sync the slot it follows, the
 starts it stepped and where its queued tail begins. Each row's times
 follow from its slot's start by fixed additions, so after the step one
 array pass (_trace_columns) builds every row of the run in a fixed number
-of numpy calls per distinct sync bucket count: each time is the loop's
-own IEEE operation on the slot's costs, gathered from the book, and the
-loop's end > start tests become masks. One (syncs x buckets) matrix per
-bucket count, so no sync is padded to a longer list, gives every queued
-bucket's start by one row-wise np.cumsum, a sequential add, so the fold's
-own additions. One cumulative sum of the rows per slot gives each row's
-place, and the rows are scattered straight into one start, end, kind and
-microbatch array for the run, in event order: a slot's collective,
-compute, p2p send, then the buckets of the sync that follows it. Each
-stage's columns are a slice of those arrays. Scans over every row (the
-invariant check, compute busy time, comm overlap) read the columns. Their
-sums add left to right, in row order, so they give the floats that
-row-by-row loops give.
+of numpy calls per sync bucket count: each time is the loop's own IEEE
+operation on the slot's costs, gathered from the book, and the loop's
+end > start tests become masks. One (syncs x buckets) matrix per bucket
+count, no sync padded to a longer list, gives every queued bucket's start
+by one row-wise np.cumsum, a sequential add, so the fold's own additions.
+One cumulative sum of the rows per slot gives each row's place, and the
+rows are scattered straight into one start, end, kind and microbatch array
+for the run, in event order: a slot's collective, compute, p2p send, then
+the buckets of the sync that follows it. Each stage's columns are a slice
+of those arrays. Scans over every row (the invariant check, compute busy
+time, comm overlap) read the columns. Their sums add left to right, in row
+order, so they give the floats that row-by-row loops give.
 
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
@@ -897,8 +896,7 @@ def _trace_columns(
     book: CostBook, dual_stream: bool, chunks: int,
 ) -> list[StageColumns]:
     """Every row of the run from its slot and sync records, in a fixed
-    number of numpy calls per distinct sync bucket count, however many
-    stages and syncs.
+    number of numpy calls per distinct sync bucket count.
 
     `records[i]` holds three values per slot of stage i, in event order:
     its start s, its send start t0 and its microbatch code (k, or -k for
@@ -986,7 +984,6 @@ def _trace_columns(
     del tc, tg
 
     rows = slot_rows.copy()
-    groups = []
     counts = [len(ss) // 3 for ss in syncs]
     widths = list(map(len, book.sync_buckets))
     # the syncing stages by bucket count: the syncs of one count and their
@@ -1000,32 +997,33 @@ def _trace_columns(
             order, [counts[i] for i in order])
         stepped_start = np.fromiter(chain.from_iterable(
             map(sync_starts.__getitem__, order)), np.float64)
-    sync_at = stepped_at = 0
-    for width, stages in groupby(order, widths.__getitem__):
-        stages = list(stages)
-        n = sum(counts[i] for i in stages)
-        stepped_n = sum(len(sync_starts[i]) for i in stages)
-        durations = np.repeat(np.fromiter(chain.from_iterable(
-            (*book.sync_buckets[i], 0.0) for i in stages), np.float64
-        ).reshape(-1, width + 1), [counts[i] for i in stages], axis=0)
-        head = first[sync_at:sync_at + n]
-        stepped = np.arange(width + 1) < head[:, None]
-        addends = np.empty_like(durations)
-        addends[:, 1:] = durations[:, :-1]
-        addends[stepped] = -0.0
-        addends[np.arange(n), head] = free[sync_at:sync_at + n]
-        sync_start = np.cumsum(addends, axis=1)
-        del addends
-        sync_start[stepped] = stepped_start[stepped_at:stepped_at + stepped_n]
-        sync_end = sync_start + durations
-        kept = sync_end > sync_start
-        count = np.count_nonzero(kept, axis=1)
-        slots = sync_slot[sync_at:sync_at + n]
-        rows[slots] += count
-        groups.append((slots, sync_start, sync_end, kept, count))
-        sync_at += n
-        stepped_at += stepped_n
-        del durations, stepped
+        kept_rows = []
+        sync_at = stepped_at = 0
+        for width, stages in groupby(order, widths.__getitem__):
+            stages = list(stages)
+            stepped_n = sum(len(sync_starts[i]) for i in stages)
+            durations = np.repeat(np.fromiter(chain.from_iterable(
+                (*book.sync_buckets[i], 0.0) for i in stages), np.float64
+            ).reshape(-1, width + 1), [counts[i] for i in stages], axis=0)
+            head = first[sync_at:sync_at + len(durations)]
+            stepped = np.arange(width + 1) < head[:, None]
+            addends = np.empty_like(durations)
+            addends[:, 1:] = durations[:, :-1]
+            addends[stepped] = -0.0
+            addends[np.arange(len(head)), head] = free[sync_at:sync_at + len(head)]
+            sync_start = np.cumsum(addends, axis=1)
+            del addends
+            sync_start[stepped] = stepped_start[stepped_at:stepped_at + stepped_n]
+            sync_end = sync_start + durations
+            kept = sync_end > sync_start
+            kept_rows.append((np.count_nonzero(kept, axis=1),
+                              sync_start[kept], sync_end[kept]))
+            sync_at += len(head)
+            stepped_at += stepped_n
+            del durations, stepped, sync_start, sync_end, kept
+        count, kept_start, kept_end = map(np.concatenate, zip(*kept_rows))
+        del kept_rows
+        rows[sync_slot] += count
 
     row_at = np.cumsum(rows) - rows
     total = int(row_at[-1] + rows[-1])
@@ -1055,12 +1053,13 @@ def _trace_columns(
     start_col[at] = t0[keep_p2p]
     end_col[at] = handoff[keep_p2p]
     kind_col[at] = KIND_P2P
-    for slots, sync_start, sync_end, kept, count in groups:
+    if order:
         # a sync's kept buckets follow its slot's rows, one after another
-        at = row_at[slots] + slot_rows[slots] + count - np.cumsum(count)
-        at = np.repeat(at, count) + np.arange(count.sum())
-        start_col[at] = sync_start[kept]
-        end_col[at] = sync_end[kept]
+        at = row_at[sync_slot] + slot_rows[sync_slot] + count - np.cumsum(count)
+        at = np.repeat(at, count)
+        at += np.arange(len(at))
+        start_col[at] = kept_start
+        end_col[at] = kept_end
         kind_col[at] = KIND_SYNC
         microbatch_col[at] = -1
 

@@ -111,8 +111,7 @@ def overlap_efficiency(trace: Trace) -> float:
     interval endpoints) and comm entirely hidden under compute scores 1.
     Rows of other resources are ignored. Compute intervals are taken to
     have start <= end, as check_invariants ensures. A row's pieces are
-    counted by merging the pieces into the rows (_ranks); when no row meets
-    two pieces, the (row, piece) pairs are a selection of the rows.
+    counted by merging the pieces into the rows (_ranks).
     """
     durations = [np.empty(0)]
     overlaps = [np.empty(0)]
@@ -145,12 +144,10 @@ def overlap_efficiency(trace: Trace) -> float:
         # one (comm row, piece) pair per candidate: rows in stored order,
         # each row's pieces from first upward
         row = np.flatnonzero(meets > 0)
-        piece = first[row]
-        if meets.max() > 1:
-            counts = meets[row]
-            row = np.repeat(row, counts)
-            piece = np.repeat(piece + counts - np.cumsum(counts), counts)
-            piece += np.arange(len(row))
+        counts = meets[row]
+        piece = np.repeat(first[row] + counts - np.cumsum(counts), counts)
+        piece += np.arange(len(piece))
+        row = np.repeat(row, counts)
         hi = np.minimum(comm_end[row], piece_end[piece])
         lo = np.maximum(comm_start[row], piece_start[piece])
         overlaps.append((hi - lo)[hi > lo])
