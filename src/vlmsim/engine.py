@@ -61,8 +61,9 @@ are double-precision seconds and the whole construction is an arithmetic
 fold over the schedule, so a given (inputs, seed) pair is
 bit-reproducible.
 
-The trace's record is per-stage numpy columns: each row's start, end,
-kind (an index into Trace.kinds, its resource and label) and microbatch.
+The trace's record is one numpy array per column for the run: each row's
+start, end, kind (an index into Trace.kinds, its resource and label) and
+microbatch.
 The event loop keeps three numbers per slot in its stage's flat list: its
 start, its send start (its end when it sends nothing) and its microbatch
 code, negative for a backward; and of each sync the slot it follows, the
@@ -74,22 +75,28 @@ operation on the slot's costs, gathered from the book, and the loop's
 end > start tests become masks. One (syncs x buckets) matrix per bucket
 count, no sync padded to a longer list, gives every queued bucket's start
 by one row-wise np.cumsum, a sequential add, so the fold's own additions.
-One cumulative sum of the rows per slot gives each row's place, and the
-rows are scattered straight into one start, end, kind and microbatch array
-for the run, in event order: a slot's collective, compute, p2p send, then
-the buckets of the sync that follows it. Each stage's columns are a slice
-of those arrays. Scans over every row (the invariant check, compute busy
-time, comm overlap) read the columns. Their sums add left to right, in row
-order, so they give the floats that row-by-row loops give.
+The rows are laid out stage after stage, and within a stage in sub-blocks
+by resource: the compute rows, then the comm rows, each in event order (a
+slot's collective, p2p send, then the buckets of the sync that follows it).
+One cumulative sum of the rows per (stage, resource, slot) gives each
+row's place, and the rows are scattered straight into one start, end, kind
+and microbatch array for the run; Trace.offsets keeps the sub-blocks'
+bounds. The scans over every row read slices: the invariant check is one
+comparison over the run, compute busy time sums each stage's compute
+slice, and the comm overlap reads each stage's compute and comm slices.
+Their sums add left to right, in row order, so they give the floats that
+row-by-row loops give.
 
 The writers read one more view, built on a writer's first use only: each
 stage's rows in writing order (start, compute first, end, label), one
-np.lexsort permutation. trace.jsonl is assembled from it by gathers, a
-chunk of rows at a time in that order across stage boundaries, formatting
-each distinct time of a chunk once. gantt.svg gathers the first rows of
-each drawn (stage, resource) lane from it, formats every x and width of
-the chart in one pass, and draws each lane once, as a def that every
-chip's lane of that stage places with <use>.
+np.lexsort permutation per stage, kept in one array stage after stage.
+trace.jsonl is assembled from it by gathers, a chunk of rows at a time in
+that order across stage boundaries, formatting each distinct time of a
+chunk once. gantt.svg picks each drawn (stage, resource) lane's rows from
+it by comparing their places with the sub-block's bounds, gathers the
+first of them, formats every x and width of the chart in one pass, and
+draws each lane once, as a def that every chip's lane of that stage places
+with <use>.
 """
 
 from __future__ import annotations
@@ -211,8 +218,8 @@ class CostBook:
     sync_buckets: list[list[float]]
 
 
-class StageColumns(NamedTuple):
-    """One stage's rows as columns, in recorded order."""
+class TraceColumns(NamedTuple):
+    """A run's rows as columns, in recorded order (see Trace)."""
 
     start: np.ndarray  # float64
     end: np.ndarray  # float64
@@ -239,13 +246,16 @@ class Trace:
     places on nodes. `memory` is the per-chip estimate step_shape checked
     against chip memory; trace.jsonl does not write it.
 
-    The record is stage_columns, one StageColumns per stage, its rows in
-    event order (a sync's bucket rows right after the rows of the slot it
-    follows); a row's kind indexes `kinds`, its (resource, label) pair. A
-    run's stages are slices of one array per column. A Trace
-    is read-only once `run` returns: the kind masks and the writers' row
-    order are derived from the columns on first use and cached, so a later
-    edit of the columns would leave them stale.
+    The record is `columns`, one array per column for the run, stage
+    after stage; a row's kind indexes `kinds`, its (resource, label) pair.
+    A stage's rows are grouped into sub-blocks by resource: compute, then
+    comm, then any other resource (only test traces hold one), each in
+    event order. offsets[3i], offsets[3i + 1] and offsets[3i + 2] are the
+    first rows of stage i's compute, comm and other sub-blocks, and
+    offsets[3i + 3] is where the stage ends; the last offset is the row
+    count. A Trace is read-only once `run` returns: the writers' row order
+    is derived from the columns on first use and cached, so a later edit of
+    the columns would leave it stale.
     """
 
     dp: int
@@ -253,7 +263,8 @@ class Trace:
     pp: int
     makespan: float
     seed: int
-    stage_columns: list[StageColumns]
+    columns: TraceColumns
+    offsets: np.ndarray
     microbatch_sizes: list[int]
     microbatch_seq_lens: list[int]
     visual_tokens_per_sample: int
@@ -276,91 +287,90 @@ class Trace:
         """Each stage's rows as (resource, start, end, label, microbatch)
         tuples, microbatch None for -1, built from the columns on every
         read: a view for readers outside vlmsim, which never reads it."""
-        stages = []
-        for cols in self.stage_columns:
-            kinds = map(self.kinds.__getitem__, cols.kind.tolist())
-            stages.append([
-                (resource, start, end, label, None if mb < 0 else mb)
-                for (resource, label), start, end, mb in zip(
-                    kinds, cols.start.tolist(), cols.end.tolist(),
-                    cols.microbatch.tolist(),
-                )
-            ])
-        return stages
+        kinds = map(self.kinds.__getitem__, self.columns.kind.tolist())
+        rows = [
+            (resource, start, end, label, None if mb < 0 else mb)
+            for (resource, label), start, end, mb in zip(
+                kinds, self.columns.start.tolist(), self.columns.end.tolist(),
+                self.columns.microbatch.tolist(),
+            )
+        ]
+        bounds = self.offsets[::3].tolist()
+        return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
-    def compute(self) -> np.ndarray:
-        """Whether each kind is a compute row, indexed by kind."""
-        return np.array([res == COMPUTE for res, _ in self.kinds], bool)
-
-    @cached_property
-    def comm(self) -> np.ndarray:
-        """Whether each kind is a comm row, indexed by kind. A kind of
-        another resource is in neither mask."""
-        return np.array([res == COMM for res, _ in self.kinds], bool)
-
-    @cached_property
-    def writer_order(self) -> list[np.ndarray]:
-        """Each stage's rows in writing order, as a permutation of its
-        recorded rows; built on a writer's first use.
+    def writer_order(self) -> np.ndarray:
+        """Each stage's rows in writing order, as places in the stage (a
+        permutation of 0 .. rows - 1), stage after stage. Built on a
+        writer's first use.
 
         Writing order is start, compute before every other resource, end,
         then label in Python string order. np.lexsort is stable, so rows
-        that tie on all four keep recorded order. The engine records rows
-        in event order; only the writers need this one, so a run whose
-        trace is never written never sorts.
+        that tie on all four keep recorded order. The engine records each
+        stage's rows by resource, each resource's in event order; only the
+        writers need this one, so a run whose trace is never written never
+        sorts.
         """
-        resource_rank = ~self.compute
+        resource_rank = np.array([res != COMPUTE for res, _ in self.kinds])
         labels = sorted({label for _, label in self.kinds})
-        label_rank = np.array([labels.index(label) for _, label in self.kinds])
-        orders = []
-        for cols in self.stage_columns:
-            order = np.lexsort((
-                label_rank[cols.kind], cols.end, resource_rank[cols.kind],
-                cols.start,
+        # small integer keys: np.lexsort sorts them faster than int64 ones
+        label_rank = np.array([labels.index(label) for _, label in self.kinds],
+                              np.min_scalar_type(len(labels)))
+        start, end, kind, _ = self.columns
+        bounds = self.offsets[::3].tolist()
+        # the order outlives the writers with its trace, so it is kept in
+        # the narrowest unsigned type that holds its values
+        order = np.empty(len(start), np.min_scalar_type(
+            max(np.diff(bounds), default=0)))
+        for a, b in zip(bounds, bounds[1:]):
+            order[a:b] = np.lexsort((
+                np.take(label_rank, kind[a:b]), end[a:b],
+                np.take(resource_rank, kind[a:b]), start[a:b],
             ))
-            # the order outlives the writers with its trace, so it is kept
-            # in the narrowest unsigned type that holds its values
-            orders.append(order.astype(np.min_scalar_type(len(order))))
-        return orders
+        return order
 
     def stage_compute_busy(self) -> list[float]:
-        """Each stage's compute seconds, summed in row order."""
-        busy = []
-        for cols in self.stage_columns:
-            compute = self.compute[cols.kind]
-            busy.append(sequential_sum(cols.end[compute] - cols.start[compute]))
-        return busy
+        """Each stage's compute seconds, its compute sub-block summed in
+        row order."""
+        start, end = self.columns.start, self.columns.end
+        offsets = self.offsets.tolist()
+        return [
+            sequential_sum(end[a:b] - start[a:b])
+            for a, b in zip(offsets[::3], offsets[1::3])
+        ]
 
     def check_invariants(self) -> None:
         """Raise AssertionError at the first bad row of the first bad pass.
 
-        The passes run stage by stage, compute before comm; within a pass,
-        in row order, every interval must be positive and start no earlier
-        than 1e-15 before the previous interval's end.
+        A pass is a compute or comm sub-block, so the passes run stage by
+        stage, compute before comm; within a pass, in row order, every
+        interval must be positive and start no earlier than 1e-15 before
+        the previous interval's end. Rows of other resources are not
+        checked. One comparison over the run finds every bad row, each
+        sub-block's first row compared against an end of -1.0.
         """
         if not math.isfinite(self.makespan):
             raise AssertionError(f"makespan {self.makespan} is not finite")
-        for stage, cols in enumerate(self.stage_columns):
-            for resource, in_kind in ((COMPUTE, self.compute), (COMM, self.comm)):
-                mask = in_kind[cols.kind]
-                start = cols.start[mask]
-                end = cols.end[mask]
-                prev_end = np.concatenate(([-1.0], end[:-1]))
-                not_positive = ~(start < end)  # also true when either is NaN
-                bad = np.flatnonzero(not_positive | (start < prev_end - 1e-15))
-                if not bad.size:
-                    continue
-                first = bad[0]
-                if not_positive[first]:
-                    kind = cols.kind[np.flatnonzero(mask)[first]]
-                    _, label = self.kinds[kind]
-                    raise AssertionError(
-                        f"stage {stage} {label} interval not positive"
-                    )
-                raise AssertionError(
-                    f"stage {stage} overlapping {resource} intervals"
-                )
+        start, end, kind, _ = self.columns
+        # each row's previous end in its sub-block, less the tolerance
+        floor = np.concatenate(([-1.0], end))
+        floor[self.offsets] = -1.0
+        floor -= 1e-15
+        not_positive = ~(start < end)  # also true when either is NaN
+        bad = np.flatnonzero(not_positive | (start < floor[:-1]))
+        # each bad row's sub-block, 3 * stage + (0 compute, 1 comm, 2 other)
+        block = np.searchsorted(self.offsets, bad, "right") - 1
+        checked = np.flatnonzero(block % 3 != 2)
+        if not checked.size:
+            return
+        row = bad[checked[0]]
+        stage, resource = divmod(int(block[checked[0]]), 3)
+        if not_positive[row]:
+            _, label = self.kinds[kind[row]]
+            raise AssertionError(f"stage {stage} {label} interval not positive")
+        raise AssertionError(
+            f"stage {stage} overlapping {(COMPUTE, COMM)[resource]} intervals"
+        )
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as handle:
@@ -396,39 +406,37 @@ class Trace:
             },
             separators=(",", ":"),
         ) + "\n"
+        bounds = self.offsets[::3]
         resources = [json.dumps(res) for res, _ in self.kinds]
         heads = np.array([
             f'{{"stage":{stage},"resource":{res},"start":'
-            for stage in range(len(self.stage_columns)) for res in resources
+            for stage in range(len(bounds) - 1) for res in resources
         ], object)
         label_texts = np.array([
             f',"label":{json.dumps(label)},"microbatch":'
             for _, label in self.kinds
         ], object)
         # the text of each microbatch the trace holds, at microbatch + 1
-        top = max((int(cols.microbatch.max(initial=-1))
-                   for cols in self.stage_columns), default=-1)
-        present = np.zeros(top + 2, bool)
-        for cols in self.stage_columns:
-            present[np.maximum(cols.microbatch, -1) + 1] = True
-        microbatch_texts = np.empty(top + 2, object)
+        microbatch = self.columns.microbatch
+        present = np.zeros(int(microbatch.max(initial=-1)) + 2, bool)
+        for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
+            present[np.maximum(microbatch[a:b], -1) + 1] = True
+        microbatch_texts = np.empty(len(present), object)
         microbatch_texts[present] = [
             f'{"null" if code == 0 else code - 1}}}\n'
             for code in np.flatnonzero(present).tolist()
         ]
         known = (np.empty(0, np.int64), np.empty(0, object))
-        for pieces in self._writer_chunks():
-            start, end, kind, microbatch = (
-                np.concatenate([
-                    getattr(cols, name)[rows] for _, cols, rows in pieces
-                ])
-                for name in StageColumns._fields
-            )
-            head = np.concatenate([
-                cols.kind[rows].astype(np.intp) + stage * len(self.kinds)
-                for stage, cols, rows in pieces
-            ])
-            n = len(start)
+        stage_heads = np.arange(len(bounds) - 1) * len(self.kinds)
+        for first in range(0, len(self.writer_order), JSONL_CHUNK_ROWS):
+            at = self.writer_order[first:first + JSONL_CHUNK_ROWS]
+            n = len(at)
+            # the order runs stage after stage, as the rows do, so a stage's
+            # bounds hold its rows' places in the order too
+            rows = np.diff(np.clip(bounds, first, first + n))
+            at = at + np.repeat(bounds[:-1], rows)
+            start, end, kind, microbatch = (column[at] for column in self.columns)
+            head = kind + np.repeat(stage_heads, rows)
             bits, inverse = np.unique(
                 np.concatenate((start, end)).view(np.int64),
                 return_inverse=True,
@@ -444,29 +452,6 @@ class Trace:
                 np.maximum(microbatch, -1) + 1
             ].tolist()
             yield "".join(fragments)
-
-    def _writer_chunks(self):
-        """The rows in writing order, stage after stage, JSONL_CHUNK_ROWS at
-        a time (the last chunk may hold fewer): each chunk a list of
-        (stage, its columns, positions of its rows) pieces, one per stage
-        the chunk reaches."""
-        pieces = []
-        room = JSONL_CHUNK_ROWS
-        for stage, (cols, order) in enumerate(
-            zip(self.stage_columns, self.writer_order)
-        ):
-            first = 0
-            while first < len(order):
-                rows = order[first:first + room]
-                pieces.append((stage, cols, rows))
-                first += len(rows)
-                room -= len(rows)
-                if not room:
-                    yield pieces
-                    pieces = []
-                    room = JSONL_CHUNK_ROWS
-        if pieces:
-            yield pieces
 
 
 def _time_texts(
@@ -846,15 +831,16 @@ def run(
 
     execute(build_1f1b(p, m), execute_slot)
 
-    stage_columns = _trace_columns(records, syncs, sync_starts, cost_book,
-                                   dual_stream, chunks)
+    columns, offsets = _trace_columns(records, syncs, sync_starts, cost_book,
+                                      dual_stream, chunks)
     trace = Trace(
         dp=plan.dp,
         tp=plan.tp,
         pp=p,
         makespan=max(max(comp_free), max(comm_free)),
         seed=seed,
-        stage_columns=stage_columns,
+        columns=columns,
+        offsets=offsets,
         microbatch_sizes=[size for size, _ in microbatches.shapes],
         microbatch_seq_lens=[seq for _, seq in microbatches.shapes],
         visual_tokens_per_sample=workload.visual_tokens_per_sample,
@@ -894,9 +880,10 @@ def _check_injected(book: CostBook, p: int, m: int) -> None:
 def _trace_columns(
     records: list[list], syncs: list[list], sync_starts: list[list[float]],
     book: CostBook, dual_stream: bool, chunks: int,
-) -> list[StageColumns]:
+) -> tuple[TraceColumns, np.ndarray]:
     """Every row of the run from its slot and sync records, in a fixed
-    number of numpy calls per distinct sync bucket count.
+    number of numpy calls per distinct sync bucket count: the run's
+    columns and their sub-block offsets (Trace.offsets).
 
     `records[i]` holds three values per slot of stage i, in event order:
     its start s, its send start t0 and its microbatch code (k, or -k for
@@ -918,11 +905,12 @@ def _trace_columns(
     row-wise np.cumsum adds in order, so it gives the loop's fold (-0.0 +
     x is x), and the stepped starts fill the columns before j, row by row.
 
-    Each row's place is its slot's place in one cumulative sum of the rows
-    per slot, plus its place among the slot's rows; each stage's columns
-    are a slice of the run's. A run builds gated pieces only when a slot is
-    gated, and no matrix without a sync. Every temporary is dropped after
-    its last use, and the records are emptied once read.
+    A stage's rows are its compute rows, then its comm rows, each in event
+    order. A row's place is its slot's place in one cumulative sum of the
+    rows per (stage, resource, slot), plus its place among the slot's rows
+    of that resource. A run builds gated pieces only when a slot is gated,
+    and no matrix without a sync. Every temporary is dropped after its last
+    use, and the records are emptied once read.
     """
     p = len(records)
     m = len(book.fwd[0])
@@ -970,9 +958,11 @@ def _trace_columns(
     del fused, gemm
     g = np.flatnonzero(gated)
     del gated
-    slot_rows = keep_collective.astype(np.intp)
-    slot_rows += single
-    slot_rows += keep_p2p
+    # each slot's rows of either resource: its compute row or gated pieces;
+    # its collective and p2p send, and later the buckets of its sync
+    compute_rows = single.astype(np.intp)
+    comm_rows = keep_collective.astype(np.intp)
+    comm_rows += keep_p2p
     if g.size:
         piece_start = s[g, None] + np.arange(1, chunks + 1) * tc[g, None]
         piece_end = np.empty_like(piece_start)
@@ -980,10 +970,9 @@ def _trace_columns(
                    out=piece_end[:, :-1])
         piece_end[:, -1] = end[g]
         piece = piece_end > piece_start
-        slot_rows[g] += np.count_nonzero(piece, axis=1)
+        compute_rows[g] = np.count_nonzero(piece, axis=1)
     del tc, tg
 
-    rows = slot_rows.copy()
     counts = [len(ss) // 3 for ss in syncs]
     widths = list(map(len, book.sync_buckets))
     # the syncing stages by bucket count: the syncs of one count and their
@@ -1023,25 +1012,41 @@ def _trace_columns(
             del durations, stepped, sync_start, sync_end, kept
         count, kept_start, kept_end = map(np.concatenate, zip(*kept_rows))
         del kept_rows
-        rows[sync_slot] += count
+        comm_rows[sync_slot] += count
 
-    row_at = np.cumsum(rows) - rows
-    total = int(row_at[-1] + rows[-1])
+    # a stage's rows are its slots' compute rows, then their comm rows, so
+    # one cumulative sum of the rows per (stage, resource, slot) gives each
+    # slot's first row of either resource
+    rows = np.stack((compute_rows.reshape(p, per_stage),
+                     comm_rows.reshape(p, per_stage)), axis=1)
+    row_at = np.cumsum(rows).reshape(rows.shape) - rows
+    total = int(row_at[-1, -1, -1] + rows[-1, -1, -1])
+    offsets = np.zeros(3 * p + 1, np.intp)
+    offsets[1::3] = row_at[:, 1, 0]
+    offsets[2::3] = offsets[3::3] = np.append(row_at[1:, 0, 0], total)
+    compute_at = row_at[:, 0].ravel()
+    comm_at = row_at[:, 1].ravel()
+    del row_at
     start_col = np.empty(total)
     end_col = np.empty(total)
-    # a slot's compute kind and microbatch on all its rows, then the other
-    # kinds and the syncs' -1 in their places
-    kind_col = np.repeat(
-        np.where(back, np.uint8(KIND_BWD), np.uint8(KIND_FWD)), rows
-    )
-    microbatch_col = np.repeat(microbatch, rows)
-    del rows, back, microbatch
+    # a slot's compute kind and microbatch on its compute rows, a sync
+    # bucket's on its comm rows; the collectives and sends are set in place
+    kinds = np.empty_like(rows, np.uint8)
+    kinds[:, 0] = np.where(back, np.uint8(KIND_BWD),
+                           np.uint8(KIND_FWD)).reshape(p, per_stage)
+    kinds[:, 1] = KIND_SYNC
+    kind_col = np.repeat(kinds, rows.ravel())
+    codes = np.empty_like(rows, np.int64)
+    codes[:, 0] = microbatch.reshape(p, per_stage)
+    codes[:, 1] = -1
+    microbatch_col = np.repeat(codes, rows.ravel())
+    del rows, kinds, codes, back
 
-    at = row_at[keep_collective]
+    at = comm_at[keep_collective]
     start_col[at] = s[keep_collective]
     end_col[at] = lump_end[keep_collective]
     kind_col[at] = KIND_COLLECTIVE
-    compute_at = row_at + keep_collective
+    microbatch_col[at] = microbatch[keep_collective]
     at = compute_at[single]
     start_col[at] = cstart[single]
     end_col[at] = end[single]
@@ -1049,26 +1054,19 @@ def _trace_columns(
         at = (compute_at[g, None] + np.cumsum(piece, axis=1) - 1)[piece]
         start_col[at] = piece_start[piece]
         end_col[at] = piece_end[piece]
-    at = (row_at + slot_rows - 1)[keep_p2p]
+    at = (comm_at + keep_collective)[keep_p2p]
     start_col[at] = t0[keep_p2p]
     end_col[at] = handoff[keep_p2p]
     kind_col[at] = KIND_P2P
+    microbatch_col[at] = microbatch[keep_p2p]
     if order:
-        # a sync's kept buckets follow its slot's rows, one after another
-        at = row_at[sync_slot] + slot_rows[sync_slot] + count - np.cumsum(count)
+        # a sync's kept buckets are its slot's last comm rows, in turn
+        at = comm_at[sync_slot] + comm_rows[sync_slot] - np.cumsum(count)
         at = np.repeat(at, count)
         at += np.arange(len(at))
         start_col[at] = kept_start
         end_col[at] = kept_end
-        kind_col[at] = KIND_SYNC
-        microbatch_col[at] = -1
-
-    bounds = [*row_at[::per_stage].tolist(), total]
-    return [
-        StageColumns(start_col[a:b], end_col[a:b], kind_col[a:b],
-                     microbatch_col[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    return TraceColumns(start_col, end_col, kind_col, microbatch_col), offsets
 
 
 def step_training_flops(trace: Trace, model: ModelSpec, plan: ParallelismPlan) -> float:

@@ -110,19 +110,19 @@ def overlap_efficiency(trace: Trace) -> float:
     0. A fully serialized run scores 0 (its comm only touches compute at
     interval endpoints) and comm entirely hidden under compute scores 1.
     Rows of other resources are ignored. Compute intervals are taken to
-    have start <= end, as check_invariants ensures. A row's pieces are
-    counted by merging the pieces into the rows (_ranks).
+    have start <= end, as check_invariants ensures. Each stage's compute
+    and comm rows are read as the slices of its sub-blocks, and a row's
+    pieces are counted by merging the pieces into the rows (_ranks).
     """
     durations = [np.empty(0)]
     overlaps = [np.empty(0)]
-    for cols in trace.stage_columns:
-        comm = trace.comm[cols.kind]
-        compute = trace.compute[cols.kind]
-        comm_start = cols.start[comm]
-        comm_end = cols.end[comm]
+    offsets = trace.offsets.tolist()
+    for a, b, c in zip(offsets[::3], offsets[1::3], offsets[2::3]):
+        comm_start = trace.columns.start[b:c]
+        comm_end = trace.columns.end[b:c]
         durations.append(comm_end - comm_start)
-        start = cols.start[compute]
-        end = cols.end[compute]
+        start = trace.columns.start[a:b]
+        end = trace.columns.end[a:b]
         if not (start.size and comm_start.size):
             continue
         # equal starts join one piece in any order; the engine records
@@ -334,19 +334,19 @@ def emit_gantt(
     at its own height with <use>. Labels are escaped for XML (U+FFFD for
     what XML 1.0 cannot hold) and the file is written as UTF-8.
 
-    The drawn rows of every lane are gathered first, and every rect's x
-    and width computed in one pass with the IEEE operations of
-    left + start * scale and max((end - start) * scale, 0.05). Their .3f
-    texts come from integers (_format_3f), each distinct width formatted
-    once. A rect is then four fragments: '<rect x="', x's integer part,
-    its fraction, and one tail per distinct (width, kind).
+    A lane's rows are its stage's rows in writing order whose places fall
+    in the lane's sub-block. The drawn rows of every lane are gathered
+    first, and every rect's x and width computed in one pass with the IEEE
+    operations of left + start * scale and max((end - start) * scale,
+    0.05). Their .3f texts come from integers (_format_3f), each distinct
+    width formatted once. A rect is then four fragments: '<rect x="', x's
+    integer part, its fraction, and one tail per distinct (width, kind).
     """
     if max_chips < 1:
         raise ValueError(f"max_chips must be >= 1, got {max_chips}")
     if max_intervals < 0:
         raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
-    rows = sum(len(cols.start) for cols in trace.stage_columns)
-    if trace.makespan <= 0.0 or not rows:
+    if trace.makespan <= 0.0 or not len(trace.columns.start):
         raise ValueError("empty trace")
     chips = min(trace.total_chips, max_chips)
     lane_h = 14
@@ -367,21 +367,19 @@ def emit_gantt(
     ]
     picked = []
     clipped = []
+    offsets = trace.offsets.tolist()
     for stage, res in lanes:
-        order = trace.writer_order[stage]
-        in_lane = (trace.compute if res == COMPUTE else trace.comm)[
-            trace.stage_columns[stage].kind[order]
-        ]
-        picked.append(order[in_lane][:max_intervals])
+        # the stage's rows in writing order; the lane's are its sub-block's
+        first = offsets[3 * stage]
+        order = trace.writer_order[first:offsets[3 * stage + 3]]
+        block = 3 * stage + (res == COMM)
+        lo, hi = (at - first for at in offsets[block:block + 2])
+        in_lane = (order >= lo) & (order < hi)
+        picked.append(first + order[in_lane][:max_intervals].astype(np.intp))
         clipped.append(np.count_nonzero(in_lane) > max_intervals)
     # every drawn rect of the chart at once, lane after lane
-    start, end, kind = (
-        np.concatenate([
-            getattr(trace.stage_columns[stage], name)[rows]
-            for (stage, _), rows in zip(lanes, picked)
-        ])
-        for name in ("start", "end", "kind")
-    )
+    drawn = np.concatenate(picked)
+    start, end, kind = (column[drawn] for column in trace.columns[:3])
     widths, width_at = np.unique(
         np.maximum((end - start) * scale, 0.05), return_inverse=True
     )

@@ -19,7 +19,7 @@ from vlmsim import (
     stage_grad_bytes,
 )
 from vlmsim import schedule
-from vlmsim.engine import COMM, COMPUTE, CostBook, StageColumns, Trace
+from vlmsim.engine import COMM, COMPUTE, CostBook, TraceColumns, Trace
 from vlmsim.schedule import BACKWARD, FORWARD, PipelineSchedule
 
 PRESET_DIR = "presets"
@@ -61,32 +61,41 @@ def assert_identical(a, b):
 def trace_from_rows(stage_rows, **meta) -> Trace:
     """A Trace recording `stage_rows`, lists of Row tuples per stage.
 
-    Kinds are coded in order of first appearance, a None microbatch as -1.
-    `meta` overrides the Trace fields other than the record; by default
-    dp = tp = 1, one stage per list, makespan 1.0, one 1-token batch and
-    zero memory.
+    Each stage's rows are grouped as the engine groups them, stably:
+    compute, then comm, then every other resource. Kinds are coded in
+    order of first appearance, a None microbatch as -1. `meta` overrides
+    the Trace fields other than the record; by default dp = tp = 1, one
+    stage per list, makespan 1.0, one 1-token batch and zero memory.
     """
     kinds: dict[tuple[str, str], int] = {}
-    columns = [
-        StageColumns(
-            start=np.array([row[1] for row in rows], np.float64),
-            end=np.array([row[2] for row in rows], np.float64),
-            kind=np.array([
-                kinds.setdefault((row[0], row[3]), len(kinds)) for row in rows
-            ], np.intp),
-            microbatch=np.array(
-                [-1 if row[4] is None else row[4] for row in rows], np.int64
-            ),
-        )
-        for rows in stage_rows
-    ]
+    for row in (row for stage in stage_rows for row in stage):
+        kinds.setdefault((row[0], row[3]), len(kinds))
+    ranks = {COMPUTE: 0, COMM: 1}
+    rows = []
+    offsets = [0]
+    for stage in stage_rows:
+        blocks = [[], [], []]
+        for row in stage:
+            blocks[ranks.get(row[0], 2)].append(row)
+        for block in blocks:
+            rows += block
+            offsets.append(len(rows))
+    columns = TraceColumns(
+        start=np.array([row[1] for row in rows], np.float64),
+        end=np.array([row[2] for row in rows], np.float64),
+        kind=np.array([kinds[row[0], row[3]] for row in rows], np.intp),
+        microbatch=np.array(
+            [-1 if row[4] is None else row[4] for row in rows], np.int64
+        ),
+    )
     fields = dict(
         dp=1, tp=1, pp=len(stage_rows), makespan=1.0, seed=0,
         microbatch_sizes=[1], microbatch_seq_lens=[1],
         visual_tokens_per_sample=0,
         memory=MemoryBreakdown(0.0, 0.0, 0.0, 0.0),
     )
-    return Trace(stage_columns=columns, kinds=tuple(kinds), **fields | meta)
+    return Trace(columns=columns, offsets=np.array(offsets, np.intp),
+                 kinds=tuple(kinds), **fields | meta)
 
 
 # every tie and odd row the writers must order and print as the reference

@@ -677,7 +677,7 @@ class TestJsonlChunks:
         config = load_config("bench/workloads/multimodal-api.json")
         trace = run(config.model, config.stage, config.plan, config.topology,
                     config.costmodel, config.seed, workload=config.workload)
-        assert sum(len(cols.start) for cols in trace.stage_columns) == 73_216
+        assert len(trace.columns.start) == 73_216
         trace.writer_order
         tracemalloc.start()
         try:
@@ -691,18 +691,24 @@ class TestJsonlChunks:
 class TestStageRowsView:
     def test_edge_rows_round_trip(self):
         # -0.0, None microbatches, a third resource and line-break labels
-        # come back from the columns as they went in
-        assert repr(trace_from_rows(EDGE_ROWS).stage_rows) == repr(EDGE_ROWS)
+        # come back from the columns as they went in, each stage's rows
+        # grouped stably: compute, comm, then the "host" rows
+        trace = trace_from_rows(EDGE_ROWS)
+        first, second, empty, last = EDGE_ROWS
+        grouped = [[first[1], first[2], first[3], first[0], first[4], first[5]],
+                   second, empty, [last[1], last[0]]]
+        assert repr(trace.stage_rows) == repr(grouped)
+        assert trace.offsets.tolist() == [0, 3, 5, 6, 7, 8, 8, 8, 8, 8, 9, 9,
+                                          10]
 
     def test_flagship_rows_are_the_columns(self):
         # bench/tracer.py counts engine.rows from this view
         trace = flagship_run()
         rows = trace.stage_rows
-        for stage, cols in zip(rows, trace.stage_columns, strict=True):
-            assert {len(column) for column in cols} == {len(stage)}
-        assert sum(len(stage) for stage in rows) == sum(
-            len(cols.start) for cols in trace.stage_columns
-        ) == 35_599
+        assert [len(stage) for stage in rows] == np.diff(
+            trace.offsets[::3]).tolist()
+        assert {len(column) for column in trace.columns} == {
+            sum(len(stage) for stage in rows)} == {35_599}
 
 
 class TestFiniteness:

@@ -591,16 +591,29 @@ def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
 
 
 def assert_columns_identical(trace, expect):
-    """Every stage's columns equal bit for bit (times compared as bit
-    patterns, kinds as their (resource, label) pairs), and the makespan."""
-    assert len(trace.stage_columns) == len(expect.stage_columns)
-    for cols, ref in zip(trace.stage_columns, expect.stage_columns):
-        for name in ("start", "end"):
-            assert (getattr(cols, name).view(np.int64).tolist()
-                    == getattr(ref, name).view(np.int64).tolist())
-        assert cols.microbatch.tolist() == ref.microbatch.tolist()
-        assert ([trace.kinds[k] for k in cols.kind.tolist()]
-                == [expect.kinds[k] for k in ref.kind.tolist()])
+    """Each (stage, resource) sub-block of the trace equals the expected
+    trace's rows of that stage and resource, in order and bit for bit
+    (times compared as bit patterns, kinds as their (resource, label)
+    pairs); no stage holds another resource; and the makespans are equal."""
+    offsets = trace.offsets.tolist()
+    assert len(offsets) == 3 * len(expect.stage_rows) + 1
+    assert offsets[-1] == len(trace.columns.start)
+    for stage, rows in enumerate(expect.stage_rows):
+        for rank, resource in enumerate((COMPUTE, COMM)):
+            a, b = offsets[3 * stage + rank:3 * stage + rank + 2]
+            ref = [row for row in rows if row[0] == resource]
+            start, end, kind, microbatch = (column[a:b]
+                                            for column in trace.columns)
+            for got, at in ((start, 1), (end, 2)):
+                assert got.view(np.int64).tolist() == np.array(
+                    [row[at] for row in ref], np.float64
+                ).view(np.int64).tolist()
+            assert microbatch.tolist() == [
+                -1 if row[4] is None else row[4] for row in ref
+            ]
+            assert ([trace.kinds[k] for k in kind.tolist()]
+                    == [(row[0], row[3]) for row in ref])
+        assert offsets[3 * stage + 2] == offsets[3 * stage + 3]
     assert_identical(trace.makespan, expect.makespan)
 
 
@@ -625,9 +638,10 @@ def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
 
 
 def sync_rows(trace, stage):
-    cols = trace.stage_columns[stage]
-    at = [trace.kinds[k] == (COMM, LABEL_SYNC) for k in cols.kind.tolist()]
-    return list(zip(cols.start[at].tolist(), cols.end[at].tolist()))
+    a, b = trace.offsets[3 * stage + 1:3 * stage + 3]
+    start, end, kind, _ = (column[a:b] for column in trace.columns)
+    at = [trace.kinds[k] == (COMM, LABEL_SYNC) for k in kind.tolist()]
+    return list(zip(start[at].tolist(), end[at].tolist()))
 
 
 # buckets of a 5700.1 s backward, each ready about 950 s after the one
@@ -857,7 +871,7 @@ class TestRowBuild:
             fwd=[[1.0]], bwd=[[2.0]], tp_fwd=[[0.0]], tp_bwd=[[0.0]],
             p2p_fwd=[[0.0]], p2p_bwd=[[0.0]], sync_buckets=[[0.5, 0.25]],
         )
-        (cols,) = engine._trace_columns(
+        cols, offsets = engine._trace_columns(
             [[0.0, 1.0, 1, 1.0, 3.0, -1]], [[1, 1, -0.0]], [[3.0]], book,
             True, 1,
         )
@@ -866,6 +880,32 @@ class TestRowBuild:
         assert repr(rows) == repr(
             [(0.0, 1.0, 0), (1.0, 3.0, 0), (3.0, 3.5, -1), (-0.0, 0.25, -1)]
         )
+        assert offsets.tolist() == [0, 2, 4, 4]
+
+
+BENCH_CONFIGS = [f"bench/workloads/{name}.json"
+                 for name in ("flagship", "sweep-grid", "multimodal-api")]
+
+
+class TestRowLayout:
+    @pytest.mark.parametrize(
+        "path", [f"{PRESET_DIR}/{preset}" for preset in PRESETS] + BENCH_CONFIGS
+    )
+    def test_sub_blocks_are_the_reference_rows(self, path):
+        # each stage's rows are its compute rows, then its comm rows, each
+        # sub-block the frozen per-row loop's rows of that resource in order
+        config = load_config(path)
+        args = (config.model, config.stage, config.plan, config.topology,
+                config.costmodel, config.seed, config.workload)
+        trace = run(*args)
+        resources = [trace.kinds[k][0] for k in trace.columns.kind.tolist()]
+        offsets = trace.offsets.tolist()
+        for at in range(3 * config.plan.pp):
+            assert set(resources[offsets[at]:offsets[at + 1]]) <= {
+                (COMPUTE, COMM, None)[at % 3]
+            }
+        assert sum(map(len, trace.stage_rows)) == len(resources) == offsets[-1]
+        assert_columns_identical(trace, reference_run(*args))
 
 
 class TestPricingWork:

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlmsim.engine import COMM, COMPUTE, run
+from vlmsim.engine import COMM, COMPUTE, CostModelConfig, run
 from vlmsim.metrics import _ranks, overlap_efficiency
-from tests.conftest import trace_from_rows
+from tests.conftest import make_plan, make_topology, trace_from_rows
 from tests.test_engine_reference import small_configs
 
 
@@ -222,6 +222,39 @@ class TestCheckInvariants:
         rows = [("host", 1.0, 0.0, "fwd", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
                 ("host", 0.0, 1.0, "fwd", 0)]
         make_trace([rows]).check_invariants()
+        # a bad host row before a bad row of a later stage is skipped
+        self.check_same([rows, [(COMM, 1.0, 1.0, "p2p", 0)]],
+                        "stage 1 p2p interval not positive")
+
+    @staticmethod
+    def check_same(stages, message):
+        trace = make_trace(stages)
+        assert first_error(trace.check_invariants) == message
+        assert first_error(lambda: reference_check_invariants(trace)) == message
+
+    def test_earlier_stage_comm_before_later_stage_compute(self):
+        # both stage 0's comm sub-block and stage 1's compute sub-block
+        # are bad; stage 0's comm pass runs first
+        self.check_same([
+            [(COMM, 1.0, 2.0, "p2p", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
+             (COMM, 1.5, 3.0, "sync_bucket", None)],
+            [(COMPUTE, 2.0, 2.0, "fwd", 0)],
+        ], "stage 0 overlapping comm intervals")
+
+    def test_empty_compute_sub_block(self):
+        comm = [(COMM, 0.5, 2.0, "p2p", 0), (COMM, 1.0, 3.0, "p2p", 1)]
+        self.check_same([[(COMPUTE, 0.0, 4.0, "fwd", 0)], comm],
+                        "stage 1 overlapping comm intervals")
+        self.check_same([[], comm[:1], []], None)
+
+    def test_sub_block_may_start_before_the_last_ones_end(self):
+        # each sub-block's first row is checked against -1.0, not against
+        # the row before it in the record (another pass's or stage's)
+        self.check_same([
+            [(COMPUTE, 0.0, 5.0, "fwd", 0), (COMM, 1.0, 2.0, "p2p", 0),
+             ("host", 0.0, 9.0, "fwd", 0)],
+            [(COMPUTE, 0.5, 1.0, "fwd", 0), (COMM, -0.5, 0.0, "p2p", 0)],
+        ], None)
 
 
 class TestStageComputeBusy:
@@ -459,12 +492,23 @@ class TestEngineRuns:
 
 
 class TestScanWork:
-    def test_masks_follow_resource_names(self):
+    def test_sub_blocks_follow_resource_names(self):
         rows = [(COMPUTE, 0.0, 1.0, "fwd", 0), ("host", 0.0, 1.0, "fwd", 0),
                 (COMM, 0.5, 1.5, "p2p", 0)]
         trace = make_trace([rows])
         assert trace.kinds == ((COMPUTE, "fwd"), ("host", "fwd"), (COMM, "p2p"))
-        assert trace.compute.tolist() == [True, False, False]
-        assert trace.comm.tolist() == [False, False, True]
-        (cols,) = trace.stage_columns
-        assert cols.start.dtype == cols.end.dtype == np.float64
+        assert trace.columns.kind.tolist() == [0, 2, 1]
+        assert trace.offsets.tolist() == [0, 1, 2, 3]
+        assert trace.columns.start.dtype == trace.columns.end.dtype == np.float64
+
+    def test_scans_read_no_kinds(self, catalog, full_stage):
+        # the scans read each sub-block as a slice: no kind mask, no gather
+        trace = run(catalog["3B"], full_stage, make_plan(pp=2, m=4),
+                    make_topology(nodes=1, chips_per_node=2, memory=1e18),
+                    CostModelConfig(), 0)
+        busy = trace.stage_compute_busy()
+        overlap = overlap_efficiency(trace)
+        trace.columns = trace.columns._replace(kind=None)
+        trace.check_invariants()
+        assert trace.stage_compute_busy() == busy
+        assert overlap_efficiency(trace) == overlap
