@@ -22,11 +22,10 @@ Cost construction and timing rules, in one place:
     lump (2 allgather + 2 reducescatter per layer and direction under
     sequence parallelism, 2 allreduce otherwise), and the lump overlaps
     its slot's compute through the chunked allgather+GEMM fusion pipeline,
-    whose span (fused_allgather_gemm_time) the slot computes itself;
-  * slots run in 1F1B order through schedule.execute, which holds the
-    dependency rule: a slot starts no earlier than the hand-off it waits
-    for, a p2p arrival or (last stage's backward) its own forward's end.
-    It keeps each stage's hand-off times in lists indexed by microbatch;
+    whose span (fused_allgather_gemm_time) is priced before the loop;
+  * slots run in one flat loop in build_1f1b's run order. A slot starts
+    no earlier than the hand-off it waits for, a p2p arrival or (last
+    stage's backward) its own forward's end, read by its dependency index;
   * stage boundary activations travel as p2p events that occupy the
     sender's comm unit only (DMA-style; the receiver just observes the
     arrival time);
@@ -64,10 +63,9 @@ bit-reproducible.
 The trace's record is one numpy array per column for the run: each row's
 start, end, kind (an index into Trace.kinds, its resource and label) and
 microbatch.
-The event loop keeps three numbers per slot in its stage's flat list: its
-start, its send start (its end when it sends nothing) and its microbatch
-code, negative for a backward; and of each sync the slot it follows, the
-starts it stepped and where its queued tail begins. Each row's times
+The event loop keeps each slot's start and send start (its end when it
+sends nothing); and of each sync the slot it follows, the starts it
+stepped and where its queued tail begins. Each row's times
 follow from its slot's start by fixed additions, so after the step one
 array pass (_trace_columns) builds every row of the run in a fixed number
 of numpy calls per sync bucket count: each time is the loop's own IEEE
@@ -130,7 +128,7 @@ from .comm import (
     split_buckets,
     stage_grad_bytes,
 )
-from .schedule import FORWARD, build_1f1b, execute
+from .schedule import build_1f1b
 from .workload import (
     MicrobatchPlan,
     StepWorkload,
@@ -165,6 +163,10 @@ KIND_FWD, KIND_BWD, KIND_COLLECTIVE, KIND_P2P, KIND_SYNC = range(len(KINDS))
 # recurs within a few rows of that order, so a chunk of this size, handed
 # the chunk before's texts, formats about as few times as whole stages do.
 JSONL_CHUNK_ROWS = 4096
+
+# Slots the loop reads from its numpy columns as lists at a time: flagship's
+# engine.run peaks at 3.0 MiB traced so, 4.4 MiB with whole-run lists.
+LOOP_CHUNK_SLOTS = 256
 
 # Largest run accepted, in estimated trace rows of one replica (see
 # check_work_bound). The deepest planning point in use, pp=80 with 4096
@@ -583,15 +585,7 @@ def build_cost_book(
         "allreduce", np.array(bucket_sizes, np.float64), plan.dp, dp_link,
     ).tolist()))
     sync_buckets = [list(map(bucket_time.__getitem__, b)) for b in bucket_lists]
-    return CostBook(
-        fwd=fwd,
-        bwd=bwd,
-        tp_fwd=tp_fwd,
-        tp_bwd=tp_bwd,
-        p2p_fwd=p2p_fwd,
-        p2p_bwd=p2p_bwd,
-        sync_buckets=sync_buckets,
-    )
+    return CostBook(fwd, bwd, tp_fwd, tp_bwd, p2p_fwd, p2p_bwd, sync_buckets)
 
 
 def check_work_bound(
@@ -726,121 +720,117 @@ def run(
     overlap_sync = (
         dual_stream and plan.overlap_grad_sync and costmodel.grad_sync.overlap
     )
-    per_microbatch_sync = costmodel.grad_sync.frequency == "per_microbatch"
     chunks = plan.fusion_chunks
 
-    # each stage's slots in one flat list, three values a slot: its start,
-    # its send start t0 (its end when it sends nothing) and its microbatch
-    # code, k for forward k and -k for backward k. A sync records three
-    # values in its stage's flat syncs list: the slot it follows, the first
-    # bucket of its queued tail and the tail's entry free time; and in
-    # sync_starts the starts of the buckets before that tail. Every row
-    # follows from these by the loop's own additions, after the loop
-    # (_trace_columns)
-    records: list[list] = [[] for _ in range(p)]
+    schedule = build_1f1b(p, m)
+    order, codes, depends = schedule.order, schedule.codes, schedule.depends
+    del schedule  # and its slot tuples, which the run does not read
+    costs = _slot_costs(cost_book, codes, dual_stream, chunks)
+    # plain floats, as the slot costs: numpy books give plain times
+    sync_buckets = [list(map(float, b)) for b in cost_book.sync_buckets]
+    # the loop's columns, in run order: each slot's stage, its dependency's
+    # index in `handoffs`, whether its lump is fused, 0 or (a backward a
+    # sync follows) its index in `producing`, the GEMM its buckets are
+    # ready across (0.0 unless the sync overlaps); its span, lump, send
+    stage_of = order // (2 * m)
+    run_codes = codes[order]
+    syncing = ((run_codes < 0)
+               & np.array(list(map(bool, sync_buckets)))[stage_of])
+    if costmodel.grad_sync.frequency != "per_microbatch":
+        syncing &= run_codes == -m
+    ints = np.stack((stage_of, depends,
+                     (costs[2][order] > 0.0) & dual_stream,
+                     np.cumsum(syncing) * syncing))
+    producing = [0.0] + (costs[0][order[syncing]] * overlap_sync).tolist()
+    floats = np.stack(costs[1:])[:, order]
+    del stage_of, run_codes, syncing, depends
+
+    # each slot's start and send start t0, in run order; per sync, the run
+    # position of the slot it follows, its queued tail's first bucket and
+    # entry free time, and the starts before the tail (_trace_columns)
+    starts: list[float] = []
+    sends: list[float] = []
+    handoffs = [0.0]  # the slot run r-th hands off at r + 1
     syncs: list[list] = [[] for _ in range(p)]
     sync_starts: list[list[float]] = [[] for _ in range(p)]
     comp_free = [0.0] * p
     # a single-stream chip's comm unit is its compute unit
     comm_free = [0.0] * p if dual_stream else comp_free
-
-    extends = [record.extend for record in records]
-    start_appends = [starts.append for starts in sync_starts]
-    # the book's lists, bound once; a slot indexes them [stage][microbatch]
-    fwd, bwd, tp_fwd, tp_bwd = (cost_book.fwd, cost_book.bwd,
-                                cost_book.tp_fwd, cost_book.tp_bwd)
-    p2p_fwd, p2p_bwd = cost_book.p2p_fwd, cost_book.p2p_bwd
-    sync_buckets = cost_book.sync_buckets
-
-    def execute_slot(i: int, kind: str, k: int, dep: float) -> float:
-        """Run one slot from `dep` on; return its output's hand-off time."""
-        mb = k - 1
-        # a forward sends downstream and a backward upstream, if the
-        # neighbour exists
-        if kind == FORWARD:
-            comp, lump, code = fwd[i][mb], tp_fwd[i][mb], k
-            duration = p2p_fwd[i][mb] if i < p - 1 else 0.0
-        else:
-            comp, lump, code = bwd[i][mb], tp_bwd[i][mb], -k
-            duration = p2p_bwd[i][mb] if i > 0 else 0.0
-
-        if dual_stream and lump > 0.0:
-            start = max(comp_free[i], comm_free[i], dep)
-            comm_free[i] = start + lump
-            if comp == 0.0:
-                end = comm_free[i]  # no GEMM: the slot only waits out its lump
+    start_append, send_append = starts.append, sends.append
+    handoff_append = handoffs.append
+    for first in range(0, len(order), LOOP_CHUNK_SLOTS):
+        chunk = slice(first, first + LOOP_CHUNK_SLOTS)
+        for i, dep, fused, sync, span, lump, send in zip(
+            *ints[:, chunk].tolist(), *floats[:, chunk].tolist()
+        ):
+            dep = handoffs[dep]
+            start = comp_free[i]
+            if dep > start:
+                start = dep
+            if fused:
+                free = comm_free[i]
+                if free > start:
+                    start = free
+                comm_free[i] = start + lump
+                end = start + span
             else:
-                # the span is fused_allgather_gemm_time(lump, comp, chunks)
-                # in its IEEE operations, max(tc, tg) taken by the branch;
-                # the plan and the book already meet its argument checks
-                tc = lump / chunks
-                tg = comp / chunks
-                end = start + (tc + (chunks - 1) * (tg if tc <= tg else tc)
-                               + tg)
-        else:
-            start = max(comp_free[i], dep)
-            # a single-stream chip runs its lump first
-            end = (start + lump if lump > 0.0 else start) + comp
-        comp_free[i] = end
+                # a single-stream chip runs its lump first
+                end = (start + lump if lump > 0.0 else start) + span
+            comp_free[i] = end
+            start_append(start)
 
-        # the send holds the comm unit (a single-stream chip's compute
-        # unit too); its arrival is the hand-off
-        if duration <= 0.0:
-            t0 = handoff = end
-        else:
-            free = comm_free[i]
-            t0 = free if free > end else end  # max(end, free)
-            handoff = t0 + duration
-            comm_free[i] = handoff
-        extends[i]((start, t0, code))
-        if code < 0 and sync_buckets[i] and (per_microbatch_sync or k == m):
-            _sync(i, comp)
-        return handoff
+            # the send holds the comm unit (a single-stream chip's compute
+            # unit too); its arrival is the hand-off
+            if send > 0.0:
+                free = comm_free[i]
+                t0 = free if free > end else end  # max(end, free)
+                handoff = t0 + send
+                comm_free[i] = handoff
+            else:
+                t0 = handoff = end
+            send_append(t0)
+            handoff_append(handoff)
+            if not sync:
+                continue
 
-    def _sync(i: int, producing_compute: float) -> None:
-        buckets = sync_buckets[i]
-        n = len(buckets)
-        if overlap_sync:
-            # buckets become ready progressively across the producing backward
-            produce_start = comp_free[i] - producing_compute
-            free = comm_free[i]
-        else:
-            # every bucket is ready once the producing backward and the
-            # stage's own p2p send are done; compute waits for the last
-            free = produce_start = max(comp_free[i], comm_free[i])
-            producing_compute = 0.0
-        # the max-plus chain free = max(ready_j, free) + dur_j, stepped
-        # while free is behind the last readiness; ready_j and free never
-        # decrease, so from there on every bucket starts at free
-        last_ready = produce_start + producing_compute * n / n
-        append = start_appends[i]
-        j = 0
-        while free < last_ready:
-            j += 1
-            ready = produce_start + producing_compute * j / n
-            start = free if free > ready else ready  # max(ready, free)
-            append(start)
-            free = start + buckets[j - 1]
-        syncs[i].extend((len(records[i]) // 3 - 1, j, free))
-        # free = free + dur in turn, in C: builtin sum compensates (Python
-        # >= 3.12), and fsum and np.sum add in other orders
-        free = reduce(add, buckets[j:], free)
-        comm_free[i] = free
-        if not overlap_sync:
-            comp_free[i] = free
+            buckets = sync_buckets[i]
+            n = len(buckets)
+            compute = producing[sync]
+            if overlap_sync:
+                # buckets become ready progressively across the backward
+                produce_start = comp_free[i] - compute
+                free = comm_free[i]
+            else:
+                # every bucket is ready once the producing backward and the
+                # stage's own p2p send are done; compute waits for the last
+                free = produce_start = max(comp_free[i], comm_free[i])
+            # the max-plus chain free = max(ready_j, free) + dur_j, stepped
+            # while free is behind the last readiness; ready_j and free
+            # never decrease, so from there on every bucket starts at free
+            last_ready = produce_start + compute * n / n
+            j = 0
+            while free < last_ready:
+                j += 1
+                ready = produce_start + compute * j / n
+                bucket_start = free if free > ready else ready
+                sync_starts[i].append(bucket_start)
+                free = bucket_start + buckets[j - 1]
+            syncs[i].extend((len(starts) - 1, j, free))
+            # free = free + dur in turn, in C: builtin sum compensates
+            # (Python >= 3.12), and fsum and np.sum add in other orders
+            free = reduce(add, buckets[j:], free)
+            comm_free[i] = free
+            if not overlap_sync:
+                comp_free[i] = free
+    del ints, floats, producing, handoffs, handoff_append
 
-    execute(build_1f1b(p, m), execute_slot)
-
-    columns, offsets = _trace_columns(records, syncs, sync_starts, cost_book,
-                                      dual_stream, chunks)
+    columns, offsets = _trace_columns(
+        order, codes, costs, starts, sends, syncs, sync_starts, sync_buckets,
+        dual_stream, chunks)
     trace = Trace(
-        dp=plan.dp,
-        tp=plan.tp,
-        pp=p,
-        makespan=max(max(comp_free), max(comm_free)),
-        seed=seed,
-        columns=columns,
-        offsets=offsets,
+        dp=plan.dp, tp=plan.tp, pp=p,
+        makespan=max(max(comp_free), max(comm_free)), seed=seed,
+        columns=columns, offsets=offsets,
         microbatch_sizes=[size for size, _ in microbatches.shapes],
         microbatch_seq_lens=[seq for _, seq in microbatches.shapes],
         visual_tokens_per_sample=workload.visual_tokens_per_sample,
@@ -877,62 +867,73 @@ def _check_injected(book: CostBook, p: int, m: int) -> None:
                     )
 
 
+def _slot_costs(
+    book: CostBook, codes: np.ndarray, dual_stream: bool, chunks: int
+) -> list[np.ndarray]:
+    """Each slot's GEMM, span, TP lump and send, four arrays over `codes`
+    (PipelineSchedule.codes) gathered from the book's lists as one (6, p,
+    m) array. The last stage's forwards and the first stage's backwards
+    send 0.0. A fused lump's span (dual_stream, lump > 0) is
+    fused_allgather_gemm_time(lump, comp, chunks) in its IEEE operations,
+    or the lump with no GEMM; any other span is the GEMM's time."""
+    costs = np.array((book.fwd, book.bwd, book.tp_fwd, book.tp_bwd,
+                      book.p2p_fwd, book.p2p_bwd), np.float64)
+    _, p, m = costs.shape
+    costs[4, p - 1] = costs[5, 0] = 0.0
+    at = (np.arange(len(codes)) // (2 * m) + (codes < 0) * p) * m
+    at += np.abs(codes) - 1
+    comp, lump, send = (row[at] for row in costs.reshape(3, -1))
+    tc, tg = lump / chunks, comp / chunks
+    span = np.where(comp != 0.0,
+                    tc + (chunks - 1) * np.maximum(tc, tg) + tg, lump)
+    return [comp, np.where((lump > 0.0) & dual_stream, span, comp), lump, send]
+
+
 def _trace_columns(
-    records: list[list], syncs: list[list], sync_starts: list[list[float]],
-    book: CostBook, dual_stream: bool, chunks: int,
+    order: np.ndarray, codes: np.ndarray, costs: list[np.ndarray],
+    starts: list[float], sends: list[float], syncs: list[list],
+    sync_starts: list[list[float]], sync_buckets: list[list[float]],
+    dual_stream: bool, chunks: int,
 ) -> tuple[TraceColumns, np.ndarray]:
     """Every row of the run from its slot and sync records, in a fixed
     number of numpy calls per distinct sync bucket count: the run's
     columns and their sub-block offsets (Trace.offsets).
 
-    `records[i]` holds three values per slot of stage i, in event order:
-    its start s, its send start t0 and its microbatch code (k, or -k for
-    backward k); every stage runs 2m slots. A slot's rows, in event order:
-    its TP collective (s, s + lump); its compute, from s, from the lump's
-    end on a single-stream chip, or under a fused lump from s + tc to the
-    span's end, in pieces from each s + j*tc when the transfer gates the
-    GEMM (tc > tg), a piece ending by the next start and the last at the
-    span's end; its p2p send (t0, t0 + duration); then the bucket rows of
-    the sync that follows it. A row is kept when it ends after it starts,
-    the loop's record test.
+    `starts` and `sends` hold each slot's start s and send start t0 in run
+    order (PipelineSchedule.order), `costs` its _slot_costs. A slot's
+    rows, in event order: its TP collective (s, s + lump); its compute,
+    from s, from the lump's end on a single-stream chip, or under a fused
+    lump from s + tc to s + span, in pieces from each s + j*tc when the
+    transfer gates the GEMM (tc > tg), a piece ending by the next start and
+    the last at the span's end; its p2p send (t0, t0 + send); then the
+    bucket rows of the sync that follows it. A row is kept when it ends
+    after it starts.
 
     `syncs[i]` holds three values per sync of stage i, in event order: the
-    slot it follows, j and free; its buckets from j on queue, the first at
-    free. `sync_starts[i]` holds the starts the loop stepped before each
-    tail. The syncs of the stages with n buckets form one matrix of n + 1
-    columns, row r their sync r (stage order, then event order): -0.0
-    before column j, free at j, the durations from j on, then a zero. A
-    row-wise np.cumsum adds in order, so it gives the loop's fold (-0.0 +
-    x is x), and the stepped starts fill the columns before j, row by row.
-
-    A stage's rows are its compute rows, then its comm rows, each in event
-    order. A row's place is its slot's place in one cumulative sum of the
-    rows per (stage, resource, slot), plus its place among the slot's rows
-    of that resource. A run builds gated pieces only when a slot is gated,
-    and no matrix without a sync. Every temporary is dropped after its last
-    use, and the records are emptied once read.
+    run position of the slot it follows, j and free; its buckets from j on
+    queue, the first at free. `sync_starts[i]` holds the starts the loop
+    stepped before each tail. The syncs of the stages with n buckets form
+    one matrix of n + 1 columns, row r their sync r (stage order, then
+    event order): -0.0 before column j, free at j, the durations from j
+    on, then a zero. A row-wise np.cumsum adds in order, so it gives the
+    loop's fold (-0.0 + x is x), and the stepped starts fill the columns
+    before j, row by row. A row's place is its slot's place in one
+    cumulative sum of the rows per (stage, resource, slot), plus its place
+    among the slot's rows of that resource. Temporaries go after their last
+    use; the start and cost lists are emptied once read.
     """
-    p = len(records)
-    m = len(book.fwd[0])
-    per_stage = 2 * m
-    slot = np.array(records, np.float64).reshape(-1, 3)
-    for record in records:
-        record.clear()
-    n = len(slot)
-    s, t0 = slot[:, 0], slot[:, 1]
-    back = slot[:, 2] < 0.0
-    microbatch = np.abs(slot[:, 2]).astype(np.int64) - 1
-    # each slot's GEMM, TP lump and send, gathered at once from the book's
-    # lists in CostBook order, (forward, backward) pairs of (p, m). A
-    # forward sends downstream and a backward upstream: the last stage's
-    # forwards and the first stage's backwards send nothing, as a send of
-    # 0.0
-    costs = np.array((book.fwd, book.bwd, book.tp_fwd, book.tp_bwd,
-                      book.p2p_fwd, book.p2p_bwd), np.float64)
-    costs[4, p - 1] = costs[5, 0] = 0.0
-    at = (np.arange(n) // per_stage + back * p) * m + microbatch
-    comp, lump, duration = costs.reshape(3, -1)[:, at]
-    del costs, at
+    p = len(syncs)
+    per_stage = len(codes) // p
+    s = np.empty(len(starts))
+    s[order] = starts
+    t0 = np.empty(len(sends))
+    t0[order] = sends
+    starts.clear()
+    sends.clear()
+    back = codes < 0
+    microbatch = np.abs(codes) - 1
+    comp, span, lump, duration = costs
+    costs.clear()
     handoff = t0 + duration
     keep_p2p = handoff > t0
     del duration
@@ -946,13 +947,8 @@ def _trace_columns(
     gemm = comp != 0.0
     del lump
     cstart = np.where(fused, s + tc, np.where(has_lump, lump_end, s))
-    end = np.where(
-        fused,
-        np.where(gemm, s + (tc + (chunks - 1) * np.maximum(tc, tg) + tg),
-                 lump_end),
-        cstart + comp,
-    )
-    del comp, has_lump
+    end = np.where(fused, s, cstart) + span
+    del comp, span, has_lump
     gated = fused & gemm & (tc > tg)
     single = (end > cstart) & (gemm | ~fused) & ~gated
     del fused, gemm
@@ -974,25 +970,26 @@ def _trace_columns(
     del tc, tg
 
     counts = [len(ss) // 3 for ss in syncs]
-    widths = list(map(len, book.sync_buckets))
+    widths = list(map(len, sync_buckets))
     # the syncing stages by bucket count: the syncs of one count and their
     # stepped starts are slices of arrays read once a run
-    order = sorted(filter(counts.__getitem__, range(p)), key=widths.__getitem__)
-    if order:
-        meta = np.fromiter(chain.from_iterable(map(syncs.__getitem__, order)),
-                           np.float64).reshape(-1, 3)
+    syncing = sorted(filter(counts.__getitem__, range(p)),
+                     key=widths.__getitem__)
+    if syncing:
+        meta = np.fromiter(
+            chain.from_iterable(map(syncs.__getitem__, syncing)), np.float64
+        ).reshape(-1, 3)
         first, free = meta[:, 1].astype(np.intp), meta[:, 2]
-        sync_slot = meta[:, 0].astype(np.intp) + per_stage * np.repeat(
-            order, [counts[i] for i in order])
+        sync_slot = order[meta[:, 0].astype(np.intp)]
         stepped_start = np.fromiter(chain.from_iterable(
-            map(sync_starts.__getitem__, order)), np.float64)
+            map(sync_starts.__getitem__, syncing)), np.float64)
         kept_rows = []
         sync_at = stepped_at = 0
-        for width, stages in groupby(order, widths.__getitem__):
+        for width, stages in groupby(syncing, widths.__getitem__):
             stages = list(stages)
             stepped_n = sum(len(sync_starts[i]) for i in stages)
             durations = np.repeat(np.fromiter(chain.from_iterable(
-                (*book.sync_buckets[i], 0.0) for i in stages), np.float64
+                (*sync_buckets[i], 0.0) for i in stages), np.float64
             ).reshape(-1, width + 1), [counts[i] for i in stages], axis=0)
             head = first[sync_at:sync_at + len(durations)]
             stepped = np.arange(width + 1) < head[:, None]
@@ -1059,7 +1056,7 @@ def _trace_columns(
     end_col[at] = handoff[keep_p2p]
     kind_col[at] = KIND_P2P
     microbatch_col[at] = microbatch[keep_p2p]
-    if order:
+    if syncing:
         # a sync's kept buckets are its slot's last comm rows, in turn
         at = comm_at[sync_slot] + comm_rows[sync_slot] - np.cumsum(count)
         at = np.repeat(at, count)

@@ -1,18 +1,17 @@
-"""The 1F1B pipeline schedule, the one schedule executor, and the bubble
-fraction.
+"""The 1F1B pipeline schedule, its run order, and the bubble fraction.
 
 A schedule is a per-stage ordered list of (kind, microbatch) slots. The
 builder guarantees the 1F1B shape: stage i warms up with
 in_flight(p, m, i) = min(p-i, m) forwards, alternates
-one-forward-one-backward, then drains. `execute` holds the dependency
-rule: the engine prices a run through it, and any schedule of this form
-can be run through it.
+one-forward-one-backward, then drains. It also gives the order the engine
+runs the slots in, and each slot's one explicit dependency.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -22,9 +21,19 @@ Slot = tuple[str, int]
 
 @dataclass(frozen=True)
 class PipelineSchedule:
+    """Each stage's slots in order; from build_1f1b, also flat int64 arrays
+    over the p * 2m slots. codes[i * 2m + q] is stage i's slot q, k for
+    forward k and -k for backward k; order[r] is the slot (i * 2m + q) run
+    r-th; depends[r] is r' + 1 when the slot run r-th waits for the hand-off
+    of the slot run r'-th, 0 for a forward of stage 0."""
+
     stages: int
     microbatches: int
     slots: tuple[tuple[Slot, ...], ...]
+    codes: np.ndarray | None = field(default=None, compare=False, repr=False)
+    order: np.ndarray | None = field(default=None, compare=False, repr=False)
+    depends: np.ndarray | None = field(default=None, compare=False,
+                                       repr=False)
 
 
 def in_flight(p: int, m: int, i: int) -> int:
@@ -35,70 +44,64 @@ def in_flight(p: int, m: int, i: int) -> int:
 
 
 def build_1f1b(p: int, m: int) -> PipelineSchedule:
+    """The 1F1B step of p stages over m microbatches, with its run order.
+
+    Stage i (from 0), warmup w = in_flight(p, m, i), runs forwards 1..w,
+    then backward j and forward w + j for j = 1..m - w, then the other
+    backwards: forward k at place k - 1 if k <= w, else 2k - w - 1, and
+    backward k at w + 2k - 2 if k <= m - w, else m + k - 1. Forward k waits
+    for forward k's hand-off from stage i - 1; backward k for backward k's
+    from stage i + 1, or on the last stage for its own forward k's end.
+
+    At unit costs a slot ends at its level: forward k at i + k while
+    k <= p - i, else i + 2k - 1; backward k at 2p - i + 2k - 2. Along a
+    stage the levels rise: by one through the warmup (to i + w <= p), then
+    to 2p - i > p, by one while the kinds alternate (w = p - i there) and
+    by two in the drain. A slot's source ends lower: forward k of stage
+    i - 1 at i - 1 + k, or i + 2k - 2 if k > p - i + 1; backward k of stage
+    i + 1 at 2p - i + 2k - 3; the last stage's forward k at p + 2k - 2, or
+    p if k = 1. So level * p + stage, distinct as a stage ends one slot a
+    level, orders the slots legally: its table of (2m + 2p - 1) * p cells,
+    read in order, is the run order, and a running count of its filled
+    cells gives each slot's run position. Any legal order gives the same
+    max-plus fold bit for bit (Baccelli et al., Synchronization and
+    Linearity, 1992): a slot reads and writes only its own stage's
+    timelines and its source's hand-off.
+    """
     if p < 1 or m < 1:
         raise ValueError("p and m must be >= 1")
-    # the 2m distinct slots, built once; every stage's tuple refers to them
-    forward = [(FORWARD, k) for k in range(1, m + 1)]
-    backward = [(BACKWARD, k) for k in range(1, m + 1)]
-    stages = []
-    for i in range(p):
-        warmup = in_flight(p, m, i)
-        slots: list[Slot] = forward[:warmup]
-        for j in range(m - warmup):
-            slots.append(backward[j])
-            slots.append(forward[warmup + j])
-        slots += backward[m - warmup:]
-        stages.append(tuple(slots))
-    return PipelineSchedule(stages=p, microbatches=m, slots=tuple(stages))
-
-
-def execute(
-    schedule: PipelineSchedule,
-    run_slot: Callable[[int, str, int, float], float],
-) -> None:
-    """Run each stage's slots in order, each once its dependency is met.
-
-    run_slot(i, kind, k, dep) runs slot (kind, k) of stage i no earlier
-    than `dep` and returns the time its output is handed off. Forward k on
-    stage i waits for forward k's hand-off on stage i-1. Backward k waits
-    for backward k's on stage i+1, or on the last stage for its own forward
-    k's, and is never ready before its stage has run forward k (a gate
-    only; `dep` stays the hand-off). Raises ValueError on deadlock, or
-    for a slot whose microbatch is outside 1..m.
-    """
-    p, m = schedule.stages, schedule.microbatches
-    # each stage's hand-off times indexed by microbatch, None until that
-    # slot has run (index 0 is never used)
-    fwd_handoff = [[None] * (m + 1) for _ in range(p)]
-    bwd_handoff = [[None] * (m + 1) for _ in range(p)]
-    position = [0] * p
-    remaining = sum(len(s) for s in schedule.slots)
-    while remaining:
-        before = remaining
-        for i in range(p):
-            slots, pos = schedule.slots[i], position[i]
-            n = len(slots)
-            fwd_done, bwd_done = fwd_handoff[i], bwd_handoff[i]
-            fwd_above = fwd_handoff[i - 1]  # unread on stage 0
-            bwd_below = fwd_done if i == p - 1 else bwd_handoff[i + 1]
-            while pos < n:
-                kind, k = slots[pos]
-                if not 0 < k <= m:  # a list index would wrap or overrun
-                    raise ValueError(f"stage {i} slot {slots[pos]} outside 1..{m}")
-                if kind == FORWARD:
-                    dep = 0.0 if i == 0 else fwd_above[k]
-                    done = fwd_done
-                else:
-                    dep = bwd_below[k] if fwd_done[k] is not None else None
-                    done = bwd_done
-                if dep is None:
-                    break
-                done[k] = run_slot(i, kind, k, dep)
-                pos += 1
-            remaining -= pos - position[i]
-            position[i] = pos
-        if remaining == before:
-            raise ValueError("schedule deadlocks: circular or missing dependency")
+    per_stage = 2 * m
+    stage = np.arange(p)[:, None]
+    k = np.arange(1, m + 1)
+    warmup = np.minimum(p - stage, m)
+    late = k > warmup  # (p, m): forward k past stage i's warmup
+    forward = np.where(late, 2 * k - 1 - warmup, k - 1) + stage * per_stage
+    backward = (np.where(k <= m - warmup, warmup + 2 * k - 2, m + k - 1)
+                + stage * per_stage)
+    forward_key = (np.where(late, 2 * k - 1, k) + stage) * p + stage
+    backward_key = (2 * (p + k - 1) - stage) * p + stage
+    codes = np.empty(p * per_stage, np.int64)
+    codes[forward] = k
+    codes[backward] = -k
+    table = np.empty((2 * (m + p) - 1) * p, np.int64)
+    table[:] = -1
+    table[forward_key] = forward
+    table[backward_key] = backward
+    filled = table >= 0
+    order = table[filled]
+    position = np.cumsum(filled)  # a key's run position + 1
+    forward_at = position[forward_key]
+    backward_at = position[backward_key]
+    depends = np.zeros(p * per_stage, np.int64)
+    depends[forward_at[1:] - 1] = forward_at[:-1]
+    depends[backward_at[:-1] - 1] = backward_at[1:]
+    depends[backward_at[-1] - 1] = forward_at[-1]
+    # the slot tuples from the same codes: code k at k, -k at 2m + 1 - k
+    slot_of = np.empty(per_stage + 1, object)
+    slot_of[1:m + 1] = [(FORWARD, j) for j in range(1, m + 1)]
+    slot_of[:m:-1] = [(BACKWARD, j) for j in range(1, m + 1)]
+    slots = tuple(map(tuple, slot_of[codes.reshape(p, per_stage)].tolist()))
+    return PipelineSchedule(p, m, slots, codes, order, depends)
 
 
 def measured_bubble(trace) -> float:

@@ -1,5 +1,6 @@
 import sys
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from vlmsim import (
     stage_by_name,
     stage_grad_bytes,
 )
-from vlmsim import schedule
 from vlmsim.engine import COMM, COMPUTE, CostBook, TraceColumns, Trace
 from vlmsim.schedule import BACKWARD, FORWARD, PipelineSchedule
 
@@ -236,10 +236,10 @@ def syncs_per_step(policy, plan) -> int:
     return 1
 
 
-# Schedule helpers that only tests read: a GPipe contrast schedule, a
-# legality check and unit-cost completion times run through the pricing
-# executor (schedule.execute, looked up on each call so a test may wrap it),
-# the in-flight count of a slot list, and 1F1B's closed-form bubble.
+# Schedule helpers that only tests read: a GPipe contrast schedule, the
+# dependency oracle (`execute`), a legality check and unit-cost completion
+# times run through it, the in-flight count of a slot list, and 1F1B's
+# closed-form bubble.
 
 
 def build_gpipe(p: int, m: int) -> PipelineSchedule:
@@ -256,12 +256,62 @@ def build_gpipe(p: int, m: int) -> PipelineSchedule:
     return PipelineSchedule(stages=p, microbatches=m, slots=slots)
 
 
+def execute(
+    schedule: PipelineSchedule,
+    run_slot: Callable[[int, str, int, float], float],
+) -> None:
+    """Run each stage's slots in order, each once its dependency is met:
+    the dependency rule, stated as a polling executor.
+
+    run_slot(i, kind, k, dep) runs slot (kind, k) of stage i no earlier
+    than `dep` and returns the time its output is handed off. Forward k on
+    stage i waits for forward k's hand-off on stage i-1. Backward k waits
+    for backward k's on stage i+1, or on the last stage for its own forward
+    k's, and is never ready before its stage has run forward k (a gate
+    only; `dep` stays the hand-off). Raises ValueError on deadlock, or
+    for a slot whose microbatch is outside 1..m.
+    """
+    p, m = schedule.stages, schedule.microbatches
+    # each stage's hand-off times indexed by microbatch, None until that
+    # slot has run (index 0 is never used)
+    fwd_handoff = [[None] * (m + 1) for _ in range(p)]
+    bwd_handoff = [[None] * (m + 1) for _ in range(p)]
+    position = [0] * p
+    remaining = sum(len(s) for s in schedule.slots)
+    while remaining:
+        before = remaining
+        for i in range(p):
+            slots, pos = schedule.slots[i], position[i]
+            n = len(slots)
+            fwd_done, bwd_done = fwd_handoff[i], bwd_handoff[i]
+            fwd_above = fwd_handoff[i - 1]  # unread on stage 0
+            bwd_below = fwd_done if i == p - 1 else bwd_handoff[i + 1]
+            while pos < n:
+                kind, k = slots[pos]
+                if not 0 < k <= m:  # a list index would wrap or overrun
+                    raise ValueError(f"stage {i} slot {slots[pos]} outside 1..{m}")
+                if kind == FORWARD:
+                    dep = 0.0 if i == 0 else fwd_above[k]
+                    done = fwd_done
+                else:
+                    dep = bwd_below[k] if fwd_done[k] is not None else None
+                    done = bwd_done
+                if dep is None:
+                    break
+                done[k] = run_slot(i, kind, k, dep)
+                pos += 1
+            remaining -= pos - position[i]
+            position[i] = pos
+        if remaining == before:
+            raise ValueError("schedule deadlocks: circular or missing dependency")
+
+
 def check_schedule(sched: PipelineSchedule) -> None:
     """Legality validator; raises ValueError on any violation.
 
     Checks exactly-once coverage, forward-before-backward per stage, and
     cross-stage executability: the schedule must run to completion through
-    `schedule.execute`, the executor that prices a run, at unit cost.
+    `execute`, the dependency oracle, at unit cost.
     """
     p, m = sched.stages, sched.microbatches
     if len(sched.slots) != p:
@@ -283,8 +333,8 @@ def check_schedule(sched: PipelineSchedule) -> None:
 def simulate_slot_completion(sched: PipelineSchedule) -> list[list[float]]:
     """Unit-cost completion times per stage slot; raises if not executable.
 
-    Runs `schedule.execute` with every slot taking 1.0 and handing off at
-    its end. Returns per-stage completion times aligned with the slots.
+    Runs `execute` with every slot taking 1.0 and handing off at its
+    end. Returns per-stage completion times aligned with the slots.
     """
     clock = [0.0] * sched.stages
     times: list[list[float]] = [[] for _ in range(sched.stages)]
@@ -294,7 +344,7 @@ def simulate_slot_completion(sched: PipelineSchedule) -> list[list[float]]:
         times[i].append(clock[i])
         return clock[i]
 
-    schedule.execute(sched, run_slot)
+    execute(sched, run_slot)
     return times
 
 

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import inspect
 import json
 import sys
 import tracemalloc
@@ -33,7 +34,6 @@ from tests.conftest import (
     EDGE_ROWS,
     PRESET_DIR,
     analytic_bubble,
-    check_schedule,
     fixed_workload,
     make_plan,
     make_topology,
@@ -851,12 +851,23 @@ class TestOneExecutor:
                         for rows in trace.stage_rows]
                 assert ends == simulate_slot_completion(build_1f1b(p, m))
 
-    def test_run_and_check_schedule_each_execute_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, schedule.execute, schedule, engine)
+    def test_run_builds_the_schedule_once_and_runs_no_callback(
+        self, monkeypatch
+    ):
+        # the run order comes from build_1f1b, once a run; the loop runs in
+        # engine.run itself, with no executor module function, nested slot
+        # function or callback
+        calls = count_calls(monkeypatch, schedule.build_1f1b, schedule,
+                            engine)
         flagship_run()
         assert len(calls) == 1
-        check_schedule(build_1f1b(4, 8))
-        assert len(calls) == 2
+        assert not hasattr(schedule, "execute")
+        nested = {const.co_name for const in engine.run.__code__.co_consts
+                  if inspect.iscode(const)}
+        assert nested <= {"<listcomp>", "<genexpr>"}
+        for module in (schedule, engine):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                assert "Callable" not in str(inspect.signature(fn)), name
 
     def test_placement_read_from_the_cluster(self):
         # replica placement has one owner, cluster.group_nodes

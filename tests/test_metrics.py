@@ -284,8 +284,9 @@ class TestReports:
     def test_csv_cells_of_numpy_costs_are_plain_numbers(
         self, catalog, full_stage, costmodel
     ):
-        # a CostBook of numpy.float64 makes the headline values numpy
-        # floats, whose repr under numpy 2 is "np.float64(...)"
+        # headline values may be numpy floats, whose repr under numpy 2 is
+        # "np.float64(...)": a run over a CostBook of numpy.float64 gives
+        # plain floats, so the report's fields are made numpy floats here
         p, m = 2, 4
         rng = np.random.default_rng(0)
 
@@ -306,6 +307,10 @@ class TestReports:
         report = build_report(
             trace, catalog["3B"], full_stage, plan, topology, "a" * 64
         )
+        report = dataclasses.replace(report, **{
+            name: np.float64(getattr(report, name))
+            for name in ("step_time", "tokens_per_second", "mfu", "bubble")
+        })
         assert isinstance(report.step_time, np.float64)
         row = report_csv_row(report)
         for name in ("step_time", "tokens_per_second", "mfu", "bubble"):

@@ -10,13 +10,13 @@ from vlmsim.schedule import (
     FORWARD,
     PipelineSchedule,
     build_1f1b,
-    execute,
     in_flight,
 )
 from tests.conftest import (
     analytic_bubble,
     build_gpipe,
     check_schedule,
+    execute,
     max_in_flight,
     simulate_slot_completion,
 )
@@ -140,6 +140,81 @@ class TestLegalityChecker:
 
     def test_gpipe_is_legal(self):
         check_schedule(build_gpipe(4, 8))
+
+
+def closed_form_level(p: int, i: int, kind: str, k: int) -> int:
+    """The unit-cost end of slot (kind, k) on stage i, from build_1f1b's
+    closed form."""
+    if kind == BACKWARD:
+        return 2 * p - i + 2 * k - 2
+    return i + k if k <= p - i else i + 2 * k - 1
+
+
+def check_run_order(p: int, m: int) -> None:
+    """build_1f1b(p, m)'s run order against the slots and the dependency
+    oracle: a permutation of the 2pm slots that keeps each stage's slot
+    order, runs every slot after its hand-off source with that source's run
+    position + 1 as its dependency, and sorts by level * p + stage, where
+    the closed-form levels are the oracle's unit-cost ends."""
+    schedule = build_1f1b(p, m)
+    per_stage = 2 * m
+    order = schedule.order.tolist()
+    codes = schedule.codes.tolist()
+    assert sorted(order) == list(range(2 * p * m))
+    position = {index: r for r, index in enumerate(order)}
+    ids = {}
+    for index, code in enumerate(codes):
+        i, q = divmod(index, per_stage)
+        slot = (FORWARD, code) if code > 0 else (BACKWARD, -code)
+        assert schedule.slots[i][q] == slot
+        ids[(i, *slot)] = index
+    for i in range(p):
+        stage = [index for index in order if index // per_stage == i]
+        assert stage == list(range(i * per_stage, (i + 1) * per_stage))
+
+    sources = {}
+
+    def run_slot(i, kind, k, dep):
+        index = ids[i, kind, k]
+        sources[index] = dep
+        return float(index + 1)  # each hand-off names its slot
+
+    execute(schedule, run_slot)
+    depends = schedule.depends.tolist()
+    assert len(sources) == len(order)
+    for index, dep in sources.items():
+        r = position[index]
+        source = int(dep) - 1  # -1: a forward of stage 0 waits for nothing
+        if source < 0:
+            assert index < per_stage and codes[index] > 0
+            assert depends[r] == 0
+        else:
+            assert position[source] < r
+            assert depends[r] == position[source] + 1
+        if index % per_stage:
+            assert position[index - 1] < r
+
+    levels = [[closed_form_level(p, i, kind, k) for kind, k in slots]
+              for i, slots in enumerate(schedule.slots)]
+    assert simulate_slot_completion(schedule) == levels
+    keys = [levels[index // per_stage][index % per_stage] * p
+            + index // per_stage for index in order]
+    assert keys == sorted(set(keys))
+
+
+class TestRunOrder:
+    @given(
+        p=st.integers(min_value=1, max_value=16),
+        m=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_sizes(self, p, m):
+        check_run_order(p, m)
+
+    @pytest.mark.parametrize("p, m", [(1, 1), (1, 6), (6, 1), (8, 3),
+                                      (16, 15), (16, 64)])
+    def test_edge_sizes(self, p, m):
+        check_run_order(p, m)
 
 
 class TestAnalyticBubble:
