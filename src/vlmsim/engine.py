@@ -36,7 +36,9 @@ Cost construction and timing rules, in one place:
     is a max-plus chain, free = max(ready_j, free) + dur_j. Readiness
     never decreases in j, nor does free (durations are >= 0), so once
     free reaches the last bucket's readiness every later bucket starts at
-    free: the loop steps the chain as scalars only until then and folds
+    free, or the first's if each bucket but the last outlasts the readiness
+    step by a rounding margin: the loop steps the chain as scalars only
+    until then (so at most one bucket of such a comm-bound chain) and folds
     the queued tail's durations into free left to right, in C;
   * the optimizer update itself is charged zero time.
 
@@ -65,7 +67,8 @@ start, end, kind (an index into Trace.kinds, its resource and label) and
 microbatch.
 The event loop keeps each slot's start and send start (its end when it
 sends nothing); and of each sync the slot it follows, the starts it
-stepped and where its queued tail begins. Each row's times
+stepped before its queue was proven and where its queued tail begins.
+Each row's times
 follow from its slot's start by fixed additions, so after the step one
 array pass (_trace_columns) builds every row of the run in a fixed number
 of numpy calls per sync bucket count: each time is the loop's own IEEE
@@ -728,6 +731,8 @@ def run(
     costs = _slot_costs(cost_book, codes, dual_stream, chunks)
     # plain floats, as the slot costs: numpy books give plain times
     sync_buckets = [list(map(float, b)) for b in cost_book.sync_buckets]
+    # each stage's shortest bucket that another bucket queues behind
+    gaps = [min(b[:-1], default=math.inf) for b in sync_buckets]
     # the loop's columns, in run order: each slot's stage, its dependency's
     # index in `handoffs`, whether its lump is fused, 0 or (a backward a
     # sync follows) its index in `producing`, the GEMM its buckets are
@@ -805,11 +810,30 @@ def run(
                 # stage's own p2p send are done; compute waits for the last
                 free = produce_start = max(comp_free[i], comm_free[i])
             # the max-plus chain free = max(ready_j, free) + dur_j, stepped
-            # while free is behind the last readiness; ready_j and free
-            # never decrease, so from there on every bucket starts at free
-            last_ready = produce_start + compute * n / n
+            # while free < stop. ready_j and free never decrease, so once free
+            # reaches the last readiness r_n every later bucket starts at
+            # free; a comm-bound chain (the test) stops at r_1. Proof, with
+            # u = 2^-53, c = compute, ps = produce_start, the loop's
+            # r_k = fl(ps + q_k), q_k = fl(fl(c k) / n): a passing test's
+            # margin is finite, so are c n, ps + c n and every r_k. c k is
+            # within u, the division within u plus 2^-1075 (subnormals), the
+            # add within u of |ps + q_k|, and ps >= -c (fl(comp_free - c);
+            # off overlap ps >= 0, c = 0), so r_{k+1} - r_k <= c/n + u (2 ps
+            # + 9 c) + 3 * 2^-1075 for k < n, which the test, itself rounded,
+            # exceeds by u c / 2 + 1e-300 / 2 (n >= 2). Then d_k >= gap
+            # (k < n) gives r_k + d_k >= r_{k+1}: a bucket starting at
+            # s >= r_k ends at fl(s + d_k) >= r_{k+1} (monotone rounding,
+            # r_{k+1} a float), so the next starts at free (a tie takes
+            # ready, the same bits: no time is -0.0), and by induction every
+            # later one once free >= r_1, after one step at most. n = 1
+            # (gap inf) and c = 0 give r_1 = r_n; gap = 0 always fails (the
+            # 1e-300 is needed at c = 5e-324, n = 2: r_2 > r_1 = ps = 0)
+            step = compute / n
+            margin = 1e-15 * (produce_start + compute * n) + 1e-300
+            stop = produce_start + (
+                step if gaps[i] >= step + margin else compute * n / n)
             j = 0
-            while free < last_ready:
+            while free < stop:
                 j += 1
                 ready = produce_start + compute * j / n
                 bucket_start = free if free > ready else ready
@@ -912,8 +936,9 @@ def _trace_columns(
     `syncs[i]` holds three values per sync of stage i, in event order: the
     run position of the slot it follows, j and free; its buckets from j on
     queue, the first at free. `sync_starts[i]` holds the starts the loop
-    stepped before each tail. The syncs of the stages with n buckets form
-    one matrix of n + 1 columns, row r their sync r (stage order, then
+    stepped before each tail, until the queue was proven (none or one on a
+    comm-bound chain). The syncs of the stages with n buckets form one
+    matrix of n + 1 columns, row r their sync r (stage order, then
     event order): -0.0 before column j, free at j, the durations from j
     on, then a zero. A row-wise np.cumsum adds in order, so it gives the
     loop's fold (-0.0 + x is x), and the stepped starts fill the columns

@@ -5,11 +5,11 @@ bucket separately, and `reference_run` records each row through a `record`
 call with builtin `max`. The engine prices each distinct microbatch shape
 and bucket size once per run. Its event loop keeps three numbers per slot
 (its start, its send start and its microbatch, negative for a backward),
-steps a sync's bucket chain only until its queue forms and folds the
-queued tail; after the loop one array pass builds every row from those
-numbers and the cost book. Both must give the same floats, bit for bit,
-on every path. Traces are compared through their `stage_rows` view or
-their columns.
+steps a sync's bucket chain only until its queue is proven (at most one
+bucket on a comm-bound chain) and folds the queued tail; after the loop
+one array pass builds every row from those numbers and the cost book.
+Both must give the same floats, bit for bit, on every path. Traces are
+compared through their `stage_rows` view or their columns.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlmsim import cli, engine
@@ -620,12 +620,12 @@ def assert_columns_identical(trace, expect):
 
 
 def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
-                  dual=True, overlap=True, bwd=2.0, p2p=0.1):
+                  dual=True, overlap=True, fwd=1.0, bwd=2.0, p2p=0.1):
     """run() arguments and a CostBook of one stage per list in
-    `stage_buckets`, each syncing its list: forwards of 1 s, backwards of
-    `bwd`, p2p sends of `p2p` seconds, no TP lump."""
+    `stage_buckets`, each syncing its list: forwards of `fwd` seconds,
+    backwards of `bwd`, p2p sends of `p2p` seconds, no TP lump."""
     p = len(stage_buckets)
-    book = uniform_book(p, m, fwd=1.0, bwd=bwd, p2p=p2p)
+    book = uniform_book(p, m, fwd=fwd, bwd=bwd, p2p=p2p)
     book = dataclasses.replace(
         book, sync_buckets=[list(buckets) for buckets in stage_buckets]
     )
@@ -657,8 +657,10 @@ OVERTAKING = [500.0, 1800.0, 100.0, 100.0, 500.0, 100.0]
 
 class TestSyncChainMatchesReference:
     """The sync chain's rows against the frozen per-row loop: the loop
-    steps a sync until its queue reaches the last bucket's readiness, and
-    the queued tail's starts and every end are added after it."""
+    steps a sync until its queue reaches the last bucket's readiness, or
+    the first on a comm-bound chain (every bucket but the last outlasting
+    the readiness step by the stop test's rounding margin), and the queued
+    tail's starts and every end are added after it."""
 
     FREQUENCIES = pytest.mark.parametrize(
         "frequency", ["per_step", "per_microbatch"]
@@ -858,6 +860,83 @@ class TestSyncChainMatchesReference:
                                  frequency, m, dual, overlap, bwd):
         self.check(catalog, full_stage, stage_buckets, frequency, m=m,
                    dual=dual, overlap=overlap, bwd=bwd)
+
+    @given(
+        n=st.integers(1, 12),
+        # full buckets of c/n (1 + k 2^-e): at e = 53 every draw fails the
+        # stop test by its rounding margin; toward e = 30 more pass it
+        k=st.integers(-8, 8), e=st.integers(30, 53),
+        last=st.floats(0.0, 1.0),
+        bwd=st.floats(1e-3, 8.0),
+        # the backwards start after the forwards: produce_start to 1e4 s
+        fwd=st.one_of(st.just(0.0), st.floats(0.0, 3e3)),
+        m=st.integers(1, 3),
+        # stage 1 sends before it syncs, so its syncs enter past r_1
+        p=st.integers(1, 2),
+    )
+    # the second sync enters at exactly its first readiness, 1 + 1 / 3 s
+    @example(n=3, k=4, e=44, last=0.999999999999318, bwd=1.0, fwd=0.0, m=2,
+             p=1)
+    @settings(max_examples=300, deadline=None)
+    def test_random_stop_boundaries(self, catalog, full_stage, n, k, e, last,
+                                    bwd, fwd, m, p):
+        d = bwd / n * (1 + k * 2.0 ** -e)
+        self.check(catalog, full_stage, [[d] * (n - 1) + [d * last]] * p,
+                   "per_microbatch", m=m, fwd=fwd, bwd=bwd)
+
+    def test_subnormal_readiness_step(self, catalog, full_stage):
+        # a 5e-324 s backward from time 0 readies its buckets at 0 and
+        # 5e-324 s, so the second, behind a zero-length first, waits for its
+        # readiness; the stop test's relative margin rounds to 0 here, and
+        # its 1e-300 keeps the chain stepping
+        trace = self.check(catalog, full_stage, [[0.0, 1.0]], "per_step",
+                           m=1, fwd=0.0, bwd=5e-324, p2p=0.0)
+        assert sync_rows(trace, 0) == [(5e-324, 1.0)]
+
+    def test_overflowing_readiness_not_folded(self, catalog, full_stage):
+        # the last readiness, 6e307 * 3 / 3, overflows to inf: the last
+        # bucket never starts and the run is refused, where a chain folded
+        # from r_1 on would end at a finite time
+        args, book = sync_book_run(catalog, full_stage,
+                                   [[2.1e307, 2.1e307, 1.0]], "per_step",
+                                   m=1, fwd=0.0, bwd=6e307, p2p=0.0)
+        with pytest.raises(AssertionError, match="makespan inf"):
+            run(*args, cost_book=book)
+
+    def stepped(self, monkeypatch, catalog, full_stage, stage_buckets,
+                frequency, **kwargs):
+        """Each sync's j, the buckets the loop stepped, from the records it
+        hands _trace_columns."""
+        steps = []
+        trace_columns = engine._trace_columns
+
+        def spy(order, codes, costs, starts, sends, syncs, *rest):
+            steps.extend(j for records in syncs for j in records[1::3])
+            return trace_columns(order, codes, costs, starts, sends, syncs,
+                                 *rest)
+
+        monkeypatch.setattr(engine, "_trace_columns", spy)
+        self.check(catalog, full_stage, stage_buckets, frequency, **kwargs)
+        return steps
+
+    @FREQUENCIES
+    def test_comm_bound_chain_steps_at_most_one_bucket(
+            self, monkeypatch, catalog, full_stage, frequency):
+        # readiness every 0.5 s; each bucket a later one queues behind
+        # lasts 0.6 s. The last lasts 0.1 s and gates none, so stage 0's
+        # syncs, entering before their first readiness, step one bucket
+        steps = self.stepped(monkeypatch, catalog, full_stage,
+                             [[0.6] * 5 + [0.1]] * 3, frequency, m=4,
+                             bwd=3.0)
+        assert max(steps) == 1
+
+    @FREQUENCIES
+    def test_ready_bound_chain_steps_to_its_last_readiness(
+            self, monkeypatch, catalog, full_stage, frequency):
+        # buckets of 0.4 s ready every 0.5 s each wait for their readiness
+        steps = self.stepped(monkeypatch, catalog, full_stage,
+                             [[0.4] * 6] * 3, frequency, m=4, bwd=3.0)
+        assert max(steps) == 6
 
 
 class TestRowBuild:
