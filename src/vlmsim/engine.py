@@ -39,7 +39,8 @@ Cost construction and timing rules, in one place:
     free, or the first's if each bucket but the last outlasts the readiness
     step by a rounding margin: the loop steps the chain as scalars only
     until then (so at most one bucket of such a comm-bound chain) and folds
-    the queued tail's durations into free left to right, in C;
+    the queued tail's durations into free left to right, each run of equal
+    durations in one add where that gives the same float (_fold_equal);
   * the optimizer update itself is charged zero time.
 
 Durations depend on a microbatch only through its shape, so the cost book
@@ -106,7 +107,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -731,8 +732,12 @@ def run(
     costs = _slot_costs(cost_book, codes, dual_stream, chunks)
     # plain floats, as the slot costs: numpy books give plain times
     sync_buckets = [list(map(float, b)) for b in cost_book.sync_buckets]
-    # each stage's shortest bucket that another bucket queues behind
+    # each stage's shortest bucket that another bucket queues behind, and
+    # its buckets as runs (duration, count) of equal durations; == joins
+    # 0.0 and -0.0, which add alike to a time (never -0.0)
     gaps = [min(b[:-1], default=math.inf) for b in sync_buckets]
+    sync_runs = [[(d, len(list(g))) for d, g in groupby(b)]
+                 for b in sync_buckets]
     # the loop's columns, in run order: each slot's stage, its dependency's
     # index in `handoffs`, whether its lump is fused, 0 or (a backward a
     # sync follows) its index in `producing`, the GEMM its buckets are
@@ -840,9 +845,16 @@ def run(
                 sync_starts[i].append(bucket_start)
                 free = bucket_start + buckets[j - 1]
             syncs[i].extend((len(starts) - 1, j, free))
-            # free = free + dur in turn, in C: builtin sum compensates
-            # (Python >= 3.12), and fsum and np.sum add in other orders
-            free = reduce(add, buckets[j:], free)
+            # free = free + dur for bucket j on, in turn (builtin sum
+            # compensates from Python 3.12, fsum and np.sum add in other
+            # orders); each run of equal durations past the j stepped
+            # buckets in one add where that gives the same float
+            for dur, k in sync_runs[i]:
+                if j < k:
+                    free = _fold_equal(free, dur, k - j)
+                    j = 0
+                else:
+                    j -= k
             comm_free[i] = free
             if not overlap_sync:
                 comp_free[i] = free
@@ -862,6 +874,32 @@ def run(
     )
     trace.check_invariants()
     return trace
+
+
+def _fold_equal(x: float, d: float, k: int) -> float:
+    """reduce(add, [d] * k, x) bit for bit, for d >= 0 or -0.0 (run
+    refuses negative injected durations): in O(1) when x is normal, q =
+    d / u (u = ulp(x)) is under 2^52 and no tie, and t = x + k r u (r =
+    round(q)) is under 2^53 u; otherwise in turn.
+
+    Proof. x lies in [2^e, 2^(e+1)), whose floats, and 2^(e+1), are the
+    multiples of u = 2^(e-52). q is exact, u being a power of two (or it
+    underflows, below 1/2 as d / u is, and r = 0). By monotone rounding
+    the float t is below 2^(e+1) = 2^53 u (inf in the top binade, as any
+    sum reaching it) exactly when the exact x + k r u is, and then t is
+    that sum, a multiple of u (k r >= 2^53 fails the test). By induction
+    x_i = x + i r u: x_i + d = x_i + r u + (q - r) u, with |q - r| < 1/2
+    as q is no tie, lies in [x_i, t + u/2) within the binade (t <= 2^(e+1)
+    - u), so it rounds to x_i + r u. -0.0 gives r = 0 and t = x + 0.0 = x.
+    """
+    if x >= 2.0 ** -1022:
+        u = math.ulp(x)
+        q = d / u
+        if q < 2.0 ** 52 and q % 1.0 != 0.5:
+            t = x + k * round(q) * u
+            if t < u * 2.0 ** 53:
+                return t
+    return reduce(add, repeat(d, k), x)
 
 
 def _check_injected(book: CostBook, p: int, m: int) -> None:
@@ -941,11 +979,13 @@ def _trace_columns(
     matrix of n + 1 columns, row r their sync r (stage order, then
     event order): -0.0 before column j, free at j, the durations from j
     on, then a zero. A row-wise np.cumsum adds in order, so it gives the
-    loop's fold (-0.0 + x is x), and the stepped starts fill the columns
-    before j, row by row. A row's place is its slot's place in one
-    cumulative sum of the rows per (stage, resource, slot), plus its place
-    among the slot's rows of that resource. Temporaries go after their last
-    use; the start and cost lists are emptied once read.
+    floats of the loop's fold bucket by bucket (-0.0 + x is x; a run the
+    loop folds in one add ends where its adds in turn do), and the stepped
+    starts fill the columns before j, row by row. A row's place is its
+    slot's place in one cumulative sum of the rows per (stage, resource,
+    slot), plus its place among the slot's rows of that resource.
+    Temporaries go after their last use; the start and cost lists are
+    emptied once read.
     """
     p = len(syncs)
     per_stage = len(codes) // p

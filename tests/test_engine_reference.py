@@ -6,8 +6,9 @@ call with builtin `max`. The engine prices each distinct microbatch shape
 and bucket size once per run. Its event loop keeps three numbers per slot
 (its start, its send start and its microbatch, negative for a backward),
 steps a sync's bucket chain only until its queue is proven (at most one
-bucket on a comm-bound chain) and folds the queued tail; after the loop
-one array pass builds every row from those numbers and the cost book.
+bucket on a comm-bound chain) and folds the queued tail, a run of equal
+buckets in one add where exact; after the loop one array pass builds
+every row from those numbers and the cost book.
 Both must give the same floats, bit for bit, on every path. Traces are
 compared through their `stage_rows` view or their columns.
 """
@@ -16,6 +17,8 @@ import dataclasses
 import json
 import math
 import time
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -660,7 +663,9 @@ class TestSyncChainMatchesReference:
     steps a sync until its queue reaches the last bucket's readiness, or
     the first on a comm-bound chain (every bucket but the last outlasting
     the readiness step by the stop test's rounding margin), and the queued
-    tail's starts and every end are added after it."""
+    tail's starts and every end are added after it. The loop folds each
+    run of equal queued durations in one add where that is exact
+    (TestFoldEqual)."""
 
     FREQUENCIES = pytest.mark.parametrize(
         "frequency", ["per_step", "per_microbatch"]
@@ -937,6 +942,184 @@ class TestSyncChainMatchesReference:
         steps = self.stepped(monkeypatch, catalog, full_stage,
                              [[0.4] * 6] * 3, frequency, m=4, bwd=3.0)
         assert max(steps) == 6
+
+    @pytest.mark.parametrize("top", [2.0, 32.0])
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_equal_run_crossing_a_power_of_two(self, catalog, full_stage,
+                                               top, overlap):
+        # twenty 0.01 s buckets and a remainder, ready across a 0.1 s
+        # backward from 0.15 s below `top` (produce_start), or all at its
+        # end: the queue, from the first or second bucket on, crosses top
+        trace = self.check(catalog, full_stage, [[0.01] * 20 + [0.003]],
+                           "per_step", m=1, fwd=top - 0.15, bwd=0.1,
+                           p2p=0.0, overlap=overlap)
+        rows = sync_rows(trace, 0)
+        assert rows[1][0] < top < rows[-2][1]
+
+    @pytest.mark.parametrize("top", [2.0, 32.0])
+    def test_equal_run_ending_an_ulp_past_a_power_of_two(self, catalog,
+                                                         full_stage, top):
+        # overlap off, the queue enters at top - 8u, u its ulp. Three
+        # buckets of 3.25 u end at top + u exactly, which one add rounds
+        # to top, while adding them in turn rounds the last up to top + 2u
+        u = math.ulp(top / 2)
+        trace = self.check(catalog, full_stage, [[3.25 * u] * 3 + [0.5]],
+                           "per_step", m=1, fwd=top / 2, bwd=top / 2 - 8 * u,
+                           p2p=0.0, overlap=False)
+        assert sync_rows(trace, 0)[3] == (top + 2 * u, top + 2 * u + 0.5)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @FREQUENCIES
+    def test_distinct_head_before_an_equal_run(self, catalog, full_stage,
+                                               overlap, frequency):
+        # the head is folded alone, or stepped (a comm-bound chain steps
+        # one bucket), and the run of 0.3 s buckets after it from bucket 1
+        self.check(catalog, full_stage, [[0.7] + [0.3] * 8] * 2, frequency,
+                   m=3, overlap=overlap)
+
+    @pytest.mark.parametrize("whole", [2, 3])
+    def test_tie_valued_duration(self, catalog, full_stage, whole):
+        # overlap off, the queue enters at 1.5 + u (u = 2^-52), an odd
+        # mantissa, and each bucket lasts (whole + 1/2) u, a tie at every
+        # add. Ties round to an even mantissa, so the first add rounds the
+        # other way than the later ones: no fixed step gives the sum
+        u = 2.0 ** -52
+        trace = self.check(catalog, full_stage,
+                           [[(whole + 0.5) * u] * 6 + [0.25]], "per_step",
+                           m=1, fwd=1.0, bwd=0.5 + u, p2p=0.0, overlap=False)
+        tail = sync_rows(trace, 0)[-1][0]
+        assert tail != 1.5 + u + 6 * round(whole + 0.5) * u
+
+    @FREQUENCIES
+    def test_chain_entered_at_free_zero(self, catalog, full_stage,
+                                        frequency):
+        # no forward, backward or send time: every bucket is ready at 0
+        # and the first sync folds its whole chain from free = 0.0
+        self.check(catalog, full_stage, [[0.1] * 5 + [0.05]], frequency,
+                   m=2, fwd=0.0, bwd=0.0, p2p=0.0)
+
+    def folds(self, monkeypatch, catalog, full_stage, stage_buckets,
+              frequency, **kwargs):
+        """The bucket count of each run the loop folds, and of each run
+        that fell back to adding in turn."""
+        runs, in_turn = [], []
+        fold_equal, reduce_in_turn = engine._fold_equal, engine.reduce
+
+        def fold_spy(x, d, k):
+            runs.append(k)
+            return fold_equal(x, d, k)
+
+        def reduce_spy(function, values, x):
+            values = list(values)
+            in_turn.append(len(values))
+            return reduce_in_turn(function, values, x)
+
+        monkeypatch.setattr(engine, "_fold_equal", fold_spy)
+        monkeypatch.setattr(engine, "reduce", reduce_spy)
+        self.check(catalog, full_stage, stage_buckets, frequency, **kwargs)
+        return runs, in_turn
+
+    @pytest.mark.parametrize("fwd, in_turn", [(1.0, []), (1.5, [8])])
+    def test_equal_buckets_fold_in_closed_form(self, monkeypatch, catalog,
+                                               full_stage, fwd, in_turn):
+        # overlap off, the queue enters at fwd + 2 s: from 3.0 s the tail
+        # ends at 3.85 s, inside [2, 4), and both runs take the closed form;
+        # from 3.5 s the 0.1 s run crosses 4 s and is added in turn
+        runs, fallbacks = self.folds(
+            monkeypatch, catalog, full_stage, [[0.1] * 8 + [0.05]],
+            "per_step", m=1, fwd=fwd, p2p=0.0, overlap=False)
+        assert runs == [8, 1]
+        assert fallbacks == in_turn
+
+
+@st.composite
+def fold_cases(draw):
+    """(x, d, k) for engine._fold_equal: x anywhere, or a few ulps below a
+    power of two; d a multiple of x's ulp plus a fraction (a tie at 1/2),
+    or any duration; k up to 3000, so many folds cross the power of two."""
+    x = draw(st.one_of(
+        st.floats(0.0, 1e4),
+        st.floats(0.0, allow_infinity=False),
+        st.builds(lambda below, e: math.ldexp(1.0 - below * 2.0 ** -53, e),
+                  st.integers(1, 4000), st.integers(-1080, 1024)),
+    ))
+    u = math.ulp(x)
+    d = draw(st.one_of(
+        st.builds(lambda whole, part: (whole + part) * u,
+                  st.integers(0, 40) | st.integers(0, 2 ** 53),
+                  st.sampled_from([0.0, 0.25, 0.5, 0.75])
+                  | st.floats(0.0, 1.0, exclude_max=True)),
+        st.floats(0.0, 1e3),
+        st.sampled_from([0.0, -0.0, 5e-324, u / 2,
+                         math.nextafter(u / 2, 0.0)]),
+    ))
+    return x, d, draw(st.integers(1, 3000))
+
+
+class TestFoldEqual:
+    """engine._fold_equal, k equal durations folded into a time in one add
+    where exact, against the fold it replaces, k adds in turn, compared by
+    bit pattern; `closed` names the path the explicit cases take."""
+
+    U = 2.0 ** -52  # the ulp in [1, 2)
+
+    def check(self, monkeypatch, x, d, k):
+        in_turn = []
+        reduce_in_turn = engine.reduce
+
+        def spy(function, values, start):
+            in_turn.append(start)
+            return reduce_in_turn(function, values, start)
+
+        monkeypatch.setattr(engine, "reduce", spy)
+        assert engine._fold_equal(x, d, k).hex() == reduce(
+            add, [d] * k, x).hex()
+        return not in_turn
+
+    @given(case=fold_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_random(self, case):
+        x, d, k = case
+        assert engine._fold_equal(x, d, k).hex() == reduce(
+            add, [d] * k, x).hex()
+
+    @pytest.mark.parametrize("x, d, k, closed", [
+        # ties d = (r + 1/2) u, r even and odd, at an even and odd mantissa
+        (1.0, 2.5 * U, 5, False),
+        (1.0, 3.5 * U, 5, False),
+        (1.0 + U, 2.5 * U, 5, False),
+        (1.0 + U, 3.5 * U, 5, False),
+        # t at 2 - u, at 2, at 2 + u (which rounds to 2; in turn 2 + 2u)
+        # and past 2
+        (2.0 - 10 * U, 3.25 * U, 3, True),
+        (2.0 - 9 * U, 3.25 * U, 3, False),
+        (2.0 - 8 * U, 3.25 * U, 3, False),
+        (1.9, 0.01, 20, False),
+        # x a power of two, the least normal float, subnormal, zero
+        (4.0, 0.1, 7, True),
+        (2.0 ** -1022, 5e-324, 3, True),
+        (1e-310, 5e-324, 4, False),
+        (0.0, 0.1, 3, False),
+        # d of 0.0, -0.0, 5e-324, just under u/2 and at u/2 (a tie)
+        (1.5, 0.0, 10, True),
+        (1.5, -0.0, 10, True),
+        (1.5, 5e-324, 10, True),
+        (1.5, math.nextafter(U / 2, 0.0), 10, True),
+        (1.5, U / 2, 10, False),
+        # q = d / u >= 2^52
+        (1.0, 1.0, 3, False),
+        (1.0, 3.0, 2, False),
+        # k = 1, a large k
+        (3.0, 0.6, 1, True),
+        (3.0, 0.7, 1, False),  # 0.7 / u ends in 1/2: a tie
+        (1024.0, 1e-6, 100_000, True),
+        # the top binade, where 2^53 u is inf: a sum inside it, and one
+        # that overflows (added in turn, to inf)
+        (1.5e308, 1e300, 3, True),
+        (1.7976931348623157e308, 2.0 ** 971, 1, False),
+    ])
+    def test_cases(self, monkeypatch, x, d, k, closed):
+        assert self.check(monkeypatch, x, d, k) is closed
 
 
 class TestRowBuild:
