@@ -205,12 +205,13 @@ def cmd_sweep(
     """Cartesian sweep. Overrides land on the raw document, so values the
     base config left symbolic (dp: "auto") re-resolve per point. An axis
     key given twice, or an axis repeating a value's text (which names the
-    point's directory), is refused. Every point's config is loaded and
-    checked (check_config) before the first point runs, so a bad point
-    fails the sweep, named by its directory, before anything is written;
-    each point then makes the runs its check returned. The base document
-    is loaded only when there are no axes, so a base that its axes
-    override into valid points sweeps.
+    point's directory) or holding a path separator in it (which would put
+    the point's files outside `out_dir`), is refused. Every point's config
+    is loaded and checked (check_config) before the first point runs, so a
+    bad point fails the sweep, named by its directory, before anything is
+    written; each point then makes the runs its check returned. The base
+    document is loaded only when there are no axes, so a base that its
+    axes override into valid points sweeps.
     At most `parallel` points, and never more than there are, run at once."""
     if parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {parallel}")
@@ -228,6 +229,10 @@ def cmd_sweep(
             raise ConfigError(f"axis key {key!r} is given twice")
         if repeated:
             raise ConfigError(f"axis {key!r} repeats the value {repeated[0]!r}")
+        for text in texts:
+            if "/" in text or os.sep in text:
+                raise ConfigError(
+                    f"axis {key!r} value {text!r} holds a path separator")
 
     assignments = []
     jobs = []

@@ -49,10 +49,10 @@ and prices them all in one array expression per quantity: arch.stage_flops
 and comm.collective_time work elementwise on numpy arrays, each element
 the float of the scalar call. The FLOPs take one call over every stage
 (its layer count and first/last flags down a column, the shapes along a
-row), the TP lump one or two and the p2p one per kind of link; a gather by
-the index fills every [stage][microbatch] list. The run's distinct sync
-bucket sizes are priced in one call as well. Nothing is cached across
-runs.
+row), the TP lump one or two and the p2p one per kind of link; one gather
+by the index gives every field's (stage, microbatch) array. The run's
+distinct sync bucket sizes are priced in one call as well. Nothing is
+cached across runs.
 
 All DP replicas execute identical work on an identical sampled length
 schedule, and validate_plan checks that every replica crosses nodes at
@@ -209,18 +209,20 @@ def fused_allgather_gemm_time(t_comm: float, t_gemm: float, chunks: int) -> floa
 class CostBook:
     """Per-stage, per-microbatch work and transfer durations (seconds).
 
-    Normally built from the model and topology; tests may inject one to
-    run the scheduler over calibrated or synthetic (e.g. uniform) costs,
-    each finite and none negative. Lists are indexed [stage][microbatch];
-    sync_buckets is [stage][bucket].
+    Normally built from the model and topology, each duration field a
+    (stage, microbatch) float64 array; a caller may inject one to run the
+    scheduler over calibrated or synthetic (e.g. uniform) costs, each
+    finite and none negative, its fields p rows of m numbers as arrays or
+    nested lists alike. sync_buckets is [stage][bucket], a ragged list of
+    each stage's bucket durations.
     """
 
-    fwd: list[list[float]]
-    bwd: list[list[float]]
-    tp_fwd: list[list[float]]
-    tp_bwd: list[list[float]]
-    p2p_fwd: list[list[float]]
-    p2p_bwd: list[list[float]]
+    fwd: np.ndarray
+    bwd: np.ndarray
+    tp_fwd: np.ndarray
+    tp_bwd: np.ndarray
+    p2p_fwd: np.ndarray
+    p2p_bwd: np.ndarray
     sync_buckets: list[list[float]]
 
 
@@ -487,11 +489,12 @@ def _link_model(topology: Topology, inter_node: bool) -> CollectiveCostModel:
 
 def _distinct_shapes(
     shapes: list[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (size, seq) shapes in order of first appearance, as
     int64 size and length arrays, and each given shape's index into them."""
     distinct = {shape: k for k, shape in enumerate(dict.fromkeys(shapes))}
-    index = list(map(distinct.__getitem__, shapes))
+    index = np.fromiter(map(distinct.__getitem__, shapes), np.intp,
+                        len(shapes))
     sizes, seqs = np.array(list(distinct), np.int64).reshape(-1, 2).T
     return sizes, seqs, index
 
@@ -511,9 +514,10 @@ def build_cost_book(
     A microbatch's durations depend only on its shape (sample count, padded
     length), so the distinct shapes are indexed once and priced in array
     calls whose number does not grow with them: one stage_flops call for
-    every stage and shape, and the collectives of the module docstring; a
-    gather by the index repeats the values across the microbatches. The
-    run's distinct sync bucket sizes are priced in one call too.
+    every stage and shape, and the collectives of the module docstring; one
+    gather by the index repeats the values across the microbatches, giving
+    the six (p, m) duration arrays. The run's distinct sync bucket sizes
+    are priced in one call too.
     """
     p = plan.pp
     tp = plan.tp
@@ -563,14 +567,7 @@ def build_cost_book(
     }
     for b, crossing in enumerate(crosses):
         priced[4, b] = priced[5, b + 1] = over_link[crossing]
-    # a microbatch's entry is its shape's float object, shared as in the
-    # bucket lists below: m fresh floats per list (a .tolist() of the
-    # gathered array) measured +1.8% peak RSS and +3% op time on the
-    # flagship bench workload
-    fwd, bwd, tp_fwd, tp_bwd, p2p_fwd, p2p_bwd = (
-        [list(map(row.__getitem__, index)) for row in stage_rows]
-        for stage_rows in priced.tolist()
-    )
+    fwd, bwd, tp_fwd, tp_bwd, p2p_fwd, p2p_bwd = priced[:, :, index]
 
     # the run's distinct bucket sizes (full buckets and each stage's
     # remainder) priced in one call; each bucket reads its size's time
@@ -726,9 +723,7 @@ def run(
     )
     chunks = plan.fusion_chunks
 
-    schedule = build_1f1b(p, m)
-    order, codes, depends = schedule.order, schedule.codes, schedule.depends
-    del schedule  # and its slot tuples, which the run does not read
+    _, _, codes, order, depends = build_1f1b(p, m)
     costs = _slot_costs(cost_book, codes, dual_stream, chunks)
     # plain floats, as the slot costs: numpy books give plain times
     sync_buckets = [list(map(float, b)) for b in cost_book.sync_buckets]
@@ -903,38 +898,42 @@ def _fold_equal(x: float, d: float, k: int) -> float:
 
 
 def _check_injected(book: CostBook, p: int, m: int) -> None:
-    """Refuse an injected book of the wrong shape (pp rows, of m entries
-    except in sync_buckets) or with a duration that is NaN, infinite or
-    negative. A NaN or an inf can leave an accepted run with a finite
-    makespan (max keeps a NaN only in first place) or a dropped row; a
-    sync's queued tail needs durations >= 0, and a negative interval would
-    be dropped unseen."""
+    """Refuse, with a ValueError naming the field, an injected book whose
+    field is not pp rows of numbers (m of them except in sync_buckets) or
+    holds a duration that is NaN, infinite or negative. A NaN or an inf can
+    leave an accepted run with a finite makespan (max keeps a NaN only in
+    first place) or a dropped row; a sync's queued tail needs durations >=
+    0, and a negative interval would be dropped unseen."""
     for name in (f.name for f in fields(book)):
         rows = getattr(book, name)
-        if len(rows) != p or (name != "sync_buckets"
-                              and any(len(row) != m for row in rows)):
+        try:
+            values = [np.asarray(row) for row in rows]
+        except (TypeError, ValueError):  # not rows, or ragged ones
+            values = []
+        if len(values) != p or any(
+            row.ndim != 1 or row.dtype.kind not in "iuf"
+            or (name != "sync_buckets" and len(row) != m)
+            for row in values
+        ):
             raise ValueError(f"injected cost_book shape of {name} does not "
                              f"match (pp, microbatches) = ({p}, {m})")
-        for i, row in enumerate(rows):
-            for k, value in enumerate(row):
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"injected cost_book.{name}[{i}][{k}] is not finite "
-                        f"({value!r})"
-                    )
-                if value < 0:
-                    raise ValueError(
-                        f"injected cost_book.{name}[{i}][{k}] is negative "
-                        f"({value!r})"
-                    )
+        for i, row in enumerate(values):
+            bad = np.flatnonzero(~np.isfinite(row) | (row < 0.0))
+            if not bad.size:
+                continue
+            k = int(bad[0])
+            problem = "negative" if math.isfinite(row[k]) else "not finite"
+            raise ValueError(f"injected cost_book.{name}[{i}][{k}] is "
+                             f"{problem} ({rows[i][k]!r})")
 
 
 def _slot_costs(
     book: CostBook, codes: np.ndarray, dual_stream: bool, chunks: int
 ) -> list[np.ndarray]:
     """Each slot's GEMM, span, TP lump and send, four arrays over `codes`
-    (PipelineSchedule.codes) gathered from the book's lists as one (6, p,
-    m) array. The last stage's forwards and the first stage's backwards
+    (PipelineSchedule.codes) gathered from the book's six duration fields,
+    arrays or nested lists alike, as one (6, p, m) array. The last stage's
+    forwards and the first stage's backwards
     send 0.0. A fused lump's span (dual_stream, lump > 0) is
     fused_allgather_gemm_time(lump, comp, chunks) in its IEEE operations,
     or the lump with no GEMM; any other span is the GEMM's time."""

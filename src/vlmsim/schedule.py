@@ -1,39 +1,32 @@
 """The 1F1B pipeline schedule, its run order, and the bubble fraction.
 
-A schedule is a per-stage ordered list of (kind, microbatch) slots. The
-builder guarantees the 1F1B shape: stage i warms up with
-in_flight(p, m, i) = min(p-i, m) forwards, alternates
+A schedule is each stage's slots in order, coded k for forward k and -k
+for backward k. The builder guarantees the 1F1B shape: stage i warms up
+with in_flight(p, m, i) = min(p-i, m) forwards, alternates
 one-forward-one-backward, then drains. It also gives the order the engine
-runs the slots in, and each slot's one explicit dependency.
+runs the slots in, and each slot's one explicit dependency, all as flat
+int64 arrays over the p * 2m slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-FORWARD = "forward"
-BACKWARD = "backward"
 
-Slot = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class PipelineSchedule:
-    """Each stage's slots in order; from build_1f1b, also flat int64 arrays
-    over the p * 2m slots. codes[i * 2m + q] is stage i's slot q, k for
-    forward k and -k for backward k; order[r] is the slot (i * 2m + q) run
-    r-th; depends[r] is r' + 1 when the slot run r-th waits for the hand-off
-    of the slot run r'-th, 0 for a forward of stage 0."""
+class PipelineSchedule(NamedTuple):
+    """A step's slots as flat int64 arrays over its p * 2m slots.
+    codes[i * 2m + q] is stage i's slot q, k for forward k and -k for
+    backward k; order[r] is the slot (i * 2m + q) run r-th; depends[r] is
+    r' + 1 when the slot run r-th waits for the hand-off of the slot run
+    r'-th, 0 for a forward of stage 0."""
 
     stages: int
     microbatches: int
-    slots: tuple[tuple[Slot, ...], ...]
-    codes: np.ndarray | None = field(default=None, compare=False, repr=False)
-    order: np.ndarray | None = field(default=None, compare=False, repr=False)
-    depends: np.ndarray | None = field(default=None, compare=False,
-                                       repr=False)
+    codes: np.ndarray
+    order: np.ndarray
+    depends: np.ndarray
 
 
 def in_flight(p: int, m: int, i: int) -> int:
@@ -96,12 +89,7 @@ def build_1f1b(p: int, m: int) -> PipelineSchedule:
     depends[forward_at[1:] - 1] = forward_at[:-1]
     depends[backward_at[:-1] - 1] = backward_at[1:]
     depends[backward_at[-1] - 1] = forward_at[-1]
-    # the slot tuples from the same codes: code k at k, -k at 2m + 1 - k
-    slot_of = np.empty(per_stage + 1, object)
-    slot_of[1:m + 1] = [(FORWARD, j) for j in range(1, m + 1)]
-    slot_of[:m:-1] = [(BACKWARD, j) for j in range(1, m + 1)]
-    slots = tuple(map(tuple, slot_of[codes.reshape(p, per_stage)].tolist()))
-    return PipelineSchedule(p, m, slots, codes, order, depends)
+    return PipelineSchedule(p, m, codes, order, depends)
 
 
 def measured_bubble(trace) -> float:

@@ -1,6 +1,7 @@
 import sys
 import xml.etree.ElementTree as ET
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from vlmsim import (
     stage_grad_bytes,
 )
 from vlmsim.engine import COMM, COMPUTE, CostBook, TraceColumns, Trace
-from vlmsim.schedule import BACKWARD, FORWARD, PipelineSchedule
+from vlmsim.schedule import PipelineSchedule
 
 PRESET_DIR = "presets"
 PRESETS = [
@@ -236,13 +237,38 @@ def syncs_per_step(policy, plan) -> int:
     return 1
 
 
-# Schedule helpers that only tests read: a GPipe contrast schedule, the
-# dependency oracle (`execute`), a legality check and unit-cost completion
-# times run through it, the in-flight count of a slot list, and 1F1B's
-# closed-form bubble.
+# Schedule helpers that only tests read: each stage's (kind, microbatch)
+# view of a schedule, a GPipe contrast schedule, the dependency oracle
+# (`execute`), a legality check and unit-cost completion times run through
+# it, the in-flight count of a slot list, and 1F1B's closed-form bubble.
+
+FORWARD = "forward"
+BACKWARD = "backward"
 
 
-def build_gpipe(p: int, m: int) -> PipelineSchedule:
+class SlotSchedule(NamedTuple):
+    """Each stage's slots in order as (kind, microbatch) pairs: the form
+    the helpers below read, and the one hand-built schedules, illegal ones
+    too, are written in."""
+
+    stages: int
+    microbatches: int
+    slots: tuple[tuple[tuple[str, int], ...], ...]
+
+
+def slot_schedule(schedule: PipelineSchedule) -> SlotSchedule:
+    """A built schedule's slots from its codes: k is forward k, -k backward
+    k."""
+    p, m = schedule.stages, schedule.microbatches
+    slots = tuple(
+        tuple((FORWARD, code) if code > 0 else (BACKWARD, -code)
+              for code in stage)
+        for stage in schedule.codes.reshape(p, 2 * m).tolist()
+    )
+    return SlotSchedule(p, m, slots)
+
+
+def build_gpipe(p: int, m: int) -> SlotSchedule:
     """All forwards, then all backwards: the high-memory reference shape."""
     if p < 1 or m < 1:
         raise ValueError("p and m must be >= 1")
@@ -253,11 +279,11 @@ def build_gpipe(p: int, m: int) -> PipelineSchedule:
         )
         for _ in range(p)
     )
-    return PipelineSchedule(stages=p, microbatches=m, slots=slots)
+    return SlotSchedule(stages=p, microbatches=m, slots=slots)
 
 
 def execute(
-    schedule: PipelineSchedule,
+    schedule: SlotSchedule,
     run_slot: Callable[[int, str, int, float], float],
 ) -> None:
     """Run each stage's slots in order, each once its dependency is met:
@@ -306,7 +332,7 @@ def execute(
             raise ValueError("schedule deadlocks: circular or missing dependency")
 
 
-def check_schedule(sched: PipelineSchedule) -> None:
+def check_schedule(sched: SlotSchedule) -> None:
     """Legality validator; raises ValueError on any violation.
 
     Checks exactly-once coverage, forward-before-backward per stage, and
@@ -330,7 +356,7 @@ def check_schedule(sched: PipelineSchedule) -> None:
     simulate_slot_completion(sched)  # raises on deadlock
 
 
-def simulate_slot_completion(sched: PipelineSchedule) -> list[list[float]]:
+def simulate_slot_completion(sched: SlotSchedule) -> list[list[float]]:
     """Unit-cost completion times per stage slot; raises if not executable.
 
     Runs `execute` with every slot taking 1.0 and handing off at its
@@ -348,7 +374,7 @@ def simulate_slot_completion(sched: PipelineSchedule) -> list[list[float]]:
     return times
 
 
-def max_in_flight(sched: PipelineSchedule, stage_index: int) -> int:
+def max_in_flight(sched: SlotSchedule, stage_index: int) -> int:
     """Peak count of forwards awaiting their backward on one stage."""
     live = 0
     peak = 0

@@ -52,6 +52,7 @@ from tests.conftest import (
     make_topology,
     max_in_flight,
     record_acceptance,
+    slot_schedule,
     stage_sync_bytes,
     syncs_per_step,
     uniform_book,
@@ -373,7 +374,7 @@ def test_criterion_7_tiling(catalog):
 @settings(max_examples=300, deadline=None)
 @given(p=st.integers(min_value=1, max_value=16), m=st.integers(min_value=1, max_value=64))
 def test_criterion_8_in_flight_bound(p, m):
-    pipeline = build_1f1b(p, m)
+    pipeline = slot_schedule(build_1f1b(p, m))
     reference = build_gpipe(p, m)
     bounded = all(
         max_in_flight(pipeline, i) <= min(p - i, m) for i in range(p)

@@ -357,10 +357,16 @@ class TestSweep:
         (["plan.fusion_chunks=2,2"],
          "axis 'plan.fusion_chunks' repeats the value '2'"),
         (["seed=1,\"1\""], "axis 'seed' repeats the value '1'"),
+        # a value names a directory under --out: "../../escaped" once wrote
+        # its point to <out>/escaped beside an empty "model.name=..", and
+        # more "../" left --out
+        *(([f"model.name=a,{value}"],
+           f"axis 'model.name' value {value!r} holds a path separator")
+          for value in ("../../escaped", "a/b", "x/..", "/")),
     ])
     def test_colliding_axes_refused(self, tmp_path, capsys, pool_sizes, axes,
                                     message):
-        out = tmp_path / "sweep"
+        out = tmp_path / "out" / "sweep"
         argv = ["sweep", "--config", FUSION_PRESET, "--out", str(out),
                 "--parallel", "2"]
         for axis in axes:
@@ -368,7 +374,7 @@ class TestSweep:
         assert main(argv) == EXIT_VALIDATION
         assert f"error: {message}\n" in capsys.readouterr().err
         assert pool_sizes == []
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # nothing under --out or beside
 
     @pytest.mark.parametrize("axis,message", [
         # $.model is the catalog name "8B", not an object

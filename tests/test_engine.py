@@ -39,6 +39,7 @@ from tests.conftest import (
     make_topology,
     row_order,
     simulate_slot_completion,
+    slot_schedule,
     trace_from_rows,
     uniform_book,
 )
@@ -809,6 +810,27 @@ class TestInjectedBook:
         ):
             run_book(catalog, book)
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(CostBook)]
+    )
+    @pytest.mark.parametrize("rows", [
+        [0.5, 0.5],  # p numbers, not p rows
+        np.full(2, 0.5),
+        np.full((2, 3, 1), 0.5),  # p rows of m one-element rows
+        [["0.5"] * 3] * 2,  # p rows of m texts
+    ], ids=["flat-list", "1d-array", "3d-array", "texts"])
+    def test_field_not_rows_of_numbers_is_refused(self, catalog, name, rows):
+        # each raised a TypeError from len() or math.isfinite of an entry
+        book = dataclasses.replace(uniform_book(2, 3, fwd=1.0, bwd=2.0),
+                                   **{name: rows})
+        with pytest.raises(ValueError,
+                           match=rf"cost_book shape of {name} does not match"):
+            run(catalog["3B"], stage_by_name("general-knowledge-injection"),
+                make_plan(pp=2, m=3),
+                make_topology(chips_per_node=2, memory=1e18),
+                CostModelConfig(), seed=0,
+                workload=fixed_workload(64, budget=64), cost_book=book)
+
     def test_negative_zero_is_not_negative(self, catalog):
         book = uniform_book(2, 3, fwd=-0.0, bwd=2.0)
         assert run_book(catalog, book).makespan > 0.0
@@ -849,7 +871,8 @@ class TestOneExecutor:
                 trace = run_uniform(catalog, p=p, m=m, fwd=1.0, bwd=1.0)
                 ends = [[row[2] for row in rows if row[0] == COMPUTE]
                         for rows in trace.stage_rows]
-                assert ends == simulate_slot_completion(build_1f1b(p, m))
+                assert ends == simulate_slot_completion(
+                    slot_schedule(build_1f1b(p, m)))
 
     def test_run_builds_the_schedule_once_and_runs_no_callback(
         self, monkeypatch

@@ -3,16 +3,17 @@
 `reference_cost_book` prices every (stage, microbatch) pair and every sync
 bucket separately, and `reference_run` records each row through a `record`
 call with builtin `max`. The engine prices each distinct microbatch shape
-and bucket size once per run. Its event loop keeps three numbers per slot
-(its start, its send start and its microbatch, negative for a backward),
-steps a sync's bucket chain only until its queue is proven (at most one
-bucket on a comm-bound chain) and folds the queued tail, a run of equal
-buckets in one add where exact; after the loop one array pass builds
-every row from those numbers and the cost book.
+and bucket size once per run. Its event loop keeps two numbers per slot
+in run order (its start and its send start), steps a sync's bucket chain
+only until its queue is proven (at most one bucket on a comm-bound chain)
+and folds the queued tail, a run of equal buckets in one add where exact;
+after the loop one array pass builds every row from those numbers and the
+cost book.
 Both must give the same floats, bit for bit, on every path. Traces are
 compared through their `stage_rows` view or their columns.
 """
 
+import collections
 import dataclasses
 import json
 import math
@@ -56,6 +57,7 @@ from vlmsim.engine import (
     LABEL_FWD,
     LABEL_P2P,
     LABEL_SYNC,
+    KINDS,
     MAX_TRACE_ROWS,
     CostBook,
     CostModelConfig,
@@ -66,7 +68,7 @@ from vlmsim.engine import (
     run,
     step_training_flops,
 )
-from vlmsim.schedule import FORWARD, build_1f1b
+from vlmsim.schedule import build_1f1b
 from vlmsim.workload import (
     SequenceLengthModel,
     StepWorkload,
@@ -75,12 +77,14 @@ from vlmsim.workload import (
     trainable_param_count,
 )
 from tests.conftest import (
+    FORWARD,
     ODD_LM,
     PRESET_DIR,
     PRESETS,
     assert_identical,
     make_plan,
     make_topology,
+    slot_schedule,
     trace_from_rows,
     uniform_book,
 )
@@ -229,7 +233,7 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
         cost_book = reference_cost_book(model, stage, plan, topology, costmodel,
                                         partition, microbatches, workload)
 
-    sched = build_1f1b(p, m)
+    sched = slot_schedule(build_1f1b(p, m))
     dual_stream = topology.chip.has_independent_comm_unit
     overlap_sync = (
         dual_stream and plan.overlap_grad_sync and costmodel.grad_sync.overlap
@@ -441,8 +445,12 @@ class TestCostBookMatchesReference:
                 microbatches, workload)
         book = build_cost_book(*args)
         expect = reference_cost_book(*args)
-        for name in BOOK_FIELDS:
-            assert_identical(getattr(book, name), getattr(expect, name))
+        for name in BOOK_FIELDS[:-1]:
+            durations = getattr(book, name)
+            assert durations.dtype == np.float64
+            assert durations.shape == (plan.pp, plan.microbatches_per_step)
+            assert_identical(durations.tolist(), getattr(expect, name))
+        assert_identical(book.sync_buckets, expect.sync_buckets)
 
 
 class TestRunMatchesReference:
@@ -556,6 +564,48 @@ class TestRunMatchesReference:
             trace = run(*args, cost_book=book)
             assert_identical(trace.stage_rows,
                              reference_run(*args, cost_book=book).stage_rows)
+
+
+class TestBookForms:
+    def test_one_engine_path_for_every_book_form(self, catalog, full_stage):
+        # gated chunks (200 MB/s TP links: every lump outlasts its GEMM) and
+        # a per-microbatch sync overlapped with each backward: the engine's
+        # own book, and the same values injected as it is, as nested lists
+        # and as numpy arrays, give the same columns bit for bit
+        model = catalog["3B"]
+        topology = make_topology(nodes=2, chips_per_node=8, intra_bw=2e8,
+                                 memory=1e18)
+        plan = make_plan(dp=2, tp=4, pp=2, m=6, sequence_parallel=True,
+                         fusion_chunks=3)
+        costmodel = CostModelConfig(
+            grad_sync=GradSyncPolicy(frequency="per_microbatch"))
+        workload = StepWorkload(
+            microbatch_token_budget=2048,
+            seq_len_model=SequenceLengthModel.lognormal(6.5, 0.8, cap=2048),
+        )
+        args = (model, full_stage, plan, topology, costmodel, 5, workload)
+        workload, microbatches, partition, _ = engine.step_shape(*args)
+        own = build_cost_book(model, full_stage, plan, topology, costmodel,
+                              partition, microbatches, workload)
+        durations = [getattr(own, name) for name in BOOK_FIELDS[:-1]]
+        books = {
+            "own": own,
+            "lists": CostBook(*(d.tolist() for d in durations),
+                              [list(b) for b in own.sync_buckets]),
+            "arrays": CostBook(*(np.array(d) for d in durations),
+                               [np.array(b) for b in own.sync_buckets]),
+        }
+        expect = run(*args)
+        kinds = collections.Counter(expect.columns.kind.tolist())
+        assert kinds[KINDS.index((COMPUTE, LABEL_FWD))] == 2 * 6 * 3
+        assert kinds[KINDS.index((COMM, LABEL_SYNC))] >= 2 * 6
+        for form, book in books.items():
+            trace = run(*args, cost_book=book)
+            for got, want in zip(trace.columns, expect.columns):
+                assert got.dtype == want.dtype, form
+                assert got.tobytes() == want.tobytes(), form
+            assert trace.offsets.tolist() == expect.offsets.tolist()
+            assert_identical(trace.makespan, expect.makespan)
 
 
 def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
@@ -1135,8 +1185,7 @@ class TestRowBuild:
             fwd=[[1.0]], bwd=[[2.0]], tp_fwd=[[0.0]], tp_bwd=[[0.0]],
             p2p_fwd=[[0.0]], p2p_bwd=[[0.0]], sync_buckets=[[0.5, 0.25]],
         )
-        schedule = build_1f1b(1, 1)
-        order, codes = schedule.order, schedule.codes
+        _, _, codes, order, _ = build_1f1b(1, 1)
         cols, offsets = engine._trace_columns(
             order, codes, engine._slot_costs(book, codes, True, 1),
             [0.0, 1.0], [1.0, 3.0], [[1, 1, -0.0]], [[3.0]],

@@ -1,34 +1,37 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlmsim.schedule import (
+from vlmsim.schedule import PipelineSchedule, build_1f1b, in_flight
+from tests.conftest import (
     BACKWARD,
     FORWARD,
-    PipelineSchedule,
-    build_1f1b,
-    in_flight,
-)
-from tests.conftest import (
+    SlotSchedule,
     analytic_bubble,
     build_gpipe,
     check_schedule,
     execute,
     max_in_flight,
     simulate_slot_completion,
+    slot_schedule,
 )
 
 ORACLES = Path(__file__).parent / "oracles"
+
+
+def slots_1f1b(p: int, m: int) -> SlotSchedule:
+    return slot_schedule(build_1f1b(p, m))
 
 
 class TestBuild1F1B:
     def test_matches_golden_p3_m4(self):
         with open(ORACLES / "schedule_p3_m4.json") as f:
             golden = json.load(f)
-        schedule = build_1f1b(golden["stages"], golden["microbatches"])
+        schedule = slots_1f1b(golden["stages"], golden["microbatches"])
         assert {
             "stages": schedule.stages,
             "microbatches": schedule.microbatches,
@@ -37,7 +40,7 @@ class TestBuild1F1B:
         } == golden
 
     def test_warmup_depth_per_stage(self):
-        schedule = build_1f1b(4, 16)
+        schedule = slots_1f1b(4, 16)
         for i, slots in enumerate(schedule.slots):
             warmup = 0
             for kind, _ in slots:
@@ -47,22 +50,23 @@ class TestBuild1F1B:
             assert warmup == min(4 - i, 16)
 
     def test_last_stage_strictly_alternates(self):
-        schedule = build_1f1b(4, 8)
+        schedule = slots_1f1b(4, 8)
         kinds = [kind for kind, _ in schedule.slots[-1]]
         assert kinds == [FORWARD, BACKWARD] * 8
 
     def test_fewer_microbatches_than_stages(self):
-        schedule = build_1f1b(8, 2)
+        schedule = slots_1f1b(8, 2)
         check_schedule(schedule)
         for slots in schedule.slots:
             assert len(slots) == 4
 
     def test_trivial_sizes(self):
         one = build_1f1b(1, 1)
-        assert one.slots == (((FORWARD, 1), (BACKWARD, 1)),)
-        check_schedule(one)
-        check_schedule(build_1f1b(1, 5))
-        check_schedule(build_1f1b(5, 1))
+        assert one.codes.tolist() == [1, -1]
+        assert slot_schedule(one).slots == (((FORWARD, 1), (BACKWARD, 1)),)
+        check_schedule(slot_schedule(one))
+        check_schedule(slots_1f1b(1, 5))
+        check_schedule(slots_1f1b(5, 1))
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -76,19 +80,28 @@ class TestBuild1F1B:
     )
     @settings(max_examples=120, deadline=None)
     def test_always_legal(self, p, m):
-        check_schedule(build_1f1b(p, m))
+        check_schedule(slots_1f1b(p, m))
+
+    def test_fields_are_the_run_arrays(self):
+        # every field is required, and the slots exist only as codes
+        assert PipelineSchedule._fields == (
+            "stages", "microbatches", "codes", "order", "depends")
+        assert PipelineSchedule._field_defaults == {}
+        schedule = build_1f1b(3, 4)
+        for array in schedule[2:]:
+            assert array.dtype == np.int64 and array.shape == (3 * 2 * 4,)
 
 
 class TestLegalityChecker:
     def test_rejects_missing_microbatch(self):
-        schedule = PipelineSchedule(
+        schedule = SlotSchedule(
             stages=1, microbatches=2, slots=(((FORWARD, 1), (BACKWARD, 1)),)
         )
         with pytest.raises(ValueError, match="missing microbatch"):
             check_schedule(schedule)
 
     def test_rejects_backward_before_forward(self):
-        schedule = PipelineSchedule(
+        schedule = SlotSchedule(
             stages=1,
             microbatches=1,
             slots=(((BACKWARD, 1), (FORWARD, 1)),),
@@ -97,7 +110,7 @@ class TestLegalityChecker:
             check_schedule(schedule)
 
     def test_rejects_duplicate_slot(self):
-        schedule = PipelineSchedule(
+        schedule = SlotSchedule(
             stages=1,
             microbatches=1,
             slots=(((FORWARD, 1), (FORWARD, 1), (BACKWARD, 1)),),
@@ -114,7 +127,7 @@ class TestLegalityChecker:
             ((FORWARD, 1), (BACKWARD, 1), (FORWARD, 2), (BACKWARD, 2)),
             ((FORWARD, 1), (FORWARD, 2), (BACKWARD, 1), (BACKWARD, 2)),
         )
-        schedule = PipelineSchedule(stages=2, microbatches=2, slots=slots)
+        schedule = SlotSchedule(stages=2, microbatches=2, slots=slots)
         with pytest.raises(ValueError, match="deadlock"):
             check_schedule(schedule)
 
@@ -126,7 +139,7 @@ class TestLegalityChecker:
         # hand-offs are kept in lists by microbatch: -1 must not wrap onto
         # microbatch 2, nor 3 run past the end
         slots = ((FORWARD, 1), (FORWARD, 2), (BACKWARD, 1), (BACKWARD, 2))
-        schedule = PipelineSchedule(stages=1, microbatches=2,
+        schedule = SlotSchedule(stages=1, microbatches=2,
                                     slots=(slots[:2] + (slot,) + slots[2:],))
         ran = []
 
@@ -157,6 +170,7 @@ def check_run_order(p: int, m: int) -> None:
     position + 1 as its dependency, and sorts by level * p + stage, where
     the closed-form levels are the oracle's unit-cost ends."""
     schedule = build_1f1b(p, m)
+    slots = slot_schedule(schedule)
     per_stage = 2 * m
     order = schedule.order.tolist()
     codes = schedule.codes.tolist()
@@ -165,9 +179,7 @@ def check_run_order(p: int, m: int) -> None:
     ids = {}
     for index, code in enumerate(codes):
         i, q = divmod(index, per_stage)
-        slot = (FORWARD, code) if code > 0 else (BACKWARD, -code)
-        assert schedule.slots[i][q] == slot
-        ids[(i, *slot)] = index
+        ids[(i, *slots.slots[i][q])] = index
     for i in range(p):
         stage = [index for index in order if index // per_stage == i]
         assert stage == list(range(i * per_stage, (i + 1) * per_stage))
@@ -179,7 +191,7 @@ def check_run_order(p: int, m: int) -> None:
         sources[index] = dep
         return float(index + 1)  # each hand-off names its slot
 
-    execute(schedule, run_slot)
+    execute(slots, run_slot)
     depends = schedule.depends.tolist()
     assert len(sources) == len(order)
     for index, dep in sources.items():
@@ -194,9 +206,9 @@ def check_run_order(p: int, m: int) -> None:
         if index % per_stage:
             assert position[index - 1] < r
 
-    levels = [[closed_form_level(p, i, kind, k) for kind, k in slots]
-              for i, slots in enumerate(schedule.slots)]
-    assert simulate_slot_completion(schedule) == levels
+    levels = [[closed_form_level(p, i, kind, k) for kind, k in stage]
+              for i, stage in enumerate(slots.slots)]
+    assert simulate_slot_completion(slots) == levels
     keys = [levels[index // per_stage][index % per_stage] * p
             + index // per_stage for index in order]
     assert keys == sorted(set(keys))
@@ -228,7 +240,7 @@ class TestAnalyticBubble:
 class TestUnitCostCompletion:
     def test_makespan_matches_analytic_form(self):
         # unit fwd and bwd costs: makespan = 2m + 2(p-1), busy = 2m per stage
-        times = simulate_slot_completion(build_1f1b(4, 16))
+        times = simulate_slot_completion(slots_1f1b(4, 16))
         makespan = max(max(row) for row in times)
         assert makespan == 2 * 16 + 2 * (4 - 1)
         assert makespan == 38.0
@@ -241,14 +253,14 @@ class TestUnitCostCompletion:
     def test_unit_bubble_matches_analytic_grid(self):
         for p in (1, 2, 3, 5, 8):
             for m in (1, 2, 7, 24):
-                times = simulate_slot_completion(build_1f1b(p, m))
+                times = simulate_slot_completion(slots_1f1b(p, m))
                 makespan = max(max(row) for row in times)
                 assert 1.0 - 2 * m / makespan == pytest.approx(
                     analytic_bubble(p, m), abs=1e-12
                 )
 
     def test_completion_times_align_with_slots(self):
-        schedule = build_1f1b(3, 4)
+        schedule = slots_1f1b(3, 4)
         times = simulate_slot_completion(schedule)
         for slots, row in zip(schedule.slots, times):
             assert len(slots) == len(row)
@@ -259,7 +271,7 @@ class TestInFlightMemory:
     def test_1f1b_caps_at_warmup_depth(self):
         for p in (1, 2, 4, 8):
             for m in (1, 4, 16, 64):
-                schedule = build_1f1b(p, m)
+                schedule = slots_1f1b(p, m)
                 for i in range(p):
                     assert max_in_flight(schedule, i) == min(p - i, m)
 
@@ -267,7 +279,7 @@ class TestInFlightMemory:
         # the count the memory model reads is the one the builder warms up to
         for p in range(1, 17):
             for m in range(1, 65):
-                schedule = build_1f1b(p, m)
+                schedule = slots_1f1b(p, m)
                 for i in range(p):
                     assert in_flight(p, m, i) == max_in_flight(schedule, i)
 
@@ -282,7 +294,7 @@ class TestInFlightMemory:
     )
     @settings(max_examples=100, deadline=None)
     def test_1f1b_never_exceeds_gpipe(self, p, m):
-        f1b1 = build_1f1b(p, m)
+        f1b1 = slots_1f1b(p, m)
         gpipe = build_gpipe(p, m)
         for i in range(p):
             assert max_in_flight(f1b1, i) <= max_in_flight(gpipe, i)
