@@ -64,7 +64,7 @@ fold over the schedule, so a given (inputs, seed) pair is
 bit-reproducible.
 
 The trace's record is one numpy array per column for the run: each row's
-start, end, kind (an index into Trace.kinds, its resource and label) and
+start, end, kind (an index into KINDS, its resource and label) and
 microbatch.
 The event loop keeps each slot's start and send start (its end when it
 sends nothing); and of each sync the slot it follows, the starts it
@@ -77,28 +77,30 @@ operation on the slot's costs, gathered from the book, and the loop's
 end > start tests become masks. One (syncs x buckets) matrix per bucket
 count, no sync padded to a longer list, gives every queued bucket's start
 by one row-wise np.cumsum, a sequential add, so the fold's own additions.
-The rows are laid out stage after stage, and within a stage in sub-blocks
-by resource: the compute rows, then the comm rows, each in event order (a
-slot's collective, p2p send, then the buckets of the sync that follows it).
-One cumulative sum of the rows per (stage, resource, slot) gives each
-row's place, and the rows are scattered straight into one start, end, kind
-and microbatch array for the run; Trace.offsets keeps the sub-blocks'
-bounds. The scans over every row read slices: the invariant check is one
-comparison over the run, compute busy time sums each stage's compute
-slice, and the comm overlap reads each stage's compute and comm slices.
-Their sums add left to right, in row order, so they give the floats that
-row-by-row loops give.
+The rows are laid out stage after stage, and within a stage in two
+sub-blocks by resource: the compute rows, then the comm rows, each in
+event order (a slot's collective, p2p send, then the buckets of the sync
+that follows it). One cumulative sum of the rows per (stage, resource,
+slot) gives each row's place, and the rows are scattered straight into one
+start, end, kind and microbatch array for the run; Trace.offsets keeps the
+sub-blocks' bounds. Each row of a sub-block starts at or after the end of
+the row before it, exactly: a row starts at a max with its resource's free
+time, which is the float end of that resource's last row (max-plus
+monotonicity). check_invariants refuses any trace that breaks this, and
+the readers rely on it. The scans over every row read slices: the
+invariant check is one comparison over the run, compute busy time sums
+each stage's compute slice, and the comm overlap reads each stage's
+compute and comm slices. Their sums add left to right, in row order, so
+they give the floats that row-by-row loops give.
 
-The writers read one more view, built on a writer's first use only: each
-stage's rows in writing order (start, compute first, end, label), one
-np.lexsort permutation per stage, kept in one array stage after stage.
-trace.jsonl is assembled from it by gathers, a chunk of rows at a time in
-that order across stage boundaries, formatting each distinct time of a
-chunk once. gantt.svg picks each drawn (stage, resource) lane's rows from
-it by comparing their places with the sub-block's bounds, gathers the
-first of them, formats every x and width of the chart in one pass, and
-draws each lane once, as a def that every chip's lane of that stage places
-with <use>.
+A sub-block's starts strictly increase, so it is its own drawing order:
+gantt.svg draws each (stage, resource) lane as its sub-block's first rows,
+formats every x and width of the chart in one pass, and draws each lane
+once, as a def that every chip's lane of that stage places with <use>.
+trace.jsonl writes each stage's rows by start, a compute row before a comm
+row of the same start: one stable argsort per stage, which merges the two
+sorted sub-blocks. The writer takes that order a chunk of rows at a time
+across stage boundaries and formats each distinct time of a chunk once.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, groupby, repeat
 from operator import add
 from typing import NamedTuple
@@ -185,24 +187,32 @@ class CostModelConfig:
     grad_sync: GradSyncPolicy = field(default_factory=GradSyncPolicy)
 
 
-def fused_allgather_gemm_time(t_comm: float, t_gemm: float, chunks: int) -> float:
+def fused_allgather_gemm_time(
+    t_comm: float | np.ndarray, t_gemm: float | np.ndarray, chunks: int
+) -> float | np.ndarray:
     """Completion time of an allgather+GEMM pair pipelined in equal chunks.
 
     Each of the k chunks transfers in t_comm/k and multiplies in t_gemm/k;
     chunk j's GEMM needs chunk j's transfer and the previous GEMM, giving
-    tc + (k-1)*max(tc, tg) + tg. k=1 is the plain sequential pair.
+    tc + (k-1)*max(tc, tg) + tg. k=1 is the plain sequential pair. A zero
+    transfer gives the GEMM's time, a zero GEMM the transfer's.
+
+    The times may be numpy arrays that broadcast together: the result is
+    then a float64 array, each element the float the scalar call gives,
+    and every element must pass the checks. Scalars give a Python float.
     """
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    if t_comm < 0 or t_gemm < 0:
+    if (np.asarray(t_comm) < 0).any() or (np.asarray(t_gemm) < 0).any():
         raise ValueError("times must be >= 0")
-    if t_comm == 0.0:
-        return t_gemm
-    if t_gemm == 0.0:
-        return t_comm
-    tc = t_comm / chunks
-    tg = t_gemm / chunks
-    return tc + (chunks - 1) * max(tc, tg) + tg
+    tc = np.divide(t_comm, chunks)
+    tg = np.divide(t_gemm, chunks)
+    time = np.where(
+        t_comm == 0.0, t_gemm,
+        np.where(t_gemm == 0.0, t_comm,
+                 tc + (chunks - 1) * np.maximum(tc, tg) + tg),
+    )
+    return time if time.ndim else float(time)
 
 
 @dataclass(frozen=True)
@@ -231,7 +241,7 @@ class TraceColumns(NamedTuple):
 
     start: np.ndarray  # float64
     end: np.ndarray  # float64
-    kind: np.ndarray  # small unsigned int, an index into Trace.kinds
+    kind: np.ndarray  # small unsigned int, an index into KINDS
     microbatch: np.ndarray  # int64, -1 for a row of no microbatch
 
 
@@ -255,15 +265,14 @@ class Trace:
     against chip memory; trace.jsonl does not write it.
 
     The record is `columns`, one array per column for the run, stage
-    after stage; a row's kind indexes `kinds`, its (resource, label) pair.
-    A stage's rows are grouped into sub-blocks by resource: compute, then
-    comm, then any other resource (only test traces hold one), each in
-    event order. offsets[3i], offsets[3i + 1] and offsets[3i + 2] are the
-    first rows of stage i's compute, comm and other sub-blocks, and
-    offsets[3i + 3] is where the stage ends; the last offset is the row
-    count. A Trace is read-only once `run` returns: the writers' row order
-    is derived from the columns on first use and cached, so a later edit of
-    the columns would leave it stale.
+    after stage; a row's kind indexes KINDS, its (resource, label) pair.
+    A stage's rows are two sub-blocks, its compute rows and then its comm
+    rows, each in event order. offsets[2i] and offsets[2i + 1] are the
+    first rows of stage i's compute and comm sub-blocks, and offsets[2i +
+    2] is where the stage ends; the last offset is the row count. Every
+    row of a sub-block starts at or after the end of the row before it
+    (check_invariants), which the readers rely on. Nothing derived from
+    the columns is kept.
     """
 
     dp: int
@@ -277,7 +286,6 @@ class Trace:
     microbatch_seq_lens: list[int]
     visual_tokens_per_sample: int
     memory: MemoryBreakdown
-    kinds: tuple[tuple[str, str], ...] = KINDS
 
     @property
     def total_chips(self) -> int:
@@ -295,7 +303,7 @@ class Trace:
         """Each stage's rows as (resource, start, end, label, microbatch)
         tuples, microbatch None for -1, built from the columns on every
         read: a view for readers outside vlmsim, which never reads it."""
-        kinds = map(self.kinds.__getitem__, self.columns.kind.tolist())
+        kinds = map(KINDS.__getitem__, self.columns.kind.tolist())
         rows = [
             (resource, start, end, label, None if mb < 0 else mb)
             for (resource, label), start, end, mb in zip(
@@ -303,39 +311,8 @@ class Trace:
                 self.columns.microbatch.tolist(),
             )
         ]
-        bounds = self.offsets[::3].tolist()
+        bounds = self.offsets[::2].tolist()
         return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def writer_order(self) -> np.ndarray:
-        """Each stage's rows in writing order, as places in the stage (a
-        permutation of 0 .. rows - 1), stage after stage. Built on a
-        writer's first use.
-
-        Writing order is start, compute before every other resource, end,
-        then label in Python string order. np.lexsort is stable, so rows
-        that tie on all four keep recorded order. The engine records each
-        stage's rows by resource, each resource's in event order; only the
-        writers need this one, so a run whose trace is never written never
-        sorts.
-        """
-        resource_rank = np.array([res != COMPUTE for res, _ in self.kinds])
-        labels = sorted({label for _, label in self.kinds})
-        # small integer keys: np.lexsort sorts them faster than int64 ones
-        label_rank = np.array([labels.index(label) for _, label in self.kinds],
-                              np.min_scalar_type(len(labels)))
-        start, end, kind, _ = self.columns
-        bounds = self.offsets[::3].tolist()
-        # the order outlives the writers with its trace, so it is kept in
-        # the narrowest unsigned type that holds its values
-        order = np.empty(len(start), np.min_scalar_type(
-            max(np.diff(bounds), default=0)))
-        for a, b in zip(bounds, bounds[1:]):
-            order[a:b] = np.lexsort((
-                np.take(label_rank, kind[a:b]), end[a:b],
-                np.take(resource_rank, kind[a:b]), start[a:b],
-            ))
-        return order
 
     def stage_compute_busy(self) -> list[float]:
         """Each stage's compute seconds, its compute sub-block summed in
@@ -344,7 +321,7 @@ class Trace:
         offsets = self.offsets.tolist()
         return [
             sequential_sum(end[a:b] - start[a:b])
-            for a, b in zip(offsets[::3], offsets[1::3])
+            for a, b in zip(offsets[::2], offsets[1::2])
         ]
 
     def check_invariants(self) -> None:
@@ -352,29 +329,27 @@ class Trace:
 
         A pass is a compute or comm sub-block, so the passes run stage by
         stage, compute before comm; within a pass, in row order, every
-        interval must be positive and start no earlier than 1e-15 before
-        the previous interval's end. Rows of other resources are not
-        checked. One comparison over the run finds every bad row, each
-        sub-block's first row compared against an end of -1.0.
+        interval must be positive and start no earlier than the previous
+        interval's end, with no tolerance. One comparison over the run
+        finds every bad row, each sub-block's first row compared against an
+        end of -1.0.
         """
         if not math.isfinite(self.makespan):
             raise AssertionError(f"makespan {self.makespan} is not finite")
         start, end, kind, _ = self.columns
-        # each row's previous end in its sub-block, less the tolerance
+        # each row's previous end in its sub-block
         floor = np.concatenate(([-1.0], end))
         floor[self.offsets] = -1.0
-        floor -= 1e-15
         not_positive = ~(start < end)  # also true when either is NaN
         bad = np.flatnonzero(not_positive | (start < floor[:-1]))
-        # each bad row's sub-block, 3 * stage + (0 compute, 1 comm, 2 other)
-        block = np.searchsorted(self.offsets, bad, "right") - 1
-        checked = np.flatnonzero(block % 3 != 2)
-        if not checked.size:
+        if not bad.size:
             return
-        row = bad[checked[0]]
-        stage, resource = divmod(int(block[checked[0]]), 3)
+        row = bad[0]
+        # its sub-block, 2 * stage + (0 compute, 1 comm)
+        stage, resource = divmod(
+            int(np.searchsorted(self.offsets, row, "right")) - 1, 2)
         if not_positive[row]:
-            _, label = self.kinds[kind[row]]
+            _, label = KINDS[kind[row]]
             raise AssertionError(f"stage {stage} {label} interval not positive")
         raise AssertionError(
             f"stage {stage} overlapping {(COMPUTE, COMM)[resource]} intervals"
@@ -388,18 +363,21 @@ class Trace:
         """The meta line, then chunks of interval lines, each line ending in
         a newline.
 
-        A line is six fragments: the head (stage and resource), start,
-        ',"end":', end, the label and the microbatch. Heads are formatted
-        once per (stage, kind), labels once per kind and microbatches once
-        per trace, into a table indexed by microbatch + 1 (-1 and below
-        print null). The rows are taken JSONL_CHUNK_ROWS at a time in
-        writing order, stage after stage, so a chunk may span the end of
-        one stage and the start of the next. Each distinct time of a chunk
-        is formatted once: times are told apart by bit pattern, so -0.0 and
-        0.0 stay apart, and a time the chunk before also held takes that
-        chunk's text (_time_texts), which carries the hand-off times two
-        adjacent stages share across the boundary. Times are finite
-        (check_invariants).
+        Each stage's rows are written by start, a compute row before a comm
+        row of the same start: a sub-block's starts strictly increase
+        (check_invariants), so one stable argsort per stage merges its two
+        sub-blocks. A line is six fragments: the head (stage and resource),
+        start, ',"end":', end, the label and the microbatch. Heads are
+        formatted once per (stage, kind), labels once per kind and
+        microbatches once per trace, into a table indexed by microbatch + 1
+        (-1 and below print null). The rows are taken JSONL_CHUNK_ROWS at a
+        time in that order, stage after stage, so a chunk may span the end
+        of one stage and the start of the next. Each distinct time of a
+        chunk is formatted once: times are told apart by bit pattern, so
+        -0.0 and 0.0 stay apart, and a time the chunk before also held
+        takes that chunk's text (_time_texts), which carries the hand-off
+        times two adjacent stages share across the boundary. Times are
+        finite (check_invariants).
         """
         yield json.dumps(
             {
@@ -414,33 +392,40 @@ class Trace:
             },
             separators=(",", ":"),
         ) + "\n"
-        bounds = self.offsets[::3]
-        resources = [json.dumps(res) for res, _ in self.kinds]
+        bounds = self.offsets[::2]
+        resources = [json.dumps(res) for res, _ in KINDS]
         heads = np.array([
             f'{{"stage":{stage},"resource":{res},"start":'
             for stage in range(len(bounds) - 1) for res in resources
         ], object)
         label_texts = np.array([
             f',"label":{json.dumps(label)},"microbatch":'
-            for _, label in self.kinds
+            for _, label in KINDS
         ], object)
         # the text of each microbatch the trace holds, at microbatch + 1
         microbatch = self.columns.microbatch
         present = np.zeros(int(microbatch.max(initial=-1)) + 2, bool)
+        # each stage's rows as places in the stage, in the narrowest
+        # unsigned type that holds a place: an intp order of the whole run
+        # raised the peak memory of a process writing flagship traces in
+        # turn by about 1 MiB
+        order = np.empty(len(microbatch), np.min_scalar_type(
+            max(np.diff(bounds), default=0)))
         for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
             present[np.maximum(microbatch[a:b], -1) + 1] = True
+            order[a:b] = np.argsort(self.columns.start[a:b], kind="stable")
         microbatch_texts = np.empty(len(present), object)
         microbatch_texts[present] = [
             f'{"null" if code == 0 else code - 1}}}\n'
             for code in np.flatnonzero(present).tolist()
         ]
         known = (np.empty(0, np.int64), np.empty(0, object))
-        stage_heads = np.arange(len(bounds) - 1) * len(self.kinds)
-        for first in range(0, len(self.writer_order), JSONL_CHUNK_ROWS):
-            at = self.writer_order[first:first + JSONL_CHUNK_ROWS]
+        stage_heads = np.arange(len(bounds) - 1) * len(KINDS)
+        for first in range(0, len(order), JSONL_CHUNK_ROWS):
+            at = order[first:first + JSONL_CHUNK_ROWS]
             n = len(at)
-            # the order runs stage after stage, as the rows do, so a stage's
-            # bounds hold its rows' places in the order too
+            # the order runs stage after stage, as the rows do, so the
+            # stages' bounds count each stage's places in the chunk
             rows = np.diff(np.clip(bounds, first, first + n))
             at = at + np.repeat(bounds[:-1], rows)
             start, end, kind, microbatch = (column[at] for column in self.columns)
@@ -933,10 +918,9 @@ def _slot_costs(
     """Each slot's GEMM, span, TP lump and send, four arrays over `codes`
     (PipelineSchedule.codes) gathered from the book's six duration fields,
     arrays or nested lists alike, as one (6, p, m) array. The last stage's
-    forwards and the first stage's backwards
-    send 0.0. A fused lump's span (dual_stream, lump > 0) is
-    fused_allgather_gemm_time(lump, comp, chunks) in its IEEE operations,
-    or the lump with no GEMM; any other span is the GEMM's time."""
+    forwards and the first stage's backwards send 0.0. On a dual-stream
+    chip the span is fused_allgather_gemm_time(lump, comp, chunks), the
+    GEMM's time when there is no lump; any other span is the GEMM's."""
     costs = np.array((book.fwd, book.bwd, book.tp_fwd, book.tp_bwd,
                       book.p2p_fwd, book.p2p_bwd), np.float64)
     _, p, m = costs.shape
@@ -944,10 +928,8 @@ def _slot_costs(
     at = (np.arange(len(codes)) // (2 * m) + (codes < 0) * p) * m
     at += np.abs(codes) - 1
     comp, lump, send = (row[at] for row in costs.reshape(3, -1))
-    tc, tg = lump / chunks, comp / chunks
-    span = np.where(comp != 0.0,
-                    tc + (chunks - 1) * np.maximum(tc, tg) + tg, lump)
-    return [comp, np.where((lump > 0.0) & dual_stream, span, comp), lump, send]
+    span = fused_allgather_gemm_time(lump, comp, chunks) if dual_stream else comp
+    return [comp, span, lump, send]
 
 
 def _trace_columns(
@@ -1082,9 +1064,7 @@ def _trace_columns(
                      comm_rows.reshape(p, per_stage)), axis=1)
     row_at = np.cumsum(rows).reshape(rows.shape) - rows
     total = int(row_at[-1, -1, -1] + rows[-1, -1, -1])
-    offsets = np.zeros(3 * p + 1, np.intp)
-    offsets[1::3] = row_at[:, 1, 0]
-    offsets[2::3] = offsets[3::3] = np.append(row_at[1:, 0, 0], total)
+    offsets = np.append(row_at[:, :, 0].ravel(), total)
     compute_at = row_at[:, 0].ravel()
     comm_at = row_at[:, 1].ravel()
     del row_at

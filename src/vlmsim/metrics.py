@@ -12,7 +12,14 @@ import numpy as np
 
 from .arch import ModelSpec
 from .cluster import MemoryBreakdown, ParallelismPlan, Topology
-from .engine import COMM, COMPUTE, Trace, sequential_sum, step_training_flops
+from .engine import (
+    COMM,
+    COMPUTE,
+    KINDS,
+    Trace,
+    sequential_sum,
+    step_training_flops,
+)
 from .schedule import measured_bubble
 from .workload import TrainingStage
 
@@ -81,43 +88,36 @@ def emit_report(report: RunReport, format: str = "json") -> str:
 
 
 def _ranks(keys: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
-    """np.searchsorted(keys, queries, side) for ascending keys, by one merge:
-    each key is placed among the queries, below (side "left") or at most
-    (side "right") every query from its place on, so a query's rank counts
-    the places at or before it. The queries are sorted only when they are
-    out of order; an engine trace records a stage's comm rows in order."""
-    order = None
-    if not (queries[1:] >= queries[:-1]).all():
-        order = np.argsort(queries)
-        queries = queries[order]
+    """np.searchsorted(keys, queries, side) for ascending keys and queries,
+    by one merge: each key is placed among the queries, below (side
+    "left") or at most (side "right") every query from its place on, so a
+    query's rank counts the places at or before it. A comm sub-block's
+    starts and ends both ascend (check_invariants)."""
     at = np.searchsorted(queries, keys, "right" if side == "left" else "left")
-    ranks = np.cumsum(np.bincount(at, minlength=len(queries) + 1)[:-1])
-    if order is not None:
-        ranks[order] = ranks.copy()  # back to the queries' own order
-    return ranks
+    return np.cumsum(np.bincount(at, minlength=len(queries) + 1)[:-1])
 
 
 def overlap_efficiency(trace: Trace) -> float:
     """Comm seconds under the same stage's compute, over all comm seconds.
 
     Per stage, the compute intervals are merged into the pieces of their
-    union: in start order, an interval joins the current piece when it
-    starts at or before the piece's end, so touching intervals join.
-    covered sums, for each comm row in stored order and each piece in
-    start order, the row's positive overlap with the piece; total sums
-    the comm rows' durations; both run over the stages in order and add
-    left to right. The result is covered / total, and 1.0 when total is
-    0. A fully serialized run scores 0 (its comm only touches compute at
-    interval endpoints) and comm entirely hidden under compute scores 1.
-    Rows of other resources are ignored. Compute intervals are taken to
-    have start <= end, as check_invariants ensures. Each stage's compute
-    and comm rows are read as the slices of its sub-blocks, and a row's
-    pieces are counted by merging the pieces into the rows (_ranks).
+    union: a piece is a run of compute rows each starting at the end of
+    the one before, so touching intervals join. covered sums, for each
+    comm row in stored order and each piece in start order, the row's
+    positive overlap with the piece; total sums the comm rows' durations;
+    both run over the stages in order and add left to right. The result is
+    covered / total, and 1.0 when total is 0. A fully serialized run
+    scores 0 (its comm only touches compute at interval endpoints) and
+    comm entirely hidden under compute scores 1. Each stage's compute and
+    comm rows are read as the slices of its sub-blocks, each in start
+    order with no row starting before the previous one ends
+    (check_invariants), and a row's pieces are counted by merging the
+    pieces into the rows (_ranks).
     """
     durations = [np.empty(0)]
     overlaps = [np.empty(0)]
     offsets = trace.offsets.tolist()
-    for a, b, c in zip(offsets[::3], offsets[1::3], offsets[2::3]):
+    for a, b, c in zip(offsets[::2], offsets[1::2], offsets[2::2]):
         comm_start = trace.columns.start[b:c]
         comm_end = trace.columns.end[b:c]
         durations.append(comm_end - comm_start)
@@ -125,19 +125,11 @@ def overlap_efficiency(trace: Trace) -> float:
         end = trace.columns.end[a:b]
         if not (start.size and comm_start.size):
             continue
-        # equal starts join one piece in any order; the engine records
-        # compute in start order, so only other traces need the sort
-        if not (start[1:] >= start[:-1]).all():
-            order = np.argsort(start)
-            start = start[order]
-            end = end[order]
-        # an interval opens a new union piece unless it starts by the
-        # furthest end so far
-        opens = np.flatnonzero(np.concatenate(
-            ([True], start[1:] > np.maximum.accumulate(end)[:-1])
-        ))
+        # a row opens a new union piece unless it starts where the one
+        # before ends
+        opens = np.flatnonzero(np.concatenate(([True], start[1:] > end[:-1])))
         piece_start = start[opens]
-        piece_end = np.maximum.reduceat(end, opens)
+        piece_end = end[np.append(opens[1:], len(end)) - 1]
         # pieces [first, stop) of each comm row are those that can overlap it
         first = _ranks(piece_end, comm_start, "right")
         meets = _ranks(piece_start, comm_end, "left") - first
@@ -251,21 +243,8 @@ def build_report(
     )
 
 
-# label text as XML character data: markup escaped, \r as a reference (a
-# parser reads a literal one as \n), and the characters XML 1.0 cannot hold
-# (C0 controls but tab and newline, surrogates, U+FFFE, U+FFFF) as U+FFFD
-_XML_TEXT = dict.fromkeys(
-    [*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF],
-    "\ufffd",
-) | str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
-
-_GANTT_COLORS = {
-    "fwd": "#4c78a8",
-    "bwd": "#f58518",
-    "collective": "#54a24b",
-    "p2p": "#b279a2",
-    "sync_bucket": "#e45756",
-}
+# fill colour of each kind of row, by KINDS index
+_GANTT_COLORS = ("#4c78a8", "#f58518", "#54a24b", "#b279a2", "#e45756")
 
 
 # the fragments a chart's .3f numbers are joined from: integer parts (the
@@ -331,16 +310,17 @@ def emit_gantt(
     the cut. The trace file is the complete record. All lanes of one stage
     and resource show the same intervals, so each (stage, resource) lane
     is drawn once, at y = 0 inside <defs>, and every chip's lane places it
-    at its own height with <use>. Labels are escaped for XML (U+FFFD for
-    what XML 1.0 cannot hold) and the file is written as UTF-8.
+    at its own height with <use>. A rect's title is its row's label, one of
+    the engine's five, so no text needs escaping.
 
-    A lane's rows are its stage's rows in writing order whose places fall
-    in the lane's sub-block. The drawn rows of every lane are gathered
-    first, and every rect's x and width computed in one pass with the IEEE
-    operations of left + start * scale and max((end - start) * scale,
-    0.05). Their .3f texts come from integers (_format_3f), each distinct
-    width formatted once. A rect is then four fragments: '<rect x="', x's
-    integer part, its fraction, and one tail per distinct (width, kind).
+    A lane's rows are its sub-block's first max_intervals rows: a
+    sub-block is in start order (check_invariants). The drawn rows of
+    every lane are gathered first, and every rect's x and width computed
+    in one pass with the IEEE operations of left + start * scale and
+    max((end - start) * scale, 0.05). Their .3f texts come from integers
+    (_format_3f), each distinct width formatted once. A rect is then four
+    fragments: '<rect x="', x's integer part, its fraction, and one tail
+    per distinct (width, kind).
     """
     if max_chips < 1:
         raise ValueError(f"max_chips must be >= 1, got {max_chips}")
@@ -356,29 +336,20 @@ def emit_gantt(
     height = chips * 2 * (lane_h + gap) + gap + 20
     scale = (width - left - 10) / trace.makespan
     marker_x = f"{width - 10:.0f}"
-    titles = [label.translate(_XML_TEXT) for _, label in trace.kinds]
 
     # the lanes drawn: chips 0..chips-1 reach stages 0..k-1, each defined
-    # once per resource, compute before comm, in the order chips reach them
-    lanes = [
-        (stage, res)
-        for stage in range(min(trace.pp, (chips - 1) // trace.tp + 1))
-        for res in (COMPUTE, COMM)
-    ]
-    picked = []
-    clipped = []
-    offsets = trace.offsets.tolist()
-    for stage, res in lanes:
-        # the stage's rows in writing order; the lane's are its sub-block's
-        first = offsets[3 * stage]
-        order = trace.writer_order[first:offsets[3 * stage + 3]]
-        block = 3 * stage + (res == COMM)
-        lo, hi = (at - first for at in offsets[block:block + 2])
-        in_lane = (order >= lo) & (order < hi)
-        picked.append(first + order[in_lane][:max_intervals].astype(np.intp))
-        clipped.append(np.count_nonzero(in_lane) > max_intervals)
+    # once per resource, compute before comm, in the order chips reach
+    # them, so the lanes are the first 2k sub-blocks
+    stages = min(trace.pp, (chips - 1) // trace.tp + 1)
+    lanes = [(stage, res) for stage in range(stages) for res in (COMPUTE, COMM)]
+    offsets = trace.offsets[:2 * stages + 1]
+    rows = np.diff(offsets)
+    picked = np.minimum(rows, max_intervals)
     # every drawn rect of the chart at once, lane after lane
-    drawn = np.concatenate(picked)
+    drawn = np.concatenate([
+        np.arange(first, first + n)
+        for first, n in zip(offsets.tolist(), picked.tolist())
+    ])
     start, end, kind = (column[drawn] for column in trace.columns[:3])
     widths, width_at = np.unique(
         np.maximum((end - start) * scale, 0.05), return_inverse=True
@@ -387,16 +358,15 @@ def emit_gantt(
     heads, tails = _format_3f(np.concatenate((left + start * scale, widths)))
     # the text after x is one per distinct (width, kind) pair: a pair's code
     # is width index * kinds + kind, and the codes present are numbered up
-    pair = width_at * len(trace.kinds) + kind
-    present = np.zeros(len(widths) * len(trace.kinds), bool)
+    pair = width_at * len(KINDS) + kind
+    present = np.zeros(len(widths) * len(KINDS), bool)
     present[pair] = True
     pair_at = (np.cumsum(present) - 1)[pair]
     rect_tails = np.array([
         f'" y="0" width="{heads[n + w]}{tails[n + w]}" height="{lane_h}" '
-        f'fill="{_GANTT_COLORS.get(trace.kinds[k][1], "#999999")}">'
-        f"<title>{titles[k]}</title></rect>\n"
+        f'fill="{_GANTT_COLORS[k]}"><title>{KINDS[k][1]}</title></rect>\n'
         for w, k in map(
-            divmod, np.flatnonzero(present).tolist(), repeat(len(trace.kinds))
+            divmod, np.flatnonzero(present).tolist(), repeat(len(KINDS))
         )
     ], object)
     rects = ['<rect x="'] * (4 * n)
@@ -405,10 +375,12 @@ def emit_gantt(
     rects[3::4] = rect_tails[pair_at].tolist()
     defs = []
     first = 0
-    for (stage, res), rows, cut in zip(lanes, picked, clipped):
+    for (stage, res), count, cut in zip(
+        lanes, picked.tolist(), (rows > max_intervals).tolist()
+    ):
         defs.append(f'<g id="s{stage}-{res}">\n')
-        defs += rects[4 * first:4 * (first + len(rows))]
-        first += len(rows)
+        defs += rects[4 * first:4 * (first + count)]
+        first += count
         if cut:
             defs.append(
                 f'<text x="{marker_x}" y="{lane_h - 3}" '

@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vlmsim import (
     ChipSpec,
@@ -20,7 +21,7 @@ from vlmsim import (
     stage_by_name,
     stage_grad_bytes,
 )
-from vlmsim.engine import COMM, COMPUTE, CostBook, TraceColumns, Trace
+from vlmsim.engine import COMM, COMPUTE, KINDS, CostBook, TraceColumns, Trace
 from vlmsim.schedule import PipelineSchedule
 
 PRESET_DIR = "presets"
@@ -39,8 +40,8 @@ Row = tuple[str, float, float, str, int | None]  # resource, start, end, label, 
 def row_order(row: Row) -> tuple:
     """Sort key of trace rows: start, compute before comm, end, label.
 
-    The order the writers emit each stage's rows in; Trace.writer_order
-    reproduces it with numpy, and tests sort by this key as reference.
+    The order trace.jsonl writes each stage's rows in; tests sort by this
+    key as reference.
     """
     return (row[1], 0 if row[0] == COMPUTE else 1, row[2], row[3])
 
@@ -62,29 +63,36 @@ def assert_identical(a, b):
 def trace_from_rows(stage_rows, **meta) -> Trace:
     """A Trace recording `stage_rows`, lists of Row tuples per stage.
 
-    Each stage's rows are grouped as the engine groups them, stably:
-    compute, then comm, then every other resource. Kinds are coded in
-    order of first appearance, a None microbatch as -1. `meta` overrides
-    the Trace fields other than the record; by default dp = tp = 1, one
-    stage per list, makespan 1.0, one 1-token batch and zero memory.
+    Each stage's rows are laid out as the engine lays them out: its
+    compute rows, then its comm rows, each in the order given. A kind is
+    its KINDS index, a None microbatch -1. Raises ValueError on a row the
+    engine cannot record: a (resource, label) pair outside KINDS, or a row
+    that starts before the previous row of its sub-block ends. `meta`
+    overrides the Trace fields other than the record; by default dp = tp =
+    1, one stage per list, makespan 1.0, one 1-token batch and zero
+    memory.
     """
-    kinds: dict[tuple[str, str], int] = {}
-    for row in (row for stage in stage_rows for row in stage):
-        kinds.setdefault((row[0], row[3]), len(kinds))
-    ranks = {COMPUTE: 0, COMM: 1}
     rows = []
     offsets = [0]
-    for stage in stage_rows:
-        blocks = [[], [], []]
-        for row in stage:
-            blocks[ranks.get(row[0], 2)].append(row)
-        for block in blocks:
+    for stage, given in enumerate(stage_rows):
+        for row in given:
+            if (row[0], row[3]) not in KINDS:
+                raise ValueError(f"stage {stage} row {row!r}: no such kind")
+        for resource in (COMPUTE, COMM):
+            block = [row for row in given if row[0] == resource]
+            for before, row in zip(block, block[1:]):
+                if row[1] < before[2]:
+                    raise ValueError(
+                        f"stage {stage} row {row!r} starts before the "
+                        f"{resource} row before it ends"
+                    )
             rows += block
             offsets.append(len(rows))
     columns = TraceColumns(
         start=np.array([row[1] for row in rows], np.float64),
         end=np.array([row[2] for row in rows], np.float64),
-        kind=np.array([kinds[row[0], row[3]] for row in rows], np.intp),
+        kind=np.array([KINDS.index((row[0], row[3])) for row in rows],
+                      np.uint8),
         microbatch=np.array(
             [-1 if row[4] is None else row[4] for row in rows], np.int64
         ),
@@ -96,20 +104,54 @@ def trace_from_rows(stage_rows, **meta) -> Trace:
         memory=MemoryBreakdown(0.0, 0.0, 0.0, 0.0),
     )
     return Trace(columns=columns, offsets=np.array(offsets, np.intp),
-                 kinds=tuple(kinds), **fields | meta)
+                 **fields | meta)
+
+
+LANE_LABELS = {
+    resource: [label for res, label in KINDS if res == resource]
+    for resource in (COMPUTE, COMM)
+}
+
+
+@st.composite
+def engine_stage_rows(draw, times, max_rows=8,
+                      microbatches=st.one_of(st.none(), st.integers(0, 10**6))):
+    """One stage's rows as run can record them: compute and comm rows,
+    each resource's in start order and each starting at or after the end
+    of the one before, the two interleaved at random. Every time is drawn
+    from `times`; a short list there makes rows tie on start and on
+    (start, end) across the resources, and stages share times."""
+    lanes = []
+    for resource in (COMPUTE, COMM):
+        points = sorted(set(draw(st.lists(times, max_size=2 * max_rows))))
+        lane = []
+        at = 0
+        while at + 1 < len(points):
+            end = draw(st.integers(at + 1, len(points) - 1))
+            lane.append((resource, points[at], points[end],
+                         draw(st.sampled_from(LANE_LABELS[resource])),
+                         draw(microbatches)))
+            # the next row starts where this one ends, or later
+            at = draw(st.integers(end, len(points) - 1))
+        lanes.append(lane)
+    rows = []
+    while any(lanes):
+        rows.append(draw(st.sampled_from([lane for lane in lanes if lane]))
+                    .pop(0))
+    return rows
 
 
 # every tie and odd row the writers must order and print as the reference
 # does: equal starts across compute and comm, equal (start, end) under
-# different labels, -0.0 beside 0.0, a third resource, line breaks in
-# labels, a time in adjacent and in distant stages, and an empty stage
+# different labels, -0.0 beside 0.0, touching rows, a time in adjacent and
+# in distant stages, and an empty stage
 EDGE_ROWS = [
-    [(COMM, 0.0, 2.0, "p2p", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
-     (COMPUTE, 1.0, 2.0, "fwd", 1), (COMPUTE, 1.0, 2.0, "bwd", 1),
-     (COMM, -0.0, 0.5, "\u2028", None), ("host", 0.1 + 0.2, 3.0, "a\nb", 2)],
-    [(COMPUTE, 2.0, 3.0, "fwd", 0), (COMM, 2.0, 0.1 + 0.2, "p2p", None)],
+    [(COMM, -0.0, 0.5, "collective", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
+     (COMPUTE, 1.0, 2.0, "bwd", 1), (COMM, 1.0, 2.0, "p2p", 1),
+     (COMM, 0.1 + 0.2 + 2.0, 3.0, "sync_bucket", None)],
+    [(COMPUTE, 2.0, 3.0, "fwd", 0), (COMM, 3.0, 3.5, "p2p", 0)],
     [],
-    [("host", -0.0, 2.0, "copy", 7), (COMPUTE, 0.0, 2.0, "fwd", 7)],
+    [(COMM, -0.0, 2.0, "collective", 7), (COMPUTE, 0.0, 2.0, "fwd", 7)],
 ]
 
 

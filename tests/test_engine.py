@@ -34,6 +34,8 @@ from tests.conftest import (
     EDGE_ROWS,
     PRESET_DIR,
     analytic_bubble,
+    assert_identical,
+    engine_stage_rows,
     fixed_workload,
     make_plan,
     make_topology,
@@ -90,6 +92,33 @@ class TestFusedTime:
             fused_allgather_gemm_time(-1.0, 1.0, 2)
 
     @given(
+        pairs=st.lists(
+            st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                      st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+            min_size=1, max_size=20,
+        ),
+        k=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arrays_equal_scalar_calls(self, pairs, k):
+        lumps, comps = (np.array(times) for times in zip(*pairs))
+        spans = fused_allgather_gemm_time(lumps, comps, k)
+        assert spans.dtype == np.float64
+        assert_identical(
+            spans.tolist(),
+            [fused_allgather_gemm_time(lump, comp, k) for lump, comp in pairs],
+        )
+        assert type(fused_allgather_gemm_time(*pairs[0], k)) is float
+
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_a_bad_element_anywhere_is_refused(self, at):
+        times = np.full(8, 0.5)
+        times[at] = -1.0
+        for args in ((times, 0.5), (0.5, times)):
+            with pytest.raises(ValueError, match="times must be >= 0"):
+                fused_allgather_gemm_time(*args, 4)
+
+    @given(
         lump=st.floats(min_value=1e-6, max_value=10),
         comp=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10)),
         k=st.integers(min_value=1, max_value=16),
@@ -100,8 +129,9 @@ class TestFusedTime:
     @settings(max_examples=200, deadline=None)
     def test_engine_slot_ends_at_the_closed_form(self, catalog, lump, comp,
                                                  k):
-        # the slot computes its span inline: p=1, m=1, the fused forward
-        # starts at 0.0, and the backward (no lump) starts where it ends
+        # the slot's span is priced by the same function: p=1, m=1, the
+        # fused forward starts at 0.0, and the backward (no lump) starts
+        # where it ends
         book = CostBook(fwd=[[comp]], bwd=[[1.0]], tp_fwd=[[lump]],
                         tp_bwd=[[0.0]], p2p_fwd=[[0.0]], p2p_bwd=[[0.0]],
                         sync_buckets=[[]])
@@ -571,18 +601,10 @@ times = st.one_of(
     st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                      0.1 + 0.2, 1e16, 1e-5, 1e-4, -0.0, 0.0]),
 )
-rows = st.tuples(
-    st.sampled_from([COMPUTE, COMM, "host"]),
-    times,
-    times,
-    st.one_of(st.sampled_from(["fwd", "bwd", "collective", "p2p",
-                               "sync_bucket", "a\nb", "\u2028"]), st.text()),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
-)
 
 
 class TestJsonlWriter:
-    @given(stage_rows=st.lists(st.lists(rows, max_size=8), min_size=1,
+    @given(stage_rows=st.lists(engine_stage_rows(times), min_size=1,
                                max_size=3))
     @example(stage_rows=EDGE_ROWS)
     @settings(max_examples=300, deadline=None)
@@ -635,16 +657,15 @@ class TestJsonlWriter:
 
 
 # three to five stages that draw their times from one short list, so rows
-# tie and adjacent stages share times (hand-offs), -0.0 and 0.0 among them
+# tie and adjacent stages share times (hand-offs), -0.0 or 0.0 among them
 @st.composite
 def handoff_stages(draw):
     shared = st.sampled_from(draw(st.lists(times, max_size=6)) + [-0.0, 0.0])
-    row = st.tuples(
-        st.sampled_from([COMPUTE, COMM, "host"]), shared, shared,
-        st.sampled_from(["fwd", "bwd", "p2p", "sync_bucket"]),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
+    stage = engine_stage_rows(
+        shared, max_rows=12,
+        microbatches=st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
     )
-    return draw(st.lists(st.lists(row, max_size=12), min_size=3, max_size=5))
+    return draw(st.lists(stage, min_size=3, max_size=5))
 
 
 class TestJsonlChunks:
@@ -674,12 +695,11 @@ class TestJsonlChunks:
 
     def test_multimodal_api_streams_in_bounded_memory(self):
         # whole-trace dedupe holds 7.5 MiB of texts at once here; the
-        # writer's row order is the trace's, so it is built before counting
+        # count includes the writer's row order
         config = load_config("bench/workloads/multimodal-api.json")
         trace = run(config.model, config.stage, config.plan, config.topology,
                     config.costmodel, config.seed, workload=config.workload)
         assert len(trace.columns.start) == 73_216
-        trace.writer_order
         tracemalloc.start()
         try:
             collections.deque(trace._jsonl_texts(), maxlen=0)
@@ -691,23 +711,21 @@ class TestJsonlChunks:
 
 class TestStageRowsView:
     def test_edge_rows_round_trip(self):
-        # -0.0, None microbatches, a third resource and line-break labels
-        # come back from the columns as they went in, each stage's rows
-        # grouped stably: compute, comm, then the "host" rows
+        # -0.0 and None microbatches come back from the columns as they
+        # went in, each stage's rows grouped stably: compute, then comm
         trace = trace_from_rows(EDGE_ROWS)
         first, second, empty, last = EDGE_ROWS
-        grouped = [[first[1], first[2], first[3], first[0], first[4], first[5]],
+        grouped = [[first[1], first[2], first[0], first[3], first[4]],
                    second, empty, [last[1], last[0]]]
         assert repr(trace.stage_rows) == repr(grouped)
-        assert trace.offsets.tolist() == [0, 3, 5, 6, 7, 8, 8, 8, 8, 8, 9, 9,
-                                          10]
+        assert trace.offsets.tolist() == [0, 2, 5, 6, 7, 7, 7, 8, 9]
 
     def test_flagship_rows_are_the_columns(self):
         # bench/tracer.py counts engine.rows from this view
         trace = flagship_run()
         rows = trace.stage_rows
         assert [len(stage) for stage in rows] == np.diff(
-            trace.offsets[::3]).tolist()
+            trace.offsets[::2]).tolist()
         assert {len(column) for column in trace.columns} == {
             sum(len(stage) for stage in rows)} == {35_599}
 

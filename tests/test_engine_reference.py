@@ -651,11 +651,11 @@ def assert_columns_identical(trace, expect):
     (times compared as bit patterns, kinds as their (resource, label)
     pairs); no stage holds another resource; and the makespans are equal."""
     offsets = trace.offsets.tolist()
-    assert len(offsets) == 3 * len(expect.stage_rows) + 1
+    assert len(offsets) == 2 * len(expect.stage_rows) + 1
     assert offsets[-1] == len(trace.columns.start)
     for stage, rows in enumerate(expect.stage_rows):
         for rank, resource in enumerate((COMPUTE, COMM)):
-            a, b = offsets[3 * stage + rank:3 * stage + rank + 2]
+            a, b = offsets[2 * stage + rank:2 * stage + rank + 2]
             ref = [row for row in rows if row[0] == resource]
             start, end, kind, microbatch = (column[a:b]
                                             for column in trace.columns)
@@ -666,9 +666,8 @@ def assert_columns_identical(trace, expect):
             assert microbatch.tolist() == [
                 -1 if row[4] is None else row[4] for row in ref
             ]
-            assert ([trace.kinds[k] for k in kind.tolist()]
+            assert ([KINDS[k] for k in kind.tolist()]
                     == [(row[0], row[3]) for row in ref])
-        assert offsets[3 * stage + 2] == offsets[3 * stage + 3]
     assert_identical(trace.makespan, expect.makespan)
 
 
@@ -693,9 +692,9 @@ def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
 
 
 def sync_rows(trace, stage):
-    a, b = trace.offsets[3 * stage + 1:3 * stage + 3]
+    a, b = trace.offsets[2 * stage + 1:2 * stage + 3]
     start, end, kind, _ = (column[a:b] for column in trace.columns)
-    at = [trace.kinds[k] == (COMM, LABEL_SYNC) for k in kind.tolist()]
+    at = [KINDS[k] == (COMM, LABEL_SYNC) for k in kind.tolist()]
     return list(zip(start[at].tolist(), end[at].tolist()))
 
 
@@ -1196,7 +1195,7 @@ class TestRowBuild:
         assert repr(rows) == repr(
             [(0.0, 1.0, 0), (1.0, 3.0, 0), (3.0, 3.5, -1), (-0.0, 0.25, -1)]
         )
-        assert offsets.tolist() == [0, 2, 4, 4]
+        assert offsets.tolist() == [0, 2, 4]
 
 
 BENCH_CONFIGS = [f"bench/workloads/{name}.json"
@@ -1214,11 +1213,11 @@ class TestRowLayout:
         args = (config.model, config.stage, config.plan, config.topology,
                 config.costmodel, config.seed, config.workload)
         trace = run(*args)
-        resources = [trace.kinds[k][0] for k in trace.columns.kind.tolist()]
+        resources = [KINDS[k][0] for k in trace.columns.kind.tolist()]
         offsets = trace.offsets.tolist()
-        for at in range(3 * config.plan.pp):
+        for at in range(2 * config.plan.pp):
             assert set(resources[offsets[at]:offsets[at + 1]]) <= {
-                (COMPUTE, COMM, None)[at % 3]
+                (COMPUTE, COMM)[at % 2]
             }
         assert sum(map(len, trace.stage_rows)) == len(resources) == offsets[-1]
         assert_columns_identical(trace, reference_run(*args))

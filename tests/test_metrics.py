@@ -1,10 +1,6 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +11,14 @@ from vlmsim.cluster import MemoryBreakdown
 from vlmsim.engine import (
     COMM,
     COMPUTE,
+    KINDS,
     CostBook,
     CostModelConfig,
-    Trace,
     build_cost_book,
     run,
 )
 from vlmsim.cluster import partition_layers
-from vlmsim.config import config_digest, load_config
+from vlmsim.config import load_config
 from vlmsim.metrics import (
     CSV_COLUMNS,
     RunReport,
@@ -44,6 +40,7 @@ from tests.conftest import (
     PRESET_DIR,
     SVG,
     XLINK_HREF,
+    engine_stage_rows,
     fixed_workload,
     gantt_lanes,
     make_plan,
@@ -186,21 +183,26 @@ class TestMfu:
             measured_bubble(trace)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="mfu counts recomputed FLOPs as useful work, so it is hardware "
+    "FLOPs utilization: full recompute reports 0.8101 at 142.1 s against "
+    "0.7837 at 110.7 s with none",
+)
+def test_recompute_does_not_raise_mfu():
+    config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
+    reported = {}
+    for recompute in ("none", "full"):
+        plan = dataclasses.replace(config.plan, fusion_chunks=1,
+                                   recompute=recompute)
+        trace = run(config.model, config.stage, plan, config.topology,
+                    config.costmodel, config.seed, config.workload)
+        reported[recompute] = mfu(trace, config.model, config.stage, plan,
+                                  config.topology)
+    assert reported["full"] <= reported["none"]
+
+
 class TestReports:
-    def test_api_run_never_builds_the_writer_order(self, monkeypatch):
-        # only the trace and gantt writers need row_order
-        def never(trace):
-            raise AssertionError("writer order built")
-
-        monkeypatch.setattr(Trace, "writer_order", property(never))
-        cfg = load_config("bench/workloads/multimodal-api.json")
-        trace = run(cfg.model, cfg.stage, cfg.plan, cfg.topology,
-                    cfg.costmodel, cfg.seed, cfg.workload)
-        report = build_report(trace, cfg.model, cfg.stage, cfg.plan,
-                              cfg.topology, config_digest(cfg))
-        for format in ("json", "csv"):
-            emit_report(report, format)
-
     def _report(self, efficiency=None):
         return RunReport(
             config_digest="d" * 64,
@@ -434,43 +436,18 @@ class TestGantt:
             assert " drawn" not in svg
             assert not [el for el in ET.fromstring(svg) if el.tag == SVG + "text"]
 
-    def test_labels_are_escaped(self, tmp_path):
-        # markup, a \r a parser would read as \n, and characters XML 1.0
-        # cannot hold (U+FFFD stands in for each)
-        labels = ["a\rb", "a\x01b\x01", "\x00\x1f\ufffe\ud800", "tab\tnl\n"]
-        trace = synthetic_trace(
-            [[(COMPUTE, 0.0, 1.0, "a<b&c", 0), (COMM, 0.0, 1.0, "x>y", 0)]
-             + [(COMPUTE, j + 1.0, j + 2.0, label, 0)
-                for j, label in enumerate(labels)]]
-        )
-        out = tmp_path / "chart.svg"
-        emit_gantt(trace, path=out)
-        titles = [el.text for el in ET.parse(out).getroot().iter(SVG + "title")]
-        assert titles == [
-            "a<b&c", "a\rb", "a\ufffdb\ufffd", "\ufffd" * 4, "tab\tnl\n", "x>y",
-        ]
-
-    def test_file_is_utf8_in_an_ascii_locale(self, tmp_path):
-        out = tmp_path / "chart.svg"
-        code = (
-            "import sys\n"
-            "from tests.conftest import trace_from_rows\n"
-            "from vlmsim.metrics import emit_gantt\n"
-            "trace = trace_from_rows([[('compute', 0.0, 1.0, '\\u2028', 0)]])\n"
-            "text = emit_gantt(trace, path=sys.argv[1])\n"
-            "sys.stdout.buffer.write(text.encode('utf-8'))\n"
-        )
-        root = Path(__file__).parents[1]
-        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-               "PYTHONUTF8": "0",
-               "PYTHONPATH": os.pathsep.join([str(root), str(root / "src")])}
-        done = subprocess.run(
-            [sys.executable, "-X", "utf8=0", "-c", code, str(out)],
-            capture_output=True, env=env, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr.decode()
-        assert "\u2028" in done.stdout.decode("utf-8")
-        assert out.read_bytes() == done.stdout
+    def test_titles_are_the_engine_labels(self):
+        # a rect's title is its row's label, one of KINDS, so the chart is
+        # ASCII and no text in it needs escaping
+        trace = synthetic_trace([[
+            (COMPUTE, 0.0, 1.0, "fwd", 0), (COMPUTE, 1.0, 2.0, "bwd", 0),
+            (COMM, 0.0, 0.5, "collective", 0), (COMM, 0.5, 1.0, "p2p", 0),
+            (COMM, 1.0, 1.5, "sync_bucket", None),
+        ]])
+        svg = emit_gantt(trace)
+        assert svg.isascii()
+        titles = [el.text for el in ET.fromstring(svg).iter(SVG + "title")]
+        assert titles == [label for _, label in KINDS]
 
     def test_flagship_draws_each_lane_once(self):
         config = load_config(f"{PRESET_DIR}/paper-70b-5120.json")
@@ -535,7 +512,7 @@ def reference_gantt(trace, max_chips=64, max_intervals=300):
                     break
                 x = left + start * scale
                 w = max((end - start) * scale, 0.05)
-                color = colors.get(label, "#999999")
+                color = colors[label]
                 parts.append(
                     f'<rect x="{x:.3f}" y="{y}" width="{w:.3f}" '
                     f'height="{lane_h}" fill="{color}"><title>{label}</title></rect>'
@@ -547,19 +524,11 @@ def reference_gantt(trace, max_chips=64, max_intervals=300):
     return "\n".join(parts) + "\n"
 
 
-# starts and durations often come from short lists, so rows tie on start
-# across compute and comm and on (start, end) under different labels, and
-# stages share times; "host" rows are in no lane
-gantt_rows = st.tuples(
-    st.sampled_from([COMPUTE, COMM, "host"]),
-    st.one_of(st.floats(min_value=0.0, max_value=100.0),
-              st.sampled_from([-0.0, 0.0, 1.0])),
-    st.one_of(st.floats(min_value=1e-9, max_value=50.0),
-              st.sampled_from([0.5, 1.0])),
-    st.sampled_from(["fwd", "bwd", "collective", "p2p", "sync_bucket", "x",
-                     "a\nb", "\u2028"]),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-)
+# times often come from a short list, so rows tie on start across compute
+# and comm and on (start, end) under different labels, and stages share
+# times
+gantt_times = st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                        st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5]))
 
 
 class TestGanttMatchesReference:
@@ -577,9 +546,10 @@ class TestGanttMatchesReference:
         # caps far below the row counts clip lanes; max_chips between one
         # replica (tp * pp chips) and dp replicas cuts a wrapped replica
         stage_rows = [
-            [(res, start, start + dur, label, mb)
-             for res, start, dur, label, mb in lanes.draw(
-                 st.lists(gantt_rows, max_size=10))]
+            lanes.draw(engine_stage_rows(
+                gantt_times, max_rows=5,
+                microbatches=st.one_of(st.none(), st.integers(0, 9)),
+            ))
             for _ in range(pp)
         ]
         assume(any(stage_rows))  # emit_gantt refuses an empty trace

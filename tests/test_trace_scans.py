@@ -4,7 +4,9 @@
 `reference_overlap_efficiency` walk the `stage_rows` view in Python, as the
 engine and metrics did before the per-stage columns. The column versions must
 raise the same first message and give the same floats, bit for bit, on
-synthetic traces (including broken ones) and on small engine runs.
+synthetic traces shaped as the engine records them, on such traces with
+cells of their time columns overwritten (broken ones), and on small engine
+runs.
 
 The column versions always return built-in floats; the loops returned the
 type they summed (int 0 for a stage without compute). Results are compared
@@ -19,9 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlmsim.engine import COMM, COMPUTE, CostModelConfig, run
+from vlmsim.engine import COMM, COMPUTE, KINDS, CostModelConfig, run
 from vlmsim.metrics import _ranks, overlap_efficiency
-from tests.conftest import make_plan, make_topology, trace_from_rows
+from tests.conftest import (
+    engine_stage_rows,
+    make_plan,
+    make_topology,
+    trace_from_rows,
+)
 from tests.test_engine_reference import small_configs
 
 
@@ -38,7 +45,7 @@ def reference_check_invariants(trace):
                     raise AssertionError(
                         f"stage {stage} {label} interval not positive"
                     )
-                if start < prev_end - 1e-15:
+                if start < prev_end:
                     raise AssertionError(
                         f"stage {stage} overlapping {resource} intervals"
                     )
@@ -115,11 +122,10 @@ def make_trace(stage_rows, makespan=4.0):
                            microbatch_seq_lens=[64])
 
 
-RESOURCES = st.sampled_from([COMPUTE, COMPUTE, COMM, COMM, "host", "memcpy"])
-LABELS = st.sampled_from(["fwd", "bwd", "collective", "p2p", "sync_bucket"])
 MICROBATCHES = st.one_of(st.none(), st.integers(0, 7))
-# shared endpoints make touching, nested and equal intervals likely;
-# 1 - 5e-16 sits inside the 1e-15 overlap tolerance of 1.0, 1 - 2e-15 outside
+# shared endpoints make touching rows and equal starts across compute and
+# comm likely; 1 - 2e-15 and 1 - 5e-16 end just before a row starting at
+# 1.0, and -1.5 starts a sub-block before the check's floor of -1.0
 GRID = st.sampled_from([
     -1.5, -1.0, -0.0, 0.0, 0.17, 0.27, 0.59, 1.0 - 2e-15, 1.0 - 5e-16, 1.0,
     1.74, 2.0, 2.57, 3.0,
@@ -128,139 +134,113 @@ FINITE_TIMES = st.one_of(GRID, st.floats(-4.0, 4.0))
 ANY_TIMES = st.one_of(
     FINITE_TIMES, st.sampled_from([math.inf, -math.inf, math.nan])
 )
-CASTS = st.sampled_from([float, np.float64])
-
-
-def arbitrary_rows(times=ANY_TIMES, ordered_compute=False):
-    """Rows in any order with any endpoints; with ordered_compute, compute
-    rows have start <= end (the overlap scan assumes no inverted compute)."""
-
-    def row(parts):
-        resource, start, end, label, mb, cast = parts
-        if ordered_compute and resource == COMPUTE and end < start:
-            start, end = end, start
-        return (resource, cast(start), cast(end), label, mb)
-
-    return st.tuples(
-        RESOURCES, times, times, LABELS, MICROBATCHES, CASTS
-    ).map(row)
-
-
-@st.composite
-def arbitrary_traces(draw, times=ANY_TIMES, ordered_compute=False):
-    rows = arbitrary_rows(times=times, ordered_compute=ordered_compute)
-    stages = draw(st.lists(st.lists(rows, max_size=30), max_size=4))
-    makespan = draw(st.sampled_from([4.0, 4.0, 4.0, math.inf, math.nan]))
-    return make_trace(stages, makespan)
-
-
-GAPS = st.sampled_from([0.0, 0.0, 0.125, 0.5, 1.0, -4e-16, -2e-15])
 DURATIONS = st.one_of(
     st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(1e-3, 3.0)
 )
+# traces as run records them (see engine_stage_rows)
+ENGINE_TRACES = st.lists(
+    engine_stage_rows(FINITE_TIMES, max_rows=6, microbatches=MICROBATCHES),
+    max_size=4,
+).map(make_trace)
 
 
 @st.composite
-def well_formed_traces(draw):
-    """Traces whose compute and comm lanes are each in start order, as the
-    engine records them, interleaved at random; a gap of -2e-15 breaks the
-    overlap tolerance, so some of them fail the invariant check."""
-    stages = []
-    for _ in range(draw(st.integers(0, 4))):
-        lanes = []
-        for resource in (COMPUTE, COMM):
-            t = draw(st.sampled_from([-1.0, -0.0, 0.0, 0.5]))
-            lane = []
-            for _ in range(draw(st.integers(0, 12))):
-                start = t + draw(GAPS)
-                t = start + draw(DURATIONS)
-                cast = draw(CASTS)
-                lane.append((resource, cast(start), cast(t), draw(LABELS),
-                             draw(MICROBATCHES)))
-            lanes.append(lane)
-        lanes.append([
-            ("host", 0.0, draw(FINITE_TIMES), "fwd", None)
-            for _ in range(draw(st.integers(0, 2)))
-        ])
-        rows = []
-        while any(lanes):
-            lane = draw(st.sampled_from([lane for lane in lanes if lane]))
-            rows.append(lane.pop(0))
-        stages.append(rows)
-    return make_trace(stages)
+def broken_traces(draw):
+    """Engine-shaped traces with up to three cells of their time columns
+    overwritten by any time, finite or not, and a makespan that may not be
+    finite: rows that overlap the one before, are empty or inverted, or
+    are still fine."""
+    trace = draw(ENGINE_TRACES)
+    rows = len(trace.columns.start)
+    for _ in range(draw(st.integers(1, 3)) if rows else 0):
+        column = draw(st.sampled_from(trace.columns[:2]))
+        column[draw(st.integers(0, rows - 1))] = draw(ANY_TIMES)
+    trace.makespan = draw(st.sampled_from([4.0, 4.0, 4.0, math.inf, math.nan]))
+    return trace
+
+
+def overwrite(trace, row, start=None, end=None):
+    """The trace with row `row`'s start or end set: the way to a trace the
+    engine cannot record, which trace_from_rows refuses."""
+    if start is not None:
+        trace.columns.start[row] = start
+    if end is not None:
+        trace.columns.end[row] = end
+    return trace
 
 
 class TestCheckInvariants:
-    @given(trace=st.one_of(arbitrary_traces(), well_formed_traces()))
+    @given(trace=st.one_of(ENGINE_TRACES, broken_traces()))
     @settings(max_examples=400, deadline=None)
     def test_same_first_error(self, trace):
         assert first_error(trace.check_invariants) == first_error(
             lambda: reference_check_invariants(trace)
         )
 
-    def test_tolerance_kept(self):
-        rows = [(COMPUTE, 0.0, 1.0, "fwd", 0), (COMPUTE, 1.0 - 5e-16, 2.0, "fwd", 1)]
+    def test_no_tolerance(self):
+        # touching rows pass; a row starting any amount before the previous
+        # one ends overlaps it, down to one ulp
+        rows = [(COMPUTE, 0.0, 1.0, "fwd", 0), (COMPUTE, 1.0, 2.0, "fwd", 1)]
         make_trace([rows]).check_invariants()
-        rows[1] = (COMPUTE, 1.0 - 2e-15, 2.0, "fwd", 1)
-        with pytest.raises(AssertionError, match="stage 0 overlapping compute"):
-            make_trace([rows]).check_invariants()
+        for start in (1.0 - 2e-15, 1.0 - 5e-16, np.nextafter(1.0, 0.0)):
+            trace = overwrite(make_trace([rows]), 1, start=start)
+            with pytest.raises(AssertionError,
+                               match="stage 0 overlapping compute"):
+                trace.check_invariants()
 
     def test_compute_pass_before_comm_pass(self):
-        rows = [
-            (COMM, 0.0, 2.0, "p2p", 0), (COMM, 1.0, 2.0, "p2p", 1),
+        # rows: the compute row, then the two comm rows, the last made to
+        # overlap the one before it
+        trace = overwrite(make_trace([[
+            (COMM, 0.0, 2.0, "p2p", 0), (COMM, 2.0, 3.0, "p2p", 1),
             (COMPUTE, 1.0, 1.0, "bwd", 0),
-        ]
+        ]]), 2, start=1.0)
         with pytest.raises(AssertionError, match="stage 0 bwd interval not positive"):
-            make_trace([rows]).check_invariants()
+            trace.check_invariants()
 
     def test_positivity_before_overlap_on_one_row(self):
-        rows = [(COMM, 0.0, 2.0, "p2p", 0), (COMM, 1.0, 0.5, "sync_bucket", None)]
+        trace = overwrite(make_trace([[
+            (COMM, 0.0, 2.0, "p2p", 0), (COMM, 2.0, 0.5, "sync_bucket", None),
+        ]]), 1, start=1.0)
         with pytest.raises(AssertionError, match="sync_bucket interval not positive"):
-            make_trace([rows]).check_invariants()
-
-    def test_other_resources_ignored(self):
-        rows = [("host", 1.0, 0.0, "fwd", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
-                ("host", 0.0, 1.0, "fwd", 0)]
-        make_trace([rows]).check_invariants()
-        # a bad host row before a bad row of a later stage is skipped
-        self.check_same([rows, [(COMM, 1.0, 1.0, "p2p", 0)]],
-                        "stage 1 p2p interval not positive")
+            trace.check_invariants()
 
     @staticmethod
-    def check_same(stages, message):
-        trace = make_trace(stages)
+    def check_same(trace, message):
         assert first_error(trace.check_invariants) == message
         assert first_error(lambda: reference_check_invariants(trace)) == message
 
     def test_earlier_stage_comm_before_later_stage_compute(self):
         # both stage 0's comm sub-block and stage 1's compute sub-block
         # are bad; stage 0's comm pass runs first
-        self.check_same([
+        trace = make_trace([
             [(COMM, 1.0, 2.0, "p2p", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
-             (COMM, 1.5, 3.0, "sync_bucket", None)],
+             (COMM, 2.0, 3.0, "sync_bucket", None)],
             [(COMPUTE, 2.0, 2.0, "fwd", 0)],
-        ], "stage 0 overlapping comm intervals")
+        ])
+        self.check_same(overwrite(trace, 2, start=1.5),
+                        "stage 0 overlapping comm intervals")
 
     def test_empty_compute_sub_block(self):
-        comm = [(COMM, 0.5, 2.0, "p2p", 0), (COMM, 1.0, 3.0, "p2p", 1)]
-        self.check_same([[(COMPUTE, 0.0, 4.0, "fwd", 0)], comm],
+        comm = [(COMM, 0.5, 2.0, "p2p", 0), (COMM, 2.0, 3.0, "p2p", 1)]
+        trace = make_trace([[(COMPUTE, 0.0, 4.0, "fwd", 0)], comm])
+        self.check_same(overwrite(trace, 2, start=1.0),
                         "stage 1 overlapping comm intervals")
-        self.check_same([[], comm[:1], []], None)
+        self.check_same(make_trace([[], comm[:1], []]), None)
 
     def test_sub_block_may_start_before_the_last_ones_end(self):
         # each sub-block's first row is checked against -1.0, not against
         # the row before it in the record (another pass's or stage's)
-        self.check_same([
-            [(COMPUTE, 0.0, 5.0, "fwd", 0), (COMM, 1.0, 2.0, "p2p", 0),
-             ("host", 0.0, 9.0, "fwd", 0)],
+        self.check_same(make_trace([
+            [(COMPUTE, 0.0, 5.0, "fwd", 0), (COMM, 1.0, 2.0, "p2p", 0)],
             [(COMPUTE, 0.5, 1.0, "fwd", 0), (COMM, -0.5, 0.0, "p2p", 0)],
-        ], None)
+        ]), None)
 
 
 class TestStageComputeBusy:
     # inf - inf in a row's duration warns in numpy, not in Python floats
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @given(trace=st.one_of(arbitrary_traces(), well_formed_traces()))
+    @given(trace=st.one_of(ENGINE_TRACES, broken_traces()))
     @settings(max_examples=300, deadline=None)
     def test_same_floats(self, trace):
         assert_same_floats(
@@ -287,7 +267,7 @@ class TestStageComputeBusy:
 
 
 class TestRanks:
-    """_ranks merges sorted keys into the queries; it must give what
+    """_ranks merges sorted keys into sorted queries; it must give what
     np.searchsorted gives, for either side."""
 
     SIDES = pytest.mark.parametrize("side", ["left", "right"])
@@ -302,13 +282,11 @@ class TestRanks:
     @given(
         keys=st.lists(st.one_of(GRID, st.floats(-4.0, 4.0)), max_size=12),
         queries=st.lists(st.one_of(GRID, st.floats(-4.0, 4.0)), max_size=30),
-        sort_queries=st.booleans(),
         side=st.sampled_from(["left", "right"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_searchsorted(self, keys, queries, sort_queries, side):
-        self.check(sorted(keys), sorted(queries) if sort_queries else queries,
-                   side)
+    def test_matches_searchsorted(self, keys, queries, side):
+        self.check(sorted(keys), sorted(queries), side)
 
     @SIDES
     def test_ties(self, side):
@@ -319,37 +297,32 @@ class TestRanks:
         # -0.0 == 0.0: either zero counts as the other, in any order
         self.check([-0.0, 0.0], [0.0, -0.0, 0.0], side)
         self.check([0.0, -0.0], [-0.0, -0.0, 0.0], side)
-        self.check([-1.0, -0.0, 0.0, 1.0], [0.0, -1.0, -0.0, 1.0], side)
+        self.check([-1.0, -0.0, 0.0, 1.0], [-1.0, 0.0, -0.0, 1.0], side)
 
     @SIDES
     def test_empty_keys(self, side):
-        self.check([], [0.0, -1.0, 2.0], side)
+        self.check([], [-1.0, 0.0, 2.0], side)
 
     @SIDES
     def test_empty_queries(self, side):
         self.check([0.0, 1.0], [], side)
         self.check([], [], side)
 
-    @SIDES
-    def test_unsorted_queries(self, side):
-        self.check([0.0, 1.0, 2.0, 3.0], [2.5, 0.0, 3.0, -1.0, 1.0, 2.5, 0.5],
-                   side)
-
 
 @st.composite
 def pieces_and_rows(draw):
-    """One stage's comm rows over compute pieces, in one of four cases:
-    rows in start order each meeting at most one piece ("one"); rows in
-    start order, one spanning two or more pieces ("spans"); rows in start
-    order ending at a piece's start or starting at a piece's end ("touch");
-    rows in any order ("unsorted").
+    """One stage's comm rows over compute pieces, in one of three cases,
+    the rows in start order, each starting at or after the one before
+    ends: each meeting at most one piece ("one"); one spanning two or more
+    pieces ("spans"); ending at a piece's start or starting at a piece's
+    end ("touch").
 
     The times are a grid: before the first piece, each piece's start,
     middle and end, the middle of each gap and past the last piece, so
     piece k runs from grid point 4k + 1 to 4k + 3 and a row from grid
     point i to j meets it when i < 4k + 3 and j > 4k + 1. A piece is one
     compute row, or two that touch at its middle and merge."""
-    case = draw(st.sampled_from(["one", "spans", "touch", "unsorted"]))
+    case = draw(st.sampled_from(["one", "spans", "touch"]))
     k = draw(st.integers(2 if case == "spans" else 1, 5))
     t = draw(st.sampled_from([-1.0, -0.0, 0.0, 0.5]))
     bounds = []
@@ -372,46 +345,36 @@ def pieces_and_rows(draw):
             rows.append((COMPUTE, lo, hi, "fwd", piece))
     last = len(grid) - 1
     spans = []
-    if case == "unsorted":
-        ends = st.tuples(st.integers(0, last - 1), st.integers(1, last))
-        spans = [(min(i, j - 1), j)
-                 for i, j in draw(st.lists(ends, min_size=2, max_size=12))]
-        if spans == sorted(spans):
-            spans.reverse()
-    else:
-        at = 0
-        if case == "spans":
-            # from before piece 0's end to past piece 1's start
-            at = draw(st.integers(5, last))
-            spans.append((draw(st.integers(0, 2)), at))
-        while at < last and len(spans) < 12:
-            if case == "touch":
-                # to the next piece start, or from the next piece end
-                piece = -(-(at - 1) // 4)
-                if 4 * piece + 3 >= last or draw(st.booleans()):
-                    if 4 * piece + 1 <= at:
-                        piece += 1
-                    if 4 * piece + 1 > last:
-                        break
-                    i, j = draw(st.integers(at, 4 * piece)), 4 * piece + 1
-                else:
-                    i = 4 * piece + 3
-                    j = draw(st.integers(i + 1, min(i + 2, last)))
+    at = 0
+    if case == "spans":
+        # from before piece 0's end to past piece 1's start
+        at = draw(st.integers(5, last))
+        spans.append((draw(st.integers(0, 2)), at))
+    while at < last and len(spans) < 12:
+        if case == "touch":
+            # to the next piece start, or from the next piece end
+            piece = -(-(at - 1) // 4)
+            if 4 * piece + 3 >= last or draw(st.booleans()):
+                if 4 * piece + 1 <= at:
+                    piece += 1
+                if 4 * piece + 1 > last:
+                    break
+                i, j = draw(st.integers(at, 4 * piece)), 4 * piece + 1
             else:
-                # fewer than four grid steps never reach two pieces
-                i = draw(st.integers(at, min(at + 2, last - 1)))
-                j = draw(st.integers(i + 1, min(i + 3, last)))
-            spans.append((i, j))
-            at = j
+                i = 4 * piece + 3
+                j = draw(st.integers(i + 1, min(i + 2, last)))
+        else:
+            # fewer than four grid steps never reach two pieces
+            i = draw(st.integers(at, min(at + 2, last - 1)))
+            j = draw(st.integers(i + 1, min(i + 3, last)))
+        spans.append((i, j))
+        at = j
     rows += [(COMM, grid[i], grid[j], "sync_bucket", None) for i, j in spans]
     return rows
 
 
 class TestOverlapEfficiency:
-    @given(trace=st.one_of(
-        arbitrary_traces(times=FINITE_TIMES, ordered_compute=True),
-        well_formed_traces(),
-    ))
+    @given(trace=ENGINE_TRACES)
     @settings(max_examples=400, deadline=None)
     def test_same_floats(self, trace):
         assert_same_floats(
@@ -435,16 +398,15 @@ class TestOverlapEfficiency:
         assert_same_floats(overlap_efficiency(trace),
                            reference_overlap_efficiency(trace))
 
-    def test_comm_spanning_pieces_and_gaps_out_of_order(self):
+    def test_comm_spanning_pieces_and_gaps(self):
         rows = [
-            (COMPUTE, 0.0, 1.0, "fwd", 0), (COMPUTE, 0.5, 0.75, "fwd", 1),
-            (COMPUTE, 2.0, 3.0, "bwd", 0), (COMPUTE, 4.0, 5.0, "bwd", 1),
-            (COMM, 2.5, 4.5, "p2p", 0), (COMM, -1.0, 6.0, "sync_bucket", None),
-            (COMM, 0.25, 0.5, "collective", 1), ("host", 0.0, 9.0, "fwd", 0),
+            (COMPUTE, 0.0, 1.0, "fwd", 0), (COMPUTE, 2.0, 3.0, "bwd", 0),
+            (COMPUTE, 4.0, 5.0, "bwd", 1), (COMM, 0.25, 0.5, "collective", 1),
+            (COMM, 0.5, 2.5, "p2p", 0), (COMM, 2.5, 6.0, "sync_bucket", None),
         ]
         trace = make_trace([rows, [], [(COMM, 0.0, 1.0, "p2p", 0)]])
-        # covered 1.0 + 3.0 + 0.25 of total 2 + 7 + 0.25 + 1
-        assert overlap_efficiency(trace) == pytest.approx(4.25 / 10.25)
+        # covered 0.25 + 1.0 + 1.5 of total 0.25 + 2 + 3.5 + 1
+        assert overlap_efficiency(trace) == pytest.approx(2.75 / 6.75)
         assert_same_floats(overlap_efficiency(trace),
                            reference_overlap_efficiency(trace))
 
@@ -453,13 +415,28 @@ class TestOverlapEfficiency:
         assert overlap_efficiency(make_trace([[(COMPUTE, 0.0, 1.0, "fwd", 0)]])) == 1.0
 
 
+def sub_blocks_in_order(trace):
+    """Whether every row of every sub-block is positive and starts at or
+    after the previous row's end, with no tolerance."""
+    start, end = trace.columns.start, trace.columns.end
+    offsets = trace.offsets.tolist()
+    return all(
+        (start[a:b] < end[a:b]).all() and (start[a + 1:b] >= end[a:b - 1]).all()
+        for a, b in zip(offsets, offsets[1:])
+    )
+
+
 class TestEngineRuns:
     @given(config=small_configs())
-    @settings(max_examples=100, deadline=None)
-    def test_scans_match(self, catalog, config):
+    @settings(max_examples=300, deadline=None)
+    def test_rows_in_order_and_scans_match(self, catalog, config):
+        # every engine trace meets the order rule exactly (run checks it
+        # too), and the scans give the loops' floats
         model, stage, plan, topology, costmodel, seed, workload = config
         trace = run(catalog[model], stage, plan, topology, costmodel, seed,
                     workload)
+        assert len(trace.offsets) == 2 * plan.pp + 1
+        assert sub_blocks_in_order(trace)
         reference_check_invariants(trace)
         assert_same_floats(trace.stage_compute_busy(),
                            reference_stage_compute_busy(trace))
@@ -472,33 +449,32 @@ class TestEngineRuns:
         model, stage, plan, topology, costmodel, seed, workload = config
         trace = run(catalog[model], stage, plan, topology, costmodel, seed,
                     workload)
-        rows = [list(stage_rows) for stage_rows in trace.stage_rows]
-        i = data.draw(st.integers(0, len(rows) - 1))
-        if not rows[i]:
-            return
-        k = data.draw(st.integers(0, len(rows[i]) - 1))
-        res, start, end, label, mb = rows[i][k]
-        rows[i][k] = data.draw(st.sampled_from([
-            (res, end, start, label, mb),
-            (res, start, start, label, mb),
-            (res, start - 2e-15 * max(1.0, abs(start)), end, label, mb),
-            (res, -1.0, end, label, mb),
-            (res, start, math.nan, label, mb),
+        row = data.draw(st.integers(0, len(trace.columns.start) - 1))
+        start, end = trace.columns.start[row], trace.columns.end[row]
+        start, end = data.draw(st.sampled_from([
+            (end, start),
+            (start, start),
+            (start - 2e-15 * max(1.0, abs(start)), end),
+            (np.nextafter(start, -math.inf), end),
+            (-1.0, end),
+            (start, math.nan),
         ]))
-        broken = make_trace(rows, trace.makespan)
-        assert first_error(broken.check_invariants) == first_error(
-            lambda: reference_check_invariants(broken)
+        overwrite(trace, row, start, end)
+        assert first_error(trace.check_invariants) == first_error(
+            lambda: reference_check_invariants(trace)
         )
 
 
 class TestScanWork:
     def test_sub_blocks_follow_resource_names(self):
-        rows = [(COMPUTE, 0.0, 1.0, "fwd", 0), ("host", 0.0, 1.0, "fwd", 0),
-                (COMM, 0.5, 1.5, "p2p", 0)]
+        rows = [(COMM, 0.5, 1.5, "p2p", 0), (COMPUTE, 0.0, 1.0, "fwd", 0),
+                (COMM, 1.5, 2.0, "sync_bucket", None)]
         trace = make_trace([rows])
-        assert trace.kinds == ((COMPUTE, "fwd"), ("host", "fwd"), (COMM, "p2p"))
-        assert trace.columns.kind.tolist() == [0, 2, 1]
-        assert trace.offsets.tolist() == [0, 1, 2, 3]
+        assert trace.columns.kind.tolist() == [
+            KINDS.index((COMPUTE, "fwd")), KINDS.index((COMM, "p2p")),
+            KINDS.index((COMM, "sync_bucket")),
+        ]
+        assert trace.offsets.tolist() == [0, 1, 3]
         assert trace.columns.start.dtype == trace.columns.end.dtype == np.float64
 
     def test_scans_read_no_kinds(self, catalog, full_stage):
@@ -512,3 +488,32 @@ class TestScanWork:
         trace.check_invariants()
         assert trace.stage_compute_busy() == busy
         assert overlap_efficiency(trace) == overlap
+
+
+class TestTraceFromRows:
+    """The test helper builds only traces the engine can record."""
+
+    @pytest.mark.parametrize("row", [
+        ("host", 0.0, 1.0, "fwd", 0),
+        (COMPUTE, 0.0, 1.0, "p2p", 0),
+        (COMM, 0.0, 1.0, "fwd", 0),
+        (COMPUTE, 0.0, 1.0, "a\nb", 0),
+    ])
+    def test_refuses_a_kind_outside_kinds(self, row):
+        with pytest.raises(ValueError, match="no such kind"):
+            make_trace([[(COMPUTE, 0.0, 1.0, "fwd", 0)], [row]])
+
+    @pytest.mark.parametrize("resource, label", [
+        (COMPUTE, "bwd"), (COMM, "sync_bucket"),
+    ])
+    def test_refuses_a_row_starting_before_the_one_before_ends(
+        self, resource, label
+    ):
+        other = COMM if resource == COMPUTE else COMPUTE
+        first = (resource, 0.0, 1.0, label, 0)
+        # a row of the other resource between them does not count
+        between = (other, 1.0, 2.0, "fwd" if other == COMPUTE else "p2p", 0)
+        for start in (0.5, np.nextafter(1.0, 0.0)):
+            with pytest.raises(ValueError, match="starts before the"):
+                make_trace([[first, between, (resource, start, 2.0, label, 1)]])
+        make_trace([[first, between, (resource, 1.0, 2.0, label, 1)]])

@@ -1,5 +1,6 @@
 import pytest
 
+from vlmsim.config import load_config
 from vlmsim.workload import (
     MicrobatchPlan,
     SequenceLengthModel,
@@ -54,6 +55,9 @@ class TestStageCatalog:
             )
 
 
+LOGNORMAL_SEED_7 = [1810, 2366, 1413, 811, 1201, 741, 1909, 6040]
+
+
 class TestSequenceLengths:
     def test_fixed_model(self):
         model = SequenceLengthModel.fixed(4096)
@@ -80,6 +84,13 @@ class TestSequenceLengths:
         # mean=8 puts the median near e^8 ~ 2981
         mid = sorted(a)[500]
         assert 2000 < mid < 4096
+
+    def test_lognormal_draws_are_pinned(self):
+        # Generator.lognormal's stream is outside NumPy's compatibility
+        # policy (NEP 19), so a NumPy release may change these draws; this
+        # pin (taken on NumPy 2.4.6) shows it when it does
+        model = SequenceLengthModel.lognormal(7.5, 0.9, 8192)
+        assert sample_lengths(model, seed=7, n=8) == LOGNORMAL_SEED_7
 
     def test_cap_actually_binds(self):
         loose = SequenceLengthModel.lognormal(mean=8.0, sigma=0.7, cap=32768)
@@ -138,3 +149,27 @@ class TestStepPlanning:
             MicrobatchPlan(batches=[[6, 6]], token_budget_per_batch=10)
         with pytest.raises(ValueError):
             StepWorkload(microbatch_token_budget=0)
+
+
+def step_samples(config, seed):
+    """The sample lengths of a config's step plan, in arrival order."""
+    plan = plan_step_microbatches(config.stage.seq_len_model, config.workload,
+                                  config.plan.microbatches_per_step, seed)
+    return [length for batch in plan.batches for length in batch]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="plan_step_microbatches draws its k-th chunk of lengths from "
+    "seed + k, so seed 7's step ends with seed 8's first 241 samples",
+)
+def test_adjacent_seeds_share_no_run_of_samples():
+    config = load_config("bench/workloads/multimodal-api.json")
+    run = 16
+    other = step_samples(config, 8)
+    shared = {tuple(other[k:k + run]) for k in range(len(other) - run + 1)}
+    samples = step_samples(config, 7)
+    assert not any(
+        tuple(samples[k:k + run]) in shared
+        for k in range(len(samples) - run + 1)
+    )
