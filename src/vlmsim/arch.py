@@ -55,16 +55,14 @@ class VisionEncoderSpec:
 
 @dataclass(frozen=True)
 class AdapterSpec:
+    """The two-layer MLP adapter: in_channels -> out_channels -> out_channels."""
+
     in_channels: int
     out_channels: int
-    layers: int = 2
-    activation: str = "gelu"
 
     def __post_init__(self) -> None:
         if self.in_channels <= 0 or self.out_channels <= 0:
             raise ValueError("adapter channel counts must be positive")
-        if self.layers != 2:
-            raise ValueError("adapter is a two-layer MLP")
 
 
 @dataclass(frozen=True)

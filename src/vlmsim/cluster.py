@@ -88,7 +88,6 @@ class ParallelismPlan:
     microbatches_per_step: int
     sequence_parallel: bool = False
     recompute: str = "none"
-    overlap_grad_sync: bool = True
     fusion_chunks: int = 1
     distributed_optimizer: bool = False
     layer_balance: str = "uniform"

@@ -8,7 +8,8 @@ at $.modle` instead of silently using defaults), to check types, to fill
 defaults and to build the objects of a SimConfig; resolved_config_dict
 renders a SimConfig back through the same tables to a canonical dict with
 every default filled in and "auto" values replaced, which is what gets
-digested and written next to run artifacts.
+digested and written next to run artifacts. The tables describe schema 2;
+a schema-1 document is rewritten to its schema-2 form before the walk.
 """
 
 from __future__ import annotations
@@ -170,18 +171,9 @@ def _keys(kind, *names: str) -> tuple[_Key, ...]:
 
 def _schema_version(raw, path, enclosing):
     schema = _parse(int, raw, path, enclosing)
-    if schema != 1:
+    if schema != 2:
         raise ConfigError(f"unsupported schema {schema} at {path}")
     return schema
-
-
-def _ring_only(raw, path, enclosing):
-    # ring is the only collective algorithm; the key stays in the canonical
-    # form so that resolved configs and their digests do not move
-    algorithm = _parse(str, raw, path, enclosing)
-    if algorithm != "ring":
-        raise ConfigError(f"unsupported algorithm {algorithm!r} at {path}")
-    return algorithm
 
 
 def _stage_named(raw, path, enclosing):
@@ -270,7 +262,6 @@ _PLAN = _table(
     _Key("microbatches_per_step", int),
     _Key("sequence_parallel", bool),
     _Key("recompute", str),
-    _Key("overlap_grad_sync", bool),
     _Key("fusion_chunks", int),
     _Key("distributed_optimizer", bool),
     _Key("layer_balance", str),
@@ -284,8 +275,6 @@ _COSTMODEL = _table(
         _Key("bucket_bytes", float),
         _Key("overlap", bool),
     ), {}),
-    _Key("algorithm", _Custom(_ring_only, lambda _: "ring"), default="ring",
-         attr=None),
 )
 
 # both length kinds share one key set; a key of the other kind is unknown
@@ -345,7 +334,7 @@ def _reference_chips(raw, path, enclosing):
 
 _ROOT = _table(
     SimConfig,
-    _Key("schema", _Custom(_schema_version, lambda _: 1), default=1, attr=None),
+    _Key("schema", _Custom(_schema_version, lambda _: 2), attr=None),
     _Key("model", _Custom(_catalog_or_sheet, lambda model: _render(_MODEL, model))),
     _Key("stage", _Custom(_stage_named, lambda stage: stage.name)),
     _Key("topology", _TOPOLOGY),
@@ -358,6 +347,35 @@ _ROOT = _table(
         _reference_chips, lambda reference: {"reference_chips": reference}
     ), attr="scaling_reference_chips"),
 )
+
+
+def _from_schema_1(doc):
+    """A schema-1 document (schema 1, or no "schema" key) in its schema-2
+    form, without changing the caller's dict; any other document as it is.
+    Schema 1 also has costmodel.algorithm, which must be "ring", and
+    plan.overlap_grad_sync, which folds into costmodel.grad_sync.overlap as
+    their AND; both keep their schema-1 messages. What the walk checks (a
+    section that is not an object, say) is left to the walk."""
+    schema = doc.get("schema", 1) if isinstance(doc, dict) else None
+    if type(schema) is not int or schema != 1:  # a bool is not a schema
+        return doc
+    doc = {**doc, "schema": 2}
+    plan, costmodel = doc.get("plan"), doc.get("costmodel", {})
+    grad_sync = costmodel.get("grad_sync", {}) if isinstance(costmodel, dict) else None
+    if isinstance(plan, dict) and "overlap_grad_sync" in plan:
+        plan = doc["plan"] = dict(plan)
+        at = "$.plan.overlap_grad_sync"
+        if not _parse(bool, plan.pop("overlap_grad_sync"), at, None) and isinstance(
+                grad_sync, dict) and grad_sync.get("overlap", True) is True:
+            costmodel = doc["costmodel"] = {
+                **costmodel, "grad_sync": {**grad_sync, "overlap": False}}
+    if isinstance(costmodel, dict) and "algorithm" in costmodel:
+        costmodel = doc["costmodel"] = dict(costmodel)
+        at = "$.costmodel.algorithm"
+        algorithm = _parse(str, costmodel.pop("algorithm"), at, None)
+        if algorithm != "ring":
+            raise ConfigError(f"unsupported algorithm {algorithm!r} at {at}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +395,7 @@ def load_config(source) -> SimConfig:
     else:
         doc = source
 
-    config = _walk(_ROOT, doc, "$")
+    config = _walk(_ROOT, _from_schema_1(doc), "$")
     violations = validate_plan(config.topology, config.plan, config.model)
     if violations:
         lines = "; ".join(v.message for v in violations)

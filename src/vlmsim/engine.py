@@ -332,14 +332,14 @@ class Trace:
         interval must be positive and start no earlier than the previous
         interval's end, with no tolerance. One comparison over the run
         finds every bad row, each sub-block's first row compared against an
-        end of -1.0.
+        end of -inf, since no row comes before it.
         """
         if not math.isfinite(self.makespan):
             raise AssertionError(f"makespan {self.makespan} is not finite")
         start, end, kind, _ = self.columns
         # each row's previous end in its sub-block
-        floor = np.concatenate(([-1.0], end))
-        floor[self.offsets] = -1.0
+        floor = np.concatenate(([-np.inf], end))
+        floor[self.offsets] = -np.inf
         not_positive = ~(start < end)  # also true when either is NaN
         bad = np.flatnonzero(not_positive | (start < floor[:-1]))
         if not bad.size:
@@ -703,9 +703,7 @@ def run(
         _check_injected(cost_book, p, m)
 
     dual_stream = topology.chip.has_independent_comm_unit
-    overlap_sync = (
-        dual_stream and plan.overlap_grad_sync and costmodel.grad_sync.overlap
-    )
+    overlap_sync = dual_stream and costmodel.grad_sync.overlap
     chunks = plan.fusion_chunks
 
     _, _, codes, order, depends = build_1f1b(p, m)

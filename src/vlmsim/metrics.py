@@ -29,7 +29,7 @@ class RunReport:
     """One run's headline numbers. The field order is the key order of
     report.json and, with memory flattened, the columns of report.csv."""
 
-    schema: int = 1
+    schema: int = 2
     config_digest: str
     chips: int
     step_time: float

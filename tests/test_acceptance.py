@@ -248,16 +248,16 @@ def test_criterion_5_weak_scaling_efficiency():
     curves = {}
     for overlap in (True, False):
         samples = []
+        costmodel = dataclasses.replace(cfg.costmodel, grad_sync=dataclasses.replace(
+            cfg.costmodel.grad_sync, overlap=overlap))
         for chips in SCALING_POINTS:
             topology, plan = weak_scaling_point(cfg.topology, cfg.plan, chips)
-            if not overlap:
-                plan = dataclasses.replace(plan, overlap_grad_sync=False)
             trace = run(
                 model=cfg.model,
                 stage=cfg.stage,
                 plan=plan,
                 topology=topology,
-                costmodel=cfg.costmodel,
+                costmodel=costmodel,
                 seed=cfg.seed,
                 workload=cfg.workload,
             )

@@ -38,6 +38,14 @@ ARTIFACTS = [
 BUBBLE_PRESET = str(Path(PRESET_DIR) / "bubble-claim.json")
 FLAGSHIP_PRESET = str(Path(PRESET_DIR) / "paper-70b-5120.json")
 FUSION_PRESET = str(Path(PRESET_DIR) / "fusion-claim.json")
+GRADSYNC_PRESET = str(Path(PRESET_DIR) / "gradsync.json")
+# every shipped config is a schema-1 file
+SHIPPED_CONFIGS = [
+    *(str(Path(PRESET_DIR) / name) for name in PRESETS),
+    "bench/workloads/flagship.json",
+    "bench/workloads/sweep-grid.json",
+    "bench/workloads/multimodal-api.json",
+]
 
 
 def sweepable_config(tmp_path):
@@ -83,7 +91,7 @@ class TestSimulate:
         for name in ARTIFACTS:
             assert (out / name).is_file(), name
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["chips"] == 8
         assert report["step_time"] > 0
         assert len(report["config_digest"]) == 64
@@ -585,12 +593,7 @@ class TestReplicaPlacement:
             "replica-placement"
         ]
 
-    @pytest.mark.parametrize("path", [
-        *(str(Path(PRESET_DIR) / name) for name in PRESETS),
-        "bench/workloads/flagship.json",
-        "bench/workloads/sweep-grid.json",
-        "bench/workloads/multimodal-api.json",
-    ])
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
     def test_shipped_configs_accepted(self, path):
         # check_config checks the scaling reference point too
         check_config(vlmsim.load_config(path))
@@ -702,6 +705,74 @@ class TestRefusedAtTheirPath:
         assert code == EXIT_VALIDATION
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def run_config(config):
+    return engine.run(config.model, config.stage, config.plan, config.topology,
+                      config.costmodel, config.seed, config.workload)
+
+
+def assert_same_trace(got, want):
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.offsets.tolist() == want.offsets.tolist()
+    assert repr(got.makespan) == repr(want.makespan)
+
+
+class TestSchema1Files:
+    """A schema-1 file runs as its schema-2 form, the resolved config."""
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
+    def test_runs_as_its_schema_2_form(self, path):
+        with open(path) as f:
+            doc = json.load(f)
+        assert doc["schema"] == 1 and doc["plan"]["overlap_grad_sync"]
+        config = vlmsim.load_config(doc)
+        resolved = vlmsim.resolved_config_dict(config)
+        assert resolved["schema"] == 2
+        again = vlmsim.load_config(resolved)
+        assert vlmsim.config_digest(again) == vlmsim.config_digest(config)
+        got, want = run_config(config), run_config(again)
+        assert_same_trace(got, want)
+        assert vlmsim.emit_gantt(got) == vlmsim.emit_gantt(want)
+
+    @pytest.mark.parametrize("plan", [True, False])
+    @pytest.mark.parametrize("grad_sync", [True, False])
+    def test_each_switch_pair_runs_as_their_and(self, plan, grad_sync):
+        with open(GRADSYNC_PRESET) as f:
+            doc = json.load(f)
+        doc["plan"]["overlap_grad_sync"] = plan
+        doc["costmodel"].setdefault("grad_sync", {})["overlap"] = grad_sync
+        schema_2 = vlmsim.resolved_config_dict(vlmsim.load_config(GRADSYNC_PRESET))
+        traces = {}
+        for overlap in (True, False):
+            schema_2["costmodel"]["grad_sync"]["overlap"] = overlap
+            traces[overlap] = run_config(vlmsim.load_config(schema_2))
+        assert traces[True].makespan < traces[False].makespan
+        assert_same_trace(run_config(vlmsim.load_config(doc)),
+                          traces[plan and grad_sync])
+
+    @pytest.mark.parametrize("key", ["plan.overlap_grad_sync",
+                                     "costmodel.grad_sync.overlap"])
+    def test_sweep_over_either_switch(self, tmp_path, key):
+        # the schema-2 form swept over its one switch gives each point's
+        # report; under a rule refusing switches that disagree, the
+        # preset's false point on costmodel.grad_sync.overlap would fail
+        schema_2 = tmp_path / "schema-2.json"
+        schema_2.write_text(json.dumps(
+            vlmsim.resolved_config_dict(vlmsim.load_config(GRADSYNC_PRESET))))
+        one = "costmodel.grad_sync.overlap"
+        assert main(["sweep", "--config", str(schema_2), "--axis",
+                     f"{one}=true,false", "--out", str(tmp_path / "want")]) == EXIT_OK
+        assert main(["sweep", "--config", GRADSYNC_PRESET, "--axis",
+                     f"{key}=true,false", "--out", str(tmp_path / "got")]) == EXIT_OK
+        reports = [
+            [(tmp_path / side / f"{axis}={value}" / "report.json").read_bytes()
+             for value in (True, False)]
+            for side, axis in (("got", key), ("want", one))
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0][0] != reports[0][1]
 
 
 class TestCheckedRuns:

@@ -17,7 +17,7 @@ from tests.conftest import PRESET_DIR, PRESETS
 
 def base_doc(**overrides):
     doc = {
-        "schema": 1,
+        "schema": 2,
         "model": "8B",
         "stage": "general-knowledge-injection",
         "topology": {
@@ -53,7 +53,7 @@ class TestLoading:
         config = load_config(base_doc())
         assert config.costmodel.grad_sync.precision_bytes == 2
         assert config.costmodel.grad_sync.frequency == "per_step"
-        assert resolved_config_dict(config)["costmodel"]["algorithm"] == "ring"
+        assert config.costmodel.grad_sync.overlap
         assert config.plan.recompute == "none"
         assert config.plan.fusion_chunks == 1
         assert not config.plan.sequence_parallel
@@ -98,10 +98,6 @@ class TestLoading:
     def test_unknown_stage(self):
         with pytest.raises(ConfigError, match=r"at \$\.stage"):
             load_config(base_doc(stage="pretraining"))
-
-    def test_schema_gate(self):
-        with pytest.raises(ConfigError, match=r"unsupported schema 2 at \$\.schema"):
-            load_config(base_doc(schema=2))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -276,7 +272,7 @@ class TestDigest:
         implicit = load_config(base_doc())
         doc = base_doc()
         doc["plan"]["recompute"] = "none"
-        doc["costmodel"] = {"algorithm": "ring"}
+        doc["costmodel"] = {"grad_sync": {"overlap": True}}
         explicit = load_config(doc)
         assert config_digest(implicit) == config_digest(explicit)
 
@@ -290,7 +286,7 @@ _HOOK_TABLES = {
     "$.workload.sequence_length": list(schema._LENGTH_TABLES.values()),
     "$.scaling": [schema._SCALING],
 }
-_HOOK_LEAVES = {"$.schema": int, "$.stage": str, "$.costmodel.algorithm": str}
+_HOOK_LEAVES = {"$.schema": int, "$.stage": str}
 
 
 def _leaf_keys(table, path="$"):
@@ -352,7 +348,7 @@ def _with_value(path, value):
 
 def test_leaf_key_enumeration_is_complete():
     paths = {path for path, _ in LEAF_KEYS}
-    assert len(paths) == 56
+    assert len(paths) == 54
     assert {"$.plan.dp", "$.model.vision.max_tiles", "$.scaling.reference_chips",
             "$.workload.sequence_length.sigma",
             "$.costmodel.grad_sync.bucket_bytes"} <= paths
@@ -382,7 +378,105 @@ def test_integer_numbers_keep_their_json_type():
         assert rendered in canonical
     resolved = json.loads(canonical)
     assert isinstance(resolved["topology"]["chip"]["memory"], int)
-    # the digest this document had before the schema became table driven
+    # the digest of this document's schema-2 canonical form
     assert config_digest(config) == (
-        "3dedd785095b1280b10286dd9df41060a22a2160faa380476dc83335ea70fe90"
+        "b2e16ad73b72c430cfc41d2aa47f68f21ca3610d3abed0b785b0efb85641c806"
     )
+
+
+# ---------------------------------------------------------------------------
+# schema-1 documents: read through one upgrade to schema 2
+
+
+def schema_1_doc(overlap_grad_sync=True, **grad_sync):
+    """base_doc as a schema-1 file, with the two keys schema 2 dropped:
+    costmodel.algorithm "ring" and plan.overlap_grad_sync; grad_sync holds
+    the keys given."""
+    doc = base_doc(schema=1, costmodel={"grad_sync": grad_sync,
+                                        "algorithm": "ring"})
+    doc["plan"]["overlap_grad_sync"] = overlap_grad_sync
+    return doc
+
+
+class TestSchema1:
+    @pytest.mark.parametrize("plan", [True, False])
+    @pytest.mark.parametrize("grad_sync", [True, False, None])
+    def test_overlap_switches_fold_as_their_and(self, plan, grad_sync):
+        given = {} if grad_sync is None else {"overlap": grad_sync}
+        config = load_config(schema_1_doc(plan, **given))
+        assert config.costmodel.grad_sync.overlap == (plan and grad_sync is not False)
+        expect = base_doc(costmodel={"grad_sync": {
+            "overlap": plan and grad_sync is not False}})
+        assert resolved_config_dict(config) == resolved_config_dict(load_config(expect))
+        assert config_digest(config) == config_digest(load_config(expect))
+
+    def test_no_schema_key_is_schema_1(self):
+        doc = schema_1_doc(False)
+        del doc["schema"]
+        config = load_config(doc)
+        assert not config.costmodel.grad_sync.overlap
+        assert resolved_config_dict(config)["schema"] == 2
+
+    def test_plan_switch_off_without_a_costmodel_section(self):
+        doc = base_doc(schema=1)
+        doc["plan"]["overlap_grad_sync"] = False
+        assert not load_config(doc).costmodel.grad_sync.overlap
+        assert "costmodel" not in doc
+
+    def test_callers_dict_is_not_changed(self):
+        doc = schema_1_doc(False, overlap=True, bucket_bytes=1e8)
+        before = copy.deepcopy(doc)
+        load_config(doc)
+        assert doc == before
+
+    @pytest.mark.parametrize("value,message", [
+        (1.0, "expected an integer at $.schema"),
+        (True, "expected an integer at $.schema"),
+        ("1", "expected an integer at $.schema"),
+        (0, "unsupported schema 0 at $.schema"),
+        (3, "unsupported schema 3 at $.schema"),
+    ])
+    def test_schema_values_refused(self, value, message):
+        # True == 1.0 == 1 in Python, but a bool or a float is not a schema
+        for doc in (schema_1_doc(), base_doc()):
+            doc["schema"] = value
+            with pytest.raises(ConfigError) as err:
+                load_config(doc)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("plan", "overlap_grad_sync", True),
+        ("costmodel", "algorithm", "ring"),
+    ])
+    def test_schema_2_refuses_the_schema_1_keys(self, section, key, value):
+        doc = base_doc(costmodel={})
+        doc[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert str(err.value) == f"unknown key at $.{section}.{key}"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["costmodel"].update(algorithm="tree"),
+         "unsupported algorithm 'tree' at $.costmodel.algorithm"),
+        (lambda doc: doc["costmodel"].update(algorithm=1),
+         "expected a string at $.costmodel.algorithm"),
+        (lambda doc: doc["plan"].update(overlap_grad_sync=1),
+         "expected a boolean at $.plan.overlap_grad_sync"),
+        (lambda doc: doc["plan"].update(overlap_grad_sync="false"),
+         "expected a boolean at $.plan.overlap_grad_sync"),
+        # a wrong value the walk checks is not folded away by the AND
+        (lambda doc: doc["costmodel"]["grad_sync"].update(overlap="yes"),
+         "expected a boolean at $.costmodel.grad_sync.overlap"),
+        (lambda doc: doc["costmodel"].update(grad_sync=[]),
+         "expected an object at $.costmodel.grad_sync"),
+        (lambda doc: doc.update(costmodel=5),
+         "expected an object at $.costmodel"),
+        (lambda doc: doc.update(plan="fast"), "expected an object at $.plan"),
+        (lambda doc: doc.update(sorted_keys=1), "unknown key at $.sorted_keys"),
+    ])
+    def test_refused_with_the_schema_1_message(self, edit, message):
+        doc = schema_1_doc(False)
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert str(err.value) == message

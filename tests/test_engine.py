@@ -405,11 +405,12 @@ class TestOverlap:
 def run_dp(catalog, dp, overlap, dual=True, m=4, policy=None):
     model = catalog["3B"]
     topo = make_topology(nodes=dp, chips_per_node=2, memory=1e18, dual=dual)
-    plan = make_plan(dp=dp, tp=2, pp=1, m=m, overlap_grad_sync=overlap)
+    plan = make_plan(dp=dp, tp=2, pp=1, m=m)
     from vlmsim.workload import stage_by_name
 
     stage = stage_by_name("general-knowledge-injection")
-    cm = CostModelConfig(grad_sync=policy or GradSyncPolicy())
+    cm = CostModelConfig(grad_sync=dataclasses.replace(
+        policy or GradSyncPolicy(), overlap=overlap))
     return run(
         model, stage, plan, topo, cm, seed=3,
         workload=fixed_workload(1024, budget=1024),
@@ -472,9 +473,10 @@ class TestGradSync:
         # pp>1 so the stage's own p2p send is still draining when the
         # non-overlapped sync wants the comm unit; invariants must hold
         topo = make_topology(nodes=4, chips_per_node=2, memory=1e18)
-        plan = make_plan(dp=2, tp=2, pp=2, m=4, overlap_grad_sync=False)
+        plan = make_plan(dp=2, tp=2, pp=2, m=4)
+        serial = CostModelConfig(grad_sync=GradSyncPolicy(overlap=False))
         trace = run(
-            catalog["3B"], full_stage, plan, topo, CostModelConfig(), seed=1,
+            catalog["3B"], full_stage, plan, topo, serial, seed=1,
             workload=fixed_workload(1024, budget=1024),
         )
         trace.check_invariants()

@@ -235,9 +235,7 @@ def reference_run(model, stage, plan, topology, costmodel, seed, workload,
 
     sched = slot_schedule(build_1f1b(p, m))
     dual_stream = topology.chip.has_independent_comm_unit
-    overlap_sync = (
-        dual_stream and plan.overlap_grad_sync and costmodel.grad_sync.overlap
-    )
+    overlap_sync = dual_stream and costmodel.grad_sync.overlap
     per_microbatch_sync = costmodel.grad_sync.frequency == "per_microbatch"
     chunks = plan.fusion_chunks
 
@@ -393,7 +391,6 @@ def small_configs(draw):
         dp=dp, tp=tp, pp=pp, m=draw(st.integers(1, 9)),
         sequence_parallel=draw(st.booleans()),
         recompute=draw(st.sampled_from(["none", "selective", "full"])),
-        overlap_grad_sync=draw(st.booleans()),
         fusion_chunks=draw(st.integers(1, 8)),
         layer_balance=draw(st.sampled_from(["uniform", "cost-balanced"])),
     )
@@ -633,10 +630,10 @@ def numpy_book_run(catalog, full_stage, p, m, chunks, dual, overlap,
     assert type(book.fwd[0][0]) is np.float64
     topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
                              dual=dual)
-    plan = make_plan(pp=p, m=m, fusion_chunks=chunks,
-                     overlap_grad_sync=overlap)
+    plan = make_plan(pp=p, m=m, fusion_chunks=chunks)
     costmodel = CostModelConfig(grad_sync=GradSyncPolicy(
-        frequency="per_microbatch" if per_microbatch else "per_step"
+        frequency="per_microbatch" if per_microbatch else "per_step",
+        overlap=overlap,
     ))
     workload = StepWorkload(microbatch_token_budget=64,
                             seq_len_model=SequenceLengthModel.fixed(64))
@@ -683,8 +680,9 @@ def sync_book_run(catalog, full_stage, stage_buckets, frequency, *, m=3,
     )
     topology = make_topology(nodes=1, chips_per_node=p, memory=1e18,
                              dual=dual)
-    plan = make_plan(pp=p, m=m, overlap_grad_sync=overlap)
-    costmodel = CostModelConfig(grad_sync=GradSyncPolicy(frequency=frequency))
+    plan = make_plan(pp=p, m=m)
+    costmodel = CostModelConfig(grad_sync=GradSyncPolicy(frequency=frequency,
+                                                         overlap=overlap))
     workload = StepWorkload(microbatch_token_budget=64,
                             seq_len_model=SequenceLengthModel.fixed(64))
     args = (catalog["3B"], full_stage, plan, topology, costmodel, 0, workload)

@@ -223,7 +223,7 @@ class TestReports:
         import json
 
         parsed = json.loads(doc)
-        assert parsed["schema"] == 1
+        assert parsed["schema"] == 2
         assert parsed["chips"] == 8
         assert parsed["memory"]["total"] == 10.0
         assert parsed["efficiency"] is None

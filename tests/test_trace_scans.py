@@ -37,7 +37,7 @@ def reference_check_invariants(trace):
         raise AssertionError(f"makespan {trace.makespan} is not finite")
     for stage, rows in enumerate(trace.stage_rows):
         for resource in (COMPUTE, COMM):
-            prev_end = -1.0
+            prev_end = -math.inf
             for res, start, end, label, _ in rows:
                 if res != resource:
                     continue
@@ -125,7 +125,8 @@ def make_trace(stage_rows, makespan=4.0):
 MICROBATCHES = st.one_of(st.none(), st.integers(0, 7))
 # shared endpoints make touching rows and equal starts across compute and
 # comm likely; 1 - 2e-15 and 1 - 5e-16 end just before a row starting at
-# 1.0, and -1.5 starts a sub-block before the check's floor of -1.0
+# 1.0, and -1.5 starts a sub-block below -1.0 (a sub-block's first row has
+# no row before it, so no start of it overlaps)
 GRID = st.sampled_from([
     -1.5, -1.0, -0.0, 0.0, 0.17, 0.27, 0.59, 1.0 - 2e-15, 1.0 - 5e-16, 1.0,
     1.74, 2.0, 2.57, 3.0,
@@ -229,11 +230,18 @@ class TestCheckInvariants:
         self.check_same(make_trace([[], comm[:1], []]), None)
 
     def test_sub_block_may_start_before_the_last_ones_end(self):
-        # each sub-block's first row is checked against -1.0, not against
+        # each sub-block's first row is checked against -inf, not against
         # the row before it in the record (another pass's or stage's)
         self.check_same(make_trace([
             [(COMPUTE, 0.0, 5.0, "fwd", 0), (COMM, 1.0, 2.0, "p2p", 0)],
             [(COMPUTE, 0.5, 1.0, "fwd", 0), (COMM, -0.5, 0.0, "p2p", 0)],
+        ]), None)
+
+    def test_first_row_may_start_below_minus_one(self):
+        # no row comes before a sub-block's first row, however early it
+        # starts; an end of -1.0 as its floor named it "overlapping"
+        self.check_same(make_trace([
+            [(COMPUTE, -1.5, 0.0, "fwd", 0), (COMM, -1.5, -1.0, "p2p", 0)],
         ]), None)
 
 
