@@ -35,10 +35,11 @@ class VisionEncoderSpec:
     max_tiles: int = 12
 
     def __post_init__(self) -> None:
+        for name in ("heads", "patch_size", "tokens_per_tile", "max_tiles"):
+            if getattr(self, name) < 1:  # divisors below, and the tile cap
+                raise ValueError(f"{name} must be >= 1")
         if self.hidden_size % self.heads != 0:
             raise ValueError("hidden_size must divide evenly into heads")
-        if self.max_tiles < 1:
-            raise ValueError("max_tiles must be >= 1")
         if self.tile_side % self.patch_size != 0:
             raise ValueError("tile_side must be divisible by patch_size")
         patches = (self.tile_side // self.patch_size) ** 2
@@ -77,6 +78,9 @@ class LanguageModelSpec:
     context_limit: int = 32768
 
     def __post_init__(self) -> None:
+        for name in ("kv_heads", "head_size"):
+            if getattr(self, name) < 1:  # divisors below
+                raise ValueError(f"{name} must be >= 1")
         if self.hidden_size % self.head_size != 0:
             raise ValueError("hidden_size must be divisible by head_size")
         q = self.query_heads

@@ -100,7 +100,8 @@ once, as a def that every chip's lane of that stage places with <use>.
 trace.jsonl writes each stage's rows by start, a compute row before a comm
 row of the same start: one stable argsort per stage, which merges the two
 sorted sub-blocks. The writer takes that order a chunk of rows at a time
-across stage boundaries and formats each distinct time of a chunk once.
+across stage boundaries and formats each chunk's start and end columns
+with one orjson call each.
 """
 
 from __future__ import annotations
@@ -165,9 +166,7 @@ KIND_FWD, KIND_BWD, KIND_COLLECTIVE, KIND_P2P, KIND_SYNC = range(len(KINDS))
 
 # Rows trace.jsonl formats and joins at a time, taken in writing order
 # across stage boundaries. It bounds the writer's memory: about 1.5 MiB at
-# once with the chunk before's texts kept for their hand-offs. A time
-# recurs within a few rows of that order, so a chunk of this size, handed
-# the chunk before's texts, formats about as few times as whole stages do.
+# once on a 73,216-row trace, 24 MiB as one chunk.
 JSONL_CHUNK_ROWS = 4096
 
 # Slots the loop reads from its numpy columns as lists at a time: flagship's
@@ -372,11 +371,8 @@ class Trace:
         microbatches once per trace, into a table indexed by microbatch + 1
         (-1 and below print null). The rows are taken JSONL_CHUNK_ROWS at a
         time in that order, stage after stage, so a chunk may span the end
-        of one stage and the start of the next. Each distinct time of a
-        chunk is formatted once: times are told apart by bit pattern, so
-        -0.0 and 0.0 stay apart, and a time the chunk before also held
-        takes that chunk's text (_time_texts), which carries the hand-off
-        times two adjacent stages share across the boundary. Times are
+        of one stage and the start of the next. A chunk's start and end
+        columns are formatted with one _float_texts call each. Times are
         finite (check_invariants).
         """
         yield json.dumps(
@@ -419,7 +415,6 @@ class Trace:
             f'{"null" if code == 0 else code - 1}}}\n'
             for code in np.flatnonzero(present).tolist()
         ]
-        known = (np.empty(0, np.int64), np.empty(0, object))
         stage_heads = np.arange(len(bounds) - 1) * len(KINDS)
         for first in range(0, len(order), JSONL_CHUNK_ROWS):
             at = order[first:first + JSONL_CHUNK_ROWS]
@@ -430,16 +425,10 @@ class Trace:
             at = at + np.repeat(bounds[:-1], rows)
             start, end, kind, microbatch = (column[at] for column in self.columns)
             head = kind + np.repeat(stage_heads, rows)
-            bits, inverse = np.unique(
-                np.concatenate((start, end)).view(np.int64),
-                return_inverse=True,
-            )
-            known = (bits, _time_texts(bits, *known))
-            times = known[1][inverse]
             fragments = [',"end":'] * (6 * n)
             fragments[0::6] = heads[head].tolist()
-            fragments[1::6] = times[:n].tolist()
-            fragments[3::6] = times[n:].tolist()
+            fragments[1::6] = _float_texts(start)
+            fragments[3::6] = _float_texts(end)
             fragments[4::6] = label_texts[kind].tolist()
             fragments[5::6] = microbatch_texts[
                 np.maximum(microbatch, -1) + 1
@@ -447,22 +436,23 @@ class Trace:
             yield "".join(fragments)
 
 
-def _time_texts(
-    bits: np.ndarray, known_bits: np.ndarray, known_texts: np.ndarray
-) -> np.ndarray:
-    """float.__repr__ of each time in `bits` (int64 bit patterns), as an
-    object array. A time in known_bits (ascending) takes its text from
-    known_texts; only the others are formatted. float.__repr__ is json's
-    formatter, so float subclasses such as numpy.float64 print as plain
-    floats."""
-    at = np.searchsorted(known_bits, bits)
-    hit = at < len(known_bits)
-    hit[hit] = known_bits[at[hit]] == bits[hit]
-    texts = np.empty(len(bits), object)
-    texts[hit] = known_texts[at[hit]]
-    texts[~hit] = list(
-        map(float.__repr__, bits[~hit].view(np.float64).tolist())
-    )
+def _float_texts(values: np.ndarray) -> list[str]:
+    """float.__repr__ of each value of a float64 array, the text json
+    writes for a float. orjson formats the whole array in one call with
+    the same shortest round-trip digits and lays them out as repr does
+    for 1e-4 <= |v| < 1e16. Outside that range orjson writes 0.00001 and
+    1e16 where repr writes 1e-05 and 1e+16, so those values, zeros among
+    them, take float.__repr__."""
+    import orjson  # imports uuid and zoneinfo: only a trace write pays
+
+    if not len(values):
+        return []
+    texts = orjson.dumps(
+        values, option=orjson.OPT_SERIALIZE_NUMPY
+    ).decode()[1:-1].split(",")
+    size = np.abs(values)
+    for at in np.flatnonzero((size < 1e-4) | (size >= 1e16)).tolist():
+        texts[at] = float.__repr__(float(values[at]))
     return texts
 
 

@@ -181,6 +181,19 @@ class TestSimulate:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_set_up_leaves_orjson_unimported(self):
+        # only a trace write imports orjson (and, through it, uuid and
+        # zoneinfo), so set-up and API-only runs do not pay for it
+        code = ("import sys, vlmsim, vlmsim.cli; vlmsim.load_config(sys.argv[1]);"
+                " print('orjson' in sys.modules)")
+        src = str(Path(vlmsim.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, FLAGSHIP_PRESET], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "ghost.json"),
                      "--out", str(tmp_path / "out")])
@@ -498,6 +511,19 @@ class TestValidate:
         assert "exceeds chip memory" in violations[0]["message"]
         assert captured.err[end:].startswith("\nerror: estimated ")
 
+
+    @pytest.mark.parametrize("kv_heads", [0, -4])
+    def test_non_positive_kv_heads_refused(self, tmp_path, capsys, kv_heads):
+        # 0 used to exit 3 with a ZeroDivisionError, -4 to print "ok"
+        with open(BUBBLE_PRESET) as f:
+            doc = json.load(f)
+        doc["model"]["lm"]["kv_heads"] = kv_heads
+        bad = tmp_path / "heads.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: at $.model.lm: kv_heads must be >= 1\n"
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_packed_batches_checked_at_the_sampled_shape(

@@ -165,6 +165,28 @@ class TestStrictKeys:
             load_config(doc)
 
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("lm", "kv_heads", 0),
+        ("lm", "kv_heads", -4),
+        ("lm", "head_size", 0),
+        ("vision", "heads", 0),
+        ("vision", "patch_size", 0),
+        ("vision", "tokens_per_tile", 0),
+    ])
+    def test_head_and_patch_counts_must_be_positive(self, section, key,
+                                                     value):
+        # each one divides in the sheet arithmetic: zero used to escape as
+        # ZeroDivisionError, and kv_heads -4 was accepted
+        model = {"lm": {
+            "hidden_size": 1024, "layers": 4, "kv_heads": 2, "head_size": 128,
+            "intermediate_size": 2816, "vocab_size": 32000,
+            "embedding_tying": True,
+        }}
+        model.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(base_doc(model=model))
+        assert str(err.value) == f"at $.model.{section}: {key} must be >= 1"
+
     @pytest.mark.parametrize("lengths", [
         {"kind": "fixed", "value": 4096},
         {"kind": "lognormal-truncated", "mean": 7.0, "sigma": 0.5, "cap": 4096},

@@ -672,7 +672,7 @@ def handoff_stages(draw):
 
 class TestJsonlChunks:
     """trace.jsonl is formatted a chunk of rows at a time, in writing order
-    across stage boundaries, each chunk handed the texts of the one before."""
+    across stage boundaries."""
 
     @given(stage_rows=handoff_stages(),
            chunk=st.integers(min_value=1, max_value=7))
@@ -696,8 +696,8 @@ class TestJsonlChunks:
         assert lines[1:] == reference_row_lines(trace)
 
     def test_multimodal_api_streams_in_bounded_memory(self):
-        # whole-trace dedupe holds 7.5 MiB of texts at once here; the
-        # count includes the writer's row order
+        # 1.5 MiB in 4,096-row chunks, 24 MiB as one chunk; the count
+        # includes the writer's row order
         config = load_config("bench/workloads/multimodal-api.json")
         trace = run(config.model, config.stage, config.plan, config.topology,
                     config.costmodel, config.seed, workload=config.workload)
@@ -709,6 +709,47 @@ class TestJsonlChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
+
+
+def repr_texts(values):
+    return list(map(float.__repr__, values.tolist()))
+
+
+class TestFloatTexts:
+    """engine._float_texts against float.__repr__, the text json writes
+    for a float."""
+
+    def test_edge_values(self):
+        # repr's switch points with their neighbours, the smallest
+        # subnormal and normal, the largest double, zeros and negatives
+        edges = [
+            np.nextafter(edge, toward)
+            for edge in (1e-4, 1e16) for toward in (0.0, edge, np.inf)
+        ]
+        values = np.array(edges + [
+            5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max,
+            0.0, 1e-5, 0.1 + 0.2, 1.0, 123456789.0, 1e22,
+        ])
+        values = np.concatenate((values, -values))
+        assert engine._float_texts(values) == repr_texts(values)
+        assert engine._float_texts(np.empty(0)) == []
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_floats(self, values):
+        values = np.array(values, np.float64)
+        assert engine._float_texts(values) == repr_texts(values)
+
+    def test_every_binade(self):
+        # 64 random bit patterns of each sign in every finite binade,
+        # subnormals included
+        rng = np.random.default_rng(33)
+        exponent = np.repeat(np.arange(2047, dtype=np.uint64), 128)
+        sign = np.tile(np.repeat(np.array([0, 1], np.uint64), 64), 2047)
+        fraction = rng.integers(0, 2**52, len(exponent), dtype=np.uint64)
+        values = ((sign << 63) | (exponent << 52) | fraction).view(np.float64)
+        assert engine._float_texts(values) == repr_texts(values)
 
 
 class TestStageRowsView:
